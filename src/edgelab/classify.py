@@ -19,7 +19,7 @@ from .linalg import (
     RANK_RTOL,
     BipartiteOperator,
     _check_hermitian,
-    is_psd,
+    _rank_psd,
     numerical_rank,
     partial_transpose,
     proj,
@@ -78,13 +78,18 @@ def rank_bounds(m: int, n: int, p: int, q: int) -> Admissibility:
 def classify(
     s: BipartiteOperator, rel_tol: float = RANK_RTOL, abs_tol: float = PSD_ATOL
 ) -> Classification:
-    """PSD/PPT flags, (rank, partial-transpose rank) type, and admissibility."""
-    _check_hermitian(s.mat)
-    tau = partial_transpose(s)
-    psd = is_psd(s.mat, abs_tol)
-    ppt = psd and is_psd(tau.mat, abs_tol)
-    p = numerical_rank(s.mat, rel_tol)
-    q = numerical_rank(tau.mat, rel_tol)
+    """PSD/PPT flags, (rank, partial-transpose rank) type, and admissibility.
+
+    One Hermiticity check, then one ``eigvalsh`` each for the state and its
+    partial transpose give both ranks and both PSD flags.
+    """
+    h = _check_hermitian(s.mat)
+    # Partial transposition permutes entries and commutes with the adjoint, so
+    # the partial transpose of the symmetrized state is Hermitian as it stands.
+    tau = partial_transpose(BipartiteOperator(s.m, s.n, h)).mat
+    p, psd = _rank_psd(np.linalg.eigvalsh(h), rel_tol, abs_tol)
+    q, tau_psd = _rank_psd(np.linalg.eigvalsh(tau), rel_tol, abs_tol)
+    ppt = psd and tau_psd
     if p == 0 or q == 0:
         adm = Admissibility.BELOW_LOWER_BOUND
     else:

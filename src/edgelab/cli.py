@@ -2,7 +2,7 @@
 
 Subcommands: construct | classify | edge-check | sweep | table | decompose.
 Matrices travel as JSON files (see :mod:`edgelab.io`); sweeps emit CSV with a
-frozen column order.  EDGELAB_THREADS caps sweep parallelism.
+frozen column order.
 
 Exit codes: 0 success (classify: state is PPT; table: all targets achieved),
 1 for a negative verdict (classify: not PPT; table: missing types), 2 for
@@ -14,11 +14,10 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
+import itertools
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -54,52 +53,51 @@ def _parse_complex(text: str) -> complex:
         raise InvalidParamError(f"cannot parse complex number {text!r}") from exc
 
 
-def _resolve_theta(args) -> float:
-    if getattr(args, "theta_frac", None) is not None:
-        try:
-            return math.pi * float(Fraction(args.theta_frac))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InvalidParamError(f"bad --theta-frac {args.theta_frac!r}") from exc
-    if getattr(args, "theta", None) is None:
-        raise InvalidParamError("this family needs --theta or --theta-frac")
-    return args.theta
+def _theta_frac(text: str) -> float:
+    """``--theta-frac``: a rational multiple of pi, returned in radians."""
+    try:
+        return math.pi * float(Fraction(text))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(f"bad rational multiple of pi {text!r}") from exc
 
 
-def _require(args, *names):
+def _require(family: str, params: dict, *names):
     for name in names:
-        if getattr(args, name, None) is None:
-            raise InvalidParamError(f"family {args.family!r} needs --{name.replace('_', '-')}")
+        if params.get(name) is None:
+            raise InvalidParamError(f"family {family!r} needs --{name.replace('_', '-')}")
 
 
-def build_family(args) -> BipartiteOperator:
-    family = args.family
+def build_family(family: str, params: dict) -> BipartiteOperator:
+    """The member of ``family`` at ``params`` (option names as keys, theta in radians)."""
     if family == "p-theta":
-        return BipartiteOperator(1, 3, phase_circulant(_resolve_theta(args)))
+        _require(family, params, "theta")
+        return BipartiteOperator(1, 3, phase_circulant(params["theta"]))
     if family == "edge":
-        _require(args, "b")
-        return edge_state(args.b, _resolve_theta(args))
+        _require(family, params, "b", "theta")
+        return edge_state(params["b"], params["theta"])
     if family == "edge-general":
-        _require(args, "b")
-        return generalized_edge_state(args.b, _resolve_theta(args))
+        _require(family, params, "b", "theta")
+        return generalized_edge_state(params["b"], params["theta"])
     if family == "state-7-6":
-        _require(args, "b")
-        return corner_state(args.b)
+        _require(family, params, "b")
+        return corner_state(params["b"])
     if family == "choi":
-        _require(args, "a", "b", "c")
-        return choi_matrix(args.a, args.b, args.c)
+        _require(family, params, "a", "b", "c")
+        return choi_matrix(params["a"], params["b"], params["c"])
     if family == "face":
-        _require(args, "b")
+        _require(family, params, "b", "theta")
         spec = GramSpec(
-            _resolve_theta(args),
-            _parse_complex(args.xi_eta),
-            _parse_complex(args.eta_zeta),
-            _parse_complex(args.zeta_xi),
+            params["theta"],
+            _parse_complex(params["xi_eta"]),
+            _parse_complex(params["eta_zeta"]),
+            _parse_complex(params["zeta_xi"]),
         )
-        return face_state(args.b, spec)
+        return face_state(params["b"], spec)
     if family == "p5":
-        _require(args, "b", "target_p")
-        theta = _resolve_theta(args)
-        return face_state(args.b, GramSpec(theta, *singular_gram_offdiags(theta, args.target_p)))
+        _require(family, params, "b", "theta", "target_p")
+        theta = params["theta"]
+        spec = GramSpec(theta, *singular_gram_offdiags(theta, params["target_p"]))
+        return face_state(params["b"], spec)
     raise InvalidParamError(f"unknown family {family!r}")
 
 
@@ -107,15 +105,19 @@ def _load_input(args) -> BipartiteOperator:
     if getattr(args, "infile", None):
         return mio.read_matrix(args.infile)
     if getattr(args, "family", None):
-        return build_family(args)
+        return build_family(args.family, vars(args))
     raise InvalidParamError("provide --in FILE or --family NAME")
 
 
 def _add_family_options(parser, require_family: bool):
     parser.add_argument("--family", choices=FAMILIES, required=require_family)
     parser.add_argument("--b", type=float)
-    parser.add_argument("--theta", type=float, help="angle in radians")
-    parser.add_argument("--theta-frac", help="angle as a rational multiple of pi, e.g. 1/6")
+    angle = parser.add_mutually_exclusive_group()
+    angle.add_argument("--theta", type=float, help="angle in radians")
+    angle.add_argument(
+        "--theta-frac", dest="theta", type=_theta_frac, metavar="P/Q",
+        help="angle as a rational multiple of pi, e.g. 1/6",
+    )
     parser.add_argument("--a", type=float)
     parser.add_argument("--c", type=float)
     parser.add_argument("--xi-eta", default="0", help="complex, e.g. 0.5+0.3j")
@@ -140,13 +142,11 @@ def _vector_json(v: np.ndarray) -> dict:
 
 
 def cmd_construct(args) -> int:
-    op = build_family(args)
-    payload = json.dumps(mio.matrix_to_dict(op))
+    op = build_family(args.family, vars(args))
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload + "\n")
+        mio.write_matrix(op, args.out)
     else:
-        print(payload)
+        print(json.dumps(mio.matrix_to_dict(op)))
     return 0
 
 
@@ -161,8 +161,8 @@ def cmd_edge_check(args) -> int:
     if args.analytic:
         if getattr(args, "family", None) != "edge":
             raise InvalidParamError("--analytic applies only to --family edge")
-        _require(args, "b")
-        trace = verify_edge_analytic(args.b, _resolve_theta(args))
+        _require(args.family, vars(args), "b", "theta")
+        trace = verify_edge_analytic(args.b, args.theta)
         report = {
             "verdict": "Edge" if trace.verdict is EdgeCertificate.EDGE_CERTIFIED else trace.verdict.value,
             "certifiedBy": "analytic",
@@ -199,7 +199,7 @@ def _parse_range(text: str):
         raise InvalidParamError(f"bad --range {text!r}; expected NAME=START:STOP:STEPS") from exc
     if steps < 1:
         raise InvalidParamError("range steps must be >= 1")
-    values = np.linspace(start, stop, steps) if steps > 1 else np.array([start])
+    values = np.linspace(start, stop, steps).tolist() if steps > 1 else [start]
     return name.strip(), values
 
 
@@ -214,22 +214,6 @@ SWEEP_PARAMS = {
 }
 
 
-def _sweep_point(family, params, do_search, starts, seed):
-    ns = argparse.Namespace(
-        family=family, theta=None, theta_frac=None, xi_eta="0", eta_zeta="0", zeta_xi="0",
-        a=None, b=None, c=None, target_p=None,
-    )
-    for key, val in params.items():
-        setattr(ns, key, int(val) if key == "target_p" else val)
-    op = build_family(ns)
-    c = classify(op)
-    row = [params[name] for name in SWEEP_PARAMS[family]]
-    row += [c.is_ppt, c.type[0], c.type[1]]
-    if do_search:
-        row.append(product_vector_search(op, starts=starts, seed=seed).best_objective)
-    return row
-
-
 def cmd_sweep(args) -> int:
     family = args.family
     if family not in SWEEP_PARAMS:
@@ -241,42 +225,31 @@ def cmd_sweep(args) -> int:
         name, values = _parse_range(text)
         if name not in SWEEP_PARAMS[family]:
             raise InvalidParamError(f"family {family!r} has no parameter {name!r}")
+        if name in names:
+            raise InvalidParamError(f"parameter {name!r} has more than one --range")
+        if name == "target_p":  # an integer option: build and print 5, not 5.0
+            values = [int(v) if v.is_integer() else v for v in values]
         names.append(name)
         grids.append(values)
     fixed = {}
     for pname in SWEEP_PARAMS[family]:
         if pname in names:
             continue
-        val = getattr(args, pname, None)
-        if val is None and pname == "theta" and args.theta_frac is not None:
-            val = math.pi * float(Fraction(args.theta_frac))
+        val = getattr(args, pname)
         if val is None:
             raise InvalidParamError(f"fix parameter --{pname.replace('_', '-')} or sweep it")
         fixed[pname] = val
 
-    mesh = np.meshgrid(*grids, indexing="ij")
-    points = []
-    for flat_idx in range(mesh[0].size):
-        params = dict(fixed)
-        for name, grid in zip(names, mesh):
-            params[name] = float(grid.reshape(-1)[flat_idx])
-        points.append(params)
-
-    try:
-        workers = int(os.environ.get("EDGELAB_THREADS", "0"))
-    except ValueError:
-        workers = 0
-    workers = workers or min(32, os.cpu_count() or 1)
-    if workers > 1 and len(points) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(
-                pool.map(
-                    lambda p: _sweep_point(family, p, args.search, args.starts, args.seed),
-                    points,
-                )
-            )
-    else:
-        rows = [_sweep_point(family, p, args.search, args.starts, args.seed) for p in points]
+    rows = []
+    for point in itertools.product(*grids):  # row-major grid order
+        params = {**fixed, **dict(zip(names, point))}
+        op = build_family(family, params)
+        c = classify(op)
+        row = [params[name] for name in SWEEP_PARAMS[family]]
+        row += [c.is_ppt, c.type[0], c.type[1]]
+        if args.search:
+            row.append(product_vector_search(op, starts=args.starts, seed=args.seed).best_objective)
+        rows.append(row)
 
     header = list(SWEEP_PARAMS[family]) + ["isPPT", "p", "q"]
     if args.search:

@@ -23,7 +23,7 @@ class DimensionMismatchError(EdgeLabError):
 
 
 class InvalidParamError(EdgeLabError):
-    """A family parameter is outside its admissible range."""
+    """A parameter or matrix entry is outside its admissible range."""
 
 
 class GramNotPSDError(InvalidParamError):

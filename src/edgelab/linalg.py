@@ -7,6 +7,15 @@ index is ``(i, k) -> i * n + k`` with ``i`` in the first (m-dimensional)
 factor and ``k`` in the second (n-dimensional) one.  Equivalently, a block
 operator is a grid of m x m blocks of size n x n, and ``numpy.kron`` realizes
 the tensor product in exactly this layout.
+
+Ranks of Hermitian matrices come from their spectrum, since the singular
+values of a Hermitian matrix are its absolute eigenvalues.  :func:`is_psd`,
+:func:`gram_realization` and ``classify`` make one Hermiticity check and one
+``eigvalsh`` (``eigh`` in :func:`gram_realization`) per matrix and read the
+rank and the PSD flag from it with :func:`_rank_psd`.  :func:`numerical_rank`,
+:func:`kernel_basis` and :func:`range_basis` accept any matrix, also
+non-square, and use the SVD.  Every rank applies the one threshold rule of
+:func:`_rank`.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NotHermitianError, NotPSDError
+from .errors import DimensionMismatchError, InvalidParamError, NotHermitianError, NotPSDError
 
 # Default tolerances.  Ranks use a relative singular-value threshold; PSD
 # checks use an absolute floor on the smallest eigenvalue so that boundary
@@ -51,7 +60,7 @@ class BipartiteOperator:
                 f"matrix shape {self.mat.shape} does not match local dims ({self.m}, {self.n})"
             )
         if not np.all(np.isfinite(self.mat)):
-            raise ValueError("matrix entries must be finite")
+            raise InvalidParamError("matrix entries must be finite")
 
     @property
     def dim(self) -> int:
@@ -119,53 +128,57 @@ def _check_hermitian(m: np.ndarray, rtol: float = HERM_RTOL) -> np.ndarray:
     return (m + m.conj().T) / 2
 
 
-def hermitian_eig(m: np.ndarray, rtol: float = HERM_RTOL):
-    """Eigendecomposition of a (nearly) Hermitian matrix.
+def _rank(sv: np.ndarray, rel_tol: float) -> int:
+    """Count of the nonnegative values ``sv`` above ``rel_tol`` times the largest.
 
-    Returns ``(eigenvalues, eigenvectors)`` with eigenvalues ascending and
-    orthonormal eigenvector columns.  Raises :class:`NotHermitianError` if the
-    relative asymmetry exceeds ``rtol``; otherwise the symmetrized matrix
-    ``(m + m^H)/2`` is decomposed.
+    The one rank-threshold rule of the package: ``sv`` holds singular values,
+    or the absolute eigenvalues of a Hermitian matrix (its singular values).
+    The zero matrix has rank 0.
     """
-    h = _check_hermitian(m, rtol)
-    vals, vecs = np.linalg.eigh(h)
-    return vals, vecs
+    if rel_tol <= 0:
+        raise ValueError("rel_tol must be positive")
+    smax = float(sv.max()) if sv.size else 0.0
+    return int(np.count_nonzero(sv > rel_tol * smax)) if smax > 0 else 0
+
+
+def _rank_psd(vals: np.ndarray, rel_tol: float, abs_tol: float) -> tuple[int, bool]:
+    """Rank and PSD flag from the eigenvalues of a Hermitian matrix.
+
+    PSD means a smallest eigenvalue ``>= -abs_tol * max(1, ||m||_2)``.
+    """
+    mag = np.abs(vals)
+    scale = max(1.0, float(mag.max()))
+    return _rank(mag, rel_tol), bool(vals.min() >= -abs_tol * scale)
 
 
 def numerical_rank(m: np.ndarray, rel_tol: float = RANK_RTOL) -> int:
-    """Number of singular values above ``rel_tol`` times the largest one."""
-    if rel_tol <= 0:
-        raise ValueError("rel_tol must be positive")
-    s = np.linalg.svd(_as_complex(m), compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > rel_tol * s[0]))
+    """Number of singular values above ``rel_tol`` times the largest one.
+
+    Uses the SVD, so ``m`` may be any matrix, also non-square.
+    """
+    return _rank(np.linalg.svd(_as_complex(m), compute_uv=False), rel_tol)
 
 
 def kernel_basis(m: np.ndarray, rel_tol: float = RANK_RTOL) -> Subspace:
-    """Orthonormal basis of the (right) null space."""
+    """Orthonormal basis of the (right) null space, from the SVD of any matrix."""
     m = _as_complex(m)
     _, s, vh = np.linalg.svd(m)
-    smax = s[0] if s.size else 0.0
-    r = int(np.count_nonzero(s > rel_tol * smax)) if smax > 0 else 0
-    return Subspace(m.shape[1], vh[r:].conj().T, rel_tol)
+    return Subspace(m.shape[1], vh[_rank(s, rel_tol) :].conj().T, rel_tol)
 
 
 def range_basis(m: np.ndarray, rel_tol: float = RANK_RTOL) -> Subspace:
-    """Orthonormal basis of the column space."""
+    """Orthonormal basis of the column space, from the SVD of any matrix."""
     m = _as_complex(m)
     u, s, _ = np.linalg.svd(m)
-    smax = s[0] if s.size else 0.0
-    r = int(np.count_nonzero(s > rel_tol * smax)) if smax > 0 else 0
-    return Subspace(m.shape[0], u[:, :r], rel_tol)
+    return Subspace(m.shape[0], u[:, : _rank(s, rel_tol)], rel_tol)
 
 
 def is_psd(m: np.ndarray, abs_tol: float = PSD_ATOL) -> bool:
-    """True iff the symmetrized matrix has min eigenvalue >= -abs_tol * max(1, ||m||_2)."""
-    h = _check_hermitian(m)
-    vals = np.linalg.eigvalsh(h)
-    scale = max(1.0, float(np.max(np.abs(vals))) if vals.size else 0.0)
-    return bool(vals[0] >= -abs_tol * scale)
+    """True iff the symmetrized matrix has min eigenvalue >= -abs_tol * max(1, ||m||_2).
+
+    One Hermiticity check and one ``eigvalsh``.
+    """
+    return _rank_psd(np.linalg.eigvalsh(_check_hermitian(m)), RANK_RTOL, abs_tol)[1]
 
 
 def projector(s: Subspace) -> np.ndarray:
@@ -181,25 +194,18 @@ def proj(v) -> np.ndarray:
     return v @ v.conj().T
 
 
-def hadamard(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Entrywise product of two same-shaped matrices."""
-    a, b = _as_complex(a), _as_complex(b)
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"shapes {a.shape} and {b.shape} differ")
-    return a * b
-
-
 def gram_realization(g: np.ndarray, rel_tol: float = RANK_RTOL) -> np.ndarray:
     """Realize a PSD Gram matrix ``g`` as ``V V^H``.
 
     Row ``i`` of the returned ``V`` is a concrete coordinate vector for the
-    i-th abstract vector; the number of columns equals ``numerical_rank(g)``.
+    i-th abstract vector; the number of columns equals the numerical rank of
+    ``g``.  One ``eigh`` of the symmetrized matrix gives the rank, the PSD
+    flag and the vectors.
     """
-    h = _check_hermitian(g)
-    if not is_psd(h):
+    vals, vecs = np.linalg.eigh(_check_hermitian(g))
+    r, psd = _rank_psd(vals, rel_tol, PSD_ATOL)
+    if not psd:
         raise NotPSDError("gram matrix has a negative eigenvalue beyond tolerance")
-    r = numerical_rank(h, rel_tol)
-    vals, vecs = np.linalg.eigh(h)
     top_vals = np.clip(vals[::-1][:r], 0.0, None)
     top_vecs = vecs[:, ::-1][:, :r]
     return top_vecs * np.sqrt(top_vals)

@@ -20,6 +20,7 @@ from enum import Enum
 
 import numpy as np
 
+from .errors import InvalidParamError
 from .linalg import RANK_RTOL, BipartiteOperator, _check_hermitian, kernel_basis, partial_transpose
 
 FOUND_THRESHOLD = 1e-9
@@ -105,7 +106,10 @@ def product_vector_search(
     each start draws from its own generator keyed by ``(seed, start index)``,
     so results do not depend on execution order.  ``stop_objective``, if set,
     stops scanning further starts once the best objective falls below it.
+    Raises :class:`InvalidParamError` when ``starts < 1``.
     """
+    if starts < 1:
+        raise InvalidParamError(f"starts must be >= 1, got {starts}")
     obj = _Objective(s, rel_tol)
     if obj.trivial:
         # full-rank state and partial transpose: every product vector qualifies

@@ -74,6 +74,11 @@ class TestClassify:
         with pytest.raises(NotHermitianError):
             classify(BipartiteOperator(3, 3, mat))
 
+    @pytest.mark.parametrize("rel_tol", [0.0, -1e-9])
+    def test_rejects_nonpositive_rel_tol(self, rel_tol):
+        with pytest.raises(ValueError):
+            classify(edge_state(1.0, THETA), rel_tol=rel_tol)
+
     def test_family_type_coverage(self):
         one, two, three = cmath.exp(0.3j), cmath.exp(-0.1j), cmath.exp(0.2j)
         states = [

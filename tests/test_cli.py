@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from edgelab import BipartiteOperator, classify, edge_state
+from edgelab import BipartiteOperator, classify, edge_state, product_vector_search
 from edgelab.cli import main
 from edgelab.io import matrix_from_dict, matrix_to_dict, read_matrix, write_matrix
 from edgelab.errors import EdgeLabError
@@ -49,6 +49,27 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def usage_error(capsys, *argv):
+    """Exit code and stderr of an invocation that argparse rejects."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    return exc.value.code, capsys.readouterr().err
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def strict_json(text):
+    """json.loads that rejects the NaN and Infinity extensions."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
+def assert_one_line_error(err):
+    assert err.startswith("edgelab: error: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 class TestConstruct:
     def test_edge_matrix_entries(self, capsys):
         code, out, _ = run_cli(capsys, "construct", "--family", "edge", "--b", "1", "--theta", "0.5236")
@@ -84,6 +105,14 @@ class TestConstruct:
         code, _, _ = run_cli(capsys, "construct", "--family", "edge", "--theta", "0.5")
         assert code == 2
 
+    def test_out_file_matches_stdout(self, capsys, tmp_path):
+        argv = ["construct", "--family", "edge", "--b", "1.3", "--theta-frac", "1/5"]
+        out_file = tmp_path / "edge.json"
+        _, printed, _ = run_cli(capsys, *argv)
+        code, _, _ = run_cli(capsys, *argv, "--out", str(out_file))
+        assert code == 0
+        assert out_file.read_text() == printed
+
 
 class TestClassifyCommand:
     def test_edge_family(self, capsys):
@@ -107,6 +136,29 @@ class TestClassifyCommand:
             capsys, "classify", "--family", "edge", "--b", "1", "--theta", repr(math.pi / 6)
         )
         assert out_frac == out_rad
+
+    def test_theta_and_theta_frac_are_exclusive(self, capsys):
+        code, err = usage_error(
+            capsys, "classify", "--family", "edge", "--b", "1", "--theta", "0.5", "--theta-frac", "1/6"
+        )
+        assert code == 2
+        assert "not allowed with argument" in err
+
+    @pytest.mark.parametrize("params", [("--b", "inf", "--theta", "0.5"), ("--b", "1", "--theta", "nan")])
+    def test_non_finite_parameter_exit_2(self, capsys, params):
+        code, out, err = run_cli(capsys, "classify", "--family", "edge", *params)
+        assert (code, out) == (2, "")
+        assert_one_line_error(err)
+        assert "finite" in err
+
+    def test_non_finite_file_exit_2(self, capsys, tmp_path):
+        data = matrix_to_dict(edge_state(1.0, THETA))
+        data["re"][2][2] = math.nan
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "classify", "--in", str(path))
+        assert (code, out) == (2, "")
+        assert_one_line_error(err)
 
     def test_non_ppt_exit_1(self, capsys):
         code, out, _ = run_cli(
@@ -145,7 +197,7 @@ class TestEdgeCheck:
             "--theta-frac", "1/6", "--analytic",
         )
         assert code == 0
-        report = json.loads(out)
+        report = strict_json(out)
         assert report["verdict"] == "Edge"
         assert report["certifiedBy"] == "analytic"
         assert all(step["ok"] for step in report["steps"])
@@ -160,7 +212,7 @@ class TestEdgeCheck:
             "--starts", "20", "--seed", "1",
         )
         assert code == 0
-        report = json.loads(out)
+        report = strict_json(out)
         assert report["verdict"] == "ProductVectorFound"
         assert report["bestObjective"] <= 1e-9
         assert len(report["bestX"]["re"]) == 3
@@ -170,7 +222,7 @@ class TestEdgeCheck:
             capsys, "edge-check", "--family", "state-7-6", "--b", "1", "--starts", "20",
         )
         assert code == 0
-        assert json.loads(out)["verdict"] == "ProductVectorFound"
+        assert strict_json(out)["verdict"] == "ProductVectorFound"
 
     def test_numeric_floor_on_edge_state(self, capsys):
         code, out, _ = run_cli(
@@ -178,10 +230,26 @@ class TestEdgeCheck:
             "--starts", "30", "--seed", "2",
         )
         assert code == 0
-        report = json.loads(out)
+        report = strict_json(out)
         assert report["verdict"] == "NoneFoundAboveThreshold"
         assert report["certifiedBy"] == "numeric"
         assert report["bestObjective"] >= 1e-6
+
+    @pytest.mark.parametrize("starts", ["0", "-3"])
+    def test_no_starts_exit_2(self, capsys, starts):
+        code, out, err = run_cli(
+            capsys, "edge-check", "--family", "edge", "--b", "1", "--theta", "0.5", "--starts", starts,
+        )
+        assert (code, out) == (2, "")
+        assert_one_line_error(err)
+        assert "starts" in err
+
+    def test_one_start_prints_strict_json(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "edge-check", "--family", "edge", "--b", "1", "--theta", "0.5", "--starts", "1",
+        )
+        assert code == 0
+        assert strict_json(out)["starts"] == 1
 
 
 class TestSweep:
@@ -243,18 +311,63 @@ class TestSweep:
             expected = float(a) >= 2 and float(b) * float(c) >= 1
             assert (ppt == "True") == expected
 
-    def test_deterministic_across_thread_counts(self, capsys, tmp_path, monkeypatch):
-        outputs = []
-        for threads in ("1", "4"):
-            monkeypatch.setenv("EDGELAB_THREADS", threads)
-            path = tmp_path / f"sweep{threads}.csv"
-            code, _, _ = run_cli(
-                capsys, "sweep", "--family", "edge", "--b", "1.5",
-                "--range", "theta=-1:1:13", "--out", str(path),
-            )
-            assert code == 0
-            outputs.append(path.read_bytes())
-        assert outputs[0] == outputs[1]
+    def test_bytes_match_point_by_point_library_rows(self, capsys, tmp_path):
+        path = tmp_path / "sweep.csv"
+        code, _, _ = run_cli(
+            capsys, "sweep", "--family", "edge", "--b", "1.5", "--range", "theta=-1:1:13",
+            "--search", "--starts", "20", "--seed", "3", "--out", str(path),
+        )
+        assert code == 0
+        lines = ["b,theta,isPPT,p,q,bestObjective"]
+        for theta in np.linspace(-1, 1, 13).tolist():
+            s = edge_state(1.5, theta)
+            c = classify(s)
+            best = product_vector_search(s, starts=20, seed=3).best_objective
+            lines.append(f"1.5,{theta!r},{c.is_ppt},{c.type[0]},{c.type[1]},{best!r}")
+        assert path.read_bytes() == "".join(line + "\r\n" for line in lines).encode()
+
+    def test_swept_target_p_prints_like_a_fixed_one(self, capsys):
+        code, swept, _ = run_cli(
+            capsys, "sweep", "--family", "p5", "--b", "1", "--theta", "0.5",
+            "--range", "target_p=5:8:4",
+        )
+        assert code == 0
+        rows = [line.split(",") for line in swept.strip().splitlines()[1:]]
+        assert [(r[2], r[4], r[5]) for r in rows] == [(str(p), str(p), "5") for p in (5, 6, 7, 8)]
+        _, fixed, _ = run_cli(
+            capsys, "sweep", "--family", "p5", "--theta", "0.5", "--target-p", "5", "--range", "b=1:1:1",
+        )
+        assert fixed.splitlines()[1] == swept.splitlines()[1]
+
+    def test_fractional_target_p_exit_2(self, capsys):
+        code, _, err = run_cli(
+            capsys, "sweep", "--family", "p5", "--b", "1", "--theta", "0.5", "--range", "target_p=5:6:3",
+        )
+        assert code == 2
+        assert "target_p" in err
+
+    def test_repeated_range_exit_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sweep", "--family", "edge", "--b", "1",
+            "--range", "theta=0:1:3", "--range", "theta=0:1:3",
+        )
+        assert (code, out) == (2, "")
+        assert_one_line_error(err)
+
+    @pytest.mark.parametrize("frac", ["oops", "1/0"])
+    def test_bad_theta_frac_exit_2(self, capsys, frac):
+        code, err = usage_error(
+            capsys, "sweep", "--family", "edge-general", "--theta-frac", frac, "--range", "b=1:2:2",
+        )
+        assert code == 2
+        assert "--theta-frac" in err
+
+    def test_search_with_no_starts_exit_2(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "sweep", "--family", "edge", "--b", "1", "--range", "theta=0.1:0.2:2",
+            "--search", "--starts", "0",
+        )
+        assert (code, out) == (2, "")
 
     def test_bad_range_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "sweep", "--family", "edge", "--b", "1", "--range", "theta=oops")

@@ -8,13 +8,11 @@ from numpy.testing import assert_allclose
 
 from edgelab import (
     BipartiteOperator,
-    DimensionMismatchError,
     NotHermitianError,
     NotPSDError,
     Subspace,
+    classify,
     gram_realization,
-    hadamard,
-    hermitian_eig,
     is_psd,
     kernel_basis,
     numerical_rank,
@@ -84,30 +82,51 @@ class TestPartialTranspose:
         )
 
 
+def spectrum_verdict(m: np.ndarray) -> tuple[int, bool]:
+    """(rank, PSD flag) as classify reads them from one Hermitian spectrum.
+
+    Viewed as a 1 x d operator, ``m`` is its own partial transpose.
+    """
+    c = classify(BipartiteOperator(1, m.shape[0], m))
+    assert c.type[0] == c.type[1]
+    return c.type[0], c.is_psd
+
+
 class TestHermitianEig:
     def test_identity(self):
-        vals, _ = hermitian_eig(np.eye(3))
-        assert_allclose(vals, [1, 1, 1])
+        assert_allclose(np.linalg.eigvalsh(np.eye(3)), [1, 1, 1])
+        assert spectrum_verdict(np.eye(3)) == (3, True)
 
     def test_phase_circulant_at_zero(self):
         # 3I - all-ones matrix: spectrum {0, 3, 3}
-        vals, _ = hermitian_eig(phase_circulant(0.0))
-        assert_allclose(vals, [0, 3, 3], atol=1e-12)
+        assert_allclose(np.linalg.eigvalsh(phase_circulant(0.0)), [0, 3, 3], atol=1e-12)
+        assert spectrum_verdict(phase_circulant(0.0)) == (2, True)
 
     def test_phase_circulant_at_boundary_is_rank_one(self):
-        vals, _ = hermitian_eig(phase_circulant(math.pi / 3))
-        assert np.count_nonzero(np.abs(vals) > 1e-9 * np.max(np.abs(vals))) == 1
+        g = phase_circulant(math.pi / 3)
+        assert spectrum_verdict(g) == (1, True) == (numerical_rank(g), is_psd(g))
 
     def test_eigenpairs_and_orthonormality(self, rng):
+        # the spectrum path agrees with the SVD path on indefinite matrices
         m = random_hermitian(rng, 7)
-        vals, vecs = hermitian_eig(m)
-        assert np.all(np.diff(vals) >= 0)
-        assert np.linalg.norm(m @ vecs - vecs * vals) <= 1e-10 * np.linalg.norm(m)
-        assert_allclose(vecs.conj().T @ vecs, np.eye(7), atol=1e-12)
+        assert spectrum_verdict(m) == (numerical_rank(m), False) == (7, False)
+        assert spectrum_verdict(-proj(random_unit(rng, 7))) == (1, False)
+        # gram_realization's columns are eigenvectors scaled by the square
+        # roots of the eigenvalues: mutually orthogonal, in descending order
+        g = planted_rank_psd(rng, 7, 4)
+        v = gram_realization(g)
+        cols = v.conj().T @ v
+        weights = np.diag(cols).real
+        assert v.shape == (7, 4)
+        assert_allclose(cols, np.diag(weights), atol=1e-12)
+        assert_allclose(weights, np.linalg.eigvalsh(g)[::-1][:4], rtol=1e-10)
 
     def test_rejects_non_hermitian(self):
+        bad = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(NotHermitianError):
-            hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            spectrum_verdict(bad)
+        with pytest.raises(NotHermitianError):
+            gram_realization(bad)
 
 
 class TestNumericalRank:
@@ -136,7 +155,7 @@ class TestNumericalRank:
             m = planted_rank_hermitian(rng, dim, rank)
             vals = np.abs(np.linalg.eigvalsh(m))
             by_eig = int(np.count_nonzero(vals > 1e-9 * vals.max())) if vals.max() > 0 else 0
-            assert numerical_rank(m) == by_eig == rank
+            assert numerical_rank(m) == by_eig == spectrum_verdict(m)[0] == rank
 
 
 class TestSubspaces:
@@ -197,20 +216,6 @@ class TestIsPsd:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitianError):
             is_psd(np.array([[1.0, 1.0], [-1.0, 1.0]]))
-
-
-class TestHadamard:
-    def test_ones_is_identity_element(self, rng):
-        m = random_hermitian(rng, 4)
-        assert_allclose(hadamard(m, np.ones((4, 4))), m)
-
-    def test_zero_annihilates(self, rng):
-        m = random_hermitian(rng, 4)
-        assert_allclose(hadamard(m, np.zeros((4, 4))), np.zeros((4, 4)))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            hadamard(np.eye(2), np.eye(3))
 
 
 class TestGramRealization:

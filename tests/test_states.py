@@ -20,7 +20,6 @@ from edgelab import (
     face_state,
     generalized_edge_state,
     gram_realization,
-    hadamard,
     is_psd,
     kernel_basis,
     min_psd_diagonal,
@@ -362,7 +361,7 @@ class TestFaceState:
             rows[8, : v.shape[1]] = v[2]
             for slot, unit in ((1, 0), (3, 0), (5, 1), (7, 1), (2, 2), (6, 2)):
                 rows[slot, v.shape[1] + unit] = 1.0
-            tau_mat = hadamard(proj(p_vec), rows @ rows.conj().T)
+            tau_mat = proj(p_vec) * (rows @ rows.conj().T)
             cross = partial_transpose(BipartiteOperator(3, 3, tau_mat))
             assert np.max(np.abs(cross.mat - face_state(b, spec).mat)) <= 1e-10
 
