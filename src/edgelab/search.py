@@ -11,6 +11,15 @@ x the objective is a Hermitian quadratic form in y, minimized by the smallest
 eigenvector; for fixed y the conjugated term makes it a real quadratic form
 in the 2m real coordinates (Re x, Im x), minimized by the smallest
 eigenvector of a real symmetric matrix.
+
+The starts run in index order, in lockstep blocks of :data:`BLOCK`: the
+pairs of a block are stacked as arrays of shape ``(block, m)`` and
+``(block, n)``, and one step of every running start of the block is one
+``einsum`` per kernel and form, one stacked Hermitian product per form and
+one stacked ``eigh``.  Each start stops on its own, after the same steps it
+would take alone, and its result does not depend on which starts share its
+block.  Memory grows with the block, not with the number of starts, and
+``stop_objective`` is checked once a whole block has finished.
 """
 
 from __future__ import annotations
@@ -21,9 +30,18 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidParamError
-from .linalg import RANK_RTOL, BipartiteOperator, _check_hermitian, kernel_basis, partial_transpose
+from .linalg import RANK_RTOL, BipartiteOperator, _check_hermitian, _rank, partial_transpose
 
 FOUND_THRESHOLD = 1e-9
+
+# Starts advanced together.  Beyond a few hundred starts a larger block no
+# longer lowers the cost per start, while its memory keeps growing with it.
+BLOCK = 256
+
+# Near a true zero the absolute-decrease criterion stops several decades above
+# the floating floor; starts at or under the found-threshold then polish while
+# strictly improving, for at most this many further steps.
+POLISH_STEPS = 60
 
 
 class SearchVerdict(Enum):
@@ -41,53 +59,126 @@ class EdgeSearchResult:
     verdict: SearchVerdict
 
 
-def _random_unit(rng: np.random.Generator, dim: int) -> np.ndarray:
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
+def _unit_rows(v: np.ndarray) -> np.ndarray:
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def _random_starts(seed: int, indices: range, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked random unit pairs, one row per start.
+
+    Start ``idx`` draws the real and imaginary parts of x, then those of y,
+    from its own generator ``default_rng([seed, idx])``.
+    """
+    z = np.array([np.random.default_rng([seed, idx]).standard_normal(2 * (m + n)) for idx in indices])
+    x = z[:, :m] + 1j * z[:, m : 2 * m]
+    y = z[:, 2 * m : 2 * m + n] + 1j * z[:, 2 * m + n :]
+    return _unit_rows(x), _unit_rows(y)
+
+
+def _kernel(h: np.ndarray, rel_tol: float) -> np.ndarray:
+    """Kernel basis of a Hermitian matrix from one ``eigh``.
+
+    The columns are the eigenvectors of the ``d - r`` eigenvalues smallest in
+    absolute value, ``r`` being the rank under the threshold rule of ``classify``.
+    """
+    vals, vecs = np.linalg.eigh(h)
+    mag = np.abs(vals)
+    order = np.argsort(mag, kind="stable")
+    return vecs[:, order[: h.shape[0] - _rank(mag, rel_tol)]]
+
+
+def _gram(c: np.ndarray) -> np.ndarray:
+    """Stacked Hermitian products ``c[b]^H c[b]``."""
+    return c.conj().transpose(0, 2, 1) @ c
 
 
 class _Objective:
-    """Kernel bases reshaped for fast contraction against either factor."""
+    """Kernel bases reshaped for contraction against stacks of either factor.
+
+    Every method takes ``x`` of shape ``(block, m)`` and ``y`` of shape
+    ``(block, n)``, one row per start.
+    """
 
     def __init__(self, s: BipartiteOperator, rel_tol: float):
         m, n = s.m, s.n
         self.m, self.n = m, n
-        ka = kernel_basis(_check_hermitian(s.mat), rel_tol).basis
-        kt = kernel_basis(_check_hermitian(partial_transpose(s).mat), rel_tol).basis
+        h = _check_hermitian(s.mat)
+        # Partial transposition commutes with the adjoint, so the partial
+        # transpose of the symmetrized state is Hermitian as it stands.
+        tau = partial_transpose(BipartiteOperator(m, n, h)).mat
         # shape (m, n, k): first axis contracts with x, second with y
-        self.ka = ka.conj().reshape(m, n, -1)
-        self.kt = kt.conj().reshape(m, n, -1)
+        self.ka = _kernel(h, rel_tol).conj().reshape(m, n, -1)
+        self.kt = _kernel(tau, rel_tol).conj().reshape(m, n, -1)
 
     @property
     def trivial(self) -> bool:
         return self.ka.shape[2] == 0 and self.kt.shape[2] == 0
 
-    def value(self, x: np.ndarray, y: np.ndarray) -> float:
-        v1 = np.einsum("ila,i,l->a", self.ka, x, y)
-        v2 = np.einsum("ila,i,l->a", self.kt, np.conj(x), y)
-        return float(np.vdot(v1, v1).real + np.vdot(v2, v2).real)
+    def value(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        v1 = np.einsum("ila,bi,bl->ba", self.ka, x, y)
+        v2 = np.einsum("ila,bi,bl->ba", self.kt, x.conj(), y)
+        return (v1.real**2 + v1.imag**2).sum(axis=1) + (v2.real**2 + v2.imag**2).sum(axis=1)
 
     def best_y(self, x: np.ndarray) -> np.ndarray:
-        c1 = np.einsum("ila,i->al", self.ka, x)
-        c2 = np.einsum("ila,i->al", self.kt, np.conj(x))
-        m = c1.conj().T @ c1 + c2.conj().T @ c2
-        _, vecs = np.linalg.eigh(m)
-        return vecs[:, 0]
+        c1 = np.einsum("ila,bi->bal", self.ka, x)
+        c2 = np.einsum("ila,bi->bal", self.kt, x.conj())
+        _, vecs = np.linalg.eigh(_gram(c1) + _gram(c2))
+        return vecs[:, :, 0]
 
     def best_x(self, y: np.ndarray) -> np.ndarray:
-        d1 = np.einsum("ila,l->ai", self.ka, y)
-        d2 = np.einsum("ila,l->ai", self.kt, y)
-        c = d1.conj().T @ d1  # Hermitian form in x
-        e = d2.conj().T @ d2  # Hermitian form in conj(x)
-        rc, sc = c.real, c.imag
-        re, se = e.real, e.imag
-        r = rc + re
-        s = sc - se
-        h = np.block([[r, -s], [s, r]])
+        m = self.m
+        c = _gram(np.einsum("ila,bl->bai", self.ka, y))  # Hermitian form in x
+        e = _gram(np.einsum("ila,bl->bai", self.kt, y))  # Hermitian form in conj(x)
+        r = c.real + e.real
+        s = c.imag - e.imag
+        h = np.empty((len(y), 2 * m, 2 * m))
+        h[:, :m, :m] = r
+        h[:, :m, m:] = -s
+        h[:, m:, :m] = s
+        h[:, m:, m:] = r
         _, vecs = np.linalg.eigh(h)
-        u = vecs[:, 0]
-        x = u[: self.m] + 1j * u[self.m :]
-        return x / np.linalg.norm(x)
+        return _unit_rows(vecs[:, :m, 0] + 1j * vecs[:, m:, 0])
+
+    def step(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One alternating step from ``x``: the new ``x``, ``y`` and objective."""
+        y = self.best_y(x)
+        x = self.best_x(y)
+        return x, y, self.value(x, y)
+
+
+def _descend(
+    obj: _Objective,
+    x: np.ndarray,
+    y: np.ndarray,
+    max_iters: int,
+    convergence_tol: float,
+    found_threshold: float,
+) -> np.ndarray:
+    """Run every start of a block to its stop, updating ``x`` and ``y`` in place.
+
+    A start leaves the running set once its decrease falls under
+    ``convergence_tol`` or after ``max_iters`` steps; the starts then at or
+    under ``found_threshold`` polish together while strictly improving.
+    Returns the objective of each start.
+    """
+    f = obj.value(x, y)
+    live = np.arange(len(f))
+    for _ in range(max_iters):
+        x[live], y[live], f_new = obj.step(x[live])
+        going = f[live] - f_new >= convergence_tol
+        f[live] = f_new
+        live = live[going]
+        if not live.size:
+            break
+    live = np.flatnonzero(f <= found_threshold)
+    for _ in range(POLISH_STEPS):
+        if not live.size:
+            break
+        x_p, y_p, f_p = obj.step(x[live])
+        better = f_p < f[live]
+        live = live[better]
+        x[live], y[live], f[live] = x_p[better], y_p[better], f_p[better]
+    return f
 
 
 def product_vector_search(
@@ -104,51 +195,43 @@ def product_vector_search(
 
     Runs ``starts`` alternating minimizations from seeded random unit pairs;
     each start draws from its own generator keyed by ``(seed, start index)``,
-    so results do not depend on execution order.  ``stop_objective``, if set,
-    stops scanning further starts once the best objective falls below it.
-    Raises :class:`InvalidParamError` when ``starts < 1``.
+    so results do not depend on execution order.  The starts run in index
+    order, in lockstep blocks of :data:`BLOCK` starts, so memory stays
+    proportional to the block and the cost per start falls as more starts
+    share a block.  ``stop_objective``, if set, is checked after each block:
+    the result then covers the starts up to the first one whose objective
+    reaches it, as a start-by-start scan stopping there would.  The best
+    pair is that of the first start with the smallest objective.
+    Raises :class:`InvalidParamError` when ``starts < 1`` or ``max_iters < 1``.
     """
     if starts < 1:
         raise InvalidParamError(f"starts must be >= 1, got {starts}")
+    if max_iters < 1:
+        raise InvalidParamError(f"max_iters must be >= 1, got {max_iters}")
     obj = _Objective(s, rel_tol)
     if obj.trivial:
         # full-rank state and partial transpose: every product vector qualifies
-        rng = np.random.default_rng([seed, 0])
-        x, y = _random_unit(rng, s.m), _random_unit(rng, s.n)
+        x, y = _random_starts(seed, range(1), s.m, s.n)
         return EdgeSearchResult(
-            0.0, x, y, 1, np.zeros(1), SearchVerdict.PRODUCT_VECTOR_FOUND
+            0.0, x[0], y[0], 1, np.zeros(1), SearchVerdict.PRODUCT_VECTOR_FOUND
         )
 
-    per_start = []
+    per_block = []
     best = np.inf
     best_x = best_y = None
-    for idx in range(starts):
-        rng = np.random.default_rng([seed, idx])
-        x, y = _random_unit(rng, s.m), _random_unit(rng, s.n)
-        f = obj.value(x, y)
-        for _ in range(max_iters):
-            y = obj.best_y(x)
-            x = obj.best_x(y)
-            f_new = obj.value(x, y)
-            if f - f_new < convergence_tol:
-                f = f_new
-                break
-            f = f_new
-        if f <= found_threshold:
-            # near a true zero the absolute-decrease criterion stops several
-            # decades above the floating floor; polish while strictly improving
-            for _ in range(60):
-                y_p = obj.best_y(x)
-                x_p = obj.best_x(y_p)
-                f_p = obj.value(x_p, y_p)
-                if f_p >= f:
-                    break
-                x, y, f = x_p, y_p, f_p
-        per_start.append(f)
-        if f < best:
-            best, best_x, best_y = f, x, y
-        if stop_objective is not None and best <= stop_objective:
+    for lo in range(0, starts, BLOCK):
+        x, y = _random_starts(seed, range(lo, min(lo + BLOCK, starts)), s.m, s.n)
+        f = _descend(obj, x, y, max_iters, convergence_tol, found_threshold)
+        hits = np.flatnonzero(f <= stop_objective) if stop_objective is not None else ()
+        if len(hits):
+            f = f[: hits[0] + 1]
+        i = int(np.argmin(f))
+        if f[i] < best:
+            best, best_x, best_y = float(f[i]), x[i].copy(), y[i].copy()
+        per_block.append(f)
+        if len(hits):
             break
+    per_start = np.concatenate(per_block)
 
     verdict = (
         SearchVerdict.PRODUCT_VECTOR_FOUND
@@ -156,10 +239,10 @@ def product_vector_search(
         else SearchVerdict.NONE_FOUND_ABOVE_THRESHOLD
     )
     return EdgeSearchResult(
-        best_objective=float(best),
+        best_objective=best,
         best_x=best_x,
         best_y=best_y,
         starts=len(per_start),
-        per_start_objectives=np.array(per_start),
+        per_start_objectives=per_start,
         verdict=verdict,
     )

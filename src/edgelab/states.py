@@ -35,6 +35,13 @@ FACE_COUPLINGS = ((3, 1), (7, 5), (2, 6))
 OFFDIAG_SLACK = 1e-12
 
 
+def _require_finite(**values) -> None:
+    """Reject non-finite angles and couplings before any arithmetic on them."""
+    for name, val in values.items():
+        if not cmath.isfinite(val):
+            raise InvalidParamError(f"{name} must be finite, got {val}")
+
+
 def edge_condition_holds(b: float, theta: float) -> bool:
     """Strict parameter condition of the edge family: b > 0, 0 < |theta| < pi/3."""
     return b > 0 and 0 < abs(theta) < math.pi / 3
@@ -46,6 +53,7 @@ def phase_circulant(theta: float) -> np.ndarray:
     Annihilates (1, 1, 1); PSD exactly for |theta| <= pi/3, with rank two in
     the open interval and rank one at the endpoints.
     """
+    _require_finite(theta=theta)
     e = cmath.exp(1j * theta)
     d = 2 * math.cos(theta)
     return np.array(
@@ -63,6 +71,7 @@ def min_psd_diagonal(theta: float) -> float:
     The circulant eigenvalues are ``d - 2cos(theta + 2k*pi/3)``, so the
     minimum is the largest of the three shifted cosines.
     """
+    _require_finite(theta=theta)
     third = 2 * math.pi / 3
     return max(2 * math.cos(theta - third), 2 * math.cos(theta), 2 * math.cos(theta + third))
 
@@ -87,6 +96,7 @@ def edge_state(b: float, theta: float) -> BipartiteOperator:
     |theta| <= pi/3; an entangled edge state under the strict condition
     (see :func:`edge_condition_holds`).
     """
+    _require_finite(theta=theta)
     return BipartiteOperator(3, 3, _coupled_core(b, 2 * math.cos(theta), theta))
 
 
@@ -176,6 +186,7 @@ def offdiag_gram(theta: float, rho: complex, sigma: complex, tau: complex) -> np
     ``rho``, ``sigma``, ``tau`` sit at positions (0,1), (1,2) and (2,0).
     With all three equal to ``-e^{i theta}`` this is :func:`phase_circulant`.
     """
+    _require_finite(theta=theta, rho=rho, sigma=sigma, tau=tau)
     d = 2 * math.cos(theta)
     rho, sigma, tau = complex(rho), complex(sigma), complex(tau)
     return np.array(
@@ -216,6 +227,7 @@ def face_state(b: float, g: GramSpec) -> BipartiteOperator:
     result is ``2 + sum(rank of the three 2x2 coupling blocks)``; the rank of
     its partial transpose is ``3 + rank(g.gram())``.
     """
+    _require_finite(theta=g.theta, xi_eta=g.xi_eta, eta_zeta=g.eta_zeta, zeta_xi=g.zeta_xi)
     offdiags = g.offdiagonals()
     for val in offdiags:
         if abs(val) > 1 + OFFDIAG_SLACK:

@@ -151,6 +151,23 @@ class TestClassifyCommand:
         assert_one_line_error(err)
         assert "finite" in err
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            ("--family", "p-theta", "--theta", "inf"),
+            ("--family", "edge", "--b", "1", "--theta", "inf"),
+            ("--family", "edge-general", "--b", "1", "--theta=-inf"),
+            ("--family", "face", "--b", "1", "--theta", "inf"),
+            ("--family", "face", "--b", "1", "--theta", "0.5", "--xi-eta", "nan"),
+            ("--family", "p5", "--b", "1", "--theta", "inf", "--target-p", "6"),
+        ],
+        ids=["p-theta", "edge", "edge-general", "face-theta", "face-coupling", "p5"],
+    )
+    def test_non_finite_angle_or_coupling_exit_2(self, capsys, params):
+        code, out, err = run_cli(capsys, "classify", *params)
+        assert (code, out) == (2, "")
+        assert_one_line_error(err)
+
     def test_non_finite_file_exit_2(self, capsys, tmp_path):
         data = matrix_to_dict(edge_state(1.0, THETA))
         data["re"][2][2] = math.nan
@@ -243,6 +260,17 @@ class TestEdgeCheck:
         assert (code, out) == (2, "")
         assert_one_line_error(err)
         assert "starts" in err
+
+    @pytest.mark.parametrize("max_iters", ["0", "-2"])
+    def test_no_iterations_exit_2(self, capsys, max_iters):
+        # a separable state: with no step the random starts would read as edge
+        code, out, err = run_cli(
+            capsys, "edge-check", "--family", "edge", "--b", "1", "--theta", "0",
+            "--starts", "5", "--max-iters", max_iters,
+        )
+        assert (code, out) == (2, "")
+        assert_one_line_error(err)
+        assert "max_iters" in err
 
     def test_one_start_prints_strict_json(self, capsys):
         code, out, _ = run_cli(

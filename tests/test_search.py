@@ -8,11 +8,16 @@ from edgelab import (
     SearchVerdict,
     corner_state,
     edge_state,
+    kernel_basis,
+    partial_transpose,
     product_vector,
     product_vector_search,
     proj,
     range_basis,
 )
+from edgelab import search
+from edgelab.errors import InvalidParamError
+from edgelab.search import BLOCK, FOUND_THRESHOLD, _Objective
 from helpers import random_unit
 
 # observed floor of the search objective on edge_state(1, pi/6) with the
@@ -106,35 +111,145 @@ def test_deterministic_for_fixed_seed():
 
 def test_alternating_steps_are_exact_minimizers(rng):
     # each step solves its subproblem globally: no random candidate beats it
-    from edgelab.search import _Objective
-
     obj = _Objective(edge_state(1.4, 0.5), 1e-9)
     for _ in range(10):
-        x_fixed = random_unit(rng, 3)
+        x_fixed = random_unit(rng, 3)[None]
         y_best = obj.best_y(x_fixed)
-        f_y = obj.value(x_fixed, y_best)
-        y_fixed = random_unit(rng, 3)
+        f_y = obj.value(x_fixed, y_best)[0]
+        y_fixed = random_unit(rng, 3)[None]
         x_best = obj.best_x(y_fixed)
-        f_x = obj.value(x_best, y_fixed)
+        f_x = obj.value(x_best, y_fixed)[0]
         for _ in range(200):
-            assert f_y <= obj.value(x_fixed, random_unit(rng, 3)) + 1e-12
-            assert f_x <= obj.value(random_unit(rng, 3), y_fixed) + 1e-12
+            assert f_y <= obj.value(x_fixed, random_unit(rng, 3)[None])[0] + 1e-12
+            assert f_x <= obj.value(random_unit(rng, 3)[None], y_fixed)[0] + 1e-12
 
 
 def test_objective_decreases_monotonically():
     # alternating exact minimization can never increase the objective
-    from edgelab.search import _Objective
-
     s = edge_state(0.8, -0.6)
     obj = _Objective(s, 1e-9)
     g = np.random.default_rng(0)
-    x, y = random_unit(g, 3), random_unit(g, 3)
-    prev = obj.value(x, y)
+    x, y = random_unit(g, 3)[None], random_unit(g, 3)[None]
+    prev = obj.value(x, y)[0]
     for _ in range(50):
         y = obj.best_y(x)
-        mid = obj.value(x, y)
+        mid = obj.value(x, y)[0]
         x = obj.best_x(y)
-        cur = obj.value(x, y)
+        cur = obj.value(x, y)[0]
         assert mid <= prev + 1e-12
         assert cur <= mid + 1e-12
         prev = cur
+
+
+def test_rejects_no_iterations():
+    with pytest.raises(InvalidParamError, match="max_iters"):
+        product_vector_search(edge_state(1.0, 0.0), starts=5, max_iters=0)
+
+
+@pytest.mark.parametrize("state", [corner_state(2.0), corner_state(1.0)], ids=["no-witness", "witness"])
+def test_fewer_starts_give_a_bit_exact_prefix(state):
+    # 256 and 257 sit on either side of the first block boundary
+    assert BLOCK == 256
+    full = product_vector_search(state, starts=300, seed=4)
+    for k in (1, 37, 256, 257):
+        res = product_vector_search(state, starts=k, seed=4)
+        assert res.starts == k
+        assert np.array_equal(res.per_start_objectives, full.per_start_objectives[:k])
+        assert res.best_objective == res.per_start_objectives.min()
+
+
+def test_stop_objective_truncates_at_the_first_hit():
+    s = corner_state(1.0)
+    f = product_vector_search(s, starts=300, seed=5).per_start_objectives
+    # starts that beat every earlier one; the first start an objective stops at
+    records = [j for j in range(1, len(f)) if f[j] < f[:j].min()]
+    assert records
+    for j in records:
+        stopped = product_vector_search(s, starts=300, seed=5, stop_objective=f[j])
+        truncated = product_vector_search(s, starts=j + 1, seed=5)
+        assert stopped.starts == j + 1
+        assert np.array_equal(stopped.per_start_objectives, f[: j + 1])
+        assert np.array_equal(stopped.per_start_objectives, truncated.per_start_objectives)
+        assert stopped.best_objective == truncated.best_objective == f[j]
+        assert np.array_equal(stopped.best_x, truncated.best_x)
+        assert np.array_equal(stopped.best_y, truncated.best_y)
+        assert stopped.verdict is truncated.verdict
+    never = product_vector_search(s, starts=300, seed=5, stop_objective=-1.0)
+    assert np.array_equal(never.per_start_objectives, f)
+
+
+def _start_by_start_objectives(s, starts, seed, max_iters=500, convergence_tol=1e-14):
+    """Per-start objectives of the search run one start and one vector pair at a time."""
+    m, n = s.m, s.n
+    ka = kernel_basis(s.mat).basis.conj().reshape(m, n, -1)
+    kt = kernel_basis(partial_transpose(s).mat).basis.conj().reshape(m, n, -1)
+
+    def unit(g, dim):
+        v = g.standard_normal(dim) + 1j * g.standard_normal(dim)
+        return v / np.linalg.norm(v)
+
+    def value(x, y):
+        v1 = np.einsum("ila,i,l->a", ka, x, y)
+        v2 = np.einsum("ila,i,l->a", kt, np.conj(x), y)
+        return float(np.vdot(v1, v1).real + np.vdot(v2, v2).real)
+
+    def best_y(x):
+        c1 = np.einsum("ila,i->al", ka, x)
+        c2 = np.einsum("ila,i->al", kt, np.conj(x))
+        return np.linalg.eigh(c1.conj().T @ c1 + c2.conj().T @ c2)[1][:, 0]
+
+    def best_x(y):
+        d1 = np.einsum("ila,l->ai", ka, y)
+        d2 = np.einsum("ila,l->ai", kt, y)
+        c, e = d1.conj().T @ d1, d2.conj().T @ d2
+        r, q = c.real + e.real, c.imag - e.imag
+        u = np.linalg.eigh(np.block([[r, -q], [q, r]]))[1][:, 0]
+        x = u[:m] + 1j * u[m:]
+        return x / np.linalg.norm(x)
+
+    out = []
+    for idx in range(starts):
+        g = np.random.default_rng([seed, idx])
+        x, y = unit(g, m), unit(g, n)
+        f = value(x, y)
+        for _ in range(max_iters):
+            y = best_y(x)
+            x = best_x(y)
+            f_new = value(x, y)
+            if f - f_new < convergence_tol:
+                f = f_new
+                break
+            f = f_new
+        if f <= FOUND_THRESHOLD:
+            for _ in range(60):
+                y_p = best_y(x)
+                x_p = best_x(y_p)
+                f_p = value(x_p, y_p)
+                if f_p >= f:
+                    break
+                x, y, f = x_p, y_p, f_p
+        out.append(f)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("state", [edge_state(1.0, math.pi / 6), corner_state(2.0)], ids=["edge", "corner"])
+def test_lockstep_matches_start_by_start_search(state):
+    reference = _start_by_start_objectives(state, starts=30, seed=2)
+    res = product_vector_search(state, starts=30, seed=2)
+    assert np.all(reference > FOUND_THRESHOLD)
+    np.testing.assert_allclose(res.per_start_objectives, reference, rtol=1e-12, atol=0)
+
+
+def test_starts_advance_in_lockstep(monkeypatch):
+    # a start-by-start loop makes two eigh calls per step: about 11,600 here
+    calls = 0
+    eigh = np.linalg.eigh
+
+    def counting_eigh(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(search.np.linalg, "eigh", counting_eigh)
+    product_vector_search(edge_state(1.0, math.pi / 6), starts=200, seed=0)
+    assert 0 < calls < 200

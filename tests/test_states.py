@@ -387,3 +387,18 @@ def test_all_constructors_hermitian(rng):
     ]
     for m in samples:
         assert np.linalg.norm(m - m.conj().T) <= 1e-12
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_angles_and_couplings_rejected(bad):
+    for build in (
+        lambda: phase_circulant(bad),
+        lambda: min_psd_diagonal(bad),
+        lambda: edge_state(1.0, bad),
+        lambda: generalized_edge_state(1.0, bad),
+        lambda: offdiag_gram(0.5, 0, complex(bad, 0), 0),
+        lambda: face_state(1.0, GramSpec(bad)),
+        lambda: face_state(1.0, GramSpec(0.5, zeta_xi=complex(0, bad))),
+    ):
+        with pytest.raises(InvalidParamError, match="finite"):
+            build()
