@@ -1,24 +1,31 @@
 """Verdicts: PSD/PPT checks, (p, q) types, rank-bound admissibility,
 range-criterion checks, separable reconstruction, and the analytic edge
 certificate for the phase-parameterized family.
+
+:func:`classify_many` is the one classification path: one Hermiticity check
+over a stack of states and one ``eigvalsh`` call over the states and their
+partial transposes give every rank and PSD flag.  :func:`classify` is that
+path for a stack of one.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from math import comb
 
 import numpy as np
 
-from .errors import ConditionViolatedError, InvalidParamError
+from .errors import ConditionViolatedError, DimensionMismatchError, InvalidParamError
 from .linalg import (
     PSD_ATOL,
     RANK_RTOL,
     BipartiteOperator,
     _check_hermitian,
+    _partial_transpose,
     _rank_psd,
     numerical_rank,
     partial_transpose,
@@ -75,34 +82,57 @@ def rank_bounds(m: int, n: int, p: int, q: int) -> Admissibility:
     return Admissibility.ADMISSIBLE
 
 
+def classify_many(
+    ops: Iterable[BipartiteOperator], rel_tol: float = RANK_RTOL, abs_tol: float = PSD_ATOL
+) -> list[Classification]:
+    """:func:`classify` of every operator in ``ops``, all of one shape ``(m, n)``.
+
+    One Hermiticity check over the stack, one reshape and transpose for the
+    partial transposes, and one ``eigvalsh`` call over the states and their
+    partial transposes give every rank and PSD flag.  Raises
+    :class:`NotHermitianError` for the first operator that is not Hermitian
+    and :class:`DimensionMismatchError` when the shapes differ; an empty
+    ``ops`` gives ``[]``.
+    """
+    ops = list(ops)
+    if not ops:
+        return []
+    m, n = ops[0].m, ops[0].n
+    if any(s.m != m or s.n != n for s in ops):
+        raise DimensionMismatchError("classify_many needs operators of one shape (m, n)")
+    k, d = len(ops), m * n
+    h = _check_hermitian(np.array([s.mat for s in ops]))
+    # Partial transposition permutes entries and commutes with the adjoint, so
+    # the partial transposes of the symmetrized states are Hermitian as they stand.
+    vals = np.linalg.eigvalsh(np.concatenate((h, _partial_transpose(h, m, n))))
+    ranks, psd = _rank_psd(vals, rel_tol, abs_tol)
+    ranks, psd = ranks.tolist(), psd.tolist()
+    out = []
+    for p, q, p_psd, q_psd in zip(ranks[:k], ranks[k:], psd[:k], psd[k:]):
+        adm = Admissibility.BELOW_LOWER_BOUND if p == 0 or q == 0 else rank_bounds(m, n, p, q)
+        out.append(
+            Classification(
+                is_psd=p_psd,
+                is_ppt=p_psd and q_psd,
+                type=(p, q),
+                kernel_dims=(d - p, d - q),
+                admissibility=adm,
+                rel_tol=rel_tol,
+                abs_tol=abs_tol,
+            )
+        )
+    return out
+
+
 def classify(
     s: BipartiteOperator, rel_tol: float = RANK_RTOL, abs_tol: float = PSD_ATOL
 ) -> Classification:
     """PSD/PPT flags, (rank, partial-transpose rank) type, and admissibility.
 
-    One Hermiticity check, then one ``eigvalsh`` each for the state and its
-    partial transpose give both ranks and both PSD flags.
+    :func:`classify_many` of the one operator: one Hermiticity check and one
+    ``eigvalsh`` call for the state and its partial transpose.
     """
-    h = _check_hermitian(s.mat)
-    # Partial transposition permutes entries and commutes with the adjoint, so
-    # the partial transpose of the symmetrized state is Hermitian as it stands.
-    tau = partial_transpose(BipartiteOperator(s.m, s.n, h)).mat
-    p, psd = _rank_psd(np.linalg.eigvalsh(h), rel_tol, abs_tol)
-    q, tau_psd = _rank_psd(np.linalg.eigvalsh(tau), rel_tol, abs_tol)
-    ppt = psd and tau_psd
-    if p == 0 or q == 0:
-        adm = Admissibility.BELOW_LOWER_BOUND
-    else:
-        adm = rank_bounds(s.m, s.n, p, q)
-    return Classification(
-        is_psd=psd,
-        is_ppt=ppt,
-        type=(p, q),
-        kernel_dims=(s.dim - p, s.dim - q),
-        admissibility=adm,
-        rel_tol=rel_tol,
-        abs_tol=abs_tol,
-    )
+    return classify_many([s], rel_tol, abs_tol)[0]
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import io as mio
-from .classify import EdgeCertificate, classify, reconstruct_separable, verify_edge_analytic
+from .classify import EdgeCertificate, classify, classify_many, reconstruct_separable, verify_edge_analytic
 from .errors import EdgeLabError, InvalidParamError
 from .linalg import BipartiteOperator
 from .search import SearchVerdict, product_vector_search
@@ -44,6 +44,11 @@ FAMILIES = ("p-theta", "edge", "edge-general", "state-7-6", "choi", "face", "p5"
 # constructed by any family here.
 TARGET_TYPES = {(5, 5), (6, 5), (7, 5), (8, 5), (6, 6), (7, 6), (8, 6)}
 KNOWN_NOT_CONSTRUCTED = {(4, 4)}
+
+# Grid points built and classified together by ``sweep``.  On a 400-point
+# sweep, one stack of all 400 gave no more rows per second than chunks of 64,
+# and raised the peak memory of the process by 7% against under 1%.
+SWEEP_CHUNK = 64
 
 
 def _parse_complex(text: str) -> complex:
@@ -241,15 +246,16 @@ def cmd_sweep(args) -> int:
         fixed[pname] = val
 
     rows = []
-    for point in itertools.product(*grids):  # row-major grid order
-        params = {**fixed, **dict(zip(names, point))}
-        op = build_family(family, params)
-        c = classify(op)
-        row = [params[name] for name in SWEEP_PARAMS[family]]
-        row += [c.is_ppt, c.type[0], c.type[1]]
-        if args.search:
-            row.append(product_vector_search(op, starts=args.starts, seed=args.seed).best_objective)
-        rows.append(row)
+    grid = itertools.product(*grids)  # row-major grid order
+    while chunk := list(itertools.islice(grid, SWEEP_CHUNK)):
+        points = [{**fixed, **dict(zip(names, point))} for point in chunk]
+        ops = [build_family(family, params) for params in points]
+        for params, op, c in zip(points, ops, classify_many(ops)):
+            row = [params[name] for name in SWEEP_PARAMS[family]]
+            row += [c.is_ppt, c.type[0], c.type[1]]
+            if args.search:
+                row.append(product_vector_search(op, starts=args.starts, seed=args.seed).best_objective)
+            rows.append(row)
 
     header = list(SWEEP_PARAMS[family]) + ["isPPT", "p", "q"]
     if args.search:
@@ -279,9 +285,9 @@ def _table_families(b: float, theta: float):
 
 
 def cmd_table(args) -> int:
+    names, ops = zip(*_table_families(args.b, args.theta))
     achieved = {}
-    for name, op in _table_families(args.b, args.theta):
-        c = classify(op)
+    for name, c in zip(names, classify_many(ops)):
         achieved.setdefault(c.type, []).append(name)
 
     print(f"types achieved at b={args.b}, theta={args.theta}")

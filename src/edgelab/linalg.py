@@ -9,13 +9,15 @@ operator is a grid of m x m blocks of size n x n, and ``numpy.kron`` realizes
 the tensor product in exactly this layout.
 
 Ranks of Hermitian matrices come from their spectrum, since the singular
-values of a Hermitian matrix are its absolute eigenvalues.  :func:`is_psd`,
-:func:`gram_realization` and ``classify`` make one Hermiticity check and one
-``eigvalsh`` (``eigh`` in :func:`gram_realization`) per matrix and read the
-rank and the PSD flag from it with :func:`_rank_psd`.  :func:`numerical_rank`,
-:func:`kernel_basis` and :func:`range_basis` accept any matrix, also
-non-square, and use the SVD.  Every rank applies the one threshold rule of
-:func:`_rank`.
+values of a Hermitian matrix are its absolute eigenvalues.  :func:`is_psd`
+and :func:`gram_realization` make one Hermiticity check and one ``eigvalsh``
+(``eigh`` in :func:`gram_realization`) per matrix; ``classify`` makes one
+check and one ``eigvalsh`` call per stack of states and partial transposes.
+All of them read the ranks and PSD flags with :func:`_rank_psd`, which, like
+:func:`_check_hermitian` and :func:`_rank`, takes a single matrix or a stack
+over leading axes.  :func:`numerical_rank`, :func:`kernel_basis` and
+:func:`range_basis` accept any matrix, also non-square, and use the SVD.
+Every rank applies the one threshold rule of :func:`_rank`.
 """
 
 from __future__ import annotations
@@ -103,52 +105,72 @@ def tensor(a, b) -> np.ndarray:
     return np.kron(_as_complex(a), _as_complex(b))
 
 
+def _partial_transpose(mats: np.ndarray, m: int, n: int) -> np.ndarray:
+    """Transpose the first tensor factor of each matrix in a stack over leading axes."""
+    lead = mats.shape[:-2]
+    t = mats.reshape(*lead, m, n, m, n).swapaxes(-4, -2)
+    return t.reshape(*lead, m * n, m * n)
+
+
 def partial_transpose(s: BipartiteOperator) -> BipartiteOperator:
     """Transpose the first tensor factor only.
 
     The output entry at ``((i, k), (j, l))`` is the input entry at
     ``((j, k), (i, l))``; applied twice it is the identity, exactly.
     """
-    m, n = s.m, s.n
-    t = s.mat.reshape(m, n, m, n).transpose(2, 1, 0, 3).reshape(m * n, m * n)
-    return BipartiteOperator(m, n, t)
+    return BipartiteOperator(s.m, s.n, _partial_transpose(s.mat, s.m, s.n))
+
+
+def _frobenius(a: np.ndarray) -> np.ndarray:
+    """Frobenius norms over the last two axes, as one sum over the real view."""
+    r = np.ascontiguousarray(a).view(np.float64)
+    return np.sqrt(np.einsum("...ij,...ij->...", r, r))
 
 
 def _check_hermitian(m: np.ndarray, rtol: float = HERM_RTOL) -> np.ndarray:
-    """Validate near-Hermiticity and return the symmetrized matrix."""
+    """Validate near-Hermiticity and return the symmetrized matrix.
+
+    ``m`` is one matrix or a stack over leading axes; a stack raises for its
+    first matrix that fails, named by its flat index over the leading axes.
+    """
     m = _as_complex(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise DimensionMismatchError("expected a square matrix")
-    scale = np.linalg.norm(m)
-    asym = np.linalg.norm(m - m.conj().T)
-    if asym > rtol * max(scale, 1.0):
+    mh = m.conj().swapaxes(-2, -1)
+    scale = np.maximum(_frobenius(m), 1.0)
+    asym = _frobenius(m - mh)
+    fails = asym > rtol * scale
+    if fails.any():
+        i = np.argmax(fails)
+        where = f" (matrix {i} of the stack)" if m.ndim > 2 else ""
         raise NotHermitianError(
-            f"not Hermitian: relative asymmetry {asym / max(scale, 1.0):.3e} exceeds {rtol:.1e}"
+            f"not Hermitian{where}: relative asymmetry {asym.flat[i] / scale.flat[i]:.3e} exceeds {rtol:.1e}"
         )
-    return (m + m.conj().T) / 2
+    return (m + mh) / 2
 
 
-def _rank(sv: np.ndarray, rel_tol: float) -> int:
+def _rank(sv: np.ndarray, rel_tol: float) -> np.ndarray:
     """Count of the nonnegative values ``sv`` above ``rel_tol`` times the largest.
 
     The one rank-threshold rule of the package: ``sv`` holds singular values,
-    or the absolute eigenvalues of a Hermitian matrix (its singular values).
-    The zero matrix has rank 0.
+    or the absolute eigenvalues of a Hermitian matrix (its singular values),
+    along the last axis, with one count per leading index.  The zero matrix
+    has rank 0.
     """
     if rel_tol <= 0:
         raise ValueError("rel_tol must be positive")
-    smax = float(sv.max()) if sv.size else 0.0
-    return int(np.count_nonzero(sv > rel_tol * smax)) if smax > 0 else 0
+    smax = sv.max(axis=-1, keepdims=True, initial=0.0)
+    return (sv > rel_tol * smax).sum(axis=-1)
 
 
-def _rank_psd(vals: np.ndarray, rel_tol: float, abs_tol: float) -> tuple[int, bool]:
-    """Rank and PSD flag from the eigenvalues of a Hermitian matrix.
+def _rank_psd(vals: np.ndarray, rel_tol: float, abs_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Ranks and PSD flags from the eigenvalues of Hermitian matrices (last axis).
 
     PSD means a smallest eigenvalue ``>= -abs_tol * max(1, ||m||_2)``.
     """
     mag = np.abs(vals)
-    scale = max(1.0, float(mag.max()))
-    return _rank(mag, rel_tol), bool(vals.min() >= -abs_tol * scale)
+    scale = np.maximum(1.0, mag.max(axis=-1))
+    return _rank(mag, rel_tol), vals.min(axis=-1) >= -abs_tol * scale
 
 
 def numerical_rank(m: np.ndarray, rel_tol: float = RANK_RTOL) -> int:
@@ -156,7 +178,7 @@ def numerical_rank(m: np.ndarray, rel_tol: float = RANK_RTOL) -> int:
 
     Uses the SVD, so ``m`` may be any matrix, also non-square.
     """
-    return _rank(np.linalg.svd(_as_complex(m), compute_uv=False), rel_tol)
+    return int(_rank(np.linalg.svd(_as_complex(m), compute_uv=False), rel_tol))
 
 
 def kernel_basis(m: np.ndarray, rel_tol: float = RANK_RTOL) -> Subspace:
@@ -178,7 +200,7 @@ def is_psd(m: np.ndarray, abs_tol: float = PSD_ATOL) -> bool:
 
     One Hermiticity check and one ``eigvalsh``.
     """
-    return _rank_psd(np.linalg.eigvalsh(_check_hermitian(m)), RANK_RTOL, abs_tol)[1]
+    return bool(_rank_psd(np.linalg.eigvalsh(_check_hermitian(m)), RANK_RTOL, abs_tol)[1])
 
 
 def projector(s: Subspace) -> np.ndarray:

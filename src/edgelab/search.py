@@ -202,12 +202,15 @@ def product_vector_search(
     the result then covers the starts up to the first one whose objective
     reaches it, as a start-by-start scan stopping there would.  The best
     pair is that of the first start with the smallest objective.
-    Raises :class:`InvalidParamError` when ``starts < 1`` or ``max_iters < 1``.
+    Raises :class:`InvalidParamError` when ``starts < 1``, ``max_iters < 1``
+    or ``seed < 0``.
     """
     if starts < 1:
         raise InvalidParamError(f"starts must be >= 1, got {starts}")
     if max_iters < 1:
         raise InvalidParamError(f"max_iters must be >= 1, got {max_iters}")
+    if seed < 0:
+        raise InvalidParamError(f"seed must be >= 0, got {seed}")
     obj = _Objective(s, rel_tol)
     if obj.trivial:
         # full-rank state and partial transpose: every product vector qualifies

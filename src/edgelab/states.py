@@ -31,6 +31,7 @@ from .linalg import BipartiteOperator, is_psd, tensor
 # off-diagonal inner products of the face family (state side / transpose side).
 DIAGONAL_TRIPLE = (0, 4, 8)
 FACE_COUPLINGS = ((3, 1), (7, 5), (2, 6))
+_DIAGONAL_BLOCK = np.ix_(DIAGONAL_TRIPLE, DIAGONAL_TRIPLE)
 
 OFFDIAG_SLACK = 1e-12
 
@@ -82,7 +83,7 @@ def _coupled_core(b: float, diagonal: float, theta: float) -> np.ndarray:
     a = np.zeros((9, 9), dtype=complex)
     core = phase_circulant(theta)
     np.fill_diagonal(core, diagonal)
-    a[np.ix_(DIAGONAL_TRIPLE, DIAGONAL_TRIPLE)] = core
+    a[_DIAGONAL_BLOCK] = core
     for idx, val in ((1, 1 / b), (2, b), (3, b), (5, 1 / b), (6, 1 / b), (7, b)):
         a[idx, idx] = val
     return a
@@ -119,7 +120,7 @@ def corner_state(b: float) -> BipartiteOperator:
     if b <= 0:
         raise InvalidParamError(f"b must be positive, got {b}")
     a = np.zeros((9, 9), dtype=complex)
-    a[np.ix_(DIAGONAL_TRIPLE, DIAGONAL_TRIPLE)] = np.ones((3, 3))
+    a[_DIAGONAL_BLOCK] = np.ones((3, 3))
     for idx, val in ((1, 1 / b), (2, b), (3, b), (5, 1 / b), (6, 1 / b), (7, b)):
         a[idx, idx] = val
     return BipartiteOperator(3, 3, a)
@@ -146,14 +147,22 @@ def cyclic_map_apply(a: float, b: float, c: float, x: np.ndarray) -> np.ndarray:
 def choi_matrix(a: float, b: float, c: float) -> BipartiteOperator:
     """Choi matrix of the cyclically-weighted map: blocks are its values on e_ij.
 
-    PPT if and only if ``a >= 2`` and ``b * c >= 1``.
+    PPT if and only if ``a >= 2`` and ``b * c >= 1``.  Built in closed form,
+    entry for entry (signed zeros included) what :func:`cyclic_map_apply`
+    gives block by block: block ``(i, j)`` is ``-e_ij``, with the diagonal
+    of block ``(i, i)`` replaced by column ``i`` of the weight matrix and
+    that of every other block by zeros.
     """
-    mat = np.zeros((9, 9), dtype=complex)
-    for i in range(3):
-        for j in range(3):
-            unit = np.zeros((3, 3), dtype=complex)
-            unit[i, j] = 1.0
-            mat[3 * i : 3 * i + 3, 3 * j : 3 * j + 3] = cyclic_map_apply(a, b, c, unit)
+    if min(a, b, c) < 0:
+        raise InvalidParamError("weights must be nonnegative")
+    weights = np.array([[a, b, c], [c, a, b], [b, c, a]])
+    mat = np.full((9, 9), complex(-0.0, -0.0))
+    mat[_DIAGONAL_BLOCK] = complex(-1.0, -0.0)  # entry (i, j) of block (i, j)
+    blocks = mat.reshape(3, 3, 3, 3)  # [i, k, j, l]: entry (k, l) of block (i, j)
+    k = np.arange(3)
+    blocks[:, k, :, k] = 0.0
+    # "+ 0.0" turns a -0.0 weight into the +0.0 the map's matrix product gives.
+    blocks[k[:, None], k, k[:, None], k] = weights.T + 0.0
     return BipartiteOperator(3, 3, mat)
 
 

@@ -8,6 +8,7 @@ from edgelab import (
     Admissibility,
     BipartiteOperator,
     ConditionViolatedError,
+    DimensionMismatchError,
     EdgeCertificate,
     GramSpec,
     InvalidParamError,
@@ -16,10 +17,13 @@ from edgelab import (
     choi_matrix,
     choi_ppt_region,
     classify,
+    classify_many,
     corner_state,
     edge_state,
     face_state,
+    generalized_edge_state,
     partial_transpose,
+    phase_circulant,
     product_vector,
     proj,
     rank_bounds,
@@ -30,7 +34,7 @@ from edgelab import (
     verify_edge_analytic,
 )
 from edgelab.classify import alternating_binomial_sum
-from helpers import random_edge_params, random_hermitian, random_unit
+from helpers import random_edge_params, random_gram_spec, random_hermitian, random_unit
 
 THETA = math.pi / 6
 
@@ -100,6 +104,63 @@ class TestClassify:
             (8, 6), (7, 6), (6, 6), (5, 6),
             (8, 5), (7, 5), (6, 5), (5, 5),
         }
+
+
+def _family_members(rng, count):
+    """Seeded 3x3 members of the six bi-qutrit families plus the boundary points."""
+    pi3 = math.pi / 3
+    ops = [corner_state(1.0), choi_matrix(2.0, 1.0, 1.0)]
+    for theta in (pi3, -pi3, 1e-4, pi3 - 1e-4):
+        ops += [edge_state(1.0, theta), generalized_edge_state(1.0, theta)]
+    for _ in range(count):
+        b, theta = rng.uniform(0.1, 10.0), rng.uniform(-4.0, 4.0)
+        _, inside = random_edge_params(rng)
+        ops += [
+            edge_state(b, theta),
+            generalized_edge_state(b, theta),
+            corner_state(b),
+            choi_matrix(*rng.uniform(0.0, 4.0, 3)),
+            face_state(b, random_gram_spec(rng)),
+            face_state(b, GramSpec(inside, *singular_gram_offdiags(inside, int(rng.integers(5, 9))))),
+        ]
+    return ops
+
+
+class TestClassifyMany:
+    def test_equals_classify_state_by_state(self, rng):
+        ops = _family_members(rng, 25)
+        assert classify_many(ops) == [classify(s) for s in ops]
+
+    def test_equals_classify_on_one_by_three_operators(self, rng):
+        pi3 = math.pi / 3
+        thetas = [pi3, -pi3, 1e-4, pi3 - 1e-4, 0.0] + rng.uniform(-4.0, 4.0, 20).tolist()
+        ops = [BipartiteOperator(1, 3, phase_circulant(t)) for t in thetas]
+        assert classify_many(ops) == [classify(s) for s in ops]
+
+    def test_keeps_the_tolerances(self):
+        ops = [edge_state(1.0, THETA), corner_state(2.0)]
+        got = classify_many(ops, rel_tol=1e-6, abs_tol=1e-8)
+        assert got == [classify(s, rel_tol=1e-6, abs_tol=1e-8) for s in ops]
+        assert {(c.rel_tol, c.abs_tol) for c in got} == {(1e-6, 1e-8)}
+
+    def test_non_hermitian_in_the_middle_of_a_stack(self):
+        bad = np.zeros((9, 9))
+        bad[0, 1] = 1.0
+        ops = [edge_state(1.0, THETA), BipartiteOperator(3, 3, bad), corner_state(2.0)]
+        with pytest.raises(NotHermitianError, match="matrix 1 of the stack"):
+            classify_many(ops)
+
+    def test_mixed_dimensions(self):
+        ops = [edge_state(1.0, THETA), BipartiteOperator(1, 3, phase_circulant(THETA))]
+        with pytest.raises(DimensionMismatchError):
+            classify_many(ops)
+
+    def test_empty(self):
+        assert classify_many([]) == []
+
+    def test_rejects_zero_rel_tol(self):
+        with pytest.raises(ValueError):
+            classify_many([edge_state(1.0, THETA)], rel_tol=0.0)
 
 
 class TestRankBounds:

@@ -1,3 +1,5 @@
+import importlib
+import itertools
 import json
 import math
 import subprocess
@@ -7,11 +9,13 @@ import numpy as np
 import pytest
 
 from edgelab import BipartiteOperator, classify, edge_state, product_vector_search
-from edgelab.cli import main
+from edgelab.cli import SWEEP_CHUNK, main
 from edgelab.io import matrix_from_dict, matrix_to_dict, read_matrix, write_matrix
 from edgelab.errors import EdgeLabError
 
 THETA = math.pi / 6
+# the module, which the package's ``classify`` function shadows as an attribute
+CLASSIFY_MODULE = importlib.import_module("edgelab.classify")
 
 
 class TestMatrixFiles:
@@ -272,6 +276,15 @@ class TestEdgeCheck:
         assert_one_line_error(err)
         assert "max_iters" in err
 
+    def test_negative_seed_exit_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "edge-check", "--family", "edge", "--b", "1", "--theta=0.5",
+            "--starts", "3", "--seed=-1",
+        )
+        assert (code, out) == (2, "")
+        assert_one_line_error(err)
+        assert "seed" in err
+
     def test_one_start_prints_strict_json(self, capsys):
         code, out, _ = run_cli(
             capsys, "edge-check", "--family", "edge", "--b", "1", "--theta", "0.5", "--starts", "1",
@@ -353,6 +366,56 @@ class TestSweep:
             best = product_vector_search(s, starts=20, seed=3).best_objective
             lines.append(f"1.5,{theta!r},{c.is_ppt},{c.type[0]},{c.type[1]},{best!r}")
         assert path.read_bytes() == "".join(line + "\r\n" for line in lines).encode()
+
+    @pytest.mark.parametrize(
+        "b_steps, theta_steps, search",
+        [(9, 15, ()), (5, 14, ("--search", "--starts", "5", "--seed", "2"))],
+        ids=["135-classify", "70-search"],
+    )
+    def test_bytes_across_chunk_boundaries(self, capsys, tmp_path, b_steps, theta_steps, search):
+        # 135 points are chunks of 64 + 64 + 7, and 70 points 64 + 6
+        assert SWEEP_CHUNK == 64
+        path = tmp_path / "sweep.csv"
+        code, _, _ = run_cli(
+            capsys, "sweep", "--family", "edge", "--range", f"b=0.5:2:{b_steps}",
+            "--range", f"theta=-1.3:1.3:{theta_steps}", *search, "--out", str(path),
+        )
+        assert code == 0
+        lines = ["b,theta,isPPT,p,q" + (",bestObjective" if search else "")]
+        bs, thetas = np.linspace(0.5, 2, b_steps).tolist(), np.linspace(-1.3, 1.3, theta_steps).tolist()
+        for b, theta in itertools.product(bs, thetas):
+            s = edge_state(b, theta)
+            c = classify(s)
+            line = f"{b!r},{theta!r},{c.is_ppt},{c.type[0]},{c.type[1]}"
+            if search:
+                line += f",{product_vector_search(s, starts=5, seed=2).best_objective!r}"
+            lines.append(line)
+        assert path.read_bytes() == "".join(line + "\r\n" for line in lines).encode()
+
+    def test_one_eigvalsh_call_per_chunk(self, capsys, monkeypatch):
+        calls = []
+        eigvalsh = CLASSIFY_MODULE.np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(CLASSIFY_MODULE.np.linalg, "eigvalsh", counting)
+        code, out, _ = run_cli(
+            capsys, "sweep", "--family", "edge", "--range", "b=0.5:2:20", "--range", "theta=-1.2:1.2:20",
+        )
+        assert code == 0
+        assert len(out.splitlines()) == 401
+        assert len(calls) <= math.ceil(400 / SWEEP_CHUNK)
+
+    def test_search_with_negative_seed_exit_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sweep", "--family", "edge", "--b", "1", "--range", "theta=0.1:0.2:2",
+            "--search", "--starts", "3", "--seed=-1",
+        )
+        assert (code, out) == (2, "")
+        assert_one_line_error(err)
+        assert "seed" in err
 
     def test_swept_target_p_prints_like_a_fixed_one(self, capsys):
         code, swept, _ = run_cli(

@@ -23,6 +23,7 @@ from edgelab import (
     range_basis,
     tensor,
 )
+from edgelab.linalg import _check_hermitian, _rank_psd
 from helpers import planted_rank_hermitian, planted_rank_psd, random_hermitian, random_unit
 
 
@@ -127,6 +128,21 @@ class TestHermitianEig:
             spectrum_verdict(bad)
         with pytest.raises(NotHermitianError):
             gram_realization(bad)
+
+
+def test_stacked_rules_match_matrix_by_matrix(rng):
+    planted = (planted_rank_hermitian, planted_rank_psd)
+    mats = [
+        scale * planted[i % 2](rng, 6, int(rng.integers(0, 7)))
+        for i, scale in enumerate(rng.choice([1e-3, 1.0, 1e3], 40))
+    ]
+    stack = _check_hermitian(np.array(mats))
+    assert np.array_equal(stack, [_check_hermitian(m) for m in mats])
+    ranks, psd = _rank_psd(np.linalg.eigvalsh(stack), 1e-9, 1e-10)
+    singles = [_rank_psd(np.linalg.eigvalsh(h), 1e-9, 1e-10) for h in stack]
+    assert list(zip(ranks.tolist(), psd.tolist())) == [(int(r), bool(p)) for r, p in singles]
+    assert ranks.tolist() == [numerical_rank(m) for m in mats]
+    assert psd.tolist() == [is_psd(m) for m in mats]
 
 
 class TestNumericalRank:

@@ -146,6 +146,11 @@ def test_rejects_no_iterations():
         product_vector_search(edge_state(1.0, 0.0), starts=5, max_iters=0)
 
 
+def test_rejects_negative_seed():
+    with pytest.raises(InvalidParamError, match="seed"):
+        product_vector_search(edge_state(1.0, 0.5), starts=3, seed=-1)
+
+
 @pytest.mark.parametrize("state", [corner_state(2.0), corner_state(1.0)], ids=["no-witness", "witness"])
 def test_fewer_starts_give_a_bit_exact_prefix(state):
     # 256 and 257 sit on either side of the first block boundary

@@ -202,6 +202,32 @@ class TestCyclicMap:
 
 
 class TestChoiMatrix:
+    @staticmethod
+    def _block_by_block(a, b, c):
+        """The Choi matrix as the map's values on the matrix units, block by block."""
+        mat = np.zeros((9, 9), dtype=complex)
+        for i in range(3):
+            for j in range(3):
+                unit = np.zeros((3, 3), dtype=complex)
+                unit[i, j] = 1.0
+                mat[3 * i : 3 * i + 3, 3 * j : 3 * j + 3] = cyclic_map_apply(a, b, c, unit)
+        return mat
+
+    def test_closed_form_equals_the_map_block_by_block(self, rng):
+        boundary = [0.0, -0.0, 1e-320, 0.5, 1.0, 2.0, 1e300]
+        weights = [(a, b, c) for a in boundary for b in boundary for c in boundary[::2]]
+        weights += [tuple(w) for w in rng.uniform(0.0, 5.0, (200, 3))]
+        for w in weights:
+            got, ref = choi_matrix(*w).mat, self._block_by_block(*w)
+            assert np.array_equal(got, ref), w
+            for part in (np.real, np.imag):  # signed zeros too
+                assert np.array_equal(np.signbit(part(got)), np.signbit(part(ref))), w
+
+    def test_rejects_negative_weights(self):
+        for w in [(-1.0, 1.0, 1.0), (2.0, -1e-300, 1.0), (2.0, 1.0, -3.0)]:
+            with pytest.raises(InvalidParamError):
+                choi_matrix(*w)
+
     def test_reproduces_edge_state_at_zero_angle(self):
         for b in (0.5, 1.0, 3.0):
             assert np.array_equal(choi_matrix(2.0, b, 1 / b).mat, edge_state(b, 0.0).mat)
