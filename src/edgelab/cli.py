@@ -45,9 +45,9 @@ FAMILIES = ("p-theta", "edge", "edge-general", "state-7-6", "choi", "face", "p5"
 TARGET_TYPES = {(5, 5), (6, 5), (7, 5), (8, 5), (6, 6), (7, 6), (8, 6)}
 KNOWN_NOT_CONSTRUCTED = {(4, 4)}
 
-# Grid points built and classified together by ``sweep``.  On a 400-point
-# sweep, one stack of all 400 gave no more rows per second than chunks of 64,
-# and raised the peak memory of the process by 7% against under 1%.
+# Grid points built, classified and written together by ``sweep``.  On a
+# 400-point sweep, one stack of all 400 gave no more rows per second than
+# chunks of 64, and raised the peak memory of the process by 7% against under 1%.
 SWEEP_CHUNK = 64
 
 
@@ -245,26 +245,34 @@ def cmd_sweep(args) -> int:
             raise InvalidParamError(f"fix parameter --{pname.replace('_', '-')} or sweep it")
         fixed[pname] = val
 
-    rows = []
-    grid = itertools.product(*grids)  # row-major grid order
-    while chunk := list(itertools.islice(grid, SWEEP_CHUNK)):
-        points = [{**fixed, **dict(zip(names, point))} for point in chunk]
-        ops = [build_family(family, params) for params in points]
-        for params, op, c in zip(points, ops, classify_many(ops)):
-            row = [params[name] for name in SWEEP_PARAMS[family]]
-            row += [c.is_ppt, c.type[0], c.type[1]]
-            if args.search:
-                row.append(product_vector_search(op, starts=args.starts, seed=args.seed).best_objective)
-            rows.append(row)
+    def chunks():
+        grid = itertools.product(*grids)  # row-major grid order
+        while chunk := list(itertools.islice(grid, SWEEP_CHUNK)):
+            points = [{**fixed, **dict(zip(names, point))} for point in chunk]
+            ops = [build_family(family, params) for params in points]
+            rows = []
+            for params, op, c in zip(points, ops, classify_many(ops)):
+                row = [params[name] for name in SWEEP_PARAMS[family]]
+                row += [c.is_ppt, c.type[0], c.type[1]]
+                if args.search:
+                    row.append(product_vector_search(op, starts=args.starts, seed=args.seed).best_objective)
+                rows.append([repr(v) if isinstance(v, float) else v for v in row])
+            yield rows
 
     header = list(SWEEP_PARAMS[family]) + ["isPPT", "p", "q"]
     if args.search:
         header.append("bestObjective")
+    # Each chunk is written once it is done, so memory does not grow with the
+    # grid.  Nothing is opened before the first chunk is done; a point failing
+    # in a later chunk leaves the rows of the chunks before it written.
+    done = chunks()
+    first = next(done)  # every range has at least one step
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         writer = csv.writer(out)
         writer.writerow(header)
-        writer.writerows([[repr(v) if isinstance(v, float) else v for v in row] for row in rows])
+        for rows in itertools.chain([first], done):
+            writer.writerows(rows)
     finally:
         if args.out:
             out.close()

@@ -42,7 +42,11 @@ def matrix_from_dict(data: dict) -> BipartiteOperator:
             f"matrix file arrays must be {d}x{d} for local dims ({m}, {n}); "
             f"got re {re.shape}, im {im.shape}"
         )
-    return BipartiteOperator(m, n, re + 1j * im)
+    # filling the two views keeps the sign of every zero; re + 1j * im would
+    # turn each -0.0 imaginary part into +0.0
+    mat = np.empty((d, d), dtype=complex)
+    mat.real, mat.imag = re, im
+    return BipartiteOperator(m, n, mat)
 
 
 def write_matrix(s: BipartiteOperator, path) -> None:

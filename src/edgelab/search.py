@@ -7,19 +7,20 @@ The objective for unit vectors x, y is
 
 which vanishes exactly on the product vectors witnessing a range-criterion
 violation of the edge property.  Both alternating steps are exact: for fixed
-x the objective is a Hermitian quadratic form in y, minimized by the smallest
-eigenvector; for fixed y the conjugated term makes it a real quadratic form
-in the 2m real coordinates (Re x, Im x), minimized by the smallest
-eigenvector of a real symmetric matrix.
+x the objective is a Hermitian quadratic form in y, and for fixed y it is one
+in x too, since the conjugated term is ``conj(x)^H E conj(x) = x^H conj(E) x``.
+Each step is therefore the smallest eigenvector of an m x m or n x n complex
+Hermitian matrix, unique up to a global phase.
 
 The starts run in index order, in lockstep blocks of :data:`BLOCK`: the
 pairs of a block are stacked as arrays of shape ``(block, m)`` and
-``(block, n)``, and one step of every running start of the block is one
-``einsum`` per kernel and form, one stacked Hermitian product per form and
-one stacked ``eigh``.  Each start stops on its own, after the same steps it
-would take alone, and its result does not depend on which starts share its
-block.  Memory grows with the block, not with the number of starts, and
-``stop_objective`` is checked once a whole block has finished.
+``(block, n)``.  One step of every running start of the block is three
+``einsum`` calls, one stacked Hermitian product and one stacked ``eigh`` per
+form, and one stacked matrix-vector product for the objective.  Each start
+stops on its own, after the same steps it would take alone, and its result
+does not depend on which starts share its block.  Memory grows with the
+block, not with the number of starts, and ``stop_objective`` is checked once
+a whole block has finished.
 """
 
 from __future__ import annotations
@@ -92,6 +93,15 @@ def _gram(c: np.ndarray) -> np.ndarray:
     return c.conj().transpose(0, 2, 1) @ c
 
 
+def _lowest(d: np.ndarray) -> np.ndarray:
+    """Stacked unit minimizers of ``||d[b] v||``: smallest eigenvectors of ``d[b]^H d[b]``."""
+    return np.linalg.eigh(_gram(d))[1][:, :, 0]
+
+
+def _sq_norms(v: np.ndarray) -> np.ndarray:
+    return (v.real**2 + v.imag**2).sum(axis=1)
+
+
 class _Objective:
     """Kernel bases reshaped for contraction against stacks of either factor.
 
@@ -101,7 +111,6 @@ class _Objective:
 
     def __init__(self, s: BipartiteOperator, rel_tol: float):
         m, n = s.m, s.n
-        self.m, self.n = m, n
         h = _check_hermitian(s.mat)
         # Partial transposition commutes with the adjoint, so the partial
         # transpose of the symmetrized state is Hermitian as it stands.
@@ -109,6 +118,7 @@ class _Objective:
         # shape (m, n, k): first axis contracts with x, second with y
         self.ka = _kernel(h, rel_tol).conj().reshape(m, n, -1)
         self.kt = _kernel(tau, rel_tol).conj().reshape(m, n, -1)
+        self.k = np.concatenate([self.ka, self.kt], axis=2)
 
     @property
     def trivial(self) -> bool:
@@ -117,7 +127,7 @@ class _Objective:
     def value(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         v1 = np.einsum("ila,bi,bl->ba", self.ka, x, y)
         v2 = np.einsum("ila,bi,bl->ba", self.kt, x.conj(), y)
-        return (v1.real**2 + v1.imag**2).sum(axis=1) + (v2.real**2 + v2.imag**2).sum(axis=1)
+        return _sq_norms(v1) + _sq_norms(v2)
 
     def best_y(self, x: np.ndarray) -> np.ndarray:
         c1 = np.einsum("ila,bi->bal", self.ka, x)
@@ -125,25 +135,26 @@ class _Objective:
         _, vecs = np.linalg.eigh(_gram(c1) + _gram(c2))
         return vecs[:, :, 0]
 
+    def x_form(self, y: np.ndarray) -> np.ndarray:
+        """Stacked ``d = [c_a ; conj(c_t)]``, so that ``value(x, y) = ||d x||^2``.
+
+        The conjugated term is ``||c_t conj(x)||^2 = ||conj(c_t) x||^2``, so for
+        fixed y the objective is the Hermitian form ``x^H d^H d x`` in x.
+        """
+        d = np.einsum("ila,bl->bai", self.k, y)
+        tail = d[:, self.ka.shape[2] :]
+        np.conjugate(tail, out=tail)
+        return d
+
     def best_x(self, y: np.ndarray) -> np.ndarray:
-        m = self.m
-        c = _gram(np.einsum("ila,bl->bai", self.ka, y))  # Hermitian form in x
-        e = _gram(np.einsum("ila,bl->bai", self.kt, y))  # Hermitian form in conj(x)
-        r = c.real + e.real
-        s = c.imag - e.imag
-        h = np.empty((len(y), 2 * m, 2 * m))
-        h[:, :m, :m] = r
-        h[:, :m, m:] = -s
-        h[:, m:, :m] = s
-        h[:, m:, m:] = r
-        _, vecs = np.linalg.eigh(h)
-        return _unit_rows(vecs[:, :m, 0] + 1j * vecs[:, m:, 0])
+        return _lowest(self.x_form(y))
 
     def step(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One alternating step from ``x``: the new ``x``, ``y`` and objective."""
         y = self.best_y(x)
-        x = self.best_x(y)
-        return x, y, self.value(x, y)
+        d = self.x_form(y)
+        x = _lowest(d)
+        return x, y, _sq_norms((d @ x[:, :, None])[:, :, 0])
 
 
 def _descend(

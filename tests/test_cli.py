@@ -4,11 +4,12 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from edgelab import BipartiteOperator, classify, edge_state, product_vector_search
+from edgelab import BipartiteOperator, choi_matrix, classify, edge_state, product_vector_search
 from edgelab.cli import SWEEP_CHUNK, main
 from edgelab.io import matrix_from_dict, matrix_to_dict, read_matrix, write_matrix
 from edgelab.errors import EdgeLabError
@@ -31,6 +32,12 @@ class TestMatrixFiles:
         s = edge_state(0.123456789, 1.01)
         again = matrix_from_dict(json.loads(json.dumps(matrix_to_dict(s))))
         assert np.array_equal(again.mat, s.mat)
+        # signed zeros too: this Choi matrix has 54 entries with a -0.0 imaginary part
+        for s in (s, choi_matrix(2, 1, 1)):
+            again = matrix_from_dict(json.loads(json.dumps(matrix_to_dict(s))))
+            assert np.array_equal(again.mat, s.mat)
+            for view in ("real", "imag"):
+                assert np.array_equal(np.signbit(getattr(again.mat, view)), np.signbit(getattr(s.mat, view)))
 
     def test_rejects_wrong_shapes(self):
         with pytest.raises(EdgeLabError):
@@ -407,6 +414,35 @@ class TestSweep:
         assert code == 0
         assert len(out.splitlines()) == 401
         assert len(calls) <= math.ceil(400 / SWEEP_CHUNK)
+
+    def test_memory_does_not_grow_with_the_grid(self, capsys, tmp_path):
+        def peak(theta_steps):
+            argv = ["sweep", "--family", "edge", "--range", "b=0.5:2:64",
+                    "--range", f"theta=-1.2:1.2:{theta_steps}", "--out", str(tmp_path / "sweep.csv")]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2)  # first use of every code path, outside the measurement
+        assert peak(64) <= 1.5 * peak(8)  # 4,096 rows against 512
+
+    def test_failure_in_a_later_chunk_leaves_earlier_chunks_written(self, capsys):
+        # b runs from 2 down to -1 in 70 steps: the first chunk (b[0..31],
+        # two thetas each) is valid, the second reaches b <= 0
+        assert SWEEP_CHUNK == 64
+        code, out, err = run_cli(
+            capsys, "sweep", "--family", "edge", "--range", "b=2:-1:70", "--range", "theta=0:0.5:2",
+        )
+        assert code == 2
+        assert_one_line_error(err)
+        lines = ["b,theta,isPPT,p,q"]
+        for b, theta in itertools.product(np.linspace(2, -1, 70).tolist()[:32], [0.0, 0.5]):
+            c = classify(edge_state(b, theta))
+            lines.append(f"{b!r},{theta!r},{c.is_ppt},{c.type[0]},{c.type[1]}")
+        assert out == "".join(line + "\r\n" for line in lines)
 
     def test_search_with_negative_seed_exit_2(self, capsys):
         code, out, err = run_cli(

@@ -17,6 +17,7 @@ from edgelab import (
 )
 from edgelab import search
 from edgelab.errors import InvalidParamError
+from edgelab.linalg import RANK_RTOL
 from edgelab.search import BLOCK, FOUND_THRESHOLD, _Objective
 from helpers import random_unit
 
@@ -247,14 +248,49 @@ def test_lockstep_matches_start_by_start_search(state):
 
 def test_starts_advance_in_lockstep(monkeypatch):
     # a start-by-start loop makes two eigh calls per step: about 11,600 here
-    calls = 0
-    eigh = np.linalg.eigh
+    calls = {"eigh": 0, "einsum": 0, "step": 0}
 
-    def counting_eigh(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return eigh(*args, **kwargs)
+    def counting(name, f):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
 
-    monkeypatch.setattr(search.np.linalg, "eigh", counting_eigh)
-    product_vector_search(edge_state(1.0, math.pi / 6), starts=200, seed=0)
-    assert 0 < calls < 200
+        return wrapped
+
+    monkeypatch.setattr(search.np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+    monkeypatch.setattr(search.np, "einsum", counting("einsum", np.einsum))
+    state = edge_state(1.0, math.pi / 6)
+    # set-up: the kernels and the objective of the starts
+    _Objective(state, RANK_RTOL).value(*search._random_starts(0, range(200), 3, 3))
+    setup = dict(calls)
+    calls.update(eigh=0, einsum=0)
+    monkeypatch.setattr(_Objective, "step", counting("step", _Objective.step))
+    product_vector_search(state, starts=200, seed=0)
+    steps = calls["step"]
+    assert 0 < calls["eigh"] < 200
+    assert calls["eigh"] == setup["eigh"] + 2 * steps
+    assert calls["einsum"] <= setup["einsum"] + 4 * steps
+
+
+def _realified_form(c, e):
+    """The objective for fixed y in the 2m real coordinates (Re x, Im x)."""
+    r, q = c.real + e.real, c.imag - e.imag
+    return np.block([[r, -q], [q, r]])
+
+
+@pytest.mark.parametrize("state", [edge_state(1.4, 0.5), corner_state(0.7)], ids=["edge", "corner"])
+def test_best_x_form_is_hermitian_in_x(state, rng):
+    # conj(x)^H E conj(x) = x^H conj(E) x, so for fixed y the objective is the
+    # complex form C + conj(E), whose realification is the real 2m x 2m form
+    obj = _Objective(state, RANK_RTOL)
+    for _ in range(10):
+        y = random_unit(rng, 3)
+        c_a = np.einsum("ila,l->ai", obj.ka, y)
+        c_t = np.einsum("ila,l->ai", obj.kt, y)
+        c, e = c_a.conj().T @ c_a, c_t.conj().T @ c_t
+        form = c + e.conj()
+        for _ in range(10):
+            x = random_unit(rng, 3)
+            assert obj.value(x[None], y[None])[0] == pytest.approx(np.vdot(x, form @ x).real, rel=1e-12, abs=1e-15)
+        floor = np.linalg.eigvalsh(_realified_form(c, e))[0]
+        assert obj.value(obj.best_x(y[None]), y[None])[0] == pytest.approx(floor, abs=1e-12)
