@@ -10,17 +10,20 @@ violation of the edge property.  Both alternating steps are exact: for fixed
 x the objective is a Hermitian quadratic form in y, and for fixed y it is one
 in x too, since the conjugated term is ``conj(x)^H E conj(x) = x^H conj(E) x``.
 Each step is therefore the smallest eigenvector of an m x m or n x n complex
-Hermitian matrix, unique up to a global phase.
+Hermitian matrix, unique up to a global phase.  For 3 x 3 forms, those of
+every bi-qutrit state, it comes in closed form (Kopp, Int. J. Mod. Phys. C
+19, 523 (2008), arXiv:physics/0610206); only rows whose two smallest
+eigenvalues nearly coincide, and forms of other sizes, take ``eigh``.
 
 The starts run in index order, in lockstep blocks of :data:`BLOCK`: the
 pairs of a block are stacked as arrays of shape ``(block, m)`` and
 ``(block, n)``.  One step of every running start of the block is three
-``einsum`` calls, one stacked Hermitian product and one stacked ``eigh`` per
-form, and one stacked matrix-vector product for the objective.  Each start
-stops on its own, after the same steps it would take alone, and its result
-does not depend on which starts share its block.  Memory grows with the
-block, not with the number of starts, and ``stop_objective`` is checked once
-a whole block has finished.
+``einsum`` calls, one stacked Hermitian product and one stacked smallest
+eigenvector per form, and one stacked matrix-vector product for the
+objective.  Each start stops on its own, after the same steps it would take
+alone, and its result does not depend on which starts share its block.
+Memory grows with the block, not with the number of starts, and
+``stop_objective`` is checked once a whole block has finished.
 """
 
 from __future__ import annotations
@@ -43,6 +46,22 @@ BLOCK = 256
 # the floating floor; starts at or under the found-threshold then polish while
 # strictly improving, for at most this many further steps.
 POLISH_STEPS = 60
+
+# A 3 x 3 form takes eigh when (lambda_2 - lambda_1) (lambda_3 - lambda_1), in
+# units of its largest entry squared, is at most this.  Near a double root the
+# closed-form lambda_1 errs by about eps / gap, and the Rayleigh excess of its
+# eigenvector grows like eps^2 / gap^3: on forms of scale 1 it is 3e-16 down
+# to a gap of 1e-5, as from eigh, but 4e-15 at 1e-6 and 4e-12 at 1e-7.
+GAP_FLOOR = 1e-5
+
+_TINY = np.finfo(float).tiny
+# Flat indices of a 3 x 3 matrix: its diagonal, then g_i = h[i+1, i+2] (mod 3).
+_ENTRIES = np.array([0, 4, 8, 5, 6, 1])
+_NEXT = np.array([1, 2, 0])
+_PREV = np.array([2, 0, 1])
+# Row k: where the entries of column k of an adjugate sit in its diagonal,
+# its entries a_i at (i+1, i+2) and their conjugates, stacked in that order.
+_ADJ_COLUMNS = np.array([[0, 8, 4], [5, 1, 6], [7, 3, 2]])
 
 
 class SearchVerdict(Enum):
@@ -93,9 +112,52 @@ def _gram(c: np.ndarray) -> np.ndarray:
     return c.conj().transpose(0, 2, 1) @ c
 
 
+def _smallest_eigvecs(h: np.ndarray) -> np.ndarray:
+    """Stacked unit eigenvectors of the smallest eigenvalues of Hermitian ``h[b]``.
+
+    3 x 3 forms take Kopp's closed form (Int. J. Mod. Phys. C 19, 523 (2008),
+    arXiv:physics/0610206): the smallest eigenvalue lambda from the
+    trigonometric solution of the characteristic cubic, then the column of
+    ``adj(h - lambda I) = (lambda_2 - lambda) (lambda_3 - lambda) v v^H`` with
+    the largest diagonal entry.  Rows whose adjugate trace is at most
+    :data:`GAP_FLOOR`, or not finite, take ``eigh`` instead, and only those
+    rows.  Every operation acts row by row, so a row's vector does not depend
+    on the rows stacked with it.  Forms of any other size take ``eigh``.
+    """
+    if h.shape[1:] != (3, 3):
+        return np.linalg.eigh(h)[1][:, :, 0]
+    b = len(h)
+    # the six distinct entries, scaled to a largest modulus of 1 so that no
+    # power below under- or overflows; the eigenvectors do not change
+    e = h.reshape(b, 9).T[_ENTRIES]
+    e /= np.maximum(np.abs(e).max(axis=0), _TINY)
+    d, g = e[:3].real, e[3:]
+    g2 = np.abs(g) ** 2
+    gg = g[_NEXT] * g[_PREV]
+    q = d.sum(axis=0) / 3
+    d0 = d - q
+    # the eigenvalues of h - q I are 2p cos(phi + 2 pi j / 3), cos(3 phi) = r
+    two_p = np.sqrt(((d0 * d0).sum(axis=0) + 2 * g2.sum(axis=0)) * (2 / 3))
+    det = d0.prod(axis=0) + 2 * (g[0] * gg[0]).real - (d0 * g2).sum(axis=0)
+    r = np.minimum(np.maximum(4 * det / np.maximum(two_p**3, _TINY), -1.0), 1.0)
+    dl = d0 - two_p * np.cos(np.arccos(r) / 3 + 2 * np.pi / 3)
+    # adj(h - lambda I): its diagonal ad and its entries a_i at (i+1, i+2)
+    ad = dl[_NEXT] * dl[_PREV] - g2
+    a = gg.conj() - dl * g
+    adj = np.concatenate([ad, a, a.conj()])
+    v = adj[_ADJ_COLUMNS[ad.argmax(axis=0)], np.arange(b)[:, None]]
+    n = np.abs(v)
+    v /= np.maximum(np.sqrt((n * n).sum(axis=1)), _TINY)[:, None]
+    t = ad.sum(axis=0)
+    if not t.min() > GAP_FLOOR:
+        rows = ~(t > GAP_FLOOR)
+        v[rows] = np.linalg.eigh(h[rows])[1][:, :, 0]
+    return v
+
+
 def _lowest(d: np.ndarray) -> np.ndarray:
     """Stacked unit minimizers of ``||d[b] v||``: smallest eigenvectors of ``d[b]^H d[b]``."""
-    return np.linalg.eigh(_gram(d))[1][:, :, 0]
+    return _smallest_eigvecs(_gram(d))
 
 
 def _sq_norms(v: np.ndarray) -> np.ndarray:
@@ -132,8 +194,7 @@ class _Objective:
     def best_y(self, x: np.ndarray) -> np.ndarray:
         c1 = np.einsum("ila,bi->bal", self.ka, x)
         c2 = np.einsum("ila,bi->bal", self.kt, x.conj())
-        _, vecs = np.linalg.eigh(_gram(c1) + _gram(c2))
-        return vecs[:, :, 0]
+        return _smallest_eigvecs(_gram(c1) + _gram(c2))
 
     def x_form(self, y: np.ndarray) -> np.ndarray:
         """Stacked ``d = [c_a ; conj(c_t)]``, so that ``value(x, y) = ||d x||^2``.

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from edgelab import search
 from edgelab.errors import InvalidParamError
 from edgelab.linalg import RANK_RTOL
 from edgelab.search import BLOCK, FOUND_THRESHOLD, _Objective
-from helpers import random_unit
+from helpers import random_unit, random_unitary
 
 # observed floor of the search objective on edge_state(1, pi/6) with the
 # settings below; the assertion only relies on the spec threshold 1e-6
@@ -247,8 +248,8 @@ def test_lockstep_matches_start_by_start_search(state):
 
 
 def test_starts_advance_in_lockstep(monkeypatch):
-    # a start-by-start loop makes two eigh calls per step: about 11,600 here
-    calls = {"eigh": 0, "einsum": 0, "step": 0}
+    # a start-by-start loop makes two eigen-solves per step: about 11,600 here
+    calls = {"eigh": 0, "einsum": 0, "step": 0, "eigvecs": 0}
 
     def counting(name, f):
         def wrapped(*args, **kwargs):
@@ -265,11 +266,79 @@ def test_starts_advance_in_lockstep(monkeypatch):
     setup = dict(calls)
     calls.update(eigh=0, einsum=0)
     monkeypatch.setattr(_Objective, "step", counting("step", _Objective.step))
+    monkeypatch.setattr(search, "_smallest_eigvecs", counting("eigvecs", search._smallest_eigvecs))
     product_vector_search(state, starts=200, seed=0)
     steps = calls["step"]
-    assert 0 < calls["eigh"] < 200
-    assert calls["eigh"] == setup["eigh"] + 2 * steps
+    assert 0 < calls["eigvecs"] < 200
+    assert calls["eigvecs"] == 2 * steps
+    # every form of this search is far from a degenerate smallest pair, so no
+    # row falls back to eigh: the only eigh calls are the two kernels
+    assert calls["eigh"] == setup["eigh"] + 0
     assert calls["einsum"] <= setup["einsum"] + 4 * steps
+
+
+def _forms(rng, spectra):
+    """Stacked Hermitian 3 x 3 forms with the given spectra in random eigenbases."""
+    out = []
+    for lam in spectra:
+        u = random_unitary(rng, 3)
+        out.append((u * lam) @ u.conj().T)
+    return np.stack(out)
+
+
+@pytest.fixture
+def eigh_rows(monkeypatch):
+    """The row count of every eigh call from here on."""
+    rows = []
+    eigh = np.linalg.eigh
+
+    def counting(a):
+        rows.append(len(a))
+        return eigh(a)
+
+    monkeypatch.setattr(search.np.linalg, "eigh", counting)
+    return rows
+
+
+# a stack of 12 forms for each case, and how many of its rows take eigh
+EIGVEC_CASES = {
+    "random": (lambda g: _forms(g, g.uniform(-2.0, 3.0, (12, 3))), 0),
+    "degenerate-lowest": (lambda g: _forms(g, [[0.0, 0.0, 1.0]] * 12), 12),
+    "near-degenerate-lowest": (lambda g: _forms(g, [[0.0, 1e-12, 1.0]] * 12), 12),
+    "degenerate-upper": (lambda g: _forms(g, [[0.0, 1.0, 1.0]] * 12), 0),
+    "tiny-scale": (lambda g: _forms(g, [[1e-30, 1e-15, 1e-15]] * 12), 0),
+    "scalar": (lambda g: np.tile(2.5 * np.eye(3, dtype=complex), (12, 1, 1)), 12),
+    "zero": (lambda g: np.zeros((12, 3, 3), dtype=complex), 12),
+}
+
+
+@pytest.mark.parametrize("case", list(EIGVEC_CASES))
+def test_smallest_eigvecs_closed_form(case, eigh_rows):
+    build, fallback_rows = EIGVEC_CASES[case]
+    h = build(np.random.default_rng(7))
+    spectra = np.linalg.eigvalsh(h)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = search._smallest_eigvecs(h)
+        assert sum(eigh_rows) == fallback_rows
+        # each row alone gives the same bits as in the stack
+        rows = np.concatenate([search._smallest_eigvecs(h[i : i + 1]) for i in range(len(h))])
+    assert np.array_equal(rows, v)
+    assert np.all(np.abs(np.linalg.norm(v, axis=1) - 1.0) <= 1e-15)
+    rayleigh = np.einsum("bi,bij,bj->b", v.conj(), h, v).real
+    assert np.all(np.abs(rayleigh - spectra[:, 0]) <= 1e-14 * np.abs(spectra).max(axis=1))
+
+
+def test_smallest_eigvecs_falls_back_row_by_row(eigh_rows):
+    # only the rows with a nearly degenerate smallest pair go to eigh
+    h = _forms(np.random.default_rng(8), [[0.0, 1e-12 if i % 5 == 0 else 0.3, 1.0] for i in range(23)])
+    v = search._smallest_eigvecs(h)
+    assert eigh_rows == [5]
+    rayleigh = np.einsum("bi,bij,bj->b", v.conj(), h, v).real
+    assert np.all(np.abs(rayleigh) <= 1e-14)
+    # forms of other sizes take eigh as it stands
+    h2 = h[:, :2, :2]
+    assert np.array_equal(search._smallest_eigvecs(h2), np.linalg.eigh(h2)[1][:, :, 0])
 
 
 def _realified_form(c, e):
