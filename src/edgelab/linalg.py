@@ -231,11 +231,3 @@ def gram_realization(g: np.ndarray, rel_tol: float = RANK_RTOL) -> np.ndarray:
     top_vals = np.clip(vals[::-1][:r], 0.0, None)
     top_vecs = vecs[:, ::-1][:, :r]
     return top_vecs * np.sqrt(top_vals)
-
-
-def trace_normalized(s: BipartiteOperator) -> BipartiteOperator:
-    """Scale to unit trace (families are constructed unnormalized)."""
-    tr = np.trace(s.mat).real
-    if tr <= 0:
-        raise NotPSDError("cannot trace-normalize a matrix with nonpositive trace")
-    return BipartiteOperator(s.m, s.n, s.mat / tr)

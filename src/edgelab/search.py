@@ -15,19 +15,27 @@ every bi-qutrit state, it comes in closed form (Kopp, Int. J. Mod. Phys. C
 19, 523 (2008), arXiv:physics/0610206); only rows whose two smallest
 eigenvalues nearly coincide, and forms of other sizes, take ``eigh``.
 
+Both forms are linear in the outer product of the fixed factor: the form in
+y has entries ``sum conj(x_i) x_j M[(i, j), (l, o)]``, and the form in x is
+the same sum over ``conj(y_l) y_o``, where the (m^2, n^2) matrix ``M`` comes
+from the kernel bases once per search.
+
 The starts run in index order, in lockstep blocks of :data:`BLOCK`: the
 pairs of a block are stacked as arrays of shape ``(block, m)`` and
-``(block, n)``.  One step of every running start of the block is three
-``einsum`` calls, one stacked Hermitian product and one stacked smallest
-eigenvector per form, and one stacked matrix-vector product for the
-objective.  Each start stops on its own, after the same steps it would take
-alone, and its result does not depend on which starts share its block.
-Memory grows with the block, not with the number of starts, and
-``stop_objective`` is checked once a whole block has finished.
+``(block, n)``.  One step of every running start of the block is, per
+factor, one stacked product of the flattened outer products with ``M`` and
+one stacked smallest eigenvector; the objective ``||d x||^2`` then takes two
+stacked products.  Every product is stacked row by row, so each start stops
+on its own, after the same steps it would take alone, and its result does
+not depend on which starts share its block.  Memory grows with the block,
+not with the number of starts, and ``stop_objective`` is checked once a
+whole block has finished.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -55,6 +63,11 @@ POLISH_STEPS = 60
 GAP_FLOOR = 1e-5
 
 _TINY = np.finfo(float).tiny
+# SeedSequence's uint32 arithmetic: word mask, xorshift and the mix multipliers
+_MASK32 = 0xFFFFFFFF
+_SHIFT = np.uint32(16)
+_MIX_L = np.uint32(0xCA01F9DD)
+_MIX_R = np.uint32(0x4973F715)
 # Flat indices of a 3 x 3 matrix: its diagonal, then g_i = h[i+1, i+2] (mod 3).
 _ENTRIES = np.array([0, 4, 8, 5, 6, 1])
 _NEXT = np.array([1, 2, 0])
@@ -83,13 +96,110 @@ def _unit_rows(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
+def _uint32_words(k: int) -> list[int]:
+    """The 32-bit words of ``k >= 0``, least significant first; ``[0]`` for 0."""
+    words = [k & _MASK32]
+    while k := k >> 32:
+        words.append(k & _MASK32)
+    return words
+
+
+def _hasher(c: int, mult: int, rows: int):
+    """SeedSequence's hashmix on stacks of uint32 rows, ``rows`` rows in all.
+
+    The hash steps a running constant, from ``c`` on, by ``mult`` at each
+    word: the j-th row hashed xors with its j-th value and multiplies by the
+    next.  Rows hashed in one call take consecutive constants, as the words
+    would one by one.  uint32 array arithmetic wraps modulo 2**32 as the
+    hash's does.
+    """
+    consts = []
+    for _ in range(rows + 1):
+        consts.append(c)
+        c = c * mult & _MASK32
+    consts = np.array(consts, np.uint32)[:, None]
+    used = 0
+
+    def hashmix(v: np.ndarray) -> np.ndarray:
+        nonlocal used
+        k = len(v)
+        v = (v ^ consts[used : used + k]) * consts[used + 1 : used + k + 1]
+        used += k
+        return v ^ (v >> _SHIFT)
+
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = _MIX_L * x - _MIX_R * y
+    return r ^ (r >> _SHIFT)
+
+
+def _pcg64_seeds(entropy: np.ndarray) -> np.ndarray:
+    """Rows ``SeedSequence(e).generate_state(4, np.uint64)``, one per column ``e`` of ``entropy``.
+
+    ``entropy`` holds the uint32 entropy words of each column in order.  This
+    is NumPy's SeedSequence hash with its default pool of 4 words, run on the
+    pool words of every column at once; its constants do not depend on the
+    data, so the columns share them.
+    """
+    words, cols = entropy.shape
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875, 16 + 4 * max(words - 4, 0))
+    pool = np.zeros((4, cols), np.uint32)
+    pool[: min(words, 4)] = entropy[:4]
+    pool = hashmix(pool)
+    for src in range(4):
+        dst = [i for i in range(4) if i != src]
+        pool[dst] = _mix(pool[dst], hashmix(pool[[src] * 3]))
+    for word in entropy[4:]:
+        pool = _mix(pool, hashmix(np.tile(word, (4, 1))))
+    # generate_state: 8 words from the pool in turn, paired little-endian
+    out = _hasher(0x8B51F9DD, 0x58F38DED, 8)(np.concatenate([pool, pool])).astype(np.uint64)
+    return np.ascontiguousarray((out[0::2] | out[1::2] << np.uint64(32)).T)
+
+
+@functools.cache
+def _pcg64_generator():
+    """``words -> Generator(PCG64(...))`` seeded with the 4 uint64 ``words``.
+
+    PCG64 takes its seed as ``generate_state(4, np.uint64)`` of its seed
+    sequence (stable under NEP 19), so a sequence that returns ``words`` gives
+    the generator of any SeedSequence whose state they are.  ``numpy.random``
+    loads here, on the first draw, not with ``edgelab``.
+    """
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Words(ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return lambda words: Generator(PCG64(Words(words)))
+
+
 def _random_starts(seed: int, indices: range, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Stacked random unit pairs, one row per start.
 
     Start ``idx`` draws the real and imaginary parts of x, then those of y,
-    from its own generator ``default_rng([seed, idx])``.
+    from its own generator, the one of ``default_rng([seed, idx])``.  The
+    seed sequences of all the starts are hashed together.
     """
-    z = np.array([np.random.default_rng([seed, idx]).standard_normal(2 * (m + n)) for idx in indices])
+    idx = np.arange(indices.start, indices.stop, indices.step, dtype=np.uint64)
+    seed_words = _uint32_words(operator.index(seed))
+    entropy = np.empty((len(seed_words) + 1, len(idx)), np.uint32)
+    entropy[:-1] = np.array(seed_words, np.uint32)[:, None]
+    entropy[-1] = idx & np.uint64(_MASK32)
+    words = _pcg64_seeds(entropy)
+    # a start index of 2**32 or more is two entropy words, not one
+    high = (idx >> np.uint64(32)).astype(np.uint32)
+    wide = high != 0
+    if wide.any():
+        words[wide] = _pcg64_seeds(np.vstack([entropy[:, wide], high[wide]]))
+    generator = _pcg64_generator()
+    z = np.array([generator(w).standard_normal(2 * (m + n)) for w in words])
     x = z[:, :m] + 1j * z[:, m : 2 * m]
     y = z[:, 2 * m : 2 * m + n] + 1j * z[:, 2 * m + n :]
     return _unit_rows(x), _unit_rows(y)
@@ -105,11 +215,6 @@ def _kernel(h: np.ndarray, rel_tol: float) -> np.ndarray:
     mag = np.abs(vals)
     order = np.argsort(mag, kind="stable")
     return vecs[:, order[: h.shape[0] - _rank(mag, rel_tol)]]
-
-
-def _gram(c: np.ndarray) -> np.ndarray:
-    """Stacked Hermitian products ``c[b]^H c[b]``."""
-    return c.conj().transpose(0, 2, 1) @ c
 
 
 def _smallest_eigvecs(h: np.ndarray) -> np.ndarray:
@@ -155,9 +260,19 @@ def _smallest_eigvecs(h: np.ndarray) -> np.ndarray:
     return v
 
 
-def _lowest(d: np.ndarray) -> np.ndarray:
-    """Stacked unit minimizers of ``||d[b] v||``: smallest eigenvectors of ``d[b]^H d[b]``."""
-    return _smallest_eigvecs(_gram(d))
+def _outer(v: np.ndarray) -> np.ndarray:
+    """Stacked ``conj(v[b]) v[b]^T``, flattened to rows."""
+    return (v.conj()[:, :, None] * v[:, None, :]).reshape(len(v), -1)
+
+
+def _rowwise(a: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """``a @ mat`` as a stack of one-row products.
+
+    A 2-D product takes another BLAS routine for one row than for several,
+    and other last bits with it; stacked, each row gets the same bits
+    whichever rows share its block.
+    """
+    return (a[:, None] @ mat)[:, 0]
 
 
 def _sq_norms(v: np.ndarray) -> np.ndarray:
@@ -165,14 +280,14 @@ def _sq_norms(v: np.ndarray) -> np.ndarray:
 
 
 class _Objective:
-    """Kernel bases reshaped for contraction against stacks of either factor.
+    """The kernel bases, and the two Hermitian forms of the objective as matrices.
 
     Every method takes ``x`` of shape ``(block, m)`` and ``y`` of shape
     ``(block, n)``, one row per start.
     """
 
     def __init__(self, s: BipartiteOperator, rel_tol: float):
-        m, n = s.m, s.n
+        m, n = self.m, self.n = s.m, s.n
         h = _check_hermitian(s.mat)
         # Partial transposition commutes with the adjoint, so the partial
         # transpose of the symmetrized state is Hermitian as it stands.
@@ -180,21 +295,25 @@ class _Objective:
         # shape (m, n, k): first axis contracts with x, second with y
         self.ka = _kernel(h, rel_tol).conj().reshape(m, n, -1)
         self.kt = _kernel(tau, rel_tol).conj().reshape(m, n, -1)
-        self.k = np.concatenate([self.ka, self.kt], axis=2)
+        # y @ k, reshaped to (block, k, m), stacks the rows of d from ka, then kt
+        self.k = np.concatenate([self.ka, self.kt], axis=2).transpose(1, 2, 0).reshape(n, -1)
+        # f(x, y) = sum conj(x_i) x_j conj(y_l) y_o form[i, j, l, o]; the kt
+        # term sees conj(x), so its coefficient of conj(x_i) x_j is t[j, i, l, o]
+        a = np.einsum("ila,joa->ijlo", self.ka.conj(), self.ka)
+        t = np.einsum("ila,joa->ijlo", self.kt.conj(), self.kt)
+        form = a + t.transpose(1, 0, 2, 3)
+        self.m_y = form.reshape(m * m, n * n)
+        self.m_x = form.transpose(2, 3, 0, 1).reshape(n * n, m * m)
 
     @property
     def trivial(self) -> bool:
         return self.ka.shape[2] == 0 and self.kt.shape[2] == 0
 
     def value(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        v1 = np.einsum("ila,bi,bl->ba", self.ka, x, y)
-        v2 = np.einsum("ila,bi,bl->ba", self.kt, x.conj(), y)
-        return _sq_norms(v1) + _sq_norms(v2)
+        return _sq_norms((self.x_form(y) @ x[:, :, None])[:, :, 0])
 
     def best_y(self, x: np.ndarray) -> np.ndarray:
-        c1 = np.einsum("ila,bi->bal", self.ka, x)
-        c2 = np.einsum("ila,bi->bal", self.kt, x.conj())
-        return _smallest_eigvecs(_gram(c1) + _gram(c2))
+        return _smallest_eigvecs(_rowwise(_outer(x), self.m_y).reshape(len(x), self.n, self.n))
 
     def x_form(self, y: np.ndarray) -> np.ndarray:
         """Stacked ``d = [c_a ; conj(c_t)]``, so that ``value(x, y) = ||d x||^2``.
@@ -202,20 +321,19 @@ class _Objective:
         The conjugated term is ``||c_t conj(x)||^2 = ||conj(c_t) x||^2``, so for
         fixed y the objective is the Hermitian form ``x^H d^H d x`` in x.
         """
-        d = np.einsum("ila,bl->bai", self.k, y)
+        d = _rowwise(y, self.k).reshape(len(y), -1, self.m)
         tail = d[:, self.ka.shape[2] :]
         np.conjugate(tail, out=tail)
         return d
 
     def best_x(self, y: np.ndarray) -> np.ndarray:
-        return _lowest(self.x_form(y))
+        return _smallest_eigvecs(_rowwise(_outer(y), self.m_x).reshape(len(y), self.m, self.m))
 
     def step(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One alternating step from ``x``: the new ``x``, ``y`` and objective."""
         y = self.best_y(x)
-        d = self.x_form(y)
-        x = _lowest(d)
-        return x, y, _sq_norms((d @ x[:, :, None])[:, :, 0])
+        x = self.best_x(y)
+        return x, y, self.value(x, y)
 
 
 def _descend(

@@ -1,8 +1,7 @@
 """Constructors for the parameterized bi-qutrit state families.
 
-All constructors return matrices exactly as parameterized (unnormalized);
-use :func:`edgelab.linalg.trace_normalized` for a density matrix.  The 9x9
-layout follows the block convention of :class:`~edgelab.linalg.BipartiteOperator`:
+All constructors return matrices exactly as parameterized (unnormalized).
+The 9x9 layout follows the block convention of :class:`~edgelab.linalg.BipartiteOperator`:
 composite index ``(i, k) -> 3*i + k``.
 
 The phase-coupled entries of every family live on the principal submatrix

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -239,7 +241,16 @@ def _start_by_start_objectives(s, starts, seed, max_iters=500, convergence_tol=1
     return np.array(out)
 
 
-@pytest.mark.parametrize("state", [edge_state(1.0, math.pi / 6), corner_state(2.0)], ids=["edge", "corner"])
+def _pure_2x3():
+    """An entangled pure 2 x 3 state: no product vector in its range."""
+    v = np.zeros(6, dtype=complex)
+    v[0], v[5] = math.sqrt(2 / 3), 1j * math.sqrt(1 / 3)
+    return BipartiteOperator(2, 3, np.outer(v, v.conj()))
+
+
+@pytest.mark.parametrize(
+    "state", [edge_state(1.0, math.pi / 6), corner_state(2.0), _pure_2x3()], ids=["edge", "corner", "pure-2x3"]
+)
 def test_lockstep_matches_start_by_start_search(state):
     reference = _start_by_start_objectives(state, starts=30, seed=2)
     res = product_vector_search(state, starts=30, seed=2)
@@ -274,7 +285,59 @@ def test_starts_advance_in_lockstep(monkeypatch):
     # every form of this search is far from a degenerate smallest pair, so no
     # row falls back to eigh: the only eigh calls are the two kernels
     assert calls["eigh"] == setup["eigh"] + 0
-    assert calls["einsum"] <= setup["einsum"] + 4 * steps
+    # the steps make no einsum call: the forms are matrix products
+    assert calls["einsum"] == setup["einsum"]
+
+
+# seeds of one to five 32-bit words, and start ranges on both sides of 2**32
+DRAW_SEEDS = [0, 1, 901, 2**32 - 1, 2**32, 2**40 + 17, 2**64 + 5, 2**73 + 12345, 2**100 + 7]
+DRAW_RANGES = [range(1), range(200), range(256, 300), range(2**32 - 3, 2**32 + 3)]
+
+
+@pytest.mark.parametrize("seed", DRAW_SEEDS)
+def test_random_starts_match_default_rng(seed):
+    m, n = 2, 3
+    for indices in DRAW_RANGES:
+        z = np.array([np.random.default_rng([seed, idx]).standard_normal(2 * (m + n)) for idx in indices])
+        x = z[:, :m] + 1j * z[:, m : 2 * m]
+        y = z[:, 2 * m : 2 * m + n] + 1j * z[:, 2 * m + n :]
+        got_x, got_y = search._random_starts(seed, indices, m, n)
+        assert np.array_equal(got_x, x / np.linalg.norm(x, axis=1, keepdims=True))
+        assert np.array_equal(got_y, y / np.linalg.norm(y, axis=1, keepdims=True))
+
+
+def test_import_does_not_load_numpy_random():
+    code = (
+        "import sys, numpy; before = 'numpy.random' in sys.modules; "
+        "import edgelab; assert ('numpy.random' in sys.modules) == before"
+    )
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
+def _separable(rng, m, n, k):
+    """A sum of k random product projectors: both kernels are nontrivial."""
+    mat = sum(proj(product_vector(random_unit(rng, m), random_unit(rng, n))) for _ in range(k))
+    return BipartiteOperator(m, n, mat)
+
+
+@pytest.mark.parametrize("m, n", [(3, 3), (2, 3), (3, 2)])
+def test_forms_match_gram_construction(m, n, rng):
+    # the oracle: the forms as Hermitian products of the contracted kernels
+    for k in (1, 2, m + n - 2):
+        obj = _Objective(_separable(rng, m, n, k), RANK_RTOL)
+        assert obj.ka.shape[2] and obj.kt.shape[2]
+        x = np.array([random_unit(rng, m) for _ in range(20)])
+        y = np.array([random_unit(rng, n) for _ in range(20)])
+        c1 = np.einsum("ila,bi->bal", obj.ka, x)
+        c2 = np.einsum("ila,bi->bal", obj.kt, x.conj())
+        y_form = c1.conj().transpose(0, 2, 1) @ c1 + c2.conj().transpose(0, 2, 1) @ c2
+        d = np.concatenate([np.einsum("ila,bl->bai", obj.ka, y), np.einsum("ila,bl->bai", obj.kt, y).conj()], axis=1)
+        x_form = d.conj().transpose(0, 2, 1) @ d
+        outer_x = (x.conj()[:, :, None] * x[:, None, :]).reshape(20, -1)
+        outer_y = (y.conj()[:, :, None] * y[:, None, :]).reshape(20, -1)
+        np.testing.assert_allclose(obj.x_form(y), d, rtol=0, atol=1e-13 * np.abs(d).max())
+        for form, got in ((y_form, outer_x @ obj.m_y), (x_form, outer_y @ obj.m_x)):
+            assert np.abs(got - form.reshape(20, -1)).max() <= 1e-13 * np.abs(form).max()
 
 
 def _forms(rng, spectra):
