@@ -13,7 +13,6 @@ from .classify import (
     EdgeCertificate,
     RangeCriterionCheck,
     check_range_criterion,
-    choi_ppt_region,
     classify,
     classify_many,
     rank_bounds,
@@ -33,13 +32,10 @@ from .errors import (
 from .linalg import (
     BipartiteOperator,
     Subspace,
-    gram_realization,
     is_psd,
-    kernel_basis,
     numerical_rank,
     partial_transpose,
     proj,
-    projector,
     range_basis,
     tensor,
 )
@@ -48,7 +44,6 @@ from .states import (
     GramSpec,
     choi_matrix,
     corner_state,
-    cyclic_map_apply,
     edge_condition_holds,
     edge_state,
     face_state,
@@ -84,18 +79,14 @@ __all__ = [
     "Subspace",
     "check_range_criterion",
     "choi_matrix",
-    "choi_ppt_region",
     "classify",
     "classify_many",
     "corner_state",
-    "cyclic_map_apply",
     "edge_condition_holds",
     "edge_state",
     "face_state",
     "generalized_edge_state",
-    "gram_realization",
     "is_psd",
-    "kernel_basis",
     "min_psd_diagonal",
     "numerical_rank",
     "offdiag_gram",
@@ -104,7 +95,6 @@ __all__ = [
     "product_vector",
     "product_vector_search",
     "proj",
-    "projector",
     "range_basis",
     "rank_bounds",
     "reconstruct_separable",

@@ -183,13 +183,6 @@ def reconstruct_separable(b: float) -> float:
     return float(np.max(np.abs(total / (3 * b) - target)))
 
 
-def choi_ppt_region(a: float, b: float, c: float) -> bool:
-    """Exact PPT region of the cyclically-weighted map: a >= 2 and b*c >= 1."""
-    if min(a, b, c) < 0:
-        raise InvalidParamError("weights must be nonnegative")
-    return a >= 2 and b * c >= 1
-
-
 class EdgeCertificate(Enum):
     EDGE_CERTIFIED = "EdgeCertified"
     NOT_APPLICABLE = "NotApplicable"

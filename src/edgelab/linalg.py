@@ -10,14 +10,13 @@ the tensor product in exactly this layout.
 
 Ranks of Hermitian matrices come from their spectrum, since the singular
 values of a Hermitian matrix are its absolute eigenvalues.  :func:`is_psd`
-and :func:`gram_realization` make one Hermiticity check and one ``eigvalsh``
-(``eigh`` in :func:`gram_realization`) per matrix; ``classify`` makes one
-check and one ``eigvalsh`` call per stack of states and partial transposes.
-All of them read the ranks and PSD flags with :func:`_rank_psd`, which, like
-:func:`_check_hermitian` and :func:`_rank`, takes a single matrix or a stack
-over leading axes.  :func:`numerical_rank`, :func:`kernel_basis` and
-:func:`range_basis` accept any matrix, also non-square, and use the SVD.
-Every rank applies the one threshold rule of :func:`_rank`.
+makes one Hermiticity check and one ``eigvalsh`` per matrix; ``classify``
+makes one check and one ``eigvalsh`` call per stack of states and partial
+transposes.  Both read the ranks and PSD flags with :func:`_rank_psd`, which,
+like :func:`_check_hermitian` and :func:`_rank`, takes a single matrix or a
+stack over leading axes.  :func:`numerical_rank` and :func:`range_basis`
+accept any matrix, also non-square, and use the SVD.  Every rank applies the
+one threshold rule of :func:`_rank`.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidParamError, NotHermitianError, NotPSDError
+from .errors import DimensionMismatchError, InvalidParamError, NotHermitianError
 
 # Default tolerances.  Ranks use a relative singular-value threshold; PSD
 # checks use an absolute floor on the smallest eigenvalue so that boundary
@@ -131,7 +130,8 @@ def _check_hermitian(m: np.ndarray, rtol: float = HERM_RTOL) -> np.ndarray:
     """Validate near-Hermiticity and return the symmetrized matrix.
 
     ``m`` is one matrix or a stack over leading axes; a stack raises for its
-    first matrix that fails, named by its flat index over the leading axes.
+    first matrix that fails, named by its flat index over the leading axes
+    when the stack holds more than one matrix.
     """
     m = _as_complex(m)
     if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
@@ -142,7 +142,7 @@ def _check_hermitian(m: np.ndarray, rtol: float = HERM_RTOL) -> np.ndarray:
     fails = asym > rtol * scale
     if fails.any():
         i = np.argmax(fails)
-        where = f" (matrix {i} of the stack)" if m.ndim > 2 else ""
+        where = f" (matrix {i} of the stack)" if fails.size > 1 else ""
         raise NotHermitianError(
             f"not Hermitian{where}: relative asymmetry {asym.flat[i] / scale.flat[i]:.3e} exceeds {rtol:.1e}"
         )
@@ -181,13 +181,6 @@ def numerical_rank(m: np.ndarray, rel_tol: float = RANK_RTOL) -> int:
     return int(_rank(np.linalg.svd(_as_complex(m), compute_uv=False), rel_tol))
 
 
-def kernel_basis(m: np.ndarray, rel_tol: float = RANK_RTOL) -> Subspace:
-    """Orthonormal basis of the (right) null space, from the SVD of any matrix."""
-    m = _as_complex(m)
-    _, s, vh = np.linalg.svd(m)
-    return Subspace(m.shape[1], vh[_rank(s, rel_tol) :].conj().T, rel_tol)
-
-
 def range_basis(m: np.ndarray, rel_tol: float = RANK_RTOL) -> Subspace:
     """Orthonormal basis of the column space, from the SVD of any matrix."""
     m = _as_complex(m)
@@ -203,31 +196,7 @@ def is_psd(m: np.ndarray, abs_tol: float = PSD_ATOL) -> bool:
     return bool(_rank_psd(np.linalg.eigvalsh(_check_hermitian(m)), RANK_RTOL, abs_tol)[1])
 
 
-def projector(s: Subspace) -> np.ndarray:
-    """Orthogonal projector onto the subspace (zero matrix if empty)."""
-    if s.dim == 0:
-        return np.zeros((s.ambient_dim, s.ambient_dim), dtype=complex)
-    return s.basis @ s.basis.conj().T
-
-
 def proj(v) -> np.ndarray:
     """Rank-one projector ``v v^H`` onto a (not necessarily unit) vector."""
     v = _as_complex(v).reshape(-1, 1)
     return v @ v.conj().T
-
-
-def gram_realization(g: np.ndarray, rel_tol: float = RANK_RTOL) -> np.ndarray:
-    """Realize a PSD Gram matrix ``g`` as ``V V^H``.
-
-    Row ``i`` of the returned ``V`` is a concrete coordinate vector for the
-    i-th abstract vector; the number of columns equals the numerical rank of
-    ``g``.  One ``eigh`` of the symmetrized matrix gives the rank, the PSD
-    flag and the vectors.
-    """
-    vals, vecs = np.linalg.eigh(_check_hermitian(g))
-    r, psd = _rank_psd(vals, rel_tol, PSD_ATOL)
-    if not psd:
-        raise NotPSDError("gram matrix has a negative eigenvalue beyond tolerance")
-    top_vals = np.clip(vals[::-1][:r], 0.0, None)
-    top_vecs = vecs[:, ::-1][:, :r]
-    return top_vecs * np.sqrt(top_vals)

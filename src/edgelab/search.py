@@ -20,8 +20,10 @@ y has entries ``sum conj(x_i) x_j M[(i, j), (l, o)]``, and the form in x is
 the same sum over ``conj(y_l) y_o``, where the (m^2, n^2) matrix ``M`` comes
 from the kernel bases once per search.
 
-The starts run in index order, in lockstep blocks of :data:`BLOCK`: the
-pairs of a block are stacked as arrays of shape ``(block, m)`` and
+Each search draws its starting pairs from one generator,
+``default_rng(seed)``; start i takes row i of its stream.  The starts run in
+index order, in lockstep blocks of :data:`BLOCK`, and a block takes the next
+rows: its pairs are stacked as arrays of shape ``(block, m)`` and
 ``(block, n)``.  One step of every running start of the block is, per
 factor, one stacked product of the flattened outer products with ``M`` and
 one stacked smallest eigenvector; the objective ``||d x||^2`` then takes two
@@ -34,8 +36,6 @@ whole block has finished.
 
 from __future__ import annotations
 
-import functools
-import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -63,11 +63,6 @@ POLISH_STEPS = 60
 GAP_FLOOR = 1e-5
 
 _TINY = np.finfo(float).tiny
-# SeedSequence's uint32 arithmetic: word mask, xorshift and the mix multipliers
-_MASK32 = 0xFFFFFFFF
-_SHIFT = np.uint32(16)
-_MIX_L = np.uint32(0xCA01F9DD)
-_MIX_R = np.uint32(0x4973F715)
 # Flat indices of a 3 x 3 matrix: its diagonal, then g_i = h[i+1, i+2] (mod 3).
 _ENTRIES = np.array([0, 4, 8, 5, 6, 1])
 _NEXT = np.array([1, 2, 0])
@@ -96,110 +91,14 @@ def _unit_rows(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def _uint32_words(k: int) -> list[int]:
-    """The 32-bit words of ``k >= 0``, least significant first; ``[0]`` for 0."""
-    words = [k & _MASK32]
-    while k := k >> 32:
-        words.append(k & _MASK32)
-    return words
+def _random_starts(rng: np.random.Generator, count: int, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The next ``count`` random unit pairs of the search's generator, one row per start.
 
-
-def _hasher(c: int, mult: int, rows: int):
-    """SeedSequence's hashmix on stacks of uint32 rows, ``rows`` rows in all.
-
-    The hash steps a running constant, from ``c`` on, by ``mult`` at each
-    word: the j-th row hashed xors with its j-th value and multiplies by the
-    next.  Rows hashed in one call take consecutive constants, as the words
-    would one by one.  uint32 array arithmetic wraps modulo 2**32 as the
-    hash's does.
+    A row holds the real and imaginary parts of x, then those of y.  Rows
+    come off the generator's stream in order, so start ``i`` takes row ``i``
+    however the starts are split into blocks.
     """
-    consts = []
-    for _ in range(rows + 1):
-        consts.append(c)
-        c = c * mult & _MASK32
-    consts = np.array(consts, np.uint32)[:, None]
-    used = 0
-
-    def hashmix(v: np.ndarray) -> np.ndarray:
-        nonlocal used
-        k = len(v)
-        v = (v ^ consts[used : used + k]) * consts[used + 1 : used + k + 1]
-        used += k
-        return v ^ (v >> _SHIFT)
-
-    return hashmix
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    r = _MIX_L * x - _MIX_R * y
-    return r ^ (r >> _SHIFT)
-
-
-def _pcg64_seeds(entropy: np.ndarray) -> np.ndarray:
-    """Rows ``SeedSequence(e).generate_state(4, np.uint64)``, one per column ``e`` of ``entropy``.
-
-    ``entropy`` holds the uint32 entropy words of each column in order.  This
-    is NumPy's SeedSequence hash with its default pool of 4 words, run on the
-    pool words of every column at once; its constants do not depend on the
-    data, so the columns share them.
-    """
-    words, cols = entropy.shape
-    hashmix = _hasher(0x43B0D7E5, 0x931E8875, 16 + 4 * max(words - 4, 0))
-    pool = np.zeros((4, cols), np.uint32)
-    pool[: min(words, 4)] = entropy[:4]
-    pool = hashmix(pool)
-    for src in range(4):
-        dst = [i for i in range(4) if i != src]
-        pool[dst] = _mix(pool[dst], hashmix(pool[[src] * 3]))
-    for word in entropy[4:]:
-        pool = _mix(pool, hashmix(np.tile(word, (4, 1))))
-    # generate_state: 8 words from the pool in turn, paired little-endian
-    out = _hasher(0x8B51F9DD, 0x58F38DED, 8)(np.concatenate([pool, pool])).astype(np.uint64)
-    return np.ascontiguousarray((out[0::2] | out[1::2] << np.uint64(32)).T)
-
-
-@functools.cache
-def _pcg64_generator():
-    """``words -> Generator(PCG64(...))`` seeded with the 4 uint64 ``words``.
-
-    PCG64 takes its seed as ``generate_state(4, np.uint64)`` of its seed
-    sequence (stable under NEP 19), so a sequence that returns ``words`` gives
-    the generator of any SeedSequence whose state they are.  ``numpy.random``
-    loads here, on the first draw, not with ``edgelab``.
-    """
-    from numpy.random import PCG64, Generator
-    from numpy.random.bit_generator import ISeedSequence
-
-    class Words(ISeedSequence):
-        def __init__(self, words):
-            self.words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.words
-
-    return lambda words: Generator(PCG64(Words(words)))
-
-
-def _random_starts(seed: int, indices: range, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked random unit pairs, one row per start.
-
-    Start ``idx`` draws the real and imaginary parts of x, then those of y,
-    from its own generator, the one of ``default_rng([seed, idx])``.  The
-    seed sequences of all the starts are hashed together.
-    """
-    idx = np.arange(indices.start, indices.stop, indices.step, dtype=np.uint64)
-    seed_words = _uint32_words(operator.index(seed))
-    entropy = np.empty((len(seed_words) + 1, len(idx)), np.uint32)
-    entropy[:-1] = np.array(seed_words, np.uint32)[:, None]
-    entropy[-1] = idx & np.uint64(_MASK32)
-    words = _pcg64_seeds(entropy)
-    # a start index of 2**32 or more is two entropy words, not one
-    high = (idx >> np.uint64(32)).astype(np.uint32)
-    wide = high != 0
-    if wide.any():
-        words[wide] = _pcg64_seeds(np.vstack([entropy[:, wide], high[wide]]))
-    generator = _pcg64_generator()
-    z = np.array([generator(w).standard_normal(2 * (m + n)) for w in words])
+    z = rng.standard_normal((count, 2 * (m + n)))
     x = z[:, :m] + 1j * z[:, m : 2 * m]
     y = z[:, 2 * m : 2 * m + n] + 1j * z[:, 2 * m + n :]
     return _unit_rows(x), _unit_rows(y)
@@ -383,17 +282,19 @@ def product_vector_search(
 ) -> EdgeSearchResult:
     """Search for a unit product vector in the range pair of ``s``.
 
-    Runs ``starts`` alternating minimizations from seeded random unit pairs;
-    each start draws from its own generator keyed by ``(seed, start index)``,
-    so results do not depend on execution order.  The starts run in index
-    order, in lockstep blocks of :data:`BLOCK` starts, so memory stays
-    proportional to the block and the cost per start falls as more starts
-    share a block.  ``stop_objective``, if set, is checked after each block:
-    the result then covers the starts up to the first one whose objective
-    reaches it, as a start-by-start scan stopping there would.  The best
-    pair is that of the first start with the smallest objective.
+    Runs ``starts`` alternating minimizations from seeded random unit pairs.
+    The search makes one generator, ``default_rng(seed)``, and start ``i``
+    takes row ``i`` of its stream: a fixed seed gives a fixed result, a run
+    of fewer starts is a bit-exact prefix of a longer one, and a start does
+    not depend on the block it runs in.  The starts run in index order, in
+    lockstep blocks of :data:`BLOCK` starts, so memory stays proportional
+    to the block and the cost per start falls as more starts share a block.
+    ``stop_objective``, if set, is checked after each block: the result then
+    covers the starts up to the first one whose objective reaches it, as a
+    start-by-start scan stopping there would.  The best pair is that of the
+    first start with the smallest objective.
     Raises :class:`InvalidParamError` when ``starts < 1``, ``max_iters < 1``
-    or ``seed < 0``.
+    or ``seed < 0``, and ``TypeError`` when ``seed`` is not an integer.
     """
     if starts < 1:
         raise InvalidParamError(f"starts must be >= 1, got {starts}")
@@ -401,10 +302,14 @@ def product_vector_search(
         raise InvalidParamError(f"max_iters must be >= 1, got {max_iters}")
     if seed < 0:
         raise InvalidParamError(f"seed must be >= 0, got {seed}")
+    # numpy.random loads here, on the first search, not with edgelab
+    from numpy.random import default_rng
+
+    rng = default_rng(seed)
     obj = _Objective(s, rel_tol)
     if obj.trivial:
         # full-rank state and partial transpose: every product vector qualifies
-        x, y = _random_starts(seed, range(1), s.m, s.n)
+        x, y = _random_starts(rng, 1, s.m, s.n)
         return EdgeSearchResult(
             0.0, x[0], y[0], 1, np.zeros(1), SearchVerdict.PRODUCT_VECTOR_FOUND
         )
@@ -413,7 +318,7 @@ def product_vector_search(
     best = np.inf
     best_x = best_y = None
     for lo in range(0, starts, BLOCK):
-        x, y = _random_starts(seed, range(lo, min(lo + BLOCK, starts)), s.m, s.n)
+        x, y = _random_starts(rng, min(BLOCK, starts - lo), s.m, s.n)
         f = _descend(obj, x, y, max_iters, convergence_tol, found_threshold)
         hits = np.flatnonzero(f <= stop_objective) if stop_objective is not None else ()
         if len(hits):

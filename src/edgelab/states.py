@@ -18,12 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    GramNotPSDError,
-    InvalidParamError,
-    OffdiagTooLargeError,
-)
+from .errors import GramNotPSDError, InvalidParamError, OffdiagTooLargeError
 from .linalg import BipartiteOperator, is_psd, tensor
 
 # Coordinates coupled by phases, and the coordinate pairs carrying the
@@ -125,32 +120,16 @@ def corner_state(b: float) -> BipartiteOperator:
     return BipartiteOperator(3, 3, a)
 
 
-def cyclic_map_apply(a: float, b: float, c: float, x: np.ndarray) -> np.ndarray:
-    """Apply the cyclically-weighted reduction map to a 3x3 matrix.
-
-    Diagonal output entries are the cyclic weighted sums of the input
-    diagonal; off-diagonal entries are negated.
-    """
-    if min(a, b, c) < 0:
-        raise InvalidParamError("weights must be nonnegative")
-    x = np.asarray(x, dtype=complex)
-    if x.shape != (3, 3):
-        raise DimensionMismatchError(f"expected a 3x3 matrix, got shape {x.shape}")
-    d = np.diag(x)
-    out = -x.copy()
-    weights = np.array([[a, b, c], [c, a, b], [b, c, a]])
-    np.fill_diagonal(out, weights @ d)
-    return out
-
-
 def choi_matrix(a: float, b: float, c: float) -> BipartiteOperator:
     """Choi matrix of the cyclically-weighted map: blocks are its values on e_ij.
 
-    PPT if and only if ``a >= 2`` and ``b * c >= 1``.  Built in closed form,
-    entry for entry (signed zeros included) what :func:`cyclic_map_apply`
-    gives block by block: block ``(i, j)`` is ``-e_ij``, with the diagonal
-    of block ``(i, i)`` replaced by column ``i`` of the weight matrix and
-    that of every other block by zeros.
+    The map negates the off-diagonal entries of a 3x3 matrix and replaces
+    its diagonal by the cyclic weighted sums ``[[a, b, c], [c, a, b],
+    [b, c, a]] @ diag``.  PPT if and only if ``a >= 2`` and ``b * c >= 1``.
+    Built in closed form, entry for entry (signed zeros included) what the
+    map gives block by block: block ``(i, j)`` is ``-e_ij``, with the
+    diagonal of block ``(i, i)`` replaced by column ``i`` of the weight
+    matrix and that of every other block by zeros.
     """
     if min(a, b, c) < 0:
         raise InvalidParamError("weights must be nonnegative")

@@ -1,4 +1,5 @@
-"""Shared test utilities: golden matrices transcribed entry by entry, and
+"""Shared test utilities: golden matrices transcribed entry by entry,
+reference implementations that share no numerics with edgelab, and
 random-instance generators."""
 
 from __future__ import annotations
@@ -8,7 +9,20 @@ import math
 
 import numpy as np
 
-from edgelab import GramSpec, singular_gram_offdiags
+from edgelab import (
+    DimensionMismatchError,
+    GramSpec,
+    InvalidParamError,
+    NotHermitianError,
+    NotPSDError,
+    Subspace,
+    singular_gram_offdiags,
+)
+
+# the package's default tolerances, restated
+RANK_RTOL = 1e-9
+PSD_ATOL = 1e-10
+HERM_RTOL = 1e-10
 
 
 def golden_edge_matrix(b: float, theta: float) -> np.ndarray:
@@ -80,6 +94,62 @@ def edge_tau_kernel_vectors(b: float, theta: float) -> list[np.ndarray]:
     vs[1][5], vs[1][7] = b, e
     vs[2][2], vs[2][6] = e, b
     return vs
+
+
+def kernel_basis(m: np.ndarray, rel_tol: float = RANK_RTOL) -> Subspace:
+    """Orthonormal basis of the right null space, from the SVD of any matrix.
+
+    The rank counts the singular values above ``rel_tol`` times the largest.
+    """
+    m = np.asarray(m, dtype=complex)
+    _, s, vh = np.linalg.svd(m)
+    rank = int(np.count_nonzero(s > rel_tol * s.max())) if s.size else 0
+    return Subspace(m.shape[1], vh[rank:].conj().T, rel_tol)
+
+
+def projector(s: Subspace) -> np.ndarray:
+    """Orthogonal projector onto the subspace (the zero matrix if it is empty)."""
+    return s.basis @ s.basis.conj().T
+
+
+def gram_realization(g: np.ndarray, rel_tol: float = RANK_RTOL) -> np.ndarray:
+    """``V`` with ``V V^H = g`` for a PSD Gram matrix ``g``, one column per nonzero eigenvalue.
+
+    The columns are the eigenvectors of ``g`` scaled by the square roots of
+    their eigenvalues, in descending order.
+    """
+    g = np.asarray(g, dtype=complex)
+    if np.linalg.norm(g - g.conj().T) > HERM_RTOL * max(np.linalg.norm(g), 1.0):
+        raise NotHermitianError("gram matrix is not Hermitian")
+    vals, vecs = np.linalg.eigh((g + g.conj().T) / 2)
+    top = np.abs(vals).max()
+    if vals[0] < -PSD_ATOL * max(1.0, top):
+        raise NotPSDError("gram matrix has a negative eigenvalue beyond tolerance")
+    keep = vals[::-1] > rel_tol * top
+    return vecs[:, ::-1][:, keep] * np.sqrt(vals[::-1][keep])
+
+
+def cyclic_map_apply(a: float, b: float, c: float, x: np.ndarray) -> np.ndarray:
+    """The cyclically-weighted reduction map on a 3x3 matrix.
+
+    Diagonal output entries are the cyclic weighted sums of the input
+    diagonal; off-diagonal entries are negated.
+    """
+    if min(a, b, c) < 0:
+        raise InvalidParamError("weights must be nonnegative")
+    x = np.asarray(x, dtype=complex)
+    if x.shape != (3, 3):
+        raise DimensionMismatchError(f"expected a 3x3 matrix, got shape {x.shape}")
+    out = -x.copy()
+    np.fill_diagonal(out, np.array([[a, b, c], [c, a, b], [b, c, a]]) @ np.diag(x))
+    return out
+
+
+def choi_ppt_region(a: float, b: float, c: float) -> bool:
+    """Exact PPT region of the cyclically-weighted map: a >= 2 and b*c >= 1."""
+    if min(a, b, c) < 0:
+        raise InvalidParamError("weights must be nonnegative")
+    return a >= 2 and b * c >= 1
 
 
 def random_unit(rng: np.random.Generator, dim: int) -> np.ndarray:

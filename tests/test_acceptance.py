@@ -18,13 +18,10 @@ from edgelab import (
     SearchVerdict,
     check_range_criterion,
     choi_matrix,
-    choi_ppt_region,
     classify,
     edge_state,
     face_state,
-    gram_realization,
     is_psd,
-    kernel_basis,
     numerical_rank,
     offdiag_gram,
     partial_transpose,
@@ -42,8 +39,11 @@ from edgelab import (
 from edgelab.classify import alternating_binomial_sum
 from edgelab.cli import main
 from helpers import (
+    choi_ppt_region,
     edge_kernel_vector,
     edge_tau_kernel_vectors,
+    gram_realization,
+    kernel_basis,
     random_gram_spec,
     random_hermitian,
     random_unit,

@@ -210,6 +210,7 @@ class TestClassifyCommand:
         code, _, err = run_cli(capsys, "classify", "--in", str(path))
         assert code == 2
         assert "not Hermitian" in err
+        assert "stack" not in err
 
     def test_malformed_file_exit_2(self, capsys, tmp_path):
         path = tmp_path / "malformed.json"

@@ -12,19 +12,24 @@ from edgelab import (
     NotPSDError,
     Subspace,
     classify,
-    gram_realization,
     is_psd,
-    kernel_basis,
     numerical_rank,
     partial_transpose,
     phase_circulant,
     proj,
-    projector,
     range_basis,
     tensor,
 )
 from edgelab.linalg import _check_hermitian, _rank_psd
-from helpers import planted_rank_hermitian, planted_rank_psd, random_hermitian, random_unit
+from helpers import (
+    gram_realization,
+    kernel_basis,
+    planted_rank_hermitian,
+    planted_rank_psd,
+    projector,
+    random_hermitian,
+    random_unit,
+)
 
 
 def test_tensor_identity():

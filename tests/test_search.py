@@ -11,7 +11,6 @@ from edgelab import (
     SearchVerdict,
     corner_state,
     edge_state,
-    kernel_basis,
     partial_transpose,
     product_vector,
     product_vector_search,
@@ -22,7 +21,7 @@ from edgelab import search
 from edgelab.errors import InvalidParamError
 from edgelab.linalg import RANK_RTOL
 from edgelab.search import BLOCK, FOUND_THRESHOLD, _Objective
-from helpers import random_unit, random_unitary
+from helpers import kernel_basis, random_unit, random_unitary
 
 # observed floor of the search objective on edge_state(1, pi/6) with the
 # settings below; the assertion only relies on the spec threshold 1e-6
@@ -217,8 +216,8 @@ def _start_by_start_objectives(s, starts, seed, max_iters=500, convergence_tol=1
         return x / np.linalg.norm(x)
 
     out = []
-    for idx in range(starts):
-        g = np.random.default_rng([seed, idx])
+    g = np.random.default_rng(seed)
+    for _ in range(starts):
         x, y = unit(g, m), unit(g, n)
         f = value(x, y)
         for _ in range(max_iters):
@@ -273,7 +272,7 @@ def test_starts_advance_in_lockstep(monkeypatch):
     monkeypatch.setattr(search.np, "einsum", counting("einsum", np.einsum))
     state = edge_state(1.0, math.pi / 6)
     # set-up: the kernels and the objective of the starts
-    _Objective(state, RANK_RTOL).value(*search._random_starts(0, range(200), 3, 3))
+    _Objective(state, RANK_RTOL).value(*search._random_starts(np.random.default_rng(0), 200, 3, 3))
     setup = dict(calls)
     calls.update(eigh=0, einsum=0)
     monkeypatch.setattr(_Objective, "step", counting("step", _Objective.step))
@@ -289,21 +288,22 @@ def test_starts_advance_in_lockstep(monkeypatch):
     assert calls["einsum"] == setup["einsum"]
 
 
-# seeds of one to five 32-bit words, and start ranges on both sides of 2**32
+# seeds one to five 32-bit words wide
 DRAW_SEEDS = [0, 1, 901, 2**32 - 1, 2**32, 2**40 + 17, 2**64 + 5, 2**73 + 12345, 2**100 + 7]
-DRAW_RANGES = [range(1), range(200), range(256, 300), range(2**32 - 3, 2**32 + 3)]
 
 
 @pytest.mark.parametrize("seed", DRAW_SEEDS)
 def test_random_starts_match_default_rng(seed):
+    # a block of 256 and then one of 44 take the rows of one 300-row draw
     m, n = 2, 3
-    for indices in DRAW_RANGES:
-        z = np.array([np.random.default_rng([seed, idx]).standard_normal(2 * (m + n)) for idx in indices])
-        x = z[:, :m] + 1j * z[:, m : 2 * m]
-        y = z[:, 2 * m : 2 * m + n] + 1j * z[:, 2 * m + n :]
-        got_x, got_y = search._random_starts(seed, indices, m, n)
-        assert np.array_equal(got_x, x / np.linalg.norm(x, axis=1, keepdims=True))
-        assert np.array_equal(got_y, y / np.linalg.norm(y, axis=1, keepdims=True))
+    z = np.random.default_rng(seed).standard_normal((300, 2 * (m + n)))
+    x = z[:, :m] + 1j * z[:, m : 2 * m]
+    y = z[:, 2 * m : 2 * m + n] + 1j * z[:, 2 * m + n :]
+    rng = np.random.default_rng(seed)
+    blocks = [search._random_starts(rng, count, m, n) for count in (256, 44)]
+    got_x, got_y = (np.concatenate(parts) for parts in zip(*blocks))
+    assert np.array_equal(got_x, x / np.linalg.norm(x, axis=1, keepdims=True))
+    assert np.array_equal(got_y, y / np.linalg.norm(y, axis=1, keepdims=True))
 
 
 def test_import_does_not_load_numpy_random():

@@ -14,14 +14,11 @@ from edgelab import (
     OffdiagTooLargeError,
     choi_matrix,
     corner_state,
-    cyclic_map_apply,
     edge_condition_holds,
     edge_state,
     face_state,
     generalized_edge_state,
-    gram_realization,
     is_psd,
-    kernel_basis,
     min_psd_diagonal,
     numerical_rank,
     offdiag_gram,
@@ -33,6 +30,7 @@ from edgelab import (
     singular_gram_offdiags,
 )
 from helpers import (
+    cyclic_map_apply,
     edge_kernel_vector,
     edge_tau_kernel_vectors,
     golden_corner_matrix,
@@ -40,6 +38,8 @@ from helpers import (
     golden_edge_tau,
     golden_type55_matrix,
     golden_type85_matrix,
+    gram_realization,
+    kernel_basis,
     random_edge_params,
     random_gram_spec,
 )
