@@ -26,7 +26,6 @@ from .errors import (
     GramNotPSDError,
     InvalidParamError,
     NotHermitianError,
-    NotPSDError,
     OffdiagTooLargeError,
 )
 from .linalg import (
@@ -72,7 +71,6 @@ __all__ = [
     "GramSpec",
     "InvalidParamError",
     "NotHermitianError",
-    "NotPSDError",
     "OffdiagTooLargeError",
     "RangeCriterionCheck",
     "SearchVerdict",

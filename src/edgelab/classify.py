@@ -34,6 +34,11 @@ from .linalg import (
 )
 from .states import edge_condition_holds, edge_state, product_vector, separable_decomposition
 
+# A product vector lies in a range when its distance from it is at most this.
+RESIDUAL_TOL = 1e-9
+# A certificate step holds when its margin is above this.
+MARGIN_TOL = 1e-12
+
 
 class Admissibility(Enum):
     """Where a type (p, q) sits relative to the rank bounds for edge states."""
@@ -142,24 +147,19 @@ class RangeCriterionCheck:
     max_residual: float
 
 
-def check_range_criterion(
-    s: BipartiteOperator,
-    pairs,
-    residual_tol: float = 1e-9,
-    rel_tol: float = RANK_RTOL,
-) -> RangeCriterionCheck:
+def check_range_criterion(s: BipartiteOperator, pairs) -> RangeCriterionCheck:
     """Do the product vectors witness the range criterion for ``s``?
 
     Holds iff every ``x (x) y`` lies in the range of ``s`` and every
     ``conj(x) (x) y`` in the range of its partial transpose (residuals at most
-    ``residual_tol``), and the two spans fill those ranges completely.
+    :data:`RESIDUAL_TOL`), and the two spans fill those ranges completely.
     """
     pairs = list(pairs)
     tau = partial_transpose(s)
     if not pairs:
         return RangeCriterionCheck(False, (0, 0), math.inf)
-    r_s = range_basis(s.mat, rel_tol)
-    r_t = range_basis(tau.mat, rel_tol)
+    r_s = range_basis(s.mat)
+    r_t = range_basis(tau.mat)
     direct, conjugated = [], []
     worst = 0.0
     for x, y in pairs:
@@ -168,9 +168,9 @@ def check_range_criterion(
         worst = max(worst, r_s.residual(v), r_t.residual(w))
         direct.append(v / np.linalg.norm(v))
         conjugated.append(w / np.linalg.norm(w))
-    span_d = numerical_rank(np.column_stack(direct), rel_tol)
-    span_e = numerical_rank(np.column_stack(conjugated), rel_tol)
-    holds = worst <= residual_tol and (span_d, span_e) == (r_s.dim, r_t.dim)
+    span_d = numerical_rank(np.column_stack(direct))
+    span_e = numerical_rank(np.column_stack(conjugated))
+    holds = worst <= RESIDUAL_TOL and (span_d, span_e) == (r_s.dim, r_t.dim)
     return RangeCriterionCheck(holds, (span_d, span_e), worst)
 
 
@@ -203,7 +203,7 @@ class CertificateTrace:
     verdict: EdgeCertificate
 
 
-def verify_edge_analytic(b: float, theta: float, margin_tol: float = 1e-12) -> CertificateTrace:
+def verify_edge_analytic(b: float, theta: float) -> CertificateTrace:
     """Certify the edge property of ``edge_state(b, theta)`` by case analysis.
 
     A product vector in both ranges must satisfy one orthogonality relation
@@ -225,7 +225,7 @@ def verify_edge_analytic(b: float, theta: float, margin_tol: float = 1e-12) -> C
         CertificateStep(
             "product of the three coupling relations forces a vanishing coordinate",
             product_margin,
-            product_margin > margin_tol,
+            product_margin > MARGIN_TOL,
         ),
         CertificateStep(
             "a vanishing coordinate propagates between the two factors",
@@ -238,7 +238,7 @@ def verify_edge_analytic(b: float, theta: float, margin_tol: float = 1e-12) -> C
             CertificateStep(
                 f"case x_{i} = y_{i} = 0 collapses to the zero product vector",
                 collapse_margin,
-                collapse_margin > margin_tol,
+                collapse_margin > MARGIN_TOL,
             )
         )
     certified = all(step.ok for step in steps)

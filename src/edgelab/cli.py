@@ -38,8 +38,6 @@ from .states import (
     singular_gram_offdiags,
 )
 
-FAMILIES = ("p-theta", "edge", "edge-general", "state-7-6", "choi", "face", "p5")
-
 # Achievable bi-qutrit edge types (p >= q convention); (4, 4) is known but not
 # constructed by any family here.
 TARGET_TYPES = {(5, 5), (6, 5), (7, 5), (8, 5), (6, 6), (7, 6), (8, 6)}
@@ -62,48 +60,43 @@ def _theta_frac(text: str) -> float:
     """``--theta-frac``: a rational multiple of pi, returned in radians."""
     try:
         return math.pi * float(Fraction(text))
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise argparse.ArgumentTypeError(f"bad rational multiple of pi {text!r}") from exc
 
 
-def _require(family: str, params: dict, *names):
-    for name in names:
+def _face(p: dict) -> BipartiteOperator:
+    couplings = (_parse_complex(p[name]) for name in ("xi_eta", "eta_zeta", "zeta_xi"))
+    return face_state(p["b"], GramSpec(p["theta"], *couplings))
+
+
+def _p5(p: dict) -> BipartiteOperator:
+    spec = GramSpec(p["theta"], *singular_gram_offdiags(p["theta"], p["target_p"]))
+    return face_state(p["b"], spec)
+
+
+# Each family's required parameters, in the frozen column order of ``sweep``,
+# and its builder, which takes the options by name (theta in radians).
+FAMILIES = {
+    "p-theta": (("theta",), lambda p: BipartiteOperator(1, 3, phase_circulant(p["theta"]))),
+    "edge": (("b", "theta"), lambda p: edge_state(p["b"], p["theta"])),
+    "edge-general": (("b", "theta"), lambda p: generalized_edge_state(p["b"], p["theta"])),
+    "state-7-6": (("b",), lambda p: corner_state(p["b"])),
+    "choi": (("a", "b", "c"), lambda p: choi_matrix(p["a"], p["b"], p["c"])),
+    "face": (("b", "theta"), _face),
+    "p5": (("b", "theta", "target_p"), _p5),
+}
+
+
+def _require(family: str, params: dict):
+    for name in FAMILIES[family][0]:
         if params.get(name) is None:
             raise InvalidParamError(f"family {family!r} needs --{name.replace('_', '-')}")
 
 
 def build_family(family: str, params: dict) -> BipartiteOperator:
     """The member of ``family`` at ``params`` (option names as keys, theta in radians)."""
-    if family == "p-theta":
-        _require(family, params, "theta")
-        return BipartiteOperator(1, 3, phase_circulant(params["theta"]))
-    if family == "edge":
-        _require(family, params, "b", "theta")
-        return edge_state(params["b"], params["theta"])
-    if family == "edge-general":
-        _require(family, params, "b", "theta")
-        return generalized_edge_state(params["b"], params["theta"])
-    if family == "state-7-6":
-        _require(family, params, "b")
-        return corner_state(params["b"])
-    if family == "choi":
-        _require(family, params, "a", "b", "c")
-        return choi_matrix(params["a"], params["b"], params["c"])
-    if family == "face":
-        _require(family, params, "b", "theta")
-        spec = GramSpec(
-            params["theta"],
-            _parse_complex(params["xi_eta"]),
-            _parse_complex(params["eta_zeta"]),
-            _parse_complex(params["zeta_xi"]),
-        )
-        return face_state(params["b"], spec)
-    if family == "p5":
-        _require(family, params, "b", "theta", "target_p")
-        theta = params["theta"]
-        spec = GramSpec(theta, *singular_gram_offdiags(theta, params["target_p"]))
-        return face_state(params["b"], spec)
-    raise InvalidParamError(f"unknown family {family!r}")
+    _require(family, params)
+    return FAMILIES[family][1](params)
 
 
 def _load_input(args) -> BipartiteOperator:
@@ -166,7 +159,7 @@ def cmd_edge_check(args) -> int:
     if args.analytic:
         if getattr(args, "family", None) != "edge":
             raise InvalidParamError("--analytic applies only to --family edge")
-        _require(args.family, vars(args), "b", "theta")
+        _require(args.family, vars(args))
         trace = verify_edge_analytic(args.b, args.theta)
         report = {
             "verdict": "Edge" if trace.verdict is EdgeCertificate.EDGE_CERTIFIED else trace.verdict.value,
@@ -204,31 +197,24 @@ def _parse_range(text: str):
         raise InvalidParamError(f"bad --range {text!r}; expected NAME=START:STOP:STEPS") from exc
     if steps < 1:
         raise InvalidParamError("range steps must be >= 1")
-    values = np.linspace(start, stop, steps).tolist() if steps > 1 else [start]
+    try:
+        values = np.linspace(start, stop, steps).tolist() if steps > 1 else [start]
+    except ValueError as exc:
+        raise InvalidParamError(f"bad --range {text!r}: too many steps ({exc})") from exc
     return name.strip(), values
-
-
-# Canonical parameter column order per family, frozen for diffable sweeps.
-SWEEP_PARAMS = {
-    "p-theta": ("theta",),
-    "edge": ("b", "theta"),
-    "edge-general": ("b", "theta"),
-    "state-7-6": ("b",),
-    "choi": ("a", "b", "c"),
-    "p5": ("b", "theta", "target_p"),
-}
 
 
 def cmd_sweep(args) -> int:
     family = args.family
-    if family not in SWEEP_PARAMS:
+    if family == "face":  # its couplings are complex options, which no range gives
         raise InvalidParamError(f"sweep does not support family {family!r}")
+    columns = FAMILIES[family][0]
     if not args.range:
         raise InvalidParamError("provide at least one --range NAME=START:STOP:STEPS")
     names, grids = [], []
     for text in args.range:
         name, values = _parse_range(text)
-        if name not in SWEEP_PARAMS[family]:
+        if name not in columns:
             raise InvalidParamError(f"family {family!r} has no parameter {name!r}")
         if name in names:
             raise InvalidParamError(f"parameter {name!r} has more than one --range")
@@ -237,7 +223,7 @@ def cmd_sweep(args) -> int:
         names.append(name)
         grids.append(values)
     fixed = {}
-    for pname in SWEEP_PARAMS[family]:
+    for pname in columns:
         if pname in names:
             continue
         val = getattr(args, pname)
@@ -252,14 +238,14 @@ def cmd_sweep(args) -> int:
             ops = [build_family(family, params) for params in points]
             rows = []
             for params, op, c in zip(points, ops, classify_many(ops)):
-                row = [params[name] for name in SWEEP_PARAMS[family]]
+                row = [params[name] for name in columns]
                 row += [c.is_ppt, c.type[0], c.type[1]]
                 if args.search:
                     row.append(product_vector_search(op, starts=args.starts, seed=args.seed).best_objective)
                 rows.append([repr(v) if isinstance(v, float) else v for v in row])
             yield rows
 
-    header = list(SWEEP_PARAMS[family]) + ["isPPT", "p", "q"]
+    header = list(columns) + ["isPPT", "p", "q"]
     if args.search:
         header.append("bestObjective")
     # Each chunk is written once it is done, so memory does not grow with the

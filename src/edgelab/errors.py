@@ -14,10 +14,6 @@ class NotHermitianError(EdgeLabError):
     """Input matrix is not Hermitian within tolerance."""
 
 
-class NotPSDError(EdgeLabError):
-    """Input matrix is not positive semi-definite within tolerance."""
-
-
 class DimensionMismatchError(EdgeLabError):
     """Operands have incompatible shapes."""
 

@@ -59,7 +59,7 @@ def read_matrix(path) -> BipartiteOperator:
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise EdgeLabError(f"cannot read matrix file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise EdgeLabError(f"matrix file {path} does not contain a JSON object")

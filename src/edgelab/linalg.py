@@ -27,9 +27,10 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InvalidParamError, NotHermitianError
 
-# Default tolerances.  Ranks use a relative singular-value threshold; PSD
-# checks use an absolute floor on the smallest eigenvalue so that boundary
-# families (which are PSD by construction but accumulate rounding) pass.
+# Tolerances.  Ranks use a relative singular-value threshold; PSD checks use
+# an absolute floor on the smallest eigenvalue so that boundary families
+# (which are PSD by construction but accumulate rounding) pass.  Only
+# ``classify`` lets a caller override the first two.
 RANK_RTOL = 1e-9
 PSD_ATOL = 1e-10
 HERM_RTOL = 1e-10
@@ -78,7 +79,6 @@ class Subspace:
 
     ambient_dim: int
     basis: np.ndarray
-    tol: float = RANK_RTOL
 
     def __post_init__(self):
         object.__setattr__(self, "basis", _as_complex(self.basis))
@@ -126,7 +126,7 @@ def _frobenius(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("...ij,...ij->...", r, r))
 
 
-def _check_hermitian(m: np.ndarray, rtol: float = HERM_RTOL) -> np.ndarray:
+def _check_hermitian(m: np.ndarray) -> np.ndarray:
     """Validate near-Hermiticity and return the symmetrized matrix.
 
     ``m`` is one matrix or a stack over leading axes; a stack raises for its
@@ -139,12 +139,12 @@ def _check_hermitian(m: np.ndarray, rtol: float = HERM_RTOL) -> np.ndarray:
     mh = m.conj().swapaxes(-2, -1)
     scale = np.maximum(_frobenius(m), 1.0)
     asym = _frobenius(m - mh)
-    fails = asym > rtol * scale
+    fails = asym > HERM_RTOL * scale
     if fails.any():
         i = np.argmax(fails)
         where = f" (matrix {i} of the stack)" if fails.size > 1 else ""
         raise NotHermitianError(
-            f"not Hermitian{where}: relative asymmetry {asym.flat[i] / scale.flat[i]:.3e} exceeds {rtol:.1e}"
+            f"not Hermitian{where}: relative asymmetry {asym.flat[i] / scale.flat[i]:.3e} exceeds {HERM_RTOL:.1e}"
         )
     return (m + mh) / 2
 
@@ -173,27 +173,27 @@ def _rank_psd(vals: np.ndarray, rel_tol: float, abs_tol: float) -> tuple[np.ndar
     return _rank(mag, rel_tol), vals.min(axis=-1) >= -abs_tol * scale
 
 
-def numerical_rank(m: np.ndarray, rel_tol: float = RANK_RTOL) -> int:
-    """Number of singular values above ``rel_tol`` times the largest one.
+def numerical_rank(m: np.ndarray) -> int:
+    """Number of singular values above :data:`RANK_RTOL` times the largest one.
 
     Uses the SVD, so ``m`` may be any matrix, also non-square.
     """
-    return int(_rank(np.linalg.svd(_as_complex(m), compute_uv=False), rel_tol))
+    return int(_rank(np.linalg.svd(_as_complex(m), compute_uv=False), RANK_RTOL))
 
 
-def range_basis(m: np.ndarray, rel_tol: float = RANK_RTOL) -> Subspace:
+def range_basis(m: np.ndarray) -> Subspace:
     """Orthonormal basis of the column space, from the SVD of any matrix."""
     m = _as_complex(m)
     u, s, _ = np.linalg.svd(m)
-    return Subspace(m.shape[0], u[:, : _rank(s, rel_tol)], rel_tol)
+    return Subspace(m.shape[0], u[:, : _rank(s, RANK_RTOL)])
 
 
-def is_psd(m: np.ndarray, abs_tol: float = PSD_ATOL) -> bool:
-    """True iff the symmetrized matrix has min eigenvalue >= -abs_tol * max(1, ||m||_2).
+def is_psd(m: np.ndarray) -> bool:
+    """True iff the symmetrized matrix has min eigenvalue >= -PSD_ATOL * max(1, ||m||_2).
 
     One Hermiticity check and one ``eigvalsh``.
     """
-    return bool(_rank_psd(np.linalg.eigvalsh(_check_hermitian(m)), RANK_RTOL, abs_tol)[1])
+    return bool(_rank_psd(np.linalg.eigvalsh(_check_hermitian(m)), RANK_RTOL, PSD_ATOL)[1])
 
 
 def proj(v) -> np.ndarray:

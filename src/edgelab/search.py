@@ -30,8 +30,7 @@ one stacked smallest eigenvector; the objective ``||d x||^2`` then takes two
 stacked products.  Every product is stacked row by row, so each start stops
 on its own, after the same steps it would take alone, and its result does
 not depend on which starts share its block.  Memory grows with the block,
-not with the number of starts, and ``stop_objective`` is checked once a
-whole block has finished.
+not with the number of starts.
 """
 
 from __future__ import annotations
@@ -45,6 +44,9 @@ from .errors import InvalidParamError
 from .linalg import RANK_RTOL, BipartiteOperator, _check_hermitian, _rank, partial_transpose
 
 FOUND_THRESHOLD = 1e-9
+
+# A start stops once one step lowers its objective by less than this.
+CONVERGENCE_TOL = 1e-14
 
 # Starts advanced together.  Beyond a few hundred starts a larger block no
 # longer lowers the cost per start, while its memory keeps growing with it.
@@ -104,7 +106,7 @@ def _random_starts(rng: np.random.Generator, count: int, m: int, n: int) -> tupl
     return _unit_rows(x), _unit_rows(y)
 
 
-def _kernel(h: np.ndarray, rel_tol: float) -> np.ndarray:
+def _kernel(h: np.ndarray) -> np.ndarray:
     """Kernel basis of a Hermitian matrix from one ``eigh``.
 
     The columns are the eigenvectors of the ``d - r`` eigenvalues smallest in
@@ -113,7 +115,7 @@ def _kernel(h: np.ndarray, rel_tol: float) -> np.ndarray:
     vals, vecs = np.linalg.eigh(h)
     mag = np.abs(vals)
     order = np.argsort(mag, kind="stable")
-    return vecs[:, order[: h.shape[0] - _rank(mag, rel_tol)]]
+    return vecs[:, order[: h.shape[0] - _rank(mag, RANK_RTOL)]]
 
 
 def _smallest_eigvecs(h: np.ndarray) -> np.ndarray:
@@ -185,15 +187,15 @@ class _Objective:
     ``(block, n)``, one row per start.
     """
 
-    def __init__(self, s: BipartiteOperator, rel_tol: float):
+    def __init__(self, s: BipartiteOperator):
         m, n = self.m, self.n = s.m, s.n
         h = _check_hermitian(s.mat)
         # Partial transposition commutes with the adjoint, so the partial
         # transpose of the symmetrized state is Hermitian as it stands.
         tau = partial_transpose(BipartiteOperator(m, n, h)).mat
         # shape (m, n, k): first axis contracts with x, second with y
-        self.ka = _kernel(h, rel_tol).conj().reshape(m, n, -1)
-        self.kt = _kernel(tau, rel_tol).conj().reshape(m, n, -1)
+        self.ka = _kernel(h).conj().reshape(m, n, -1)
+        self.kt = _kernel(tau).conj().reshape(m, n, -1)
         # y @ k, reshaped to (block, k, m), stacks the rows of d from ka, then kt
         self.k = np.concatenate([self.ka, self.kt], axis=2).transpose(1, 2, 0).reshape(n, -1)
         # f(x, y) = sum conj(x_i) x_j conj(y_l) y_o form[i, j, l, o]; the kt
@@ -235,31 +237,24 @@ class _Objective:
         return x, y, self.value(x, y)
 
 
-def _descend(
-    obj: _Objective,
-    x: np.ndarray,
-    y: np.ndarray,
-    max_iters: int,
-    convergence_tol: float,
-    found_threshold: float,
-) -> np.ndarray:
+def _descend(obj: _Objective, x: np.ndarray, y: np.ndarray, max_iters: int) -> np.ndarray:
     """Run every start of a block to its stop, updating ``x`` and ``y`` in place.
 
     A start leaves the running set once its decrease falls under
-    ``convergence_tol`` or after ``max_iters`` steps; the starts then at or
-    under ``found_threshold`` polish together while strictly improving.
+    :data:`CONVERGENCE_TOL` or after ``max_iters`` steps; the starts then at
+    or under :data:`FOUND_THRESHOLD` polish together while strictly improving.
     Returns the objective of each start.
     """
     f = obj.value(x, y)
     live = np.arange(len(f))
     for _ in range(max_iters):
         x[live], y[live], f_new = obj.step(x[live])
-        going = f[live] - f_new >= convergence_tol
+        going = f[live] - f_new >= CONVERGENCE_TOL
         f[live] = f_new
         live = live[going]
         if not live.size:
             break
-    live = np.flatnonzero(f <= found_threshold)
+    live = np.flatnonzero(f <= FOUND_THRESHOLD)
     for _ in range(POLISH_STEPS):
         if not live.size:
             break
@@ -275,10 +270,6 @@ def product_vector_search(
     starts: int = 200,
     max_iters: int = 500,
     seed: int = 0,
-    convergence_tol: float = 1e-14,
-    found_threshold: float = FOUND_THRESHOLD,
-    rel_tol: float = RANK_RTOL,
-    stop_objective: float | None = None,
 ) -> EdgeSearchResult:
     """Search for a unit product vector in the range pair of ``s``.
 
@@ -289,10 +280,7 @@ def product_vector_search(
     not depend on the block it runs in.  The starts run in index order, in
     lockstep blocks of :data:`BLOCK` starts, so memory stays proportional
     to the block and the cost per start falls as more starts share a block.
-    ``stop_objective``, if set, is checked after each block: the result then
-    covers the starts up to the first one whose objective reaches it, as a
-    start-by-start scan stopping there would.  The best pair is that of the
-    first start with the smallest objective.
+    The best pair is that of the first start with the smallest objective.
     Raises :class:`InvalidParamError` when ``starts < 1``, ``max_iters < 1``
     or ``seed < 0``, and ``TypeError`` when ``seed`` is not an integer.
     """
@@ -306,7 +294,7 @@ def product_vector_search(
     from numpy.random import default_rng
 
     rng = default_rng(seed)
-    obj = _Objective(s, rel_tol)
+    obj = _Objective(s)
     if obj.trivial:
         # full-rank state and partial transpose: every product vector qualifies
         x, y = _random_starts(rng, 1, s.m, s.n)
@@ -319,28 +307,22 @@ def product_vector_search(
     best_x = best_y = None
     for lo in range(0, starts, BLOCK):
         x, y = _random_starts(rng, min(BLOCK, starts - lo), s.m, s.n)
-        f = _descend(obj, x, y, max_iters, convergence_tol, found_threshold)
-        hits = np.flatnonzero(f <= stop_objective) if stop_objective is not None else ()
-        if len(hits):
-            f = f[: hits[0] + 1]
+        f = _descend(obj, x, y, max_iters)
         i = int(np.argmin(f))
         if f[i] < best:
             best, best_x, best_y = float(f[i]), x[i].copy(), y[i].copy()
         per_block.append(f)
-        if len(hits):
-            break
-    per_start = np.concatenate(per_block)
 
     verdict = (
         SearchVerdict.PRODUCT_VECTOR_FOUND
-        if best <= found_threshold
+        if best <= FOUND_THRESHOLD
         else SearchVerdict.NONE_FOUND_ABOVE_THRESHOLD
     )
     return EdgeSearchResult(
         best_objective=best,
         best_x=best_x,
         best_y=best_y,
-        starts=len(per_start),
-        per_start_objectives=per_start,
+        starts=starts,
+        per_start_objectives=np.concatenate(per_block),
         verdict=verdict,
     )

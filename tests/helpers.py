@@ -11,13 +11,18 @@ import numpy as np
 
 from edgelab import (
     DimensionMismatchError,
+    EdgeLabError,
     GramSpec,
     InvalidParamError,
     NotHermitianError,
-    NotPSDError,
     Subspace,
     singular_gram_offdiags,
 )
+
+
+class NotPSDError(EdgeLabError):
+    """A Gram matrix is not positive semi-definite within tolerance."""
+
 
 # the package's default tolerances, restated
 RANK_RTOL = 1e-9
@@ -104,7 +109,7 @@ def kernel_basis(m: np.ndarray, rel_tol: float = RANK_RTOL) -> Subspace:
     m = np.asarray(m, dtype=complex)
     _, s, vh = np.linalg.svd(m)
     rank = int(np.count_nonzero(s > rel_tol * s.max())) if s.size else 0
-    return Subspace(m.shape[1], vh[rank:].conj().T, rel_tol)
+    return Subspace(m.shape[1], vh[rank:].conj().T)
 
 
 def projector(s: Subspace) -> np.ndarray:

@@ -108,9 +108,7 @@ def test_criterion_03_separability_at_zero_angle():
         ok &= reconstruct_separable(b) <= 1e-12
         res = check_range_criterion(edge_state(b, 0.0), separable_decomposition(b))
         ok &= res.holds and res.span_dims == (8, 6)
-        found = product_vector_search(
-            edge_state(b, 0.0), starts=200, seed=SEED, stop_objective=1e-10
-        )
+        found = product_vector_search(edge_state(b, 0.0), starts=200, seed=SEED)
         ok &= found.best_objective <= 1e-9
     _report(3, "reconstruction <= 1e-12, range criterion (8,6), search finds product vector", ok)
 

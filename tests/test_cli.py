@@ -214,9 +214,12 @@ class TestClassifyCommand:
 
     def test_malformed_file_exit_2(self, capsys, tmp_path):
         path = tmp_path / "malformed.json"
-        path.write_text('{"m": 3}')
-        code, _, _ = run_cli(capsys, "classify", "--in", str(path))
-        assert code == 2
+        # the second file nests too deep for the JSON decoder
+        for text in ('{"m": 3}', "[" * 100_000 + "]" * 100_000):
+            path.write_text(text)
+            code, out, err = run_cli(capsys, "classify", "--in", str(path))
+            assert (code, out) == (2, "")
+            assert_one_line_error(err)
 
 
 class TestEdgeCheck:
@@ -482,7 +485,7 @@ class TestSweep:
         assert (code, out) == (2, "")
         assert_one_line_error(err)
 
-    @pytest.mark.parametrize("frac", ["oops", "1/0"])
+    @pytest.mark.parametrize("frac", ["oops", "1/0", "1e400"])
     def test_bad_theta_frac_exit_2(self, capsys, frac):
         code, err = usage_error(
             capsys, "sweep", "--family", "edge-general", "--theta-frac", frac, "--range", "b=1:2:2",
@@ -498,8 +501,12 @@ class TestSweep:
         assert (code, out) == (2, "")
 
     def test_bad_range_exit_2(self, capsys):
-        code, _, _ = run_cli(capsys, "sweep", "--family", "edge", "--b", "1", "--range", "theta=oops")
-        assert code == 2
+        # numpy refuses both step counts before it allocates anything
+        for text in ("theta=oops", f"theta=0:1:{10**20}", f"theta=0:1:{2**62}"):
+            code, out, err = run_cli(capsys, "sweep", "--family", "edge", "--b", "1", "--range", text)
+            assert (code, out) == (2, "")
+            assert_one_line_error(err)
+            assert text in err
 
     def test_unknown_parameter_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "sweep", "--family", "edge", "--b", "1", "--range", "zeta=0:1:2")

@@ -19,7 +19,6 @@ from edgelab import (
 )
 from edgelab import search
 from edgelab.errors import InvalidParamError
-from edgelab.linalg import RANK_RTOL
 from edgelab.search import BLOCK, FOUND_THRESHOLD, _Objective
 from helpers import kernel_basis, random_unit, random_unitary
 
@@ -40,7 +39,7 @@ def _range_residuals(s, x, y):
 
 
 def test_separable_zero_angle_is_found():
-    res = product_vector_search(edge_state(1.0, 0.0), starts=50, seed=3, stop_objective=1e-12)
+    res = product_vector_search(edge_state(1.0, 0.0), starts=50, seed=3)
     assert res.verdict is SearchVerdict.PRODUCT_VECTOR_FOUND
     assert res.best_objective <= 1e-10
 
@@ -53,7 +52,7 @@ def test_edge_state_has_strictly_positive_floor():
 
 
 def test_corner_state_edge_only_for_b_not_one():
-    found = product_vector_search(corner_state(1.0), starts=50, seed=3, stop_objective=1e-12)
+    found = product_vector_search(corner_state(1.0), starts=50, seed=3)
     assert found.verdict is SearchVerdict.PRODUCT_VECTOR_FOUND
     assert found.best_objective <= 1e-8
     blocked = product_vector_search(corner_state(2.0), starts=60, seed=3)
@@ -87,7 +86,7 @@ def test_completeness_on_random_separable_states(rng):
             pairs.append((x, y))
             mat += proj(product_vector(x, y))
         s = BipartiteOperator(3, 3, mat)
-        res = product_vector_search(s, starts=100, seed=11, stop_objective=1e-10)
+        res = product_vector_search(s, starts=100, seed=11)
         assert res.best_objective <= 1e-9
         # soundness: re-verify the reported pair against the ranges directly
         r1, r2 = _range_residuals(s, res.best_x, res.best_y)
@@ -114,7 +113,7 @@ def test_deterministic_for_fixed_seed():
 
 def test_alternating_steps_are_exact_minimizers(rng):
     # each step solves its subproblem globally: no random candidate beats it
-    obj = _Objective(edge_state(1.4, 0.5), 1e-9)
+    obj = _Objective(edge_state(1.4, 0.5))
     for _ in range(10):
         x_fixed = random_unit(rng, 3)[None]
         y_best = obj.best_y(x_fixed)
@@ -130,7 +129,7 @@ def test_alternating_steps_are_exact_minimizers(rng):
 def test_objective_decreases_monotonically():
     # alternating exact minimization can never increase the objective
     s = edge_state(0.8, -0.6)
-    obj = _Objective(s, 1e-9)
+    obj = _Objective(s)
     g = np.random.default_rng(0)
     x, y = random_unit(g, 3)[None], random_unit(g, 3)[None]
     prev = obj.value(x, y)[0]
@@ -164,26 +163,6 @@ def test_fewer_starts_give_a_bit_exact_prefix(state):
         assert res.starts == k
         assert np.array_equal(res.per_start_objectives, full.per_start_objectives[:k])
         assert res.best_objective == res.per_start_objectives.min()
-
-
-def test_stop_objective_truncates_at_the_first_hit():
-    s = corner_state(1.0)
-    f = product_vector_search(s, starts=300, seed=5).per_start_objectives
-    # starts that beat every earlier one; the first start an objective stops at
-    records = [j for j in range(1, len(f)) if f[j] < f[:j].min()]
-    assert records
-    for j in records:
-        stopped = product_vector_search(s, starts=300, seed=5, stop_objective=f[j])
-        truncated = product_vector_search(s, starts=j + 1, seed=5)
-        assert stopped.starts == j + 1
-        assert np.array_equal(stopped.per_start_objectives, f[: j + 1])
-        assert np.array_equal(stopped.per_start_objectives, truncated.per_start_objectives)
-        assert stopped.best_objective == truncated.best_objective == f[j]
-        assert np.array_equal(stopped.best_x, truncated.best_x)
-        assert np.array_equal(stopped.best_y, truncated.best_y)
-        assert stopped.verdict is truncated.verdict
-    never = product_vector_search(s, starts=300, seed=5, stop_objective=-1.0)
-    assert np.array_equal(never.per_start_objectives, f)
 
 
 def _start_by_start_objectives(s, starts, seed, max_iters=500, convergence_tol=1e-14):
@@ -272,7 +251,7 @@ def test_starts_advance_in_lockstep(monkeypatch):
     monkeypatch.setattr(search.np, "einsum", counting("einsum", np.einsum))
     state = edge_state(1.0, math.pi / 6)
     # set-up: the kernels and the objective of the starts
-    _Objective(state, RANK_RTOL).value(*search._random_starts(np.random.default_rng(0), 200, 3, 3))
+    _Objective(state).value(*search._random_starts(np.random.default_rng(0), 200, 3, 3))
     setup = dict(calls)
     calls.update(eigh=0, einsum=0)
     monkeypatch.setattr(_Objective, "step", counting("step", _Objective.step))
@@ -324,7 +303,7 @@ def _separable(rng, m, n, k):
 def test_forms_match_gram_construction(m, n, rng):
     # the oracle: the forms as Hermitian products of the contracted kernels
     for k in (1, 2, m + n - 2):
-        obj = _Objective(_separable(rng, m, n, k), RANK_RTOL)
+        obj = _Objective(_separable(rng, m, n, k))
         assert obj.ka.shape[2] and obj.kt.shape[2]
         x = np.array([random_unit(rng, m) for _ in range(20)])
         y = np.array([random_unit(rng, n) for _ in range(20)])
@@ -414,7 +393,7 @@ def _realified_form(c, e):
 def test_best_x_form_is_hermitian_in_x(state, rng):
     # conj(x)^H E conj(x) = x^H conj(E) x, so for fixed y the objective is the
     # complex form C + conj(E), whose realification is the real 2m x 2m form
-    obj = _Objective(state, RANK_RTOL)
+    obj = _Objective(state)
     for _ in range(10):
         y = random_unit(rng, 3)
         c_a = np.einsum("ila,l->ai", obj.ka, y)
