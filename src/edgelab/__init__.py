@@ -38,7 +38,7 @@ from .linalg import (
     range_basis,
     tensor,
 )
-from .search import EdgeSearchResult, SearchVerdict, product_vector_search
+from .search import EdgeSearchResult, SearchVerdict, product_vector_search, product_vector_search_many
 from .states import (
     GramSpec,
     choi_matrix,
@@ -92,6 +92,7 @@ __all__ = [
     "phase_circulant",
     "product_vector",
     "product_vector_search",
+    "product_vector_search_many",
     "proj",
     "range_basis",
     "rank_bounds",

@@ -26,7 +26,7 @@ from . import io as mio
 from .classify import EdgeCertificate, classify, classify_many, reconstruct_separable, verify_edge_analytic
 from .errors import EdgeLabError, InvalidParamError
 from .linalg import BipartiteOperator
-from .search import SearchVerdict, product_vector_search
+from .search import SearchVerdict, product_vector_search, product_vector_search_many
 from .states import (
     GramSpec,
     choi_matrix,
@@ -189,6 +189,11 @@ def cmd_edge_check(args) -> int:
 
 
 def _parse_range(text: str):
+    """``--range NAME=START:STOP:STEPS``: the name, the step count and the i-th value.
+
+    The values are those of ``numpy.linspace(START, STOP, STEPS)``, bit for
+    bit, computed when asked for, so a range holds no list of its values.
+    """
     try:
         name, rest = text.split("=", 1)
         start, stop, steps = rest.split(":")
@@ -197,11 +202,22 @@ def _parse_range(text: str):
         raise InvalidParamError(f"bad --range {text!r}; expected NAME=START:STOP:STEPS") from exc
     if steps < 1:
         raise InvalidParamError("range steps must be >= 1")
-    try:
-        values = np.linspace(start, stop, steps).tolist() if steps > 1 else [start]
-    except ValueError as exc:
-        raise InvalidParamError(f"bad --range {text!r}: too many steps ({exc})") from exc
-    return name.strip(), values
+    if steps > 2**53:  # beyond it a step index is not exact as a float
+        raise InvalidParamError(f"bad --range {text!r}: too many steps (at most 2**53)")
+    div = max(steps - 1, 1)
+    delta = stop - start
+    step = delta / div
+
+    def value(i: int) -> float:
+        # as numpy.linspace: STOP exactly at the end, else i * step + start,
+        # or (i / div) * delta + start when the step underflows to zero
+        if steps == 1:
+            return start
+        if i == div:
+            return stop
+        return i * step + start if step != 0 else (i / div) * delta + start
+
+    return name.strip(), steps, value
 
 
 def cmd_sweep(args) -> int:
@@ -211,39 +227,49 @@ def cmd_sweep(args) -> int:
     columns = FAMILIES[family][0]
     if not args.range:
         raise InvalidParamError("provide at least one --range NAME=START:STOP:STEPS")
-    names, grids = [], []
+    ranges = {}
     for text in args.range:
-        name, values = _parse_range(text)
+        name, steps, value = _parse_range(text)
         if name not in columns:
             raise InvalidParamError(f"family {family!r} has no parameter {name!r}")
-        if name in names:
+        if name in ranges:
             raise InvalidParamError(f"parameter {name!r} has more than one --range")
-        if name == "target_p":  # an integer option: build and print 5, not 5.0
-            values = [int(v) if v.is_integer() else v for v in values]
-        names.append(name)
-        grids.append(values)
+        ranges[name] = (steps, value)
     fixed = {}
     for pname in columns:
-        if pname in names:
+        if pname in ranges:
             continue
         val = getattr(args, pname)
         if val is None:
             raise InvalidParamError(f"fix parameter --{pname.replace('_', '-')} or sweep it")
         fixed[pname] = val
 
+    # the last range varies fastest; target_p is an integer option: build and
+    # print 5, not 5.0
+    axes = [(name, steps, value, name == "target_p") for name, (steps, value) in reversed(ranges.items())]
+
+    def point(k: int) -> dict:
+        """Grid point ``k`` in row-major order."""
+        params = dict(fixed)
+        for name, steps, value, integral in axes:
+            k, i = divmod(k, steps)
+            v = value(i)
+            params[name] = int(v) if integral and v.is_integer() else v
+        return params
+
     def chunks():
-        grid = itertools.product(*grids)  # row-major grid order
-        while chunk := list(itertools.islice(grid, SWEEP_CHUNK)):
-            points = [{**fixed, **dict(zip(names, point))} for point in chunk]
+        total = math.prod(steps for steps, _ in ranges.values())
+        for lo in range(0, total, SWEEP_CHUNK):
+            points = [point(k) for k in range(lo, min(lo + SWEEP_CHUNK, total))]
             ops = [build_family(family, params) for params in points]
             rows = []
-            for params, op, c in zip(points, ops, classify_many(ops)):
+            for params, c in zip(points, classify_many(ops)):
                 row = [params[name] for name in columns]
-                row += [c.is_ppt, c.type[0], c.type[1]]
-                if args.search:
-                    row.append(product_vector_search(op, starts=args.starts, seed=args.seed).best_objective)
-                rows.append([repr(v) if isinstance(v, float) else v for v in row])
-            yield rows
+                rows.append(row + [c.is_ppt, c.type[0], c.type[1]])
+            if args.search:
+                for row, r in zip(rows, product_vector_search_many(ops, starts=args.starts, seed=args.seed)):
+                    row.append(r.best_objective)
+            yield [[repr(v) if isinstance(v, float) else v for v in row] for row in rows]
 
     header = list(columns) + ["isPPT", "p", "q"]
     if args.search:
@@ -372,8 +398,11 @@ def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except EdgeLabError as exc:
+        # entries near the float limit may overflow on their way to an answer
+        # or to an error; the answer or the error is the report, not a warning
+        with np.errstate(over="ignore"):
+            return args.func(args)
+    except (EdgeLabError, np.linalg.LinAlgError) as exc:
         print(f"edgelab: error: {exc}", file=sys.stderr)
         return 2
 

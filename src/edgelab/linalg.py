@@ -120,10 +120,14 @@ def partial_transpose(s: BipartiteOperator) -> BipartiteOperator:
     return BipartiteOperator(s.m, s.n, _partial_transpose(s.mat, s.m, s.n))
 
 
-def _frobenius(a: np.ndarray) -> np.ndarray:
-    """Frobenius norms over the last two axes, as one sum over the real view."""
-    r = np.ascontiguousarray(a).view(np.float64)
-    return np.sqrt(np.einsum("...ij,...ij->...", r, r))
+def _squared_norms(m: np.ndarray, mh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Squared Frobenius norms of ``m``, floored at 1, and of ``m - mh``, per matrix.
+
+    Each is one sum over the real view.
+    """
+    r = np.ascontiguousarray(m).view(np.float64)
+    d = (m - mh).view(np.float64)
+    return np.maximum(np.einsum("...ij,...ij->...", r, r), 1.0), np.einsum("...ij,...ij->...", d, d)
 
 
 def _check_hermitian(m: np.ndarray) -> np.ndarray:
@@ -137,16 +141,23 @@ def _check_hermitian(m: np.ndarray) -> np.ndarray:
     if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise DimensionMismatchError("expected a square matrix")
     mh = m.conj().swapaxes(-2, -1)
-    scale = np.maximum(_frobenius(m), 1.0)
-    asym = _frobenius(m - mh)
-    fails = asym > HERM_RTOL * scale
-    if fails.any():
-        i = np.argmax(fails)
-        where = f" (matrix {i} of the stack)" if fails.size > 1 else ""
-        raise NotHermitianError(
-            f"not Hermitian{where}: relative asymmetry {asym.flat[i] / scale.flat[i]:.3e} exceeds {HERM_RTOL:.1e}"
-        )
-    return (m + mh) / 2
+    scale2, asym2 = _squared_norms(m, mh)
+    # a sum of squares past the float limit would pass any asymmetry
+    fails = (asym2 > HERM_RTOL**2 * scale2) | np.isinf(scale2)
+    if not fails.any():
+        return (m + mh) / 2
+    if np.isinf(scale2).any():
+        # weigh each matrix divided by c, the larger of 1 and its largest
+        # entry modulus, and halve each term before the sum, which overflows
+        c = np.maximum(np.abs(m).max(axis=(-2, -1), keepdims=True), 1.0)
+        scale2, asym2 = _squared_norms(m / c, mh / c)
+        fails = asym2 > HERM_RTOL**2 * scale2
+        if not fails.any():
+            return m / 2 + mh / 2
+    i = np.argmax(fails)
+    where = f" (matrix {i} of the stack)" if fails.size > 1 else ""
+    rel = np.sqrt(asym2.flat[i] / scale2.flat[i])
+    raise NotHermitianError(f"not Hermitian{where}: relative asymmetry {rel:.3e} exceeds {HERM_RTOL:.1e}")
 
 
 def _rank(sv: np.ndarray, rel_tol: float) -> np.ndarray:

@@ -20,27 +20,31 @@ y has entries ``sum conj(x_i) x_j M[(i, j), (l, o)]``, and the form in x is
 the same sum over ``conj(y_l) y_o``, where the (m^2, n^2) matrix ``M`` comes
 from the kernel bases once per search.
 
-Each search draws its starting pairs from one generator,
-``default_rng(seed)``; start i takes row i of its stream.  The starts run in
-index order, in lockstep blocks of :data:`BLOCK`, and a block takes the next
-rows: its pairs are stacked as arrays of shape ``(block, m)`` and
-``(block, n)``.  One step of every running start of the block is, per
-factor, one stacked product of the flattened outer products with ``M`` and
-one stacked smallest eigenvector; the objective ``||d x||^2`` then takes two
-stacked products.  Every product is stacked row by row, so each start stops
-on its own, after the same steps it would take alone, and its result does
-not depend on which starts share its block.  Memory grows with the block,
-not with the number of starts.
+Each state's search draws its starting pairs from its own generator,
+``default_rng(seed)``; start i takes row i of its stream.  The starts of one
+or more states run in one loop, in lockstep blocks of :data:`BLOCK` that take
+the next starts of consecutive states, so a block may end with the first
+starts of one state after the last starts of another.  A block's pairs are
+stacked as arrays of shape ``(block, m)`` and ``(block, n)``, the rows of
+each state contiguous.  One step of every running start of the block is, per
+factor, one product of each state's flattened outer products with its ``M``
+and one stacked smallest eigenvector for the rows of all states; the
+objective ``||d x||^2`` then takes two stacked products per state.  Every
+product is stacked row by row, so each start stops on its own, after the
+same steps it would take alone, and its result depends neither on the starts
+nor on the states that share its block.  Memory grows with the block, not
+with the number of starts.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidParamError
+from .errors import DimensionMismatchError, InvalidParamError
 from .linalg import RANK_RTOL, BipartiteOperator, _check_hermitian, _rank, partial_transpose
 
 FOUND_THRESHOLD = 1e-9
@@ -48,9 +52,12 @@ FOUND_THRESHOLD = 1e-9
 # A start stops once one step lowers its objective by less than this.
 CONVERGENCE_TOL = 1e-14
 
-# Starts advanced together.  Beyond a few hundred starts a larger block no
-# longer lowers the cost per start, while its memory keeps growing with it.
-BLOCK = 256
+# Starts advanced together, over one or more states.  One 1,000-start search
+# of edge_state(1, pi/6) took 96, 69, 56 and 55 ms in blocks of 128, 256, 512
+# and 1024, and 2,000 starts 130 ms in blocks of 1024 against 146 in 2048
+# (process CPU time, medians of 12 and 6 interleaved runs); memory grows with
+# the block.
+BLOCK = 1024
 
 # Near a true zero the absolute-decrease criterion stops several decades above
 # the floating floor; starts at or under the found-threshold then polish while
@@ -183,8 +190,8 @@ def _sq_norms(v: np.ndarray) -> np.ndarray:
 class _Objective:
     """The kernel bases, and the two Hermitian forms of the objective as matrices.
 
-    Every method takes ``x`` of shape ``(block, m)`` and ``y`` of shape
-    ``(block, n)``, one row per start.
+    Every method takes one row per start: ``x`` of shape ``(rows, m)``, ``y``
+    of shape ``(rows, n)``, and outer products as flattened by :func:`_outer`.
     """
 
     def __init__(self, s: BipartiteOperator):
@@ -196,7 +203,7 @@ class _Objective:
         # shape (m, n, k): first axis contracts with x, second with y
         self.ka = _kernel(h).conj().reshape(m, n, -1)
         self.kt = _kernel(tau).conj().reshape(m, n, -1)
-        # y @ k, reshaped to (block, k, m), stacks the rows of d from ka, then kt
+        # y @ k, reshaped to (rows, k, m), stacks the rows of d from ka, then kt
         self.k = np.concatenate([self.ka, self.kt], axis=2).transpose(1, 2, 0).reshape(n, -1)
         # f(x, y) = sum conj(x_i) x_j conj(y_l) y_o form[i, j, l, o]; the kt
         # term sees conj(x), so its coefficient of conj(x_i) x_j is t[j, i, l, o]
@@ -213,9 +220,6 @@ class _Objective:
     def value(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return _sq_norms((self.x_form(y) @ x[:, :, None])[:, :, 0])
 
-    def best_y(self, x: np.ndarray) -> np.ndarray:
-        return _smallest_eigvecs(_rowwise(_outer(x), self.m_y).reshape(len(x), self.n, self.n))
-
     def x_form(self, y: np.ndarray) -> np.ndarray:
         """Stacked ``d = [c_a ; conj(c_t)]``, so that ``value(x, y) = ||d x||^2``.
 
@@ -227,28 +231,67 @@ class _Objective:
         np.conjugate(tail, out=tail)
         return d
 
-    def best_x(self, y: np.ndarray) -> np.ndarray:
-        return _smallest_eigvecs(_rowwise(_outer(y), self.m_x).reshape(len(y), self.m, self.m))
+    def y_forms(self, ox: np.ndarray) -> np.ndarray:
+        """Stacked forms in y, of shape ``(rows, n, n)``, from ``ox = _outer(x)``."""
+        return _rowwise(ox, self.m_y).reshape(len(ox), self.n, self.n)
 
-    def step(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One alternating step from ``x``: the new ``x``, ``y`` and objective."""
-        y = self.best_y(x)
-        x = self.best_x(y)
-        return x, y, self.value(x, y)
+    def x_forms(self, oy: np.ndarray) -> np.ndarray:
+        """Stacked forms in x, of shape ``(rows, m, m)``, from ``oy = _outer(y)``."""
+        return _rowwise(oy, self.m_x).reshape(len(oy), self.m, self.m)
 
 
-def _descend(obj: _Objective, x: np.ndarray, y: np.ndarray, max_iters: int) -> np.ndarray:
+# One state's objective and the rows ``lo:hi`` it owns in a stack of rows.
+_Segment = tuple[_Objective, int, int]
+
+
+def _segments(objs: list[_Objective], bounds: np.ndarray, live: np.ndarray) -> list[_Segment]:
+    """Where each state's rows sit among the block rows ``live`` (ascending).
+
+    State ``j`` owns the block rows ``bounds[j]:bounds[j + 1]``; a state with
+    no row in ``live`` has no segment.
+    """
+    if len(objs) == 1:
+        return [(objs[0], 0, len(live))]
+    cuts = np.searchsorted(live, bounds).tolist()
+    return [(obj, lo, hi) for obj, lo, hi in zip(objs, cuts, cuts[1:]) if hi > lo]
+
+
+def _per_state(segs: list[_Segment], method, *rows: np.ndarray) -> np.ndarray:
+    """``method(obj, *rows)`` on each segment's rows, concatenated in row order.
+
+    A stack of one state makes the one call on the rows as they stand.
+    """
+    if len(segs) == 1:
+        return method(segs[0][0], *rows)
+    return np.concatenate([method(obj, *(r[lo:hi] for r in rows)) for obj, lo, hi in segs])
+
+
+def _step(segs: list[_Segment], x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One alternating step from the rows ``x``: the new ``x``, ``y`` and objective.
+
+    Each state builds the forms of its own rows; one closed-form solve per
+    half-step then serves the rows of every state.
+    """
+    y = _smallest_eigvecs(_per_state(segs, _Objective.y_forms, _outer(x)))
+    x = _smallest_eigvecs(_per_state(segs, _Objective.x_forms, _outer(y)))
+    return x, y, _per_state(segs, _Objective.value, x, y)
+
+
+def _descend(
+    objs: list[_Objective], bounds: np.ndarray, x: np.ndarray, y: np.ndarray, max_iters: int
+) -> np.ndarray:
     """Run every start of a block to its stop, updating ``x`` and ``y`` in place.
 
-    A start leaves the running set once its decrease falls under
-    :data:`CONVERGENCE_TOL` or after ``max_iters`` steps; the starts then at
-    or under :data:`FOUND_THRESHOLD` polish together while strictly improving.
+    State ``j`` owns the rows ``bounds[j]:bounds[j + 1]``.  A start leaves
+    the running set once its decrease falls under :data:`CONVERGENCE_TOL` or
+    after ``max_iters`` steps; the starts then at or under
+    :data:`FOUND_THRESHOLD` polish together while strictly improving.
     Returns the objective of each start.
     """
-    f = obj.value(x, y)
-    live = np.arange(len(f))
+    live = np.arange(len(x))
+    f = _per_state(_segments(objs, bounds, live), _Objective.value, x, y)
     for _ in range(max_iters):
-        x[live], y[live], f_new = obj.step(x[live])
+        x[live], y[live], f_new = _step(_segments(objs, bounds, live), x[live])
         going = f[live] - f_new >= CONVERGENCE_TOL
         f[live] = f_new
         live = live[going]
@@ -258,11 +301,92 @@ def _descend(obj: _Objective, x: np.ndarray, y: np.ndarray, max_iters: int) -> n
     for _ in range(POLISH_STEPS):
         if not live.size:
             break
-        x_p, y_p, f_p = obj.step(x[live])
+        x_p, y_p, f_p = _step(_segments(objs, bounds, live), x[live])
         better = f_p < f[live]
         live = live[better]
         x[live], y[live], f[live] = x_p[better], y_p[better], f_p[better]
     return f
+
+
+def product_vector_search_many(
+    states: Iterable[BipartiteOperator],
+    starts: int = 200,
+    max_iters: int = 500,
+    seed: int = 0,
+) -> list[EdgeSearchResult]:
+    """:func:`product_vector_search` of every operator in ``states``, all of one shape.
+
+    Each state makes its own generator, ``default_rng(seed)``, and start ``i``
+    of a state takes row ``i`` of its stream, so each result is bit for bit
+    that of searching the state alone.  The starts of all states run in one
+    loop, in lockstep blocks of :data:`BLOCK` that take the next starts of
+    consecutive states; one closed-form solve per half-step serves every
+    state of a block.  Raises :class:`InvalidParamError` when ``starts < 1``,
+    ``max_iters < 1`` or ``seed < 0``, ``TypeError`` when ``seed`` is not an
+    integer, and :class:`DimensionMismatchError` when the shapes differ; an
+    empty ``states`` gives ``[]``.
+    """
+    if starts < 1:
+        raise InvalidParamError(f"starts must be >= 1, got {starts}")
+    if max_iters < 1:
+        raise InvalidParamError(f"max_iters must be >= 1, got {max_iters}")
+    if seed < 0:
+        raise InvalidParamError(f"seed must be >= 0, got {seed}")
+    states = list(states)
+    if not states:
+        return []
+    m, n = states[0].m, states[0].n
+    if any(s.m != m or s.n != n for s in states):
+        raise DimensionMismatchError("product_vector_search_many needs operators of one shape (m, n)")
+    # numpy.random loads here, on the first search, not with edgelab
+    from numpy.random import default_rng
+
+    objs = [_Objective(s) for s in states]
+    rngs = [default_rng(seed) for _ in states]
+    results: list[EdgeSearchResult | None] = [None] * len(states)
+    for i, obj in enumerate(objs):
+        if obj.trivial:
+            # full-rank state and partial transpose: every product vector qualifies
+            x, y = _random_starts(rngs[i], 1, m, n)
+            results[i] = EdgeSearchResult(0.0, x[0], y[0], 1, np.zeros(1), SearchVerdict.PRODUCT_VECTOR_FOUND)
+    todo = [i for i, r in enumerate(results) if r is None]
+
+    best = {i: (np.inf, None, None) for i in todo}
+    per_start = {i: [] for i in todo}
+    # the starts of every state in turn, cut into blocks: (state, count) pairs
+    total = len(todo) * starts
+    for lo in range(0, total, BLOCK):
+        hi = min(lo + BLOCK, total)
+        block = [
+            (todo[k], min(hi, (k + 1) * starts) - max(lo, k * starts))
+            for k in range(lo // starts, (hi - 1) // starts + 1)
+        ]
+        xs, ys = zip(*(_random_starts(rngs[i], count, m, n) for i, count in block))
+        x, y = np.concatenate(xs), np.concatenate(ys)
+        bounds = np.cumsum([0] + [count for _, count in block])
+        f = _descend([objs[i] for i, _ in block], bounds, x, y, max_iters)
+        for (i, _), a, b in zip(block, bounds.tolist(), bounds[1:].tolist()):
+            j = a + int(np.argmin(f[a:b]))
+            if f[j] < best[i][0]:
+                best[i] = (float(f[j]), x[j].copy(), y[j].copy())
+            per_start[i].append(f[a:b])
+
+    for i in todo:
+        f, best_x, best_y = best[i]
+        verdict = (
+            SearchVerdict.PRODUCT_VECTOR_FOUND
+            if f <= FOUND_THRESHOLD
+            else SearchVerdict.NONE_FOUND_ABOVE_THRESHOLD
+        )
+        results[i] = EdgeSearchResult(
+            best_objective=f,
+            best_x=best_x,
+            best_y=best_y,
+            starts=starts,
+            per_start_objectives=np.concatenate(per_start[i]),
+            verdict=verdict,
+        )
+    return results
 
 
 def product_vector_search(
@@ -281,48 +405,7 @@ def product_vector_search(
     lockstep blocks of :data:`BLOCK` starts, so memory stays proportional
     to the block and the cost per start falls as more starts share a block.
     The best pair is that of the first start with the smallest objective.
-    Raises :class:`InvalidParamError` when ``starts < 1``, ``max_iters < 1``
-    or ``seed < 0``, and ``TypeError`` when ``seed`` is not an integer.
+    This is :func:`product_vector_search_many` of one state, and raises what
+    it raises.
     """
-    if starts < 1:
-        raise InvalidParamError(f"starts must be >= 1, got {starts}")
-    if max_iters < 1:
-        raise InvalidParamError(f"max_iters must be >= 1, got {max_iters}")
-    if seed < 0:
-        raise InvalidParamError(f"seed must be >= 0, got {seed}")
-    # numpy.random loads here, on the first search, not with edgelab
-    from numpy.random import default_rng
-
-    rng = default_rng(seed)
-    obj = _Objective(s)
-    if obj.trivial:
-        # full-rank state and partial transpose: every product vector qualifies
-        x, y = _random_starts(rng, 1, s.m, s.n)
-        return EdgeSearchResult(
-            0.0, x[0], y[0], 1, np.zeros(1), SearchVerdict.PRODUCT_VECTOR_FOUND
-        )
-
-    per_block = []
-    best = np.inf
-    best_x = best_y = None
-    for lo in range(0, starts, BLOCK):
-        x, y = _random_starts(rng, min(BLOCK, starts - lo), s.m, s.n)
-        f = _descend(obj, x, y, max_iters)
-        i = int(np.argmin(f))
-        if f[i] < best:
-            best, best_x, best_y = float(f[i]), x[i].copy(), y[i].copy()
-        per_block.append(f)
-
-    verdict = (
-        SearchVerdict.PRODUCT_VECTOR_FOUND
-        if best <= FOUND_THRESHOLD
-        else SearchVerdict.NONE_FOUND_ABOVE_THRESHOLD
-    )
-    return EdgeSearchResult(
-        best_objective=best,
-        best_x=best_x,
-        best_y=best_y,
-        starts=starts,
-        per_start_objectives=np.concatenate(per_block),
-        verdict=verdict,
-    )
+    return product_vector_search_many([s], starts, max_iters, seed)[0]

@@ -5,12 +5,15 @@ import math
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from edgelab import BipartiteOperator, choi_matrix, classify, edge_state, product_vector_search
-from edgelab.cli import SWEEP_CHUNK, main
+from edgelab.cli import SWEEP_CHUNK, _parse_range, main
 from edgelab.io import matrix_from_dict, matrix_to_dict, read_matrix, write_matrix
 from edgelab.errors import EdgeLabError
 
@@ -211,6 +214,39 @@ class TestClassifyCommand:
         assert code == 2
         assert "not Hermitian" in err
         assert "stack" not in err
+
+    def test_huge_finite_entries_give_a_verdict(self, capsys):
+        code, out, err = run_cli(
+            capsys, "classify", "--family", "choi", "--a", "1e308", "--b", "1e308", "--c", "1e308"
+        )
+        assert (code, err) == (0, "")
+        report = strict_json(out)
+        assert report["isPPT"] is True
+        assert report["type"] == [9, 9]
+
+    @pytest.mark.parametrize("opposite", [0.0, -1.7e308], ids=["norm-overflows", "difference-overflows"])
+    def test_huge_non_hermitian_file_exit_2(self, capsys, tmp_path, opposite):
+        # the Frobenius norm overflows; the asymmetry must still be seen
+        bad = np.diag([1e308] * 9)
+        bad[0, 1], bad[1, 0] = 1.7e308, opposite
+        path = tmp_path / "bad.json"
+        write_matrix(BipartiteOperator(3, 3, bad), path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning before the error line
+            code, out, err = run_cli(capsys, "classify", "--in", str(path))
+        assert (code, out) == (2, "")
+        assert_one_line_error(err)
+        assert "not Hermitian" in err
+
+    def test_linear_algebra_failure_exit_2(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(CLASSIFY_MODULE.np.linalg, "eigvalsh", fail)
+        code, out, err = run_cli(capsys, "classify", "--family", "edge", "--b", "1", "--theta", "0.5")
+        assert (code, out) == (2, "")
+        assert_one_line_error(err)
+        assert "did not converge" in err
 
     def test_malformed_file_exit_2(self, capsys, tmp_path):
         path = tmp_path / "malformed.json"
@@ -500,8 +536,47 @@ class TestSweep:
         )
         assert (code, out) == (2, "")
 
+    def test_huge_finite_entries_give_verdicts(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sweep", "--family", "choi", "--a", "1e308", "--b", "1e308", "--range", "c=1e307:1e308:3",
+        )
+        assert (code, err) == (0, "")
+        lines = out.strip().splitlines()
+        assert lines[0] == "a,b,c,isPPT,p,q"
+        assert [line.split(",")[2:] for line in lines[1:]] == [
+            [c, "True", "9", "9"] for c in ("1e+307", "5.5e+307", "1e+308")
+        ]
+
+    @given(
+        start=st.floats(width=64),
+        stop=st.floats(width=64),
+        steps=st.integers(1, 400),
+    )
+    @example(start=0.0, stop=1.5e-323, steps=10)  # the step underflows to zero
+    @example(start=-1e308, stop=1e308, steps=4)  # STOP - START overflows
+    @example(start=1.0, stop=math.inf, steps=1)
+    @settings(max_examples=300, deadline=None)
+    def test_range_values_are_those_of_linspace(self, start, stop, steps):
+        name, count, value = _parse_range(f" x ={start!r}:{stop!r}:{steps}")
+        assert (name, count) == ("x", steps)
+        start, stop = float(repr(start)), float(repr(stop))  # a NaN's text drops its payload
+        with np.errstate(all="ignore"):
+            want = np.linspace(start, stop, steps) if steps > 1 else np.array([start])
+        assert np.array([value(i) for i in range(steps)]).tobytes() == want.tobytes()
+
+    def test_range_holds_no_list_of_its_values(self):
+        _parse_range("b=1:2:2")  # first use, outside the measurement
+        tracemalloc.start()
+        try:
+            _, steps, value = _parse_range("b=1:2:1000000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20_000  # a list of the values would take about 32 MB
+        assert (steps, value(0), value(999_999)) == (1_000_000, 1.0, 2.0)
+
     def test_bad_range_exit_2(self, capsys):
-        # numpy refuses both step counts before it allocates anything
+        # more than 2**53 steps: a step index is no longer exact as a float
         for text in ("theta=oops", f"theta=0:1:{10**20}", f"theta=0:1:{2**62}"):
             code, out, err = run_cli(capsys, "sweep", "--family", "edge", "--b", "1", "--range", text)
             assert (code, out) == (2, "")

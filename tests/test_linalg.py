@@ -135,6 +135,30 @@ class TestHermitianEig:
             gram_realization(bad)
 
 
+def test_hermitian_check_near_the_float_limit(rng):
+    # a Frobenius norm past the float limit must not make the check vacuous
+    big = np.zeros((9, 9), dtype=complex)
+    big[0, 1] = big[1, 0] = 1.7e308
+    big[2, 2] = -1.7e308
+    assert np.array_equal(_check_hermitian(big), big)
+    skew = big.copy()
+    skew[1, 0] = -1.7e308
+    bad = np.diag([1e308] * 9).astype(complex)
+    bad[0, 1] = 1e308
+    for m in (skew, bad):
+        # the skew matrix's m - m^H overflows on the way to the verdict
+        with pytest.raises(NotHermitianError), np.errstate(over="ignore"):
+            _check_hermitian(m)
+    # in a stack with a huge matrix, an ordinary one is weighed as alone
+    small = np.eye(9, dtype=complex)
+    small[0, 1] = 1e-3
+    with pytest.raises(NotHermitianError, match="matrix 1 of the stack"):
+        _check_hermitian(np.array([big, small]))
+    # ordinary entries symmetrize to the bits of (m + m^H) / 2
+    m = random_hermitian(rng, 9) + 1e-12 * random_hermitian(rng, 9) * 1j
+    assert np.array_equal(_check_hermitian(m), (m + m.conj().T) / 2)
+
+
 def test_stacked_rules_match_matrix_by_matrix(rng):
     planted = (planted_rank_hermitian, planted_rank_psd)
     mats = [

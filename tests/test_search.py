@@ -1,24 +1,32 @@
+import cmath
 import math
 import subprocess
 import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgelab import (
     BipartiteOperator,
+    GramSpec,
     SearchVerdict,
+    choi_matrix,
     corner_state,
     edge_state,
+    face_state,
     partial_transpose,
     product_vector,
     product_vector_search,
+    product_vector_search_many,
     proj,
     range_basis,
 )
 from edgelab import search
-from edgelab.errors import InvalidParamError
+from edgelab.errors import DimensionMismatchError, InvalidParamError
 from edgelab.search import BLOCK, FOUND_THRESHOLD, _Objective
 from helpers import kernel_basis, random_unit, random_unitary
 
@@ -111,15 +119,23 @@ def test_deterministic_for_fixed_seed():
     assert np.array_equal(a.best_y, b.best_y)
 
 
+def _best_y(obj, x):
+    return search._smallest_eigvecs(obj.y_forms(search._outer(x)))
+
+
+def _best_x(obj, y):
+    return search._smallest_eigvecs(obj.x_forms(search._outer(y)))
+
+
 def test_alternating_steps_are_exact_minimizers(rng):
     # each step solves its subproblem globally: no random candidate beats it
     obj = _Objective(edge_state(1.4, 0.5))
     for _ in range(10):
         x_fixed = random_unit(rng, 3)[None]
-        y_best = obj.best_y(x_fixed)
+        y_best = _best_y(obj, x_fixed)
         f_y = obj.value(x_fixed, y_best)[0]
         y_fixed = random_unit(rng, 3)[None]
-        x_best = obj.best_x(y_fixed)
+        x_best = _best_x(obj, y_fixed)
         f_x = obj.value(x_best, y_fixed)[0]
         for _ in range(200):
             assert f_y <= obj.value(x_fixed, random_unit(rng, 3)[None])[0] + 1e-12
@@ -134,9 +150,9 @@ def test_objective_decreases_monotonically():
     x, y = random_unit(g, 3)[None], random_unit(g, 3)[None]
     prev = obj.value(x, y)[0]
     for _ in range(50):
-        y = obj.best_y(x)
+        y = _best_y(obj, x)
         mid = obj.value(x, y)[0]
-        x = obj.best_x(y)
+        x = _best_x(obj, y)
         cur = obj.value(x, y)[0]
         assert mid <= prev + 1e-12
         assert cur <= mid + 1e-12
@@ -155,14 +171,74 @@ def test_rejects_negative_seed():
 
 @pytest.mark.parametrize("state", [corner_state(2.0), corner_state(1.0)], ids=["no-witness", "witness"])
 def test_fewer_starts_give_a_bit_exact_prefix(state):
-    # 256 and 257 sit on either side of the first block boundary
-    assert BLOCK == 256
-    full = product_vector_search(state, starts=300, seed=4)
-    for k in (1, 37, 256, 257):
+    # BLOCK and BLOCK + 1 sit on either side of the first block boundary
+    full = product_vector_search(state, starts=BLOCK + 44, seed=4)
+    for k in (1, 37, BLOCK, BLOCK + 1):
         res = product_vector_search(state, starts=k, seed=4)
         assert res.starts == k
         assert np.array_equal(res.per_start_objectives, full.per_start_objectives[:k])
         assert res.best_objective == res.per_start_objectives.min()
+
+
+# States the stacked search is checked on: edge, corner, choi and face states
+# without a witness, a full-rank state whose partial transpose is not, one
+# with both full rank (trivial), and the five witness states.
+STACK_POOL = [
+    edge_state(1.0, math.pi / 6),
+    edge_state(0.7, -0.9),
+    corner_state(2.0),
+    corner_state(0.7),
+    choi_matrix(2.0, 2.0, 0.5),
+    choi_matrix(1.5, 1.0, 1.0),
+    face_state(1.0, GramSpec(math.pi / 6, cmath.exp(0.3j))),
+    choi_matrix(3.0, 2.0, 1.0),
+    edge_state(1.0, 0.0),
+    choi_matrix(2.0, 1.0, 1.0),
+    edge_state(1.3, 0.0),
+    corner_state(1.0),
+    edge_state(1.0, math.pi / 3),
+]
+
+
+def _assert_same_results(stacked, alone):
+    assert len(stacked) == len(alone)
+    for got, want in zip(stacked, alone):
+        assert got.verdict is want.verdict
+        assert got.starts == want.starts
+        assert got.best_objective == want.best_objective
+        for field in ("best_x", "best_y", "per_start_objectives"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+
+
+@given(
+    picks=st.lists(st.integers(0, len(STACK_POOL) - 1), min_size=1, max_size=5),
+    starts=st.integers(1, 8),
+    seed=st.integers(0, 2**40),
+    block=st.integers(2, 24),
+)
+@settings(max_examples=40, deadline=None)
+def test_stacked_search_equals_one_state_at_a_time(picks, starts, seed, block):
+    # small blocks make most states run over a block boundary
+    states = [STACK_POOL[i] for i in picks]
+    alone = [product_vector_search(s, starts=starts, seed=seed) for s in states]
+    with mock.patch.object(search, "BLOCK", block):
+        stacked = product_vector_search_many(states, starts=starts, seed=seed)
+    _assert_same_results(stacked, alone)
+
+
+def test_stacked_search_across_a_block_boundary():
+    # the second state's starts run over the first boundary of BLOCK
+    states = [corner_state(2.0), corner_state(1.0), edge_state(1.0, math.pi / 6)]
+    k = BLOCK // 2 + 1
+    alone = [product_vector_search(s, starts=k, seed=4) for s in states]
+    _assert_same_results(product_vector_search_many(states, starts=k, seed=4), alone)
+
+
+def test_stacked_search_needs_one_shape():
+    with pytest.raises(DimensionMismatchError):
+        product_vector_search_many([edge_state(1.0, 0.5), _pure_2x3()], starts=2)
+    assert product_vector_search_many([]) == []
+    assert product_vector_search_many(iter([])) == []
 
 
 def _start_by_start_objectives(s, starts, seed, max_iters=500, convergence_tol=1e-14):
@@ -254,7 +330,7 @@ def test_starts_advance_in_lockstep(monkeypatch):
     _Objective(state).value(*search._random_starts(np.random.default_rng(0), 200, 3, 3))
     setup = dict(calls)
     calls.update(eigh=0, einsum=0)
-    monkeypatch.setattr(_Objective, "step", counting("step", _Objective.step))
+    monkeypatch.setattr(search, "_step", counting("step", search._step))
     monkeypatch.setattr(search, "_smallest_eigvecs", counting("eigvecs", search._smallest_eigvecs))
     product_vector_search(state, starts=200, seed=0)
     steps = calls["step"]
@@ -265,6 +341,29 @@ def test_starts_advance_in_lockstep(monkeypatch):
     assert calls["eigh"] == setup["eigh"] + 0
     # the steps make no einsum call: the forms are matrix products
     assert calls["einsum"] == setup["einsum"]
+
+
+def test_stacking_states_makes_fewer_closed_form_calls(monkeypatch):
+    # the search sweep of the CLI benchmark: 20 edge states, 50 starts each
+    calls = [0]
+    eigvecs = search._smallest_eigvecs
+
+    def counting(h):
+        calls[0] += 1
+        return eigvecs(h)
+
+    monkeypatch.setattr(search, "_smallest_eigvecs", counting)
+    states = [edge_state(1.0, t) for t in np.linspace(-1.15, 1.15, 20)]
+    alone = []
+    for s in states:
+        calls[0] = 0
+        product_vector_search(s, starts=50, seed=901)
+        alone.append(calls[0])
+    calls[0] = 0
+    product_vector_search_many(states, starts=50, seed=901)
+    # one block: as many steps as the longest descent plus the longest polish
+    assert max(alone) <= calls[0] <= 2 * max(alone)
+    assert 4 * calls[0] < sum(alone)
 
 
 # seeds one to five 32-bit words wide
@@ -404,4 +503,4 @@ def test_best_x_form_is_hermitian_in_x(state, rng):
             x = random_unit(rng, 3)
             assert obj.value(x[None], y[None])[0] == pytest.approx(np.vdot(x, form @ x).real, rel=1e-12, abs=1e-15)
         floor = np.linalg.eigvalsh(_realified_form(c, e))[0]
-        assert obj.value(obj.best_x(y[None]), y[None])[0] == pytest.approx(floor, abs=1e-12)
+        assert obj.value(_best_x(obj, y[None]), y[None])[0] == pytest.approx(floor, abs=1e-12)
