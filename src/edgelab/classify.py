@@ -11,7 +11,9 @@ path for a stack of one.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import sys
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
@@ -64,8 +66,9 @@ def alternating_binomial_sum(k: int, ell: int, m: int) -> int:
     return sum((-1) ** r * comb(k, r) * comb(ell, m - 1 - r) for r in range(m))
 
 
+@functools.lru_cache(maxsize=4096, typed=True)
 def rank_bounds(m: int, n: int, p: int, q: int) -> Admissibility:
-    """Admissibility of a type (p, q) for an m x n edge state.
+    """Admissibility of a type (p, q) for an m x n edge state; cached, as a shape has few types.
 
     Ranks at or below max(m, n) force separability; a pair of range/partial
     range dimensions that is too large forces the existence of a product
@@ -110,23 +113,19 @@ def classify_many(
     # Partial transposition permutes entries and commutes with the adjoint, so
     # the partial transposes of the symmetrized states are Hermitian as they stand.
     vals = np.linalg.eigvalsh(np.concatenate((h, _partial_transpose(h, m, n))))
-    ranks, psd = _rank_psd(vals, rel_tol, abs_tol)
-    ranks, psd = ranks.tolist(), psd.tolist()
-    out = []
-    for p, q, p_psd, q_psd in zip(ranks[:k], ranks[k:], psd[:k], psd[k:]):
-        adm = Admissibility.BELOW_LOWER_BOUND if p == 0 or q == 0 else rank_bounds(m, n, p, q)
-        out.append(
-            Classification(
-                is_psd=p_psd,
-                is_ppt=p_psd and q_psd,
-                type=(p, q),
-                kernel_dims=(d - p, d - q),
-                admissibility=adm,
-                rel_tol=rel_tol,
-                abs_tol=abs_tol,
-            )
+    ranks, psd = (flags.tolist() for flags in _rank_psd(vals, rel_tol, abs_tol))
+    return [
+        Classification(
+            is_psd=p_psd,
+            is_ppt=p_psd and q_psd,
+            type=(p, q),
+            kernel_dims=(d - p, d - q),
+            admissibility=rank_bounds(m, n, p, q) if p and q else Admissibility.BELOW_LOWER_BOUND,
+            rel_tol=rel_tol,
+            abs_tol=abs_tol,
         )
-    return out
+        for p, q, p_psd, q_psd in zip(ranks[:k], ranks[k:], psd[:k], psd[k:])
+    ]
 
 
 def classify(
@@ -213,14 +212,18 @@ def verify_edge_analytic(b: float, theta: float) -> CertificateTrace:
     never one for valid parameters), vanishing coordinates pair up between
     the factors, and each of the three remaining cases collapses because
     ``e^{-i theta} / b`` is not a nonnegative real.  Valid only under the
-    strict condition; raises :class:`ConditionViolatedError` otherwise.
+    strict condition with a finite ``b``; raises :class:`ConditionViolatedError`
+    otherwise.  A margin past the float range is reported as the largest float.
     """
-    if not edge_condition_holds(b, theta):
+    if not (edge_condition_holds(b, theta) and math.isfinite(b)):
         raise ConditionViolatedError(
-            f"(b, theta) = ({b}, {theta}) must satisfy b > 0 and 0 < |theta| < pi/3"
+            f"(b, theta) = ({b}, {theta}) must satisfy 0 < b < inf and 0 < |theta| < pi/3"
         )
-    product_margin = abs(b**3 + cmath.exp(-3j * theta))
-    collapse_margin = abs(math.sin(theta)) / b
+    try:  # a float's power overflows by raising
+        product_margin = min(abs(b**3 + cmath.exp(-3j * theta)), sys.float_info.max)
+    except OverflowError:
+        product_margin = sys.float_info.max
+    collapse_margin = min(abs(math.sin(theta)) / b, sys.float_info.max)
     steps = [
         CertificateStep(
             "product of the three coupling relations forces a vanishing coordinate",

@@ -14,9 +14,10 @@ makes one Hermiticity check and one ``eigvalsh`` per matrix; ``classify``
 makes one check and one ``eigvalsh`` call per stack of states and partial
 transposes.  Both read the ranks and PSD flags with :func:`_rank_psd`, which,
 like :func:`_check_hermitian` and :func:`_rank`, takes a single matrix or a
-stack over leading axes.  :func:`numerical_rank` and :func:`range_basis`
-accept any matrix, also non-square, and use the SVD.  Every rank applies the
-one threshold rule of :func:`_rank`.
+stack over leading axes, and reads the ends of the ascending spectra that
+``eigvalsh`` returns.  :func:`numerical_rank` and :func:`range_basis` accept
+any matrix, also non-square, and use the SVD.  Every rank applies the one
+threshold rule of :func:`_rank`.
 """
 
 from __future__ import annotations
@@ -54,14 +55,15 @@ class BipartiteOperator:
 
     def __post_init__(self):
         d = self.m * self.n
-        object.__setattr__(self, "mat", _as_complex(self.mat))
+        if type(self.mat) is not np.ndarray or self.mat.dtype != complex:
+            object.__setattr__(self, "mat", _as_complex(self.mat))
         if self.m <= 0 or self.n <= 0:
             raise DimensionMismatchError("local dimensions must be positive")
         if self.mat.shape != (d, d):
             raise DimensionMismatchError(
                 f"matrix shape {self.mat.shape} does not match local dims ({self.m}, {self.n})"
             )
-        if not np.all(np.isfinite(self.mat)):
+        if not np.isfinite(self.mat).all():
             raise InvalidParamError("matrix entries must be finite")
 
     @property
@@ -120,28 +122,29 @@ def partial_transpose(s: BipartiteOperator) -> BipartiteOperator:
     return BipartiteOperator(s.m, s.n, _partial_transpose(s.mat, s.m, s.n))
 
 
-def _squared_norms(m: np.ndarray, mh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Squared Frobenius norms of ``m``, floored at 1, and of ``m - mh``, per matrix.
-
-    Each is one sum over the real view.
-    """
-    r = np.ascontiguousarray(m).view(np.float64)
-    d = (m - mh).view(np.float64)
-    return np.maximum(np.einsum("...ij,...ij->...", r, r), 1.0), np.einsum("...ij,...ij->...", d, d)
+def _squared_norm(x: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of each matrix, one sum over the real view."""
+    r = np.ascontiguousarray(x).view(np.float64)
+    return np.einsum("...ij,...ij->...", r, r)
 
 
 def _check_hermitian(m: np.ndarray) -> np.ndarray:
-    """Validate near-Hermiticity and return the symmetrized matrix.
+    """Validate near-Hermiticity and return the symmetrized matrix ``(m + m^H) / 2``.
 
     ``m`` is one matrix or a stack over leading axes; a stack raises for its
     first matrix that fails, named by its flat index over the leading axes
-    when the stack holds more than one matrix.
+    when the stack holds more than one matrix.  An exactly Hermitian stack,
+    as the constructors build, is only checked for an overflowing norm.
     """
     m = _as_complex(m)
     if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise DimensionMismatchError("expected a square matrix")
     mh = m.conj().swapaxes(-2, -1)
-    scale2, asym2 = _squared_norms(m, mh)
+    d = m - mh
+    norm2 = _squared_norm(m)
+    if not d.any() and norm2.max(initial=0.0) < np.inf:
+        return (m + mh) / 2
+    scale2, asym2 = np.maximum(norm2, 1.0), _squared_norm(d)
     # a sum of squares past the float limit would pass any asymmetry
     fails = (asym2 > HERM_RTOL**2 * scale2) | np.isinf(scale2)
     if not fails.any():
@@ -150,7 +153,7 @@ def _check_hermitian(m: np.ndarray) -> np.ndarray:
         # weigh each matrix divided by c, the larger of 1 and its largest
         # entry modulus, and halve each term before the sum, which overflows
         c = np.maximum(np.abs(m).max(axis=(-2, -1), keepdims=True), 1.0)
-        scale2, asym2 = _squared_norms(m / c, mh / c)
+        scale2, asym2 = np.maximum(_squared_norm(m / c), 1.0), _squared_norm(m / c - mh / c)
         fails = asym2 > HERM_RTOL**2 * scale2
         if not fails.any():
             return m / 2 + mh / 2
@@ -160,28 +163,28 @@ def _check_hermitian(m: np.ndarray) -> np.ndarray:
     raise NotHermitianError(f"not Hermitian{where}: relative asymmetry {rel:.3e} exceeds {HERM_RTOL:.1e}")
 
 
-def _rank(sv: np.ndarray, rel_tol: float) -> np.ndarray:
-    """Count of the nonnegative values ``sv`` above ``rel_tol`` times the largest.
+def _rank(sv: np.ndarray, rel_tol: float, top: np.ndarray) -> np.ndarray:
+    """Count of the nonnegative values ``sv`` above ``rel_tol`` times ``top``, the largest.
 
     The one rank-threshold rule of the package: ``sv`` holds singular values,
     or the absolute eigenvalues of a Hermitian matrix (its singular values),
-    along the last axis, with one count per leading index.  The zero matrix
-    has rank 0.
+    along the last axis, with one count per leading index; ``top``, the largest
+    of each, comes off the ends of sorted values.  The zero matrix has rank 0.
     """
     if rel_tol <= 0:
         raise ValueError("rel_tol must be positive")
-    smax = sv.max(axis=-1, keepdims=True, initial=0.0)
-    return (sv > rel_tol * smax).sum(axis=-1)
+    return (sv > rel_tol * top).sum(axis=-1)
 
 
 def _rank_psd(vals: np.ndarray, rel_tol: float, abs_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Ranks and PSD flags from the eigenvalues of Hermitian matrices (last axis).
+    """Ranks and PSD flags from eigenvalues in ascending order (last axis), as from ``eigvalsh``.
 
-    PSD means a smallest eigenvalue ``>= -abs_tol * max(1, ||m||_2)``.
+    PSD means a smallest eigenvalue, the first, ``>= -abs_tol * max(1, ||m||_2)``;
+    the largest magnitude ``||m||_2`` is that of the first or the last.
     """
     mag = np.abs(vals)
-    scale = np.maximum(1.0, mag.max(axis=-1))
-    return _rank(mag, rel_tol), vals.min(axis=-1) >= -abs_tol * scale
+    top = np.maximum(mag[..., :1], mag[..., -1:])
+    return _rank(mag, rel_tol, top), vals[..., 0] >= -abs_tol * np.maximum(top[..., 0], 1.0)
 
 
 def numerical_rank(m: np.ndarray) -> int:
@@ -189,14 +192,15 @@ def numerical_rank(m: np.ndarray) -> int:
 
     Uses the SVD, so ``m`` may be any matrix, also non-square.
     """
-    return int(_rank(np.linalg.svd(_as_complex(m), compute_uv=False), RANK_RTOL))
+    sv = np.linalg.svd(_as_complex(m), compute_uv=False)  # in descending order
+    return int(_rank(sv, RANK_RTOL, sv[:1]))
 
 
 def range_basis(m: np.ndarray) -> Subspace:
     """Orthonormal basis of the column space, from the SVD of any matrix."""
     m = _as_complex(m)
     u, s, _ = np.linalg.svd(m)
-    return Subspace(m.shape[0], u[:, : _rank(s, RANK_RTOL)])
+    return Subspace(m.shape[0], u[:, : _rank(s, RANK_RTOL, s[:1])])
 
 
 def is_psd(m: np.ndarray) -> bool:

@@ -122,7 +122,7 @@ def _kernel(h: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(h)
     mag = np.abs(vals)
     order = np.argsort(mag, kind="stable")
-    return vecs[:, order[: h.shape[0] - _rank(mag, RANK_RTOL)]]
+    return vecs[:, order[: h.shape[0] - _rank(mag, RANK_RTOL, mag[order[-1:]])]]
 
 
 def _smallest_eigvecs(h: np.ndarray) -> np.ndarray:

@@ -21,11 +21,17 @@ import numpy as np
 from .errors import GramNotPSDError, InvalidParamError, OffdiagTooLargeError
 from .linalg import BipartiteOperator, is_psd, tensor
 
-# Coordinates coupled by phases, and the coordinate pairs carrying the
-# off-diagonal inner products of the face family (state side / transpose side).
-DIAGONAL_TRIPLE = (0, 4, 8)
+# Coordinate pairs carrying the off-diagonal inner products of the face
+# family (state side / transpose side).
 FACE_COUPLINGS = ((3, 1), (7, 5), (2, 6))
-_DIAGONAL_BLOCK = np.ix_(DIAGONAL_TRIPLE, DIAGONAL_TRIPLE)
+# Flat positions (9 * row + col) of the entries of _coupled_core: the diagonal
+# on {0, 4, 8}, the couplings between them row by row, the other diagonal.
+_CORE_FLAT = np.array([0, 40, 80, 4, 8, 36, 44, 72, 76, 10, 20, 30, 50, 60, 70])
+# choi_matrix off its diagonal, flat, as the map's values on the matrix units
+# give it: +0 on the diagonal of every block, -1 at entry (i, j) of block (i, j).
+_CHOI_OFF_DIAGONAL = np.full(81, complex(-0.0, -0.0))
+_CHOI_OFF_DIAGONAL[[27 * i + 3 * j + 10 * k for i in range(3) for j in range(3) for k in range(3)]] = 0.0
+_CHOI_OFF_DIAGONAL[_CORE_FLAT[3:9]] = complex(-1.0, -0.0)
 
 OFFDIAG_SLACK = 1e-12
 
@@ -42,6 +48,12 @@ def edge_condition_holds(b: float, theta: float) -> bool:
     return b > 0 and 0 < abs(theta) < math.pi / 3
 
 
+def _phases(theta: float) -> tuple[complex, ...]:
+    """The off-diagonal entries of :func:`phase_circulant`, row by row."""
+    e = cmath.exp(1j * theta)
+    return (-e, -e.conjugate(), -e.conjugate(), -e, -e, -e.conjugate())
+
+
 def phase_circulant(theta: float) -> np.ndarray:
     """3x3 Hermitian circulant with diagonal 2cos(theta) and off-diagonals -e^{+-i theta}.
 
@@ -49,15 +61,8 @@ def phase_circulant(theta: float) -> np.ndarray:
     the open interval and rank one at the endpoints.
     """
     _require_finite(theta=theta)
-    e = cmath.exp(1j * theta)
-    d = 2 * math.cos(theta)
-    return np.array(
-        [
-            [d, -e, -e.conjugate()],
-            [-e.conjugate(), d, -e],
-            [-e, -e.conjugate(), d],
-        ]
-    )
+    d, (c01, c02, c10, c12, c20, c21) = 2 * math.cos(theta), _phases(theta)
+    return np.array([[d, c01, c02], [c10, d, c12], [c20, c21, d]])
 
 
 def min_psd_diagonal(theta: float) -> float:
@@ -71,16 +76,14 @@ def min_psd_diagonal(theta: float) -> float:
     return max(2 * math.cos(theta - third), 2 * math.cos(theta), 2 * math.cos(theta + third))
 
 
-def _coupled_core(b: float, diagonal: float, theta: float) -> np.ndarray:
+def _coupled_core(b: float, diagonal: float, couplings: tuple) -> np.ndarray:
+    """``diagonal`` on the coordinates {0, 4, 8}, ``couplings`` between them row
+    by row, and ``1/b`` or ``b`` on the other diagonal entries, in one flat scatter."""
     if b <= 0:
         raise InvalidParamError(f"b must be positive, got {b}")
-    a = np.zeros((9, 9), dtype=complex)
-    core = phase_circulant(theta)
-    np.fill_diagonal(core, diagonal)
-    a[_DIAGONAL_BLOCK] = core
-    for idx, val in ((1, 1 / b), (2, b), (3, b), (5, 1 / b), (6, 1 / b), (7, b)):
-        a[idx, idx] = val
-    return a
+    a = np.zeros(81, dtype=complex)
+    a[_CORE_FLAT] = (diagonal,) * 3 + couplings + (1 / b, b, b, 1 / b, 1 / b, b)
+    return a.reshape(9, 9)
 
 
 def edge_state(b: float, theta: float) -> BipartiteOperator:
@@ -92,7 +95,7 @@ def edge_state(b: float, theta: float) -> BipartiteOperator:
     (see :func:`edge_condition_holds`).
     """
     _require_finite(theta=theta)
-    return BipartiteOperator(3, 3, _coupled_core(b, 2 * math.cos(theta), theta))
+    return BipartiteOperator(3, 3, _coupled_core(b, 2 * math.cos(theta), _phases(theta)))
 
 
 def generalized_edge_state(b: float, theta: float) -> BipartiteOperator:
@@ -102,7 +105,7 @@ def generalized_edge_state(b: float, theta: float) -> BipartiteOperator:
     keeping that block PSD; for |theta| <= pi/3 this coincides with
     :func:`edge_state`.
     """
-    return BipartiteOperator(3, 3, _coupled_core(b, min_psd_diagonal(theta), theta))
+    return BipartiteOperator(3, 3, _coupled_core(b, min_psd_diagonal(theta), _phases(theta)))
 
 
 def corner_state(b: float) -> BipartiteOperator:
@@ -111,13 +114,7 @@ def corner_state(b: float) -> BipartiteOperator:
     Same diagonal pattern as the edge family with the phase entries replaced
     by +1 couplings and unit phase-diagonal; an edge state exactly when b != 1.
     """
-    if b <= 0:
-        raise InvalidParamError(f"b must be positive, got {b}")
-    a = np.zeros((9, 9), dtype=complex)
-    a[_DIAGONAL_BLOCK] = np.ones((3, 3))
-    for idx, val in ((1, 1 / b), (2, b), (3, b), (5, 1 / b), (6, 1 / b), (7, b)):
-        a[idx, idx] = val
-    return BipartiteOperator(3, 3, a)
+    return BipartiteOperator(3, 3, _coupled_core(b, 1.0, (1.0,) * 6))
 
 
 def choi_matrix(a: float, b: float, c: float) -> BipartiteOperator:
@@ -133,15 +130,11 @@ def choi_matrix(a: float, b: float, c: float) -> BipartiteOperator:
     """
     if min(a, b, c) < 0:
         raise InvalidParamError("weights must be nonnegative")
-    weights = np.array([[a, b, c], [c, a, b], [b, c, a]])
-    mat = np.full((9, 9), complex(-0.0, -0.0))
-    mat[_DIAGONAL_BLOCK] = complex(-1.0, -0.0)  # entry (i, j) of block (i, j)
-    blocks = mat.reshape(3, 3, 3, 3)  # [i, k, j, l]: entry (k, l) of block (i, j)
-    k = np.arange(3)
-    blocks[:, k, :, k] = 0.0
-    # "+ 0.0" turns a -0.0 weight into the +0.0 the map's matrix product gives.
-    blocks[k[:, None], k, k[:, None], k] = weights.T + 0.0
-    return BipartiteOperator(3, 3, mat)
+    mat = _CHOI_OFF_DIAGONAL.copy()
+    # entry 3i + k of the diagonal is weight (k, i); "+ 0.0" turns a -0.0
+    # weight into the +0.0 the map's matrix product gives
+    mat[::10] = np.array([a, c, b, b, a, c, c, b, a]) + 0.0
+    return BipartiteOperator(3, 3, mat.reshape(9, 9))
 
 
 def separable_decomposition(b: float):
@@ -221,7 +214,7 @@ def face_state(b: float, g: GramSpec) -> BipartiteOperator:
             raise OffdiagTooLargeError(f"|{val}| > 1")
     if not is_psd(g.gram()):
         raise GramNotPSDError("implied Gram matrix is not PSD")
-    x = edge_state(b, g.theta).mat
+    x = _coupled_core(b, 2 * math.cos(g.theta), _phases(g.theta))
     for (row, col), val in zip(FACE_COUPLINGS, offdiags):
         x[row, col] = val
         x[col, row] = val.conjugate()

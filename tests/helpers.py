@@ -1,6 +1,7 @@
 """Shared test utilities: golden matrices transcribed entry by entry,
-reference implementations that share no numerics with edgelab, and
-random-instance generators."""
+reference implementations that share no numerics with edgelab, the
+earlier builds and spectrum helpers that edgelab's faster ones must match
+bit for bit, and random-instance generators."""
 
 from __future__ import annotations
 
@@ -12,10 +13,13 @@ import numpy as np
 from edgelab import (
     DimensionMismatchError,
     EdgeLabError,
+    GramNotPSDError,
     GramSpec,
     InvalidParamError,
     NotHermitianError,
+    OffdiagTooLargeError,
     Subspace,
+    min_psd_diagonal,
     singular_gram_offdiags,
 )
 
@@ -218,3 +222,159 @@ def random_gram_spec(rng: np.random.Generator, allow_singular: bool = True) -> G
         spec = GramSpec(theta, *entries)
         if np.linalg.eigvalsh(spec.gram())[0] >= 1e-8:
             return spec
+
+
+def assert_same_entries(got: np.ndarray, want: np.ndarray) -> None:
+    """Equal shapes and entries, with the signs of zero real and imaginary parts."""
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
+
+
+def outcome(f, *args):
+    """``f(*args)``, or the edgelab error it raises."""
+    try:
+        return f(*args)
+    except EdgeLabError as exc:
+        return exc
+
+
+def assert_same_outcome(got, want) -> None:
+    """Both raised the same error with the same text, or returned the same entries."""
+    if isinstance(want, EdgeLabError):
+        assert type(got) is type(want) and str(got) == str(want)
+    else:
+        assert not isinstance(got, EdgeLabError), got
+        assert_same_entries(got, want)
+
+
+# ----------------------------------------------------------------------------
+# Bit-exact oracles: the Hermiticity check, the spectrum reading and the
+# family builds as edgelab wrote them with one numpy call per reduction or
+# block, kept so the faster versions can be compared with them bit for bit,
+# errors and their messages included.
+
+
+def reference_check_hermitian(m) -> np.ndarray:
+    """Near-Hermiticity check and symmetrization with two norms per matrix."""
+
+    def squared_norms(m, mh):
+        r = np.ascontiguousarray(m).view(np.float64)
+        d = (m - mh).view(np.float64)
+        return np.maximum(np.einsum("...ij,...ij->...", r, r), 1.0), np.einsum("...ij,...ij->...", d, d)
+
+    m = np.asarray(m, dtype=complex)
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
+        raise DimensionMismatchError("expected a square matrix")
+    mh = m.conj().swapaxes(-2, -1)
+    scale2, asym2 = squared_norms(m, mh)
+    fails = (asym2 > HERM_RTOL**2 * scale2) | np.isinf(scale2)
+    if not fails.any():
+        return (m + mh) / 2
+    if np.isinf(scale2).any():
+        c = np.maximum(np.abs(m).max(axis=(-2, -1), keepdims=True), 1.0)
+        scale2, asym2 = squared_norms(m / c, mh / c)
+        fails = asym2 > HERM_RTOL**2 * scale2
+        if not fails.any():
+            return m / 2 + mh / 2
+    i = np.argmax(fails)
+    where = f" (matrix {i} of the stack)" if fails.size > 1 else ""
+    rel = np.sqrt(asym2.flat[i] / scale2.flat[i])
+    raise NotHermitianError(f"not Hermitian{where}: relative asymmetry {rel:.3e} exceeds {HERM_RTOL:.1e}")
+
+
+def reference_rank_psd(vals: np.ndarray, rel_tol: float, abs_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Ranks and PSD flags from eigenvalues in any order, by full reductions."""
+    mag = np.abs(vals)
+    scale = np.maximum(1.0, mag.max(axis=-1))
+    smax = mag.max(axis=-1, keepdims=True, initial=0.0)
+    return (mag > rel_tol * smax).sum(axis=-1), vals.min(axis=-1) >= -abs_tol * scale
+
+
+def _reference_require_finite(**values) -> None:
+    for name, val in values.items():
+        if not cmath.isfinite(val):
+            raise InvalidParamError(f"{name} must be finite, got {val}")
+
+
+def _reference_operator(a: np.ndarray) -> np.ndarray:
+    a = np.asarray(a, dtype=complex)
+    if not np.all(np.isfinite(a)):
+        raise InvalidParamError("matrix entries must be finite")
+    return a
+
+
+_TRIPLE_BLOCK = np.ix_((0, 4, 8), (0, 4, 8))
+_REST_DIAGONAL = ((1, False), (2, True), (3, True), (5, False), (6, False), (7, True))
+
+
+def reference_coupled_core(b: float, diagonal: float, theta: float) -> np.ndarray:
+    """The edge-family core from the phase circulant, ``fill_diagonal`` and ``np.ix_``."""
+    if b <= 0:
+        raise InvalidParamError(f"b must be positive, got {b}")
+    _reference_require_finite(theta=theta)
+    e = cmath.exp(1j * theta)
+    core = np.array(
+        [
+            [2 * math.cos(theta), -e, -e.conjugate()],
+            [-e.conjugate(), 2 * math.cos(theta), -e],
+            [-e, -e.conjugate(), 2 * math.cos(theta)],
+        ]
+    )
+    np.fill_diagonal(core, diagonal)
+    a = np.zeros((9, 9), dtype=complex)
+    a[_TRIPLE_BLOCK] = core
+    for idx, plain in _REST_DIAGONAL:
+        a[idx, idx] = b if plain else 1 / b
+    return a
+
+
+def reference_edge_matrix(b: float, theta: float) -> np.ndarray:
+    _reference_require_finite(theta=theta)
+    return _reference_operator(reference_coupled_core(b, 2 * math.cos(theta), theta))
+
+
+def reference_generalized_edge_matrix(b: float, theta: float) -> np.ndarray:
+    return _reference_operator(reference_coupled_core(b, min_psd_diagonal(theta), theta))
+
+
+def reference_corner_matrix(b: float) -> np.ndarray:
+    if b <= 0:
+        raise InvalidParamError(f"b must be positive, got {b}")
+    a = np.zeros((9, 9), dtype=complex)
+    a[_TRIPLE_BLOCK] = np.ones((3, 3))
+    for idx, plain in _REST_DIAGONAL:
+        a[idx, idx] = b if plain else 1 / b
+    return _reference_operator(a)
+
+
+def reference_choi_matrix(a: float, b: float, c: float) -> np.ndarray:
+    """The Choi matrix by one masked write per kind of entry, as a 3x3x3x3 grid of blocks."""
+    if min(a, b, c) < 0:
+        raise InvalidParamError("weights must be nonnegative")
+    weights = np.array([[a, b, c], [c, a, b], [b, c, a]])
+    mat = np.full((9, 9), complex(-0.0, -0.0))
+    mat[_TRIPLE_BLOCK] = complex(-1.0, -0.0)
+    blocks = mat.reshape(3, 3, 3, 3)
+    k = np.arange(3)
+    blocks[:, k, :, k] = 0.0
+    blocks[k[:, None], k, k[:, None], k] = weights.T + 0.0
+    return _reference_operator(mat)
+
+
+def reference_face_matrix(b: float, g: GramSpec) -> np.ndarray:
+    """The face state as the edge state plus its couplings, each step validated."""
+    _reference_require_finite(theta=g.theta, xi_eta=g.xi_eta, eta_zeta=g.eta_zeta, zeta_xi=g.zeta_xi)
+    offdiags = g.offdiagonals()
+    for val in offdiags:
+        if abs(val) > 1 + 1e-12:
+            raise OffdiagTooLargeError(f"|{val}| > 1")
+    vals = np.linalg.eigvalsh(reference_check_hermitian(g.gram()))
+    if not reference_rank_psd(vals, RANK_RTOL, PSD_ATOL)[1]:
+        raise GramNotPSDError("implied Gram matrix is not PSD")
+    x = reference_edge_matrix(b, g.theta)
+    for (row, col), val in zip(((3, 1), (7, 5), (2, 6)), offdiags):
+        x[row, col] = val
+        x[col, row] = val.conjugate()
+    return _reference_operator(x)

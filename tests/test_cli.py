@@ -270,6 +270,29 @@ class TestEdgeCheck:
         assert report["certifiedBy"] == "analytic"
         assert all(step["ok"] for step in report["steps"])
 
+    @pytest.mark.parametrize(
+        "b, verdict",
+        [
+            ("1.7e308", "NotApplicable"),  # b**3 overflows; sin(theta) / b is below MARGIN_TOL
+            ("5e-324", "Edge"),  # sin(theta) / b overflows
+        ],
+    )
+    def test_analytic_margins_at_the_float_limits_are_strict_json(self, capsys, b, verdict):
+        code, out, _ = run_cli(
+            capsys, "edge-check", "--family", "edge", "--b", b, "--theta", "0.5", "--analytic",
+        )
+        assert code == 0
+        report = strict_json(out)
+        assert report["verdict"] == verdict
+        assert all(0 < step["margin"] <= sys.float_info.max for step in report["steps"])
+
+    def test_analytic_rejects_infinite_b(self, capsys):
+        code, out, err = run_cli(
+            capsys, "edge-check", "--family", "edge", "--b", "inf", "--theta", "0.5", "--analytic",
+        )
+        assert (code, out) == (2, "")
+        assert "0 < b < inf" in err
+
     def test_analytic_requires_edge_family(self, capsys):
         code, _, _ = run_cli(capsys, "edge-check", "--family", "state-7-6", "--b", "1", "--analytic")
         assert code == 2

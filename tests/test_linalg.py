@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -21,14 +21,21 @@ from edgelab import (
 )
 from edgelab.linalg import _check_hermitian, _rank_psd
 from helpers import (
+    HERM_RTOL,
+    PSD_ATOL,
+    RANK_RTOL,
     NotPSDError,
+    assert_same_outcome,
     gram_realization,
     kernel_basis,
+    outcome,
     planted_rank_hermitian,
     planted_rank_psd,
     projector,
     random_hermitian,
     random_unit,
+    reference_check_hermitian,
+    reference_rank_psd,
 )
 
 
@@ -172,6 +179,80 @@ def test_stacked_rules_match_matrix_by_matrix(rng):
     assert list(zip(ranks.tolist(), psd.tolist())) == [(int(r), bool(p)) for r, p in singles]
     assert ranks.tolist() == [numerical_rank(m) for m in mats]
     assert psd.tolist() == [is_psd(m) for m in mats]
+
+
+MATRIX_KINDS = ("hermitian", "low-rank", "indefinite", "just under", "just over")
+
+
+def draw_matrix(g: np.random.Generator, kind: str, dim: int, scale: float) -> np.ndarray:
+    """A ``kind`` matrix whose largest entry modulus is ``scale`` (unless it is zero).
+
+    The last two are exactly Hermitian matrices plus a perturbation that puts
+    their relative asymmetry 1% under or over ``HERM_RTOL``.
+    """
+    if kind == "low-rank":
+        m = planted_rank_psd(g, dim, int(g.integers(0, dim)))
+    elif kind == "indefinite":
+        m = planted_rank_hermitian(g, dim, dim)
+    else:
+        m = random_hermitian(g, dim)
+    top = np.abs(m).max()
+    m = m / top if top else m
+    if kind.startswith("just"):
+        k = g.standard_normal((dim, dim)) + 1j * g.standard_normal((dim, dim))
+        ratio = 0.99 if kind == "just under" else 1.01
+        coef = ratio * HERM_RTOL / np.linalg.norm(k - k.conj().T)
+        unit = np.linalg.norm(m)  # the Frobenius norm, in units of the scale
+        return m * scale + k * (coef * unit * scale if unit > 1 / scale else coef)
+    return m * scale
+
+
+@given(
+    mats=st.lists(
+        st.tuples(st.sampled_from(MATRIX_KINDS), st.floats(-320.0, math.log10(1.7e308))),
+        min_size=1,
+        max_size=4,
+    ),
+    dim=st.integers(1, 9),
+    seed=st.integers(0, 2**32 - 1),
+    flat=st.booleans(),
+)
+@example(mats=[("hermitian", 308.2), ("just over", 0.0)], dim=9, seed=0, flat=False)
+@example(mats=[("hermitian", 308.2), ("hermitian", -320.0)], dim=3, seed=0, flat=False)
+@example(mats=[("hermitian", 308.2)], dim=2, seed=0, flat=True)
+@example(mats=[("just over", 2.0)], dim=3, seed=1, flat=True)
+@example(mats=[("low-rank", -320.0), ("indefinite", -310.0)], dim=4, seed=2, flat=False)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_helpers_match_their_references_bit_for_bit(mats, dim, seed, flat):
+    """_check_hermitian and _rank_psd give what the earlier versions gave.
+
+    Symmetrized bits, error text with its stack index, then ranks and PSD
+    flags from the ascending spectrum against full reductions.
+    """
+    g = np.random.default_rng(seed)
+    stack = np.array([draw_matrix(g, kind, dim, 10.0**log_scale) for kind, log_scale in mats])
+    if flat and len(stack) == 1:
+        stack = stack[0]
+    # entries near the float limit overflow on the way, in both versions alike
+    with np.errstate(all="ignore"):
+        want = outcome(reference_check_hermitian, stack)
+        assert_same_outcome(outcome(_check_hermitian, stack), want)
+        if isinstance(want, NotHermitianError):
+            return
+        try:
+            vals = np.linalg.eigvalsh(want)
+        except np.linalg.LinAlgError:
+            return
+        tols = [(RANK_RTOL, PSD_ATOL), (1e-3, 1e-3)]
+        first = vals.reshape(-1, dim)[0]
+        mag = np.sort(np.abs(first))
+        if dim > 1 and 0 < mag[-2] / mag[-1] < 1:
+            # the first matrix's second-largest magnitude and smallest eigenvalue
+            # on the two thresholds, which only the true largest magnitude puts there
+            tols.append((mag[-2] / mag[-1], max(-first[0], 0.0) / max(mag[-1], 1.0)))
+        for rel_tol, abs_tol in tols:
+            for new, ref in zip(_rank_psd(vals, rel_tol, abs_tol), reference_rank_psd(vals, rel_tol, abs_tol)):
+                assert np.array_equal(new, ref)
 
 
 class TestNumericalRank:

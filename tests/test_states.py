@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from edgelab import (
@@ -30,6 +32,7 @@ from edgelab import (
     singular_gram_offdiags,
 )
 from helpers import (
+    assert_same_outcome,
     cyclic_map_apply,
     edge_kernel_vector,
     edge_tau_kernel_vectors,
@@ -40,8 +43,14 @@ from helpers import (
     golden_type85_matrix,
     gram_realization,
     kernel_basis,
+    outcome,
     random_edge_params,
     random_gram_spec,
+    reference_choi_matrix,
+    reference_corner_matrix,
+    reference_edge_matrix,
+    reference_face_matrix,
+    reference_generalized_edge_matrix,
 )
 
 THETA = math.pi / 6
@@ -428,3 +437,78 @@ def test_non_finite_angles_and_couplings_rejected(bad):
     ):
         with pytest.raises(InvalidParamError, match="finite"):
             build()
+
+
+# Parameters of every kind: a positive b from subnormal (whose 1/b overflows)
+# to huge, b <= 0, non-finite values, couplings inside and outside the unit
+# disk, and weights of either sign.
+B_VALUES = st.one_of(
+    st.floats(min_value=5e-324, max_value=1.7e308),
+    st.floats(max_value=0.0),
+    st.sampled_from([math.inf, math.nan]),
+)
+ANGLES = st.one_of(st.floats(-4.0, 4.0), st.sampled_from([math.inf, -math.inf, math.nan]))
+COUPLINGS = st.one_of(
+    st.complex_numbers(max_magnitude=1.0),
+    st.complex_numbers(min_magnitude=1.0, max_magnitude=1.5),
+    st.sampled_from([complex(math.nan, 0.0), complex(0.0, math.inf)]),
+)
+WEIGHTS = st.one_of(st.floats(-1.0, 1e300), st.sampled_from([-0.0, 1e-320, math.inf, math.nan]))
+BUILD_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
+
+
+class TestBuildsMatchTheirReferences:
+    """Each family's one-scatter build gives the entries, signed zeros
+    included, or the error of its earlier block-by-block build."""
+
+    @given(b=B_VALUES, theta=ANGLES)
+    @example(b=-1.0, theta=0.5)
+    @example(b=0.0, theta=math.inf)
+    @example(b=1.0, theta=math.nan)
+    @example(b=1.0, theta=0.0)
+    @BUILD_SETTINGS
+    def test_edge_families(self, b, theta):
+        assert_same_outcome(outcome(lambda: edge_state(b, theta).mat), outcome(reference_edge_matrix, b, theta))
+        assert_same_outcome(
+            outcome(lambda: generalized_edge_state(b, theta).mat),
+            outcome(reference_generalized_edge_matrix, b, theta),
+        )
+
+    @given(b=B_VALUES)
+    @example(b=-0.0)
+    @BUILD_SETTINGS
+    def test_corner_state(self, b):
+        assert_same_outcome(outcome(lambda: corner_state(b).mat), outcome(reference_corner_matrix, b))
+
+    @given(a=WEIGHTS, b=WEIGHTS, c=WEIGHTS)
+    @example(a=-1.0, b=1.0, c=1.0)
+    @example(a=-0.0, b=-0.0, c=1e-320)
+    @BUILD_SETTINGS
+    def test_choi_matrix(self, a, b, c):
+        assert_same_outcome(outcome(lambda: choi_matrix(a, b, c).mat), outcome(reference_choi_matrix, a, b, c))
+
+    @given(b=B_VALUES, theta=ANGLES, couplings=st.tuples(COUPLINGS, COUPLINGS, COUPLINGS))
+    @example(b=-1.0, theta=0.5, couplings=(0j, 0j, 0j))  # b <= 0
+    @example(b=1.0, theta=math.inf, couplings=(0j, 0j, 0j))  # a non-finite angle
+    @example(b=1.0, theta=0.5, couplings=(1.5 + 0j, 0j, 0j))  # |c| > 1
+    @example(b=1.0, theta=0.5, couplings=(1 + 0j, -1 + 0j, 1 + 0j))  # a Gram matrix that is not PSD
+    @BUILD_SETTINGS
+    def test_face_state(self, b, theta, couplings):
+        spec = GramSpec(theta, *couplings)
+        assert_same_outcome(outcome(lambda: face_state(b, spec).mat), outcome(reference_face_matrix, b, spec))
+
+    @given(
+        b=st.floats(min_value=1e-3, max_value=1e3),
+        theta=st.floats(1e-3, math.pi / 3 - 1e-3),
+        sign=st.sampled_from([1.0, -1.0]),
+        target=st.integers(5, 8),
+    )
+    @BUILD_SETTINGS
+    def test_face_state_on_singular_gram_matrices(self, b, theta, sign, target):
+        """The couplings of the rank-five partial transposes, whose Gram
+        matrices sit on the boundary of the PSD check."""
+        offdiags = outcome(singular_gram_offdiags, sign * theta, target)
+        if isinstance(offdiags, InvalidParamError):
+            return
+        spec = GramSpec(sign * theta, *offdiags)
+        assert_same_outcome(outcome(lambda: face_state(b, spec).mat), outcome(reference_face_matrix, b, spec))
