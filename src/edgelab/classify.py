@@ -2,10 +2,10 @@
 range-criterion checks, separable reconstruction, and the analytic edge
 certificate for the phase-parameterized family.
 
-:func:`classify_many` is the one classification path: one Hermiticity check
+``_classify_stack`` is the one classification path: one Hermiticity check
 over a stack of states and one ``eigvalsh`` call over the states and their
-partial transposes give every rank and PSD flag.  :func:`classify` is that
-path for a stack of one.
+partial transposes give every rank and PSD flag.  :func:`classify_many` wraps
+its results in :class:`Classification`; ``edgelab sweep`` reads them as they are.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ from .states import edge_condition_holds, edge_state, product_vector, separable_
 
 # A product vector lies in a range when its distance from it is at most this.
 RESIDUAL_TOL = 1e-9
-# A certificate step holds when its margin is above this.
-MARGIN_TOL = 1e-12
+# Units of rounding, eps * max(b**3, 1), the product margin of a certificate must exceed.
+MARGIN_ULPS = 16
 
 
 class Admissibility(Enum):
@@ -90,17 +90,26 @@ def rank_bounds(m: int, n: int, p: int, q: int) -> Admissibility:
     return Admissibility.ADMISSIBLE
 
 
+def _classify_stack(h: np.ndarray, m: int, n: int, rel_tol: float = RANK_RTOL, abs_tol: float = PSD_ATOL):
+    """The lists of ranks ``p`` of a (k, mn, mn) stack of states on an m x n space,
+    ranks ``q`` of their partial transposes, and the PSD flags of each; raises
+    :class:`NotHermitianError` for the first state that is not Hermitian."""
+    k, h = len(h), _check_hermitian(h)
+    # Partial transposition permutes entries and commutes with the adjoint, so
+    # the partial transposes of the symmetrized states are Hermitian as they stand.
+    vals = np.linalg.eigvalsh(np.concatenate((h, _partial_transpose(h, m, n))))
+    ranks, psd = (flags.tolist() for flags in _rank_psd(vals, rel_tol, abs_tol))
+    return ranks[:k], ranks[k:], psd[:k], psd[k:]
+
+
 def classify_many(
     ops: Iterable[BipartiteOperator], rel_tol: float = RANK_RTOL, abs_tol: float = PSD_ATOL
 ) -> list[Classification]:
     """:func:`classify` of every operator in ``ops``, all of one shape ``(m, n)``.
 
-    One Hermiticity check over the stack, one reshape and transpose for the
-    partial transposes, and one ``eigvalsh`` call over the states and their
-    partial transposes give every rank and PSD flag.  Raises
-    :class:`NotHermitianError` for the first operator that is not Hermitian
-    and :class:`DimensionMismatchError` when the shapes differ; an empty
-    ``ops`` gives ``[]``.
+    Raises :class:`NotHermitianError` for the first operator that is not
+    Hermitian and :class:`DimensionMismatchError` when the shapes differ; an
+    empty ``ops`` gives ``[]``.
     """
     ops = list(ops)
     if not ops:
@@ -108,12 +117,7 @@ def classify_many(
     m, n = ops[0].m, ops[0].n
     if any(s.m != m or s.n != n for s in ops):
         raise DimensionMismatchError("classify_many needs operators of one shape (m, n)")
-    k, d = len(ops), m * n
-    h = _check_hermitian(np.array([s.mat for s in ops]))
-    # Partial transposition permutes entries and commutes with the adjoint, so
-    # the partial transposes of the symmetrized states are Hermitian as they stand.
-    vals = np.linalg.eigvalsh(np.concatenate((h, _partial_transpose(h, m, n))))
-    ranks, psd = (flags.tolist() for flags in _rank_psd(vals, rel_tol, abs_tol))
+    d, mats = m * n, np.array([s.mat for s in ops])
     return [
         Classification(
             is_psd=p_psd,
@@ -124,7 +128,7 @@ def classify_many(
             rel_tol=rel_tol,
             abs_tol=abs_tol,
         )
-        for p, q, p_psd, q_psd in zip(ranks[:k], ranks[k:], psd[:k], psd[k:])
+        for p, q, p_psd, q_psd in zip(*_classify_stack(mats, m, n, rel_tol, abs_tol))
     ]
 
 
@@ -220,15 +224,16 @@ def verify_edge_analytic(b: float, theta: float) -> CertificateTrace:
             f"(b, theta) = ({b}, {theta}) must satisfy 0 < b < inf and 0 < |theta| < pi/3"
         )
     try:  # a float's power overflows by raising
-        product_margin = min(abs(b**3 + cmath.exp(-3j * theta)), sys.float_info.max)
+        cube = float(b) ** 3
     except OverflowError:
-        product_margin = sys.float_info.max
+        cube = sys.float_info.max
+    product_margin = abs(cube + cmath.exp(-3j * theta))
     collapse_margin = min(abs(math.sin(theta)) / b, sys.float_info.max)
     steps = [
         CertificateStep(
             "product of the three coupling relations forces a vanishing coordinate",
             product_margin,
-            product_margin > MARGIN_TOL,
+            product_margin > MARGIN_ULPS * sys.float_info.epsilon * max(cube, 1.0),
         ),
         CertificateStep(
             "a vanishing coordinate propagates between the two factors",
@@ -241,7 +246,7 @@ def verify_edge_analytic(b: float, theta: float) -> CertificateTrace:
             CertificateStep(
                 f"case x_{i} = y_{i} = 0 collapses to the zero product vector",
                 collapse_margin,
-                collapse_margin > MARGIN_TOL,
+                collapse_margin > 0,
             )
         )
     certified = all(step.ok for step in steps)

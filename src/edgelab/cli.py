@@ -2,7 +2,7 @@
 
 Subcommands: construct | classify | edge-check | sweep | table | decompose.
 Matrices travel as JSON files (see :mod:`edgelab.io`); sweeps emit CSV with a
-frozen column order.
+frozen column order and build and classify each chunk of their grid as one stack.
 
 Exit codes: 0 success (classify: state is PPT; table: all targets achieved),
 1 for a negative verdict (classify: not PPT; table: missing types), 2 for
@@ -24,16 +24,15 @@ import numpy as np
 
 from . import io as mio
 from .classify import EdgeCertificate, classify, classify_many, reconstruct_separable, verify_edge_analytic
+from .classify import _classify_stack
 from .errors import EdgeLabError, InvalidParamError
 from .linalg import BipartiteOperator
 from .search import SearchVerdict, product_vector_search, product_vector_search_many
+from .states import _CHOI_ZEROS, _choi_entries, _corner_entries, _edge_entries, _generalized_entries, _stack
 from .states import (
     GramSpec,
-    choi_matrix,
-    corner_state,
     edge_state,
     face_state,
-    generalized_edge_state,
     phase_circulant,
     singular_gram_offdiags,
 )
@@ -44,8 +43,9 @@ TARGET_TYPES = {(5, 5), (6, 5), (7, 5), (8, 5), (6, 6), (7, 6), (8, 6)}
 KNOWN_NOT_CONSTRUCTED = {(4, 4)}
 
 # Grid points built, classified and written together by ``sweep``.  On a
-# 400-point sweep, one stack of all 400 gave no more rows per second than
-# chunks of 64, and raised the peak memory of the process by 7% against under 1%.
+# 400-point sweep, chunks of 16 to 400 points gave the same rows per second
+# within 7%, and one stack of all 400 raised the peak memory of the process
+# by 8% against chunks of 64.
 SWEEP_CHUNK = 64
 
 
@@ -74,16 +74,21 @@ def _p5(p: dict) -> BipartiteOperator:
     return face_state(p["b"], spec)
 
 
-# Each family's required parameters, in the frozen column order of ``sweep``,
-# and its builder, which takes the options by name (theta in radians).
+# Each family's required parameters, in the frozen column order of ``sweep``, its local
+# dimensions, and its builder: a list of points (options by name, theta in radians) to their stack.
 FAMILIES = {
-    "p-theta": (("theta",), lambda p: BipartiteOperator(1, 3, phase_circulant(p["theta"]))),
-    "edge": (("b", "theta"), lambda p: edge_state(p["b"], p["theta"])),
-    "edge-general": (("b", "theta"), lambda p: generalized_edge_state(p["b"], p["theta"])),
-    "state-7-6": (("b",), lambda p: corner_state(p["b"])),
-    "choi": (("a", "b", "c"), lambda p: choi_matrix(p["a"], p["b"], p["c"])),
-    "face": (("b", "theta"), _face),
-    "p5": (("b", "theta", "target_p"), _p5),
+    "p-theta": (("theta",), (1, 3), lambda ps: np.array([phase_circulant(p["theta"]) for p in ps])),
+    "edge": (("b", "theta"), (3, 3), lambda ps: _stack([_edge_entries(p["b"], p["theta"]) for p in ps])),
+    "edge-general": (
+        ("b", "theta"), (3, 3), lambda ps: _stack([_generalized_entries(p["b"], p["theta"]) for p in ps]),
+    ),
+    "state-7-6": (("b",), (3, 3), lambda ps: _stack([_corner_entries(p["b"]) for p in ps])),
+    "choi": (
+        ("a", "b", "c"), (3, 3),
+        lambda ps: _stack([_choi_entries(p["a"], p["b"], p["c"]) for p in ps], _CHOI_ZEROS),
+    ),
+    "face": (("b", "theta"), (3, 3), lambda ps: np.array([_face(p).mat for p in ps])),
+    "p5": (("b", "theta", "target_p"), (3, 3), lambda ps: np.array([_p5(p).mat for p in ps])),
 }
 
 
@@ -96,7 +101,8 @@ def _require(family: str, params: dict):
 def build_family(family: str, params: dict) -> BipartiteOperator:
     """The member of ``family`` at ``params`` (option names as keys, theta in radians)."""
     _require(family, params)
-    return FAMILIES[family][1](params)
+    _, dims, build = FAMILIES[family]
+    return BipartiteOperator(*dims, build([params])[0])
 
 
 def _load_input(args) -> BipartiteOperator:
@@ -224,7 +230,7 @@ def cmd_sweep(args) -> int:
     family = args.family
     if family == "face":  # its couplings are complex options, which no range gives
         raise InvalidParamError(f"sweep does not support family {family!r}")
-    columns = FAMILIES[family][0]
+    columns, dims, build = FAMILIES[family]
     if not args.range:
         raise InvalidParamError("provide at least one --range NAME=START:STOP:STEPS")
     ranges = {}
@@ -235,14 +241,10 @@ def cmd_sweep(args) -> int:
         if name in ranges:
             raise InvalidParamError(f"parameter {name!r} has more than one --range")
         ranges[name] = (steps, value)
-    fixed = {}
-    for pname in columns:
-        if pname in ranges:
-            continue
-        val = getattr(args, pname)
+    fixed = {pname: getattr(args, pname) for pname in columns if pname not in ranges}
+    for pname, val in fixed.items():
         if val is None:
             raise InvalidParamError(f"fix parameter --{pname.replace('_', '-')} or sweep it")
-        fixed[pname] = val
 
     # the last range varies fastest; target_p is an integer option: build and
     # print 5, not 5.0
@@ -261,19 +263,23 @@ def cmd_sweep(args) -> int:
         total = math.prod(steps for steps, _ in ranges.values())
         for lo in range(0, total, SWEEP_CHUNK):
             points = [point(k) for k in range(lo, min(lo + SWEEP_CHUNK, total))]
-            ops = [build_family(family, params) for params in points]
-            rows = []
-            for params, c in zip(points, classify_many(ops)):
-                row = [params[name] for name in columns]
-                rows.append(row + [c.is_ppt, c.type[0], c.type[1]])
+            try:
+                mats = build(points)
+            except EdgeLabError:  # raise the first failing point's error, as one by one
+                mats = np.array([build_family(family, params).mat for params in points])
+            if not np.isfinite(mats).all():  # as each point's operator checks its matrix
+                raise InvalidParamError("matrix entries must be finite")
+            rows = [
+                [params[name] for name in columns] + [p_psd and q_psd, p, q]
+                for params, p, q, p_psd, q_psd in zip(points, *_classify_stack(mats, *dims))
+            ]
             if args.search:
+                ops = [BipartiteOperator(*dims, mat) for mat in mats]
                 for row, r in zip(rows, product_vector_search_many(ops, starts=args.starts, seed=args.seed)):
                     row.append(r.best_objective)
             yield [[repr(v) if isinstance(v, float) else v for v in row] for row in rows]
 
-    header = list(columns) + ["isPPT", "p", "q"]
-    if args.search:
-        header.append("bestObjective")
+    header = list(columns) + ["isPPT", "p", "q"] + (["bestObjective"] if args.search else [])
     # Each chunk is written once it is done, so memory does not grow with the
     # grid.  Nothing is opened before the first chunk is done; a point failing
     # in a later chunk leaves the rows of the chunks before it written.

@@ -8,6 +8,10 @@ The phase-coupled entries of every family live on the principal submatrix
 with indices ``{0, 4, 8}`` (the "diagonal" product-basis vectors), while the
 remaining six coordinates pair up as ``{1, 3}``, ``{2, 6}`` and ``{5, 7}``.
 Ranks and kernels of the families decompose accordingly.
+
+The edge, generalized edge, corner and Choi families write 15 entries at
+:data:`_CORE_FLAT`, each family from one function that validates a point and
+gives them; :func:`_matrix` writes one point and :func:`_stack` a chunk.
 """
 
 from __future__ import annotations
@@ -24,14 +28,13 @@ from .linalg import BipartiteOperator, is_psd, tensor
 # Coordinate pairs carrying the off-diagonal inner products of the face
 # family (state side / transpose side).
 FACE_COUPLINGS = ((3, 1), (7, 5), (2, 6))
-# Flat positions (9 * row + col) of the entries of _coupled_core: the diagonal
-# on {0, 4, 8}, the couplings between them row by row, the other diagonal.
+# Flat positions (9 * row + col) of the entries of the scattered families: the
+# diagonal on {0, 4, 8}, the couplings between them row by row, the other diagonal.
 _CORE_FLAT = np.array([0, 40, 80, 4, 8, 36, 44, 72, 76, 10, 20, 30, 50, 60, 70])
-# choi_matrix off its diagonal, flat, as the map's values on the matrix units
-# give it: +0 on the diagonal of every block, -1 at entry (i, j) of block (i, j).
-_CHOI_OFF_DIAGONAL = np.full(81, complex(-0.0, -0.0))
-_CHOI_OFF_DIAGONAL[[27 * i + 3 * j + 10 * k for i in range(3) for j in range(3) for k in range(3)]] = 0.0
-_CHOI_OFF_DIAGONAL[_CORE_FLAT[3:9]] = complex(-1.0, -0.0)
+_ZEROS = np.zeros(81, dtype=complex)
+# The zeros of choi_matrix, flat, as the map gives them: +0 on block diagonals, -0 elsewhere.
+_CHOI_ZEROS = np.full(81, complex(-0.0, -0.0))
+_CHOI_ZEROS[[27 * i + 3 * j + 10 * k for i in range(3) for j in range(3) for k in range(3)]] = 0.0
 
 OFFDIAG_SLACK = 1e-12
 
@@ -76,14 +79,47 @@ def min_psd_diagonal(theta: float) -> float:
     return max(2 * math.cos(theta - third), 2 * math.cos(theta), 2 * math.cos(theta + third))
 
 
-def _coupled_core(b: float, diagonal: float, couplings: tuple) -> np.ndarray:
+def _matrix(entries: tuple, base: np.ndarray = _ZEROS) -> np.ndarray:
+    """A copy of the flat ``base`` with the 15 ``entries`` at :data:`_CORE_FLAT`, as a 9x9 matrix."""
+    a = base.copy()
+    a[_CORE_FLAT] = entries
+    return a.reshape(9, 9)
+
+
+def _stack(rows: list, base: np.ndarray = _ZEROS) -> np.ndarray:
+    """:func:`_matrix` of each of the k ``rows`` of entries, in one scatter: a (k, 9, 9) stack."""
+    a = np.tile(base, (len(rows), 1))
+    a[:, _CORE_FLAT] = rows
+    return a.reshape(-1, 9, 9)
+
+
+def _core_entries(b: float, diagonal: float, couplings: tuple) -> tuple:
     """``diagonal`` on the coordinates {0, 4, 8}, ``couplings`` between them row
-    by row, and ``1/b`` or ``b`` on the other diagonal entries, in one flat scatter."""
+    by row, and ``1/b`` or ``b`` on the other diagonal entries."""
     if b <= 0:
         raise InvalidParamError(f"b must be positive, got {b}")
-    a = np.zeros(81, dtype=complex)
-    a[_CORE_FLAT] = (diagonal,) * 3 + couplings + (1 / b, b, b, 1 / b, 1 / b, b)
-    return a.reshape(9, 9)
+    return (diagonal,) * 3 + couplings + (1 / b, b, b, 1 / b, 1 / b, b)
+
+
+def _edge_entries(b: float, theta: float) -> tuple:
+    _require_finite(theta=theta)
+    return _core_entries(b, 2 * math.cos(theta), _phases(theta))
+
+
+def _generalized_entries(b: float, theta: float) -> tuple:
+    return _core_entries(b, min_psd_diagonal(theta), _phases(theta))
+
+
+def _corner_entries(b: float) -> tuple:
+    return _core_entries(b, 1.0, (1.0,) * 6)
+
+
+def _choi_entries(a: float, b: float, c: float) -> tuple:
+    """Weight (k, i) at diagonal entry 3i + k, over :data:`_CHOI_ZEROS`; a -0.0 weight as the map's +0.0."""
+    if min(a, b, c) < 0:
+        raise InvalidParamError("weights must be nonnegative")
+    a, b, c = a + 0.0, b + 0.0, c + 0.0
+    return (a, a, a) + (complex(-1.0, -0.0),) * 6 + (c, b, b, c, c, b)
 
 
 def edge_state(b: float, theta: float) -> BipartiteOperator:
@@ -94,8 +130,7 @@ def edge_state(b: float, theta: float) -> BipartiteOperator:
     |theta| <= pi/3; an entangled edge state under the strict condition
     (see :func:`edge_condition_holds`).
     """
-    _require_finite(theta=theta)
-    return BipartiteOperator(3, 3, _coupled_core(b, 2 * math.cos(theta), _phases(theta)))
+    return BipartiteOperator(3, 3, _matrix(_edge_entries(b, theta)))
 
 
 def generalized_edge_state(b: float, theta: float) -> BipartiteOperator:
@@ -105,7 +140,7 @@ def generalized_edge_state(b: float, theta: float) -> BipartiteOperator:
     keeping that block PSD; for |theta| <= pi/3 this coincides with
     :func:`edge_state`.
     """
-    return BipartiteOperator(3, 3, _coupled_core(b, min_psd_diagonal(theta), _phases(theta)))
+    return BipartiteOperator(3, 3, _matrix(_generalized_entries(b, theta)))
 
 
 def corner_state(b: float) -> BipartiteOperator:
@@ -114,7 +149,7 @@ def corner_state(b: float) -> BipartiteOperator:
     Same diagonal pattern as the edge family with the phase entries replaced
     by +1 couplings and unit phase-diagonal; an edge state exactly when b != 1.
     """
-    return BipartiteOperator(3, 3, _coupled_core(b, 1.0, (1.0,) * 6))
+    return BipartiteOperator(3, 3, _matrix(_corner_entries(b)))
 
 
 def choi_matrix(a: float, b: float, c: float) -> BipartiteOperator:
@@ -128,13 +163,7 @@ def choi_matrix(a: float, b: float, c: float) -> BipartiteOperator:
     diagonal of block ``(i, i)`` replaced by column ``i`` of the weight
     matrix and that of every other block by zeros.
     """
-    if min(a, b, c) < 0:
-        raise InvalidParamError("weights must be nonnegative")
-    mat = _CHOI_OFF_DIAGONAL.copy()
-    # entry 3i + k of the diagonal is weight (k, i); "+ 0.0" turns a -0.0
-    # weight into the +0.0 the map's matrix product gives
-    mat[::10] = np.array([a, c, b, b, a, c, c, b, a]) + 0.0
-    return BipartiteOperator(3, 3, mat.reshape(9, 9))
+    return BipartiteOperator(3, 3, _matrix(_choi_entries(a, b, c), _CHOI_ZEROS))
 
 
 def separable_decomposition(b: float):
@@ -214,7 +243,7 @@ def face_state(b: float, g: GramSpec) -> BipartiteOperator:
             raise OffdiagTooLargeError(f"|{val}| > 1")
     if not is_psd(g.gram()):
         raise GramNotPSDError("implied Gram matrix is not PSD")
-    x = _coupled_core(b, 2 * math.cos(g.theta), _phases(g.theta))
+    x = _matrix(_core_entries(b, 2 * math.cos(g.theta), _phases(g.theta)))
     for (row, col), val in zip(FACE_COUPLINGS, offdiags):
         x[row, col] = val
         x[col, row] = val.conjugate()

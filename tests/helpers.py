@@ -1,16 +1,22 @@
 """Shared test utilities: golden matrices transcribed entry by entry,
 reference implementations that share no numerics with edgelab, the
-earlier builds and spectrum helpers that edgelab's faster ones must match
-bit for bit, and random-instance generators."""
+earlier builds, spectrum helpers and sweep loop that edgelab's faster ones
+must match bit for bit, and random-instance generators."""
 
 from __future__ import annotations
 
 import cmath
+import contextlib
+import csv
+import io
+import itertools
 import math
+import sys
 
 import numpy as np
 
 from edgelab import (
+    BipartiteOperator,
     DimensionMismatchError,
     EdgeLabError,
     GramNotPSDError,
@@ -19,9 +25,18 @@ from edgelab import (
     NotHermitianError,
     OffdiagTooLargeError,
     Subspace,
+    choi_matrix,
+    classify_many,
+    corner_state,
+    edge_state,
+    face_state,
+    generalized_edge_state,
     min_psd_diagonal,
+    phase_circulant,
+    product_vector_search_many,
     singular_gram_offdiags,
 )
+from edgelab import cli
 
 
 class NotPSDError(EdgeLabError):
@@ -378,3 +393,86 @@ def reference_face_matrix(b: float, g: GramSpec) -> np.ndarray:
         x[row, col] = val
         x[col, row] = val.conjugate()
     return _reference_operator(x)
+
+
+# Each sweepable family's member at one grid point, from the one-point constructors.
+REFERENCE_FAMILIES = {
+    "p-theta": lambda p: BipartiteOperator(1, 3, phase_circulant(p["theta"])),
+    "edge": lambda p: edge_state(p["b"], p["theta"]),
+    "edge-general": lambda p: generalized_edge_state(p["b"], p["theta"]),
+    "state-7-6": lambda p: corner_state(p["b"]),
+    "choi": lambda p: choi_matrix(p["a"], p["b"], p["c"]),
+    "p5": lambda p: face_state(p["b"], GramSpec(p["theta"], *singular_gram_offdiags(p["theta"], p["target_p"]))),
+}
+
+
+def reference_sweep(argv: list[str]) -> tuple[int, str, str]:
+    """``edgelab sweep`` with each grid point built as one operator by its
+    constructor, then classified and searched chunk by chunk through
+    ``classify_many`` and ``product_vector_search_many``: the exit code, the
+    standard output and the standard error of ``cli.main(argv)``."""
+    args = cli.make_parser().parse_args(argv)
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with np.errstate(over="ignore"), contextlib.redirect_stdout(out):
+            _reference_sweep(args)
+        code = 0
+    except (EdgeLabError, np.linalg.LinAlgError) as exc:
+        print(f"edgelab: error: {exc}", file=err)
+        code = 2
+    return code, out.getvalue(), err.getvalue()
+
+
+def _reference_sweep(args) -> None:
+    family = args.family
+    if family == "face":
+        raise InvalidParamError(f"sweep does not support family {family!r}")
+    columns = cli.FAMILIES[family][0]
+    if not args.range:
+        raise InvalidParamError("provide at least one --range NAME=START:STOP:STEPS")
+    ranges = {}
+    for text in args.range:
+        name, steps, value = cli._parse_range(text)
+        if name not in columns:
+            raise InvalidParamError(f"family {family!r} has no parameter {name!r}")
+        if name in ranges:
+            raise InvalidParamError(f"parameter {name!r} has more than one --range")
+        ranges[name] = (steps, value)
+    fixed = {}
+    for pname in columns:
+        if pname in ranges:
+            continue
+        val = getattr(args, pname)
+        if val is None:
+            raise InvalidParamError(f"fix parameter --{pname.replace('_', '-')} or sweep it")
+        fixed[pname] = val
+    axes = [(name, steps, value, name == "target_p") for name, (steps, value) in reversed(ranges.items())]
+
+    def point(k: int) -> dict:
+        params = dict(fixed)
+        for name, steps, value, integral in axes:
+            k, i = divmod(k, steps)
+            v = value(i)
+            params[name] = int(v) if integral and v.is_integer() else v
+        return params
+
+    def chunks():
+        total = math.prod(steps for steps, _ in ranges.values())
+        for lo in range(0, total, cli.SWEEP_CHUNK):
+            points = [point(k) for k in range(lo, min(lo + cli.SWEEP_CHUNK, total))]
+            ops = [REFERENCE_FAMILIES[family](params) for params in points]
+            rows = [
+                [params[name] for name in columns] + [c.is_ppt, c.type[0], c.type[1]]
+                for params, c in zip(points, classify_many(ops))
+            ]
+            if args.search:
+                for row, r in zip(rows, product_vector_search_many(ops, starts=args.starts, seed=args.seed)):
+                    row.append(r.best_objective)
+            yield [[repr(v) if isinstance(v, float) else v for v in row] for row in rows]
+
+    done = chunks()
+    first = next(done)
+    writer = csv.writer(sys.stdout)
+    writer.writerow(list(columns) + ["isPPT", "p", "q"] + (["bestObjective"] if args.search else []))
+    for rows in itertools.chain([first], done):
+        writer.writerows(rows)

@@ -288,6 +288,22 @@ class TestEdgeCertificate:
     def test_certified_elsewhere(self):
         assert verify_edge_analytic(2.0, -math.pi / 4).verdict is EdgeCertificate.EDGE_CERTIFIED
 
+    @pytest.mark.parametrize("b, theta", [(1e12, 0.5), (1.0, 1e-13), (1e-300, 1e-300)])
+    def test_certified_with_margins_far_below_one(self, b, theta):
+        assert verify_edge_analytic(b, theta).verdict is EdgeCertificate.EDGE_CERTIFIED
+
+    @pytest.mark.parametrize(
+        "b, theta",
+        [
+            (1.0, math.nextafter(math.pi / 3, 0)),  # the product margin is rounding
+            (1e300, 1e-300),  # sin(theta) / b underflows to zero
+        ],
+    )
+    def test_margins_lost_to_rounding_are_not_certified(self, b, theta):
+        trace = verify_edge_analytic(b, theta)
+        assert trace.verdict is EdgeCertificate.NOT_APPLICABLE
+        assert not all(step.ok for step in trace.steps)
+
     @pytest.mark.parametrize("b, theta", [(1.0, 0.0), (1.0, math.pi / 3), (-1.0, THETA), (1.0, 2.0)])
     def test_condition_violations(self, b, theta):
         with pytest.raises(ConditionViolatedError):

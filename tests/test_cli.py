@@ -1,4 +1,6 @@
+import contextlib
 import importlib
+import io
 import itertools
 import json
 import math
@@ -13,9 +15,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edgelab import BipartiteOperator, choi_matrix, classify, edge_state, product_vector_search
-from edgelab.cli import SWEEP_CHUNK, _parse_range, main
+from edgelab.classify import _classify_stack
+from edgelab.cli import FAMILIES, SWEEP_CHUNK, _parse_range, main
 from edgelab.io import matrix_from_dict, matrix_to_dict, read_matrix, write_matrix
 from edgelab.errors import EdgeLabError
+from helpers import REFERENCE_FAMILIES, assert_same_entries, reference_sweep
 
 THETA = math.pi / 6
 # the module, which the package's ``classify`` function shadows as an attribute
@@ -82,6 +86,70 @@ def strict_json(text):
 def assert_one_line_error(err):
     assert err.startswith("edgelab: error: ")
     assert err.count("\n") == 1 and err.endswith("\n")
+
+
+# Plain values, and values of every kind among them those that broke the
+# exit-code contract: non-finite, at the float limits, signed zeros, b <= 0.
+SWEEP_VALUES = st.one_of(
+    st.floats(0.05, 1.0).map(repr),
+    st.floats(-3.0, 3.0).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308", "5e-324", "-0.0", "0", "-1", "5", "8"]),
+)
+
+
+@st.composite
+def sweep_argvs(draw) -> list[str]:
+    """``sweep`` argv for a sweepable family: one range or two, of which the
+    first may cross a chunk boundary, each parameter not swept fixed, and
+    now and then a wrong name, step count or missing parameter; ``--search``
+    at random."""
+    family = draw(st.sampled_from([name for name in FAMILIES if name != "face"]))
+    columns = FAMILIES[family][0]
+    search = draw(st.booleans())
+    swept = draw(st.permutations(columns))[: draw(st.integers(1, 2))]
+    if not draw(st.integers(0, 9)):
+        swept.append(draw(st.sampled_from(["x", swept[0]])))
+    argv = ["sweep", f"--family={family}"]
+    for i, name in enumerate(swept):
+        steps = draw(st.sampled_from(["1", "2", "3"] * 3 + ["0", "1.5"] + ([] if search or i else ["67"] * 2)))
+        argv.append(f"--range={name}={draw(SWEEP_VALUES)}:{draw(SWEEP_VALUES)}:{steps}")
+    for name in columns:
+        if name not in swept and draw(st.integers(0, 9)):
+            if name == "target_p":
+                argv.append(f"--target-p={draw(st.sampled_from('5678'))}")
+            else:
+                argv.append(f"--{name}={draw(SWEEP_VALUES)}")
+    if search:
+        argv += ["--search", f"--starts={draw(st.integers(1, 3))}", f"--seed={draw(st.integers(-1, 3))}"]
+    return argv
+
+
+# Valid points of each sweepable family, signed zeros included.
+POSITIVE = st.floats(1e-300, 1e300)
+WEIGHT = st.one_of(st.floats(0.0, 1e300), st.just(-0.0))
+STRICT_THETA = st.builds(lambda t, sign: sign * t, st.floats(1e-3, math.pi / 3 - 1e-3), st.sampled_from([1.0, -1.0]))
+FAMILY_POINTS = {
+    "p-theta": st.fixed_dictionaries({"theta": st.floats(-4.0, 4.0)}),
+    "edge": st.fixed_dictionaries({"b": POSITIVE, "theta": st.floats(-4.0, 4.0)}),
+    "edge-general": st.fixed_dictionaries({"b": POSITIVE, "theta": st.floats(-4.0, 4.0)}),
+    "state-7-6": st.fixed_dictionaries({"b": POSITIVE}),
+    "choi": st.fixed_dictionaries({"a": WEIGHT, "b": WEIGHT, "c": WEIGHT}),
+    "p5": st.fixed_dictionaries({"b": POSITIVE, "theta": STRICT_THETA, "target_p": st.integers(5, 8)}),
+}
+
+
+class TestChunkBuilders:
+    @given(data=st.data(), family=st.sampled_from(sorted(FAMILY_POINTS)))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_stacks_are_the_one_point_matrices_and_classify_alike(self, data, family):
+        points = data.draw(st.lists(FAMILY_POINTS[family], min_size=1, max_size=SWEEP_CHUNK + 6))
+        _, dims, build = FAMILIES[family]
+        ops = [REFERENCE_FAMILIES[family](p) for p in points]
+        stack = build(points)
+        assert_same_entries(stack, np.array([op.mat for op in ops]))
+        got = list(zip(*_classify_stack(stack, *dims)))
+        want = [(c.type[0], c.type[1], c.is_psd, c.is_ppt) for c in map(classify, ops)]
+        assert [(p, q, p_psd, p_psd and q_psd) for p, q, p_psd, q_psd in got] == want
 
 
 class TestConstruct:
@@ -273,7 +341,7 @@ class TestEdgeCheck:
     @pytest.mark.parametrize(
         "b, verdict",
         [
-            ("1.7e308", "NotApplicable"),  # b**3 overflows; sin(theta) / b is below MARGIN_TOL
+            ("1.7e308", "Edge"),  # b**3 overflows; sin(theta) / b is tiny but nonzero
             ("5e-324", "Edge"),  # sin(theta) / b overflows
         ],
     )
@@ -285,6 +353,13 @@ class TestEdgeCheck:
         report = strict_json(out)
         assert report["verdict"] == verdict
         assert all(0 < step["margin"] <= sys.float_info.max for step in report["steps"])
+
+    @pytest.mark.parametrize("b, theta", [("1e12", "0.5"), ("1", "1e-13")])
+    def test_analytic_certifies_small_margins(self, capsys, b, theta):
+        code, out, _ = run_cli(
+            capsys, "edge-check", "--family", "edge", "--b", b, "--theta", theta, "--analytic",
+        )
+        assert (code, strict_json(out)["verdict"]) == (0, "Edge")
 
     def test_analytic_rejects_infinite_b(self, capsys):
         code, out, err = run_cli(
@@ -463,20 +538,27 @@ class TestSweep:
         assert path.read_bytes() == "".join(line + "\r\n" for line in lines).encode()
 
     def test_one_eigvalsh_call_per_chunk(self, capsys, monkeypatch):
-        calls = []
+        calls, operators = [], []
         eigvalsh = CLASSIFY_MODULE.np.linalg.eigvalsh
+        post_init = BipartiteOperator.__post_init__
 
         def counting(a, *args, **kwargs):
             calls.append(np.shape(a))
             return eigvalsh(a, *args, **kwargs)
 
+        def counting_post_init(op):
+            operators.append(op.mat.shape)
+            post_init(op)
+
         monkeypatch.setattr(CLASSIFY_MODULE.np.linalg, "eigvalsh", counting)
+        monkeypatch.setattr(BipartiteOperator, "__post_init__", counting_post_init)
         code, out, _ = run_cli(
             capsys, "sweep", "--family", "edge", "--range", "b=0.5:2:20", "--range", "theta=-1.2:1.2:20",
         )
         assert code == 0
         assert len(out.splitlines()) == 401
         assert len(calls) <= math.ceil(400 / SWEEP_CHUNK)
+        assert operators == []
 
     def test_memory_does_not_grow_with_the_grid(self, capsys, tmp_path):
         def peak(theta_steps):
@@ -597,6 +679,20 @@ class TestSweep:
             tracemalloc.stop()
         assert peak < 20_000  # a list of the values would take about 32 MB
         assert (steps, value(0), value(999_999)) == (1_000_000, 1.0, 2.0)
+
+    @given(argv=sweep_argvs())
+    @example(argv=["sweep", "--family=choi", "--b=1", "--c=1", "--range=a=inf:-1:3"])  # inf, nan, then a < 0
+    @example(argv=["sweep", "--family=edge", "--theta=0.5", "--range=b=5e-324:-1:3"])  # 1/b = inf, then b < 0
+    @example(argv=["sweep", "--family=edge", "--theta=0.5", "--range=b=2:-1:67"])  # the second chunk fails
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_matches_the_point_by_point_reference(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert (code, out.getvalue(), err.getvalue()) == reference_sweep(argv)
+        if code:
+            assert code == 2
+            assert_one_line_error(err.getvalue())
 
     def test_bad_range_exit_2(self, capsys):
         # more than 2**53 steps: a step index is no longer exact as a float
