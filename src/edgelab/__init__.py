@@ -11,12 +11,9 @@ from .classify import (
     CertificateTrace,
     Classification,
     EdgeCertificate,
-    RangeCriterionCheck,
-    check_range_criterion,
     classify,
     classify_many,
     rank_bounds,
-    reconstruct_separable,
     verify_edge_analytic,
 )
 from .errors import (
@@ -28,16 +25,7 @@ from .errors import (
     NotHermitianError,
     OffdiagTooLargeError,
 )
-from .linalg import (
-    BipartiteOperator,
-    Subspace,
-    is_psd,
-    numerical_rank,
-    partial_transpose,
-    proj,
-    range_basis,
-    tensor,
-)
+from .linalg import BipartiteOperator, is_psd, partial_transpose
 from .search import EdgeSearchResult, SearchVerdict, product_vector_search, product_vector_search_many
 from .states import (
     GramSpec,
@@ -50,8 +38,6 @@ from .states import (
     min_psd_diagonal,
     offdiag_gram,
     phase_circulant,
-    product_vector,
-    separable_decomposition,
     singular_gram_offdiags,
 )
 
@@ -72,10 +58,7 @@ __all__ = [
     "InvalidParamError",
     "NotHermitianError",
     "OffdiagTooLargeError",
-    "RangeCriterionCheck",
     "SearchVerdict",
-    "Subspace",
-    "check_range_criterion",
     "choi_matrix",
     "classify",
     "classify_many",
@@ -86,19 +69,12 @@ __all__ = [
     "generalized_edge_state",
     "is_psd",
     "min_psd_diagonal",
-    "numerical_rank",
     "offdiag_gram",
     "partial_transpose",
     "phase_circulant",
-    "product_vector",
     "product_vector_search",
     "product_vector_search_many",
-    "proj",
-    "range_basis",
     "rank_bounds",
-    "reconstruct_separable",
-    "separable_decomposition",
     "singular_gram_offdiags",
-    "tensor",
     "verify_edge_analytic",
 ]

@@ -1,6 +1,5 @@
-"""Verdicts: PSD/PPT checks, (p, q) types, rank-bound admissibility,
-range-criterion checks, separable reconstruction, and the analytic edge
-certificate for the phase-parameterized family.
+"""Verdicts: PSD/PPT checks, (p, q) types, rank-bound admissibility, and the
+analytic edge certificate for the phase-parameterized family.
 
 ``_classify_stack`` is the one classification path: one Hermiticity check
 over a stack of states and one ``eigvalsh`` call over the states and their
@@ -22,22 +21,9 @@ from math import comb
 import numpy as np
 
 from .errors import ConditionViolatedError, DimensionMismatchError, InvalidParamError
-from .linalg import (
-    PSD_ATOL,
-    RANK_RTOL,
-    BipartiteOperator,
-    _check_hermitian,
-    _partial_transpose,
-    _rank_psd,
-    numerical_rank,
-    partial_transpose,
-    proj,
-    range_basis,
-)
-from .states import edge_condition_holds, edge_state, product_vector, separable_decomposition
+from .linalg import PSD_ATOL, RANK_RTOL, BipartiteOperator, _check_hermitian, _partial_transpose, _rank_psd
+from .states import edge_condition_holds
 
-# A product vector lies in a range when its distance from it is at most this.
-RESIDUAL_TOL = 1e-9
 # Units of rounding, eps * max(b**3, 1), the product margin of a certificate must exceed.
 MARGIN_ULPS = 16
 
@@ -141,49 +127,6 @@ def classify(
     ``eigvalsh`` call for the state and its partial transpose.
     """
     return classify_many([s], rel_tol, abs_tol)[0]
-
-
-@dataclass(frozen=True)
-class RangeCriterionCheck:
-    holds: bool
-    span_dims: tuple[int, int]
-    max_residual: float
-
-
-def check_range_criterion(s: BipartiteOperator, pairs) -> RangeCriterionCheck:
-    """Do the product vectors witness the range criterion for ``s``?
-
-    Holds iff every ``x (x) y`` lies in the range of ``s`` and every
-    ``conj(x) (x) y`` in the range of its partial transpose (residuals at most
-    :data:`RESIDUAL_TOL`), and the two spans fill those ranges completely.
-    """
-    pairs = list(pairs)
-    tau = partial_transpose(s)
-    if not pairs:
-        return RangeCriterionCheck(False, (0, 0), math.inf)
-    r_s = range_basis(s.mat)
-    r_t = range_basis(tau.mat)
-    direct, conjugated = [], []
-    worst = 0.0
-    for x, y in pairs:
-        v = product_vector(x, y)
-        w = product_vector(np.conj(x), y)
-        worst = max(worst, r_s.residual(v), r_t.residual(w))
-        direct.append(v / np.linalg.norm(v))
-        conjugated.append(w / np.linalg.norm(w))
-    span_d = numerical_rank(np.column_stack(direct))
-    span_e = numerical_rank(np.column_stack(conjugated))
-    holds = worst <= RESIDUAL_TOL and (span_d, span_e) == (r_s.dim, r_t.dim)
-    return RangeCriterionCheck(holds, (span_d, span_e), worst)
-
-
-def reconstruct_separable(b: float) -> float:
-    """Max-norm error of the product-vector reconstruction of the theta=0 state."""
-    target = edge_state(b, 0.0).mat
-    total = np.zeros_like(target)
-    for x, y in separable_decomposition(b):
-        total += proj(product_vector(x, y))
-    return float(np.max(np.abs(total / (3 * b) - target)))
 
 
 class EdgeCertificate(Enum):

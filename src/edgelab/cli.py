@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: construct | classify | edge-check | sweep | table | decompose.
+Subcommands: construct | classify | edge-check | sweep | table.
 Matrices travel as JSON files (see :mod:`edgelab.io`); sweeps emit CSV with a
 frozen column order and build and classify each chunk of their grid as one stack.
 
@@ -23,14 +23,21 @@ from fractions import Fraction
 import numpy as np
 
 from . import io as mio
-from .classify import EdgeCertificate, classify, classify_many, reconstruct_separable, verify_edge_analytic
+from .classify import EdgeCertificate, classify, classify_many, verify_edge_analytic
 from .classify import _classify_stack
 from .errors import EdgeLabError, InvalidParamError
 from .linalg import BipartiteOperator
 from .search import SearchVerdict, product_vector_search, product_vector_search_many
-from .states import _CHOI_ZEROS, _choi_entries, _corner_entries, _edge_entries, _generalized_entries, _stack
 from .states import (
+    _CHOI_ZEROS,
+    _FACE_FLAT,
     GramSpec,
+    _choi_entries,
+    _corner_entries,
+    _edge_entries,
+    _face_entries,
+    _generalized_entries,
+    _stack,
     edge_state,
     face_state,
     phase_circulant,
@@ -64,14 +71,13 @@ def _theta_frac(text: str) -> float:
         raise argparse.ArgumentTypeError(f"bad rational multiple of pi {text!r}") from exc
 
 
-def _face(p: dict) -> BipartiteOperator:
+def _face(p: dict) -> tuple:
     couplings = (_parse_complex(p[name]) for name in ("xi_eta", "eta_zeta", "zeta_xi"))
-    return face_state(p["b"], GramSpec(p["theta"], *couplings))
+    return _face_entries(p["b"], GramSpec(p["theta"], *couplings))
 
 
-def _p5(p: dict) -> BipartiteOperator:
-    spec = GramSpec(p["theta"], *singular_gram_offdiags(p["theta"], p["target_p"]))
-    return face_state(p["b"], spec)
+def _p5(p: dict) -> tuple:
+    return _face_entries(p["b"], GramSpec(p["theta"], *singular_gram_offdiags(p["theta"], p["target_p"])))
 
 
 # Each family's required parameters, in the frozen column order of ``sweep``, its local
@@ -85,10 +91,10 @@ FAMILIES = {
     "state-7-6": (("b",), (3, 3), lambda ps: _stack([_corner_entries(p["b"]) for p in ps])),
     "choi": (
         ("a", "b", "c"), (3, 3),
-        lambda ps: _stack([_choi_entries(p["a"], p["b"], p["c"]) for p in ps], _CHOI_ZEROS),
+        lambda ps: _stack([_choi_entries(p["a"], p["b"], p["c"]) for p in ps], base=_CHOI_ZEROS),
     ),
-    "face": (("b", "theta"), (3, 3), lambda ps: np.array([_face(p).mat for p in ps])),
-    "p5": (("b", "theta", "target_p"), (3, 3), lambda ps: np.array([_p5(p).mat for p in ps])),
+    "face": (("b", "theta"), (3, 3), lambda ps: _stack([_face(p) for p in ps], _FACE_FLAT)),
+    "p5": (("b", "theta", "target_p"), (3, 3), lambda ps: _stack([_p5(p) for p in ps], _FACE_FLAT)),
 }
 
 
@@ -347,12 +353,6 @@ def cmd_table(args) -> int:
     return 0
 
 
-def cmd_decompose(args) -> int:
-    err = reconstruct_separable(args.b)
-    print(json.dumps({"b": args.b, "maxError": err}))
-    return 0
-
-
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="edgelab",
@@ -392,10 +392,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=float, default=1.0)
     p.add_argument("--theta", type=float, default=math.pi / 6)
     p.set_defaults(func=cmd_table)
-
-    p = sub.add_parser("decompose", help="error of the separable reconstruction at theta = 0")
-    p.add_argument("--b", type=float, required=True)
-    p.set_defaults(func=cmd_decompose)
 
     return parser
 

@@ -15,8 +15,8 @@ makes one check and one ``eigvalsh`` call per stack of states and partial
 transposes.  Both read the ranks and PSD flags with :func:`_rank_psd`, which,
 like :func:`_check_hermitian` and :func:`_rank`, takes a single matrix or a
 stack over leading axes, and reads the ends of the ascending spectra that
-``eigvalsh`` returns.  :func:`numerical_rank` and :func:`range_basis` accept
-any matrix, also non-square, and use the SVD.  Every rank applies the one
+``eigvalsh`` returns.  :func:`_kernel`, the one subspace routine, gives the
+kernel of a Hermitian matrix from one ``eigh``.  Every rank applies the one
 threshold rule of :func:`_rank`.
 """
 
@@ -69,41 +69,6 @@ class BipartiteOperator:
     @property
     def dim(self) -> int:
         return self.m * self.n
-
-
-@dataclass(frozen=True)
-class Subspace:
-    """An orthonormal basis (columns) for a kernel or range.
-
-    ``basis`` has shape ``(ambient_dim, dim)``; a zero-dimensional subspace is
-    represented by a basis with zero columns.
-    """
-
-    ambient_dim: int
-    basis: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "basis", _as_complex(self.basis))
-        if self.basis.ndim != 2 or self.basis.shape[0] != self.ambient_dim:
-            raise DimensionMismatchError("basis must have ambient_dim rows")
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[1]
-
-    def residual(self, v: np.ndarray) -> float:
-        """Distance of the unit-normalized vector from the subspace."""
-        v = _as_complex(v).ravel()
-        nrm = np.linalg.norm(v)
-        if nrm == 0:
-            return 0.0
-        v = v / nrm
-        return float(np.linalg.norm(v - self.basis @ (self.basis.conj().T @ v)))
-
-
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product in the composite-index convention above."""
-    return np.kron(_as_complex(a), _as_complex(b))
 
 
 def _partial_transpose(mats: np.ndarray, m: int, n: int) -> np.ndarray:
@@ -187,20 +152,16 @@ def _rank_psd(vals: np.ndarray, rel_tol: float, abs_tol: float) -> tuple[np.ndar
     return _rank(mag, rel_tol, top), vals[..., 0] >= -abs_tol * np.maximum(top[..., 0], 1.0)
 
 
-def numerical_rank(m: np.ndarray) -> int:
-    """Number of singular values above :data:`RANK_RTOL` times the largest one.
+def _kernel(h: np.ndarray) -> np.ndarray:
+    """Kernel basis of a Hermitian matrix from one ``eigh``.
 
-    Uses the SVD, so ``m`` may be any matrix, also non-square.
+    The columns are the eigenvectors of the ``d - r`` eigenvalues smallest in
+    absolute value, ``r`` being the rank under the threshold rule of :func:`_rank`.
     """
-    sv = np.linalg.svd(_as_complex(m), compute_uv=False)  # in descending order
-    return int(_rank(sv, RANK_RTOL, sv[:1]))
-
-
-def range_basis(m: np.ndarray) -> Subspace:
-    """Orthonormal basis of the column space, from the SVD of any matrix."""
-    m = _as_complex(m)
-    u, s, _ = np.linalg.svd(m)
-    return Subspace(m.shape[0], u[:, : _rank(s, RANK_RTOL, s[:1])])
+    vals, vecs = np.linalg.eigh(h)
+    mag = np.abs(vals)
+    order = np.argsort(mag, kind="stable")
+    return vecs[:, order[: h.shape[0] - _rank(mag, RANK_RTOL, mag[order[-1:]])]]
 
 
 def is_psd(m: np.ndarray) -> bool:
@@ -210,8 +171,3 @@ def is_psd(m: np.ndarray) -> bool:
     """
     return bool(_rank_psd(np.linalg.eigvalsh(_check_hermitian(m)), RANK_RTOL, PSD_ATOL)[1])
 
-
-def proj(v) -> np.ndarray:
-    """Rank-one projector ``v v^H`` onto a (not necessarily unit) vector."""
-    v = _as_complex(v).reshape(-1, 1)
-    return v @ v.conj().T

@@ -45,7 +45,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidParamError
-from .linalg import RANK_RTOL, BipartiteOperator, _check_hermitian, _rank, partial_transpose
+from .linalg import BipartiteOperator, _check_hermitian, _kernel, partial_transpose
 
 FOUND_THRESHOLD = 1e-9
 
@@ -111,18 +111,6 @@ def _random_starts(rng: np.random.Generator, count: int, m: int, n: int) -> tupl
     x = z[:, :m] + 1j * z[:, m : 2 * m]
     y = z[:, 2 * m : 2 * m + n] + 1j * z[:, 2 * m + n :]
     return _unit_rows(x), _unit_rows(y)
-
-
-def _kernel(h: np.ndarray) -> np.ndarray:
-    """Kernel basis of a Hermitian matrix from one ``eigh``.
-
-    The columns are the eigenvectors of the ``d - r`` eigenvalues smallest in
-    absolute value, ``r`` being the rank under the threshold rule of ``classify``.
-    """
-    vals, vecs = np.linalg.eigh(h)
-    mag = np.abs(vals)
-    order = np.argsort(mag, kind="stable")
-    return vecs[:, order[: h.shape[0] - _rank(mag, RANK_RTOL, mag[order[-1:]])]]
 
 
 def _smallest_eigvecs(h: np.ndarray) -> np.ndarray:

@@ -10,7 +10,8 @@ remaining six coordinates pair up as ``{1, 3}``, ``{2, 6}`` and ``{5, 7}``.
 Ranks and kernels of the families decompose accordingly.
 
 The edge, generalized edge, corner and Choi families write 15 entries at
-:data:`_CORE_FLAT`, each family from one function that validates a point and
+:data:`_CORE_FLAT`, and the face family those and its three coupling pairs at
+:data:`_FACE_FLAT`, each family from one function that validates a point and
 gives them; :func:`_matrix` writes one point and :func:`_stack` a chunk.
 """
 
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GramNotPSDError, InvalidParamError, OffdiagTooLargeError
-from .linalg import BipartiteOperator, is_psd, tensor
+from .linalg import BipartiteOperator, is_psd
 
 # Coordinate pairs carrying the off-diagonal inner products of the face
 # family (state side / transpose side).
@@ -31,6 +32,8 @@ FACE_COUPLINGS = ((3, 1), (7, 5), (2, 6))
 # Flat positions (9 * row + col) of the entries of the scattered families: the
 # diagonal on {0, 4, 8}, the couplings between them row by row, the other diagonal.
 _CORE_FLAT = np.array([0, 40, 80, 4, 8, 36, 44, 72, 76, 10, 20, 30, 50, 60, 70])
+# Those of the face family: the core, then each coupling pair of FACE_COUPLINGS.
+_FACE_FLAT = np.concatenate([_CORE_FLAT, [k for r, c in FACE_COUPLINGS for k in (9 * r + c, 9 * c + r)]])
 _ZEROS = np.zeros(81, dtype=complex)
 # The zeros of choi_matrix, flat, as the map gives them: +0 on block diagonals, -0 elsewhere.
 _CHOI_ZEROS = np.full(81, complex(-0.0, -0.0))
@@ -79,17 +82,17 @@ def min_psd_diagonal(theta: float) -> float:
     return max(2 * math.cos(theta - third), 2 * math.cos(theta), 2 * math.cos(theta + third))
 
 
-def _matrix(entries: tuple, base: np.ndarray = _ZEROS) -> np.ndarray:
-    """A copy of the flat ``base`` with the 15 ``entries`` at :data:`_CORE_FLAT`, as a 9x9 matrix."""
+def _matrix(entries: tuple, flat: np.ndarray = _CORE_FLAT, base: np.ndarray = _ZEROS) -> np.ndarray:
+    """A copy of the flat ``base`` with the ``entries`` at the positions ``flat``, as a 9x9 matrix."""
     a = base.copy()
-    a[_CORE_FLAT] = entries
+    a[flat] = entries
     return a.reshape(9, 9)
 
 
-def _stack(rows: list, base: np.ndarray = _ZEROS) -> np.ndarray:
+def _stack(rows: list, flat: np.ndarray = _CORE_FLAT, base: np.ndarray = _ZEROS) -> np.ndarray:
     """:func:`_matrix` of each of the k ``rows`` of entries, in one scatter: a (k, 9, 9) stack."""
     a = np.tile(base, (len(rows), 1))
-    a[:, _CORE_FLAT] = rows
+    a[:, flat] = rows
     return a.reshape(-1, 9, 9)
 
 
@@ -163,29 +166,7 @@ def choi_matrix(a: float, b: float, c: float) -> BipartiteOperator:
     diagonal of block ``(i, i)`` replaced by column ``i`` of the weight
     matrix and that of every other block by zeros.
     """
-    return BipartiteOperator(3, 3, _matrix(_choi_entries(a, b, c), _CHOI_ZEROS))
-
-
-def separable_decomposition(b: float):
-    """The nine product-vector pairs reconstructing the theta = 0 edge state.
-
-    Returns ``[(x, y), ...]`` such that ``sum proj(x (x) y) / (3 b)`` equals
-    ``edge_state(b, 0)``; the phases run over the third roots of unity.
-    """
-    if b <= 0:
-        raise InvalidParamError(f"b must be positive, got {b}")
-    sb = math.sqrt(b)
-    roots = [cmath.exp(2j * math.pi * k / 3) for k in (0, 1, -1)]
-    pairs = []
-    for factors in (
-        lambda w: ((0, 1, sb * w), (0, sb, -w.conjugate())),
-        lambda w: ((sb * w, 0, 1), (-w.conjugate(), 0, sb)),
-        lambda w: ((1, sb * w, 0), (sb, -w.conjugate(), 0)),
-    ):
-        for w in roots:
-            x, y = factors(w)
-            pairs.append((np.array(x, dtype=complex), np.array(y, dtype=complex)))
-    return pairs
+    return BipartiteOperator(3, 3, _matrix(_choi_entries(a, b, c), base=_CHOI_ZEROS))
 
 
 def offdiag_gram(theta: float, rho: complex, sigma: complex, tau: complex) -> np.ndarray:
@@ -228,6 +209,19 @@ class GramSpec:
         return offdiag_gram(self.theta, *self.offdiagonals())
 
 
+def _face_entries(b: float, g: GramSpec) -> tuple:
+    """The edge family's core entries, then each coupling and its conjugate, at :data:`_FACE_FLAT`."""
+    _require_finite(theta=g.theta, xi_eta=g.xi_eta, eta_zeta=g.eta_zeta, zeta_xi=g.zeta_xi)
+    offdiags = g.offdiagonals()
+    for val in offdiags:
+        if abs(val) > 1 + OFFDIAG_SLACK:
+            raise OffdiagTooLargeError(f"|{val}| > 1")
+    if not is_psd(g.gram()):
+        raise GramNotPSDError("implied Gram matrix is not PSD")
+    core = _core_entries(b, 2 * math.cos(g.theta), _phases(g.theta))
+    return core + tuple(v for val in offdiags for v in (val, val.conjugate()))
+
+
 def face_state(b: float, g: GramSpec) -> BipartiteOperator:
     """State in the face spanned by the edge family, with prescribed couplings.
 
@@ -236,18 +230,7 @@ def face_state(b: float, g: GramSpec) -> BipartiteOperator:
     result is ``2 + sum(rank of the three 2x2 coupling blocks)``; the rank of
     its partial transpose is ``3 + rank(g.gram())``.
     """
-    _require_finite(theta=g.theta, xi_eta=g.xi_eta, eta_zeta=g.eta_zeta, zeta_xi=g.zeta_xi)
-    offdiags = g.offdiagonals()
-    for val in offdiags:
-        if abs(val) > 1 + OFFDIAG_SLACK:
-            raise OffdiagTooLargeError(f"|{val}| > 1")
-    if not is_psd(g.gram()):
-        raise GramNotPSDError("implied Gram matrix is not PSD")
-    x = _matrix(_core_entries(b, 2 * math.cos(g.theta), _phases(g.theta)))
-    for (row, col), val in zip(FACE_COUPLINGS, offdiags):
-        x[row, col] = val
-        x[col, row] = val.conjugate()
-    return BipartiteOperator(3, 3, x)
+    return BipartiteOperator(3, 3, _matrix(_face_entries(b, g), _FACE_FLAT))
 
 
 def singular_gram_offdiags(theta: float, target_p: int) -> tuple[complex, complex, complex]:
@@ -277,7 +260,3 @@ def singular_gram_offdiags(theta: float, target_p: int) -> tuple[complex, comple
         raise InvalidParamError("computed off-diagonal left the closed unit disk")
     return tuple(complex(v) for v in out)
 
-
-def product_vector(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Convenience wrapper: the composite vector of a factor pair."""
-    return tensor(np.asarray(x, dtype=complex).ravel(), np.asarray(y, dtype=complex).ravel())

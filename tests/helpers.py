@@ -1,7 +1,9 @@
 """Shared test utilities: golden matrices transcribed entry by entry,
-reference implementations that share no numerics with edgelab, the
-earlier builds, spectrum helpers and sweep loop that edgelab's faster ones
-must match bit for bit, and random-instance generators."""
+reference implementations that share no numerics with edgelab (among them
+the SVD subspaces, the range-criterion check and the separable
+decomposition of the theta = 0 edge state), the earlier builds, spectrum
+helpers and sweep loop that edgelab's faster ones must match bit for bit,
+and random-instance generators."""
 
 from __future__ import annotations
 
@@ -12,6 +14,7 @@ import io
 import itertools
 import math
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +27,6 @@ from edgelab import (
     InvalidParamError,
     NotHermitianError,
     OffdiagTooLargeError,
-    Subspace,
     choi_matrix,
     classify_many,
     corner_state,
@@ -32,6 +34,7 @@ from edgelab import (
     face_state,
     generalized_edge_state,
     min_psd_diagonal,
+    partial_transpose,
     phase_circulant,
     product_vector_search_many,
     singular_gram_offdiags,
@@ -120,20 +123,154 @@ def edge_tau_kernel_vectors(b: float, theta: float) -> list[np.ndarray]:
     return vs
 
 
-def kernel_basis(m: np.ndarray, rel_tol: float = RANK_RTOL) -> Subspace:
-    """Orthonormal basis of the right null space, from the SVD of any matrix.
+# ----------------------------------------------------------------------------
+# Subspaces from the SVD, for any matrix, also non-square: the reference that
+# edgelab's one kernel routine, an ``eigh`` of a Hermitian matrix, must match.
 
-    The rank counts the singular values above ``rel_tol`` times the largest.
+# A product vector lies in a range when its distance from it is at most this.
+RESIDUAL_TOL = 1e-9
+
+
+@dataclass(frozen=True)
+class Subspace:
+    """An orthonormal basis (columns) for a kernel or range.
+
+    ``basis`` has shape ``(ambient_dim, dim)``; a zero-dimensional subspace is
+    represented by a basis with zero columns.
     """
-    m = np.asarray(m, dtype=complex)
-    _, s, vh = np.linalg.svd(m)
-    rank = int(np.count_nonzero(s > rel_tol * s.max())) if s.size else 0
-    return Subspace(m.shape[1], vh[rank:].conj().T)
+
+    ambient_dim: int
+    basis: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "basis", np.asarray(self.basis, dtype=complex))
+        if self.basis.ndim != 2 or self.basis.shape[0] != self.ambient_dim:
+            raise DimensionMismatchError("basis must have ambient_dim rows")
+
+    @property
+    def dim(self) -> int:
+        return self.basis.shape[1]
+
+    def residual(self, v: np.ndarray) -> float:
+        """Distance of the unit-normalized vector from the subspace."""
+        v = np.asarray(v, dtype=complex).ravel()
+        nrm = np.linalg.norm(v)
+        if nrm == 0:
+            return 0.0
+        v = v / nrm
+        return float(np.linalg.norm(v - self.basis @ (self.basis.conj().T @ v)))
+
+
+def _svd(m) -> tuple[np.ndarray, np.ndarray, int]:
+    """``u``, ``vh`` and the rank of any matrix, from one SVD.
+
+    The rank counts the singular values above :data:`RANK_RTOL` times the
+    largest, 0 for an empty matrix.
+    """
+    u, s, vh = np.linalg.svd(np.asarray(m, dtype=complex))
+    return u, vh, int(np.count_nonzero(s > RANK_RTOL * s.max())) if s.size else 0
+
+
+def numerical_rank(m) -> int:
+    """Number of singular values above :data:`RANK_RTOL` times the largest."""
+    return _svd(m)[2]
+
+
+def range_basis(m) -> Subspace:
+    """Orthonormal basis of the column space."""
+    u, _, rank = _svd(m)
+    return Subspace(u.shape[0], u[:, :rank])
+
+
+def kernel_basis(m) -> Subspace:
+    """Orthonormal basis of the right null space."""
+    _, vh, rank = _svd(m)
+    return Subspace(vh.shape[1], vh[rank:].conj().T)
 
 
 def projector(s: Subspace) -> np.ndarray:
     """Orthogonal projector onto the subspace (the zero matrix if it is empty)."""
     return s.basis @ s.basis.conj().T
+
+
+def tensor(a, b) -> np.ndarray:
+    """Kronecker product in the composite-index convention ``(i, k) -> i * n + k``."""
+    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+
+
+def proj(v) -> np.ndarray:
+    """Rank-one projector ``v v^H`` onto a (not necessarily unit) vector."""
+    v = np.asarray(v, dtype=complex).reshape(-1, 1)
+    return v @ v.conj().T
+
+
+def product_vector(x, y) -> np.ndarray:
+    """The composite vector of a factor pair."""
+    return tensor(np.asarray(x, dtype=complex).ravel(), np.asarray(y, dtype=complex).ravel())
+
+
+@dataclass(frozen=True)
+class RangeCriterionCheck:
+    holds: bool
+    span_dims: tuple[int, int]
+    max_residual: float
+
+
+def check_range_criterion(s: BipartiteOperator, pairs) -> RangeCriterionCheck:
+    """Do the product vectors witness the range criterion for ``s``?
+
+    Holds iff every ``x (x) y`` lies in the range of ``s`` and every
+    ``conj(x) (x) y`` in the range of its partial transpose (residuals at most
+    :data:`RESIDUAL_TOL`), and the two spans fill those ranges completely.
+    """
+    pairs = list(pairs)
+    if not pairs:
+        return RangeCriterionCheck(False, (0, 0), math.inf)
+    r_s = range_basis(s.mat)
+    r_t = range_basis(partial_transpose(s).mat)
+    direct, conjugated = [], []
+    worst = 0.0
+    for x, y in pairs:
+        v = product_vector(x, y)
+        w = product_vector(np.conj(x), y)
+        worst = max(worst, r_s.residual(v), r_t.residual(w))
+        direct.append(v / np.linalg.norm(v))
+        conjugated.append(w / np.linalg.norm(w))
+    span_d = numerical_rank(np.column_stack(direct))
+    span_e = numerical_rank(np.column_stack(conjugated))
+    holds = worst <= RESIDUAL_TOL and (span_d, span_e) == (r_s.dim, r_t.dim)
+    return RangeCriterionCheck(holds, (span_d, span_e), worst)
+
+
+def separable_decomposition(b: float):
+    """The nine product-vector pairs reconstructing the theta = 0 edge state.
+
+    Returns ``[(x, y), ...]`` such that ``sum proj(x (x) y) / (3 b)`` equals
+    ``edge_state(b, 0)``; the phases run over the third roots of unity.
+    """
+    if b <= 0:
+        raise InvalidParamError(f"b must be positive, got {b}")
+    sb = math.sqrt(b)
+    roots = [cmath.exp(2j * math.pi * k / 3) for k in (0, 1, -1)]
+    pairs = []
+    for factors in (
+        lambda w: ((0, 1, sb * w), (0, sb, -w.conjugate())),
+        lambda w: ((sb * w, 0, 1), (-w.conjugate(), 0, sb)),
+        lambda w: ((1, sb * w, 0), (sb, -w.conjugate(), 0)),
+    ):
+        for w in roots:
+            x, y = factors(w)
+            pairs.append((np.array(x, dtype=complex), np.array(y, dtype=complex)))
+    return pairs
+
+
+def reconstruct_separable(b: float) -> float:
+    """Max-norm error of the product-vector reconstruction of the theta=0 state."""
+    target = edge_state(b, 0.0).mat
+    total = np.zeros_like(target)
+    for x, y in separable_decomposition(b):
+        total += proj(product_vector(x, y))
+    return float(np.max(np.abs(total / (3 * b) - target)))
 
 
 def gram_realization(g: np.ndarray, rel_tol: float = RANK_RTOL) -> np.ndarray:
@@ -395,7 +532,8 @@ def reference_face_matrix(b: float, g: GramSpec) -> np.ndarray:
     return _reference_operator(x)
 
 
-# Each sweepable family's member at one grid point, from the one-point constructors.
+# Each family's member at one point, from the one-point constructors (face couplings as
+# the CLI passes them, strings).
 REFERENCE_FAMILIES = {
     "p-theta": lambda p: BipartiteOperator(1, 3, phase_circulant(p["theta"])),
     "edge": lambda p: edge_state(p["b"], p["theta"]),
@@ -403,6 +541,9 @@ REFERENCE_FAMILIES = {
     "state-7-6": lambda p: corner_state(p["b"]),
     "choi": lambda p: choi_matrix(p["a"], p["b"], p["c"]),
     "p5": lambda p: face_state(p["b"], GramSpec(p["theta"], *singular_gram_offdiags(p["theta"], p["target_p"]))),
+    "face": lambda p: face_state(
+        p["b"], GramSpec(p["theta"], *(complex(p[name]) for name in ("xi_eta", "eta_zeta", "zeta_xi")))
+    ),
 }
 
 

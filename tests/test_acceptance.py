@@ -16,37 +16,36 @@ from edgelab import (
     EdgeCertificate,
     GramSpec,
     SearchVerdict,
-    check_range_criterion,
     choi_matrix,
     classify,
     edge_state,
     face_state,
     is_psd,
-    numerical_rank,
     offdiag_gram,
     partial_transpose,
     phase_circulant,
-    product_vector,
     product_vector_search,
-    proj,
     rank_bounds,
-    reconstruct_separable,
-    separable_decomposition,
     singular_gram_offdiags,
-    tensor,
     verify_edge_analytic,
 )
 from edgelab.classify import alternating_binomial_sum
 from edgelab.cli import main
 from helpers import (
+    check_range_criterion,
     choi_ppt_region,
     edge_kernel_vector,
     edge_tau_kernel_vectors,
     gram_realization,
     kernel_basis,
+    numerical_rank,
+    proj,
     random_gram_spec,
     random_hermitian,
     random_unit,
+    reconstruct_separable,
+    separable_decomposition,
+    tensor,
 )
 
 SEED = 42

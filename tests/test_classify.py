@@ -13,7 +13,6 @@ from edgelab import (
     GramSpec,
     InvalidParamError,
     NotHermitianError,
-    check_range_criterion,
     choi_matrix,
     classify,
     classify_many,
@@ -23,17 +22,24 @@ from edgelab import (
     generalized_edge_state,
     partial_transpose,
     phase_circulant,
-    product_vector,
-    proj,
     rank_bounds,
-    reconstruct_separable,
-    separable_decomposition,
     singular_gram_offdiags,
-    tensor,
     verify_edge_analytic,
 )
 from edgelab.classify import alternating_binomial_sum
-from helpers import choi_ppt_region, random_edge_params, random_gram_spec, random_hermitian, random_unit
+from helpers import (
+    check_range_criterion,
+    choi_ppt_region,
+    product_vector,
+    proj,
+    random_edge_params,
+    random_gram_spec,
+    random_hermitian,
+    random_unit,
+    reconstruct_separable,
+    separable_decomposition,
+    tensor,
+)
 
 THETA = math.pi / 6
 

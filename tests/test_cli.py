@@ -1,3 +1,4 @@
+import cmath
 import contextlib
 import importlib
 import io
@@ -128,6 +129,12 @@ def sweep_argvs(draw) -> list[str]:
 POSITIVE = st.floats(1e-300, 1e300)
 WEIGHT = st.one_of(st.floats(0.0, 1e300), st.just(-0.0))
 STRICT_THETA = st.builds(lambda t, sign: sign * t, st.floats(1e-3, math.pi / 3 - 1e-3), st.sampled_from([1.0, -1.0]))
+# couplings as the CLI passes them, of modulus at most 1/2, so that under the
+# strict condition the Gram matrix, of diagonal 2cos(theta) > 1, is PSD
+COUPLING = st.one_of(
+    st.sampled_from(["0", "-0", "0.5", "-0.5j", "0.3-0j"]),
+    st.builds(lambda r, phi: repr(cmath.rect(r, phi)), st.floats(0.0, 0.5), st.floats(-4.0, 4.0)),
+)
 FAMILY_POINTS = {
     "p-theta": st.fixed_dictionaries({"theta": st.floats(-4.0, 4.0)}),
     "edge": st.fixed_dictionaries({"b": POSITIVE, "theta": st.floats(-4.0, 4.0)}),
@@ -135,6 +142,9 @@ FAMILY_POINTS = {
     "state-7-6": st.fixed_dictionaries({"b": POSITIVE}),
     "choi": st.fixed_dictionaries({"a": WEIGHT, "b": WEIGHT, "c": WEIGHT}),
     "p5": st.fixed_dictionaries({"b": POSITIVE, "theta": STRICT_THETA, "target_p": st.integers(5, 8)}),
+    "face": st.fixed_dictionaries(
+        {"b": POSITIVE, "theta": STRICT_THETA, "xi_eta": COUPLING, "eta_zeta": COUPLING, "zeta_xi": COUPLING}
+    ),
 }
 
 
@@ -720,13 +730,6 @@ class TestTable:
         _, out, _ = run_cli(capsys, "table")
         grid_line = [line for line in out.splitlines() if line.startswith("  q=4")][0]
         assert "o" in grid_line
-
-
-def test_decompose(capsys):
-    code, out, _ = run_cli(capsys, "decompose", "--b", "2")
-    assert code == 0
-    report = json.loads(out)
-    assert report["maxError"] <= 1e-12
 
 
 def test_console_entry_point(tmp_path):

@@ -6,36 +6,30 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from edgelab import (
-    BipartiteOperator,
-    NotHermitianError,
-    Subspace,
-    classify,
-    is_psd,
-    numerical_rank,
-    partial_transpose,
-    phase_circulant,
-    proj,
-    range_basis,
-    tensor,
-)
-from edgelab.linalg import _check_hermitian, _rank_psd
+from edgelab import BipartiteOperator, NotHermitianError, classify, is_psd, partial_transpose, phase_circulant
+from edgelab.classify import _classify_stack
+from edgelab.linalg import _check_hermitian, _kernel, _rank_psd
 from helpers import (
     HERM_RTOL,
     PSD_ATOL,
     RANK_RTOL,
     NotPSDError,
+    Subspace,
     assert_same_outcome,
     gram_realization,
     kernel_basis,
+    numerical_rank,
     outcome,
     planted_rank_hermitian,
     planted_rank_psd,
+    proj,
     projector,
     random_hermitian,
     random_unit,
+    range_basis,
     reference_check_hermitian,
     reference_rank_psd,
+    tensor,
 )
 
 
@@ -307,6 +301,24 @@ class TestSubspaces:
         m = planted_rank_hermitian(rng, 8, 5)
         for sub in (kernel_basis(m), range_basis(m)):
             assert_allclose(sub.basis.conj().T @ sub.basis, np.eye(sub.dim), atol=1e-12)
+
+
+def test_kernel_matches_the_svd_kernel_and_the_classified_rank(rng):
+    # planted ranks 0-9 across the float range, and the zero matrix
+    cases = [(0, np.zeros((9, 9), dtype=complex))] + [
+        (rank, scale * planted_rank_hermitian(rng, 9, rank))
+        for rank in range(10)
+        for scale in (1e-150, 1e-75, 1e-8, 1.0, 1e8, 1e75, 1e150)
+    ]
+    for rank, m in cases:
+        h = _check_hermitian(m)
+        k = _kernel(h)
+        assert k.shape == (9, 9 - rank)
+        assert _classify_stack(h[None], 3, 3)[0] == [rank]
+        assert_allclose(k.conj().T @ k, np.eye(9 - rank), atol=1e-12)
+        svd_kernel = kernel_basis(h)
+        assert svd_kernel.dim == 9 - rank
+        assert all(svd_kernel.residual(col) <= 1e-10 for col in k.T)
 
 
 def test_projector_full_space():

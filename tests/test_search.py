@@ -19,16 +19,13 @@ from edgelab import (
     edge_state,
     face_state,
     partial_transpose,
-    product_vector,
     product_vector_search,
     product_vector_search_many,
-    proj,
-    range_basis,
 )
 from edgelab import search
 from edgelab.errors import DimensionMismatchError, InvalidParamError
 from edgelab.search import BLOCK, FOUND_THRESHOLD, _Objective
-from helpers import kernel_basis, random_unit, random_unitary
+from helpers import kernel_basis, product_vector, proj, random_unit, random_unitary, range_basis
 
 # observed floor of the search objective on edge_state(1, pi/6) with the
 # settings below; the assertion only relies on the spec threshold 1e-6

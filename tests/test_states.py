@@ -22,13 +22,9 @@ from edgelab import (
     generalized_edge_state,
     is_psd,
     min_psd_diagonal,
-    numerical_rank,
     offdiag_gram,
     partial_transpose,
     phase_circulant,
-    product_vector,
-    proj,
-    separable_decomposition,
     singular_gram_offdiags,
 )
 from helpers import (
@@ -43,7 +39,10 @@ from helpers import (
     golden_type85_matrix,
     gram_realization,
     kernel_basis,
+    numerical_rank,
     outcome,
+    product_vector,
+    proj,
     random_edge_params,
     random_gram_spec,
     reference_choi_matrix,
@@ -51,6 +50,7 @@ from helpers import (
     reference_edge_matrix,
     reference_face_matrix,
     reference_generalized_edge_matrix,
+    separable_decomposition,
 )
 
 THETA = math.pi / 6
