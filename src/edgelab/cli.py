@@ -291,7 +291,10 @@ def cmd_sweep(args) -> int:
     # in a later chunk leaves the rows of the chunks before it written.
     done = chunks()
     first = next(done)  # every range has at least one step
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
+    try:
+        out = open(args.out, "w", newline="") if args.out else sys.stdout
+    except OSError as exc:
+        raise EdgeLabError(f"cannot write CSV file {args.out}: {exc}") from exc
     try:
         writer = csv.writer(out)
         writer.writerow(header)
@@ -353,51 +356,76 @@ def cmd_table(args) -> int:
     return 0
 
 
-def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="edgelab",
-        description="Construct, classify and edge-check bi-qutrit PPT state families.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("construct", help="build a family member and emit a matrix file")
+def _construct_options(p):
     _add_family_options(p, require_family=True)
     p.add_argument("--out", help="output path (default: stdout)")
-    p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("classify", help="PSD/PPT flags and (p, q) type")
+
+def _classify_options(p):
     _add_family_options(p, require_family=False)
     p.add_argument("--in", dest="infile", help="matrix file to classify")
-    p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("edge-check", help="search for a product vector in the ranges")
+
+def _edge_check_options(p):
     _add_family_options(p, require_family=False)
     p.add_argument("--in", dest="infile")
     p.add_argument("--starts", type=int, default=200)
     p.add_argument("--max-iters", type=int, default=500)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--analytic", action="store_true", help="use the analytic certificate (edge family only)")
-    p.set_defaults(func=cmd_edge_check)
 
-    p = sub.add_parser("sweep", help="classify a family over a parameter grid, emit CSV")
+
+def _sweep_options(p):
     _add_family_options(p, require_family=True)
     p.add_argument("--range", action="append", default=[], metavar="NAME=START:STOP:STEPS")
     p.add_argument("--search", action="store_true", help="add a bestObjective column")
     p.add_argument("--starts", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="CSV path (default: stdout)")
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("table", help="realize every achievable type and render the grid")
+
+def _table_options(p):
     p.add_argument("--b", type=float, default=1.0)
     p.add_argument("--theta", type=float, default=math.pi / 6)
-    p.set_defaults(func=cmd_table)
 
+
+# Each subcommand's help line and the function that adds its options.  Its
+# handler is the module's ``cmd_<name>``, looked up each time a parser is
+# built, so a wrapper put on the module attribute (perfbench's tracer) is the
+# one called.
+COMMANDS = {
+    "construct": ("build a family member and emit a matrix file", _construct_options),
+    "classify": ("PSD/PPT flags and (p, q) type", _classify_options),
+    "edge-check": ("search for a product vector in the ranges", _edge_check_options),
+    "sweep": ("classify a family over a parameter grid, emit CSV", _sweep_options),
+    "table": ("realize every achievable type and render the grid", _table_options),
+}
+
+
+def make_parser(commands=COMMANDS) -> argparse.ArgumentParser:
+    """The ``edgelab`` parser with the subcommands of ``commands`` (a sub-table of ``COMMANDS``)."""
+    parser = argparse.ArgumentParser(
+        prog="edgelab",
+        description="Construct, classify and edge-check bi-qutrit PPT state families.",
+    )
+    # a parser of fewer commands names them all in its usage line, as the full
+    # one does; the full one keeps "command" as the name in its error messages
+    metavar = None if commands.keys() == COMMANDS.keys() else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (help_text, add_options) in commands.items():
+        p = sub.add_parser(name, help=help_text)
+        add_options(p)
+        p.set_defaults(func=globals()["cmd_" + name.replace("-", "_")])
     return parser
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # Build only the parser of the command that argv names.  Any other argv
+    # (none, -h, a typo, an option first) gets all of them, and with them the
+    # full help and error texts.
+    known = argv[0] if argv and argv[0] in COMMANDS else None
+    parser = make_parser({known: COMMANDS[known]} if known else COMMANDS)
     args = parser.parse_args(argv)
     try:
         # entries near the float limit may overflow on their way to an answer

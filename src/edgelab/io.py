@@ -34,7 +34,7 @@ def matrix_from_dict(data: dict) -> BipartiteOperator:
         m, n = int(data["m"]), int(data["n"])
         re = np.asarray(data["re"], dtype=float)
         im = np.asarray(data["im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # OverflowError: an m of 1e400
         raise EdgeLabError(f"malformed matrix file: {exc}") from exc
     d = m * n
     if re.shape != (d, d) or im.shape != (d, d):
@@ -50,16 +50,21 @@ def matrix_from_dict(data: dict) -> BipartiteOperator:
 
 
 def write_matrix(s: BipartiteOperator, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(matrix_to_dict(s), fh)
-        fh.write("\n")
+    # one encode by the C encoder and one write; json.dump would run the
+    # Python encoder and write each of its ~200 pieces
+    text = json.dumps(matrix_to_dict(s)) + "\n"
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise EdgeLabError(f"cannot write matrix file {path}: {exc}") from exc
 
 
 def read_matrix(path) -> BipartiteOperator:
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError, RecursionError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise EdgeLabError(f"cannot read matrix file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise EdgeLabError(f"matrix file {path} does not contain a JSON object")

@@ -1,3 +1,4 @@
+import argparse
 import cmath
 import contextlib
 import importlib
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from edgelab import BipartiteOperator, choi_matrix, classify, edge_state, product_vector_search
 from edgelab.classify import _classify_stack
-from edgelab.cli import FAMILIES, SWEEP_CHUNK, _parse_range, main
+from edgelab.cli import COMMANDS, FAMILIES, SWEEP_CHUNK, _parse_range, main, make_parser
 from edgelab.io import matrix_from_dict, matrix_to_dict, read_matrix, write_matrix
 from edgelab.errors import EdgeLabError
 from helpers import REFERENCE_FAMILIES, assert_same_entries, reference_sweep
@@ -57,9 +58,11 @@ class TestMatrixFiles:
 
     def test_rejects_garbage_file(self, tmp_path):
         path = tmp_path / "junk.json"
-        path.write_text("not json")
-        with pytest.raises(EdgeLabError):
-            read_matrix(path)
+        # not JSON, not UTF-8, and an m past the float range
+        for content in (b"not json", b"\xff\xfe\x00", b'{"m": 1e400, "n": 1, "re": [[1.0]], "im": [[0.0]]}'):
+            path.write_bytes(content)
+            with pytest.raises(EdgeLabError):
+                read_matrix(path)
 
 
 def run_cli(capsys, *argv):
@@ -204,6 +207,15 @@ class TestConstruct:
         code, _, _ = run_cli(capsys, *argv, "--out", str(out_file))
         assert code == 0
         assert out_file.read_text() == printed
+
+    def test_unwritable_out_exit_2(self, capsys, tmp_path):
+        out_file = tmp_path / "missing" / "edge.json"
+        code, out, err = run_cli(
+            capsys, "construct", "--family", "edge", "--b", "1", "--theta", "0.5", "--out", str(out_file)
+        )
+        assert (code, out) == (2, "")
+        assert_one_line_error(err)
+        assert str(out_file) in err
 
 
 class TestClassifyCommand:
@@ -599,6 +611,18 @@ class TestSweep:
             lines.append(f"{b!r},{theta!r},{c.is_ppt},{c.type[0]},{c.type[1]}")
         assert out == "".join(line + "\r\n" for line in lines)
 
+    def test_unwritable_out_exit_2(self, capsys, tmp_path):
+        out_file = tmp_path / "missing" / "sweep.csv"
+        argv = ["sweep", "--family", "edge", "--b", "1", "--range", "theta=0:1:3", "--out", str(out_file)]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert_one_line_error(err)
+        assert str(out_file) in err
+        # an invalid first chunk is reported before the file is opened
+        code, _, err = run_cli(capsys, *argv[:3], "--b=-1", *argv[5:])
+        assert code == 2
+        assert "missing" not in err
+
     def test_search_with_negative_seed_exit_2(self, capsys):
         code, out, err = run_cli(
             capsys, "sweep", "--family", "edge", "--b", "1", "--range", "theta=0.1:0.2:2",
@@ -703,6 +727,7 @@ class TestSweep:
         if code:
             assert code == 2
             assert_one_line_error(err.getvalue())
+        assert not {"nan", "inf", "-inf"} & set(out.getvalue().replace("\r\n", ",").split(","))
 
     def test_bad_range_exit_2(self, capsys):
         # more than 2**53 steps: a step index is no longer exact as a float
@@ -730,6 +755,174 @@ class TestTable:
         _, out, _ = run_cli(capsys, "table")
         grid_line = [line for line in out.splitlines() if line.startswith("  q=4")][0]
         assert "o" in grid_line
+
+
+# Argvs that argparse answers alone: no command, -h, a typo, an option before
+# the command, each command's help, a trailing argument, a missing --family, a
+# bad --family and both angle options.
+PARSER_ARGVS = [
+    [],
+    ["-h"],
+    ["clasify", "--family", "edge"],
+    ["--b", "1", "classify"],
+    *([name, "--help"] for name in COMMANDS),
+    ["classify", "--family", "edge", "--b", "1", "--theta", "0.5", "extra"],
+    ["construct", "--b", "1"],
+    ["sweep", "--range", "theta=0:1:2"],
+    ["classify", "--family", "edgy"],
+    ["classify", "--family", "edge", "--b", "1", "--theta", "0.5", "--theta-frac", "1/6"],
+]
+
+
+class TestParser:
+    @pytest.mark.parametrize("columns", ["30", "80", "200"])
+    @pytest.mark.parametrize("argv", PARSER_ARGVS, ids=lambda argv: " ".join(argv) or "no-arguments")
+    def test_prints_what_the_full_parser_prints(self, capsys, monkeypatch, columns, argv):
+        monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit) as want:
+            make_parser().parse_args(argv)
+        want = (want.value.code, *capsys.readouterr())
+        with pytest.raises(SystemExit) as got:
+            main(argv)
+        assert (got.value.code, *capsys.readouterr()) == want
+
+    def test_builds_only_the_named_command(self, capsys, monkeypatch):
+        calls = []
+        add_argument = argparse._ActionsContainer.add_argument
+
+        def counted(container, *args, **kwargs):
+            calls.append(args)
+            return add_argument(container, *args, **kwargs)
+
+        monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counted)
+        COMMANDS["classify"][1](argparse.ArgumentParser(add_help=False))
+        classify_options = len(calls)
+        calls.clear()
+        assert main(["classify", "--family", "edge", "--b", "1", "--theta", "0.5"]) == 0
+        # the -h of edgelab and of edgelab classify, and the options of classify
+        assert len(calls) == 2 + classify_options
+        assert capsys.readouterr().err == ""
+
+
+def assert_contract(argv):
+    """Run ``main(argv)`` and check the exit-code contract:
+    0, 1 or 2, never a traceback; exit 2 from edgelab prints one error line;
+    the reports are strict JSON; classify exits 0 exactly when isPPT."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            assert exc.code == 2, argv
+            assert "error:" in err.getvalue(), argv
+            return
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert out == "", argv
+        assert_one_line_error(err)
+        return
+    assert err == "", argv
+    if argv[0] == "table":
+        return
+    report = strict_json(out)
+    if argv[0] == "classify":
+        assert code == (0 if report["isPPT"] else 1), argv
+    else:
+        assert code == 0, argv
+
+
+# Option values of every kind: plain, at the float limits, signed zeros and
+# non-finite; now and then complex or malformed.  None leaves an option out.
+FLOAT_VALUES = [
+    "0.5", "1.3", "2", "0.25", "-0.4", "0", "1", "-1", "1e-9", "5e-324", "-0.0", "1e308", "-1e308",
+    "1.7e308", "inf", "-inf", "nan",
+]
+ODD_VALUES = ["1+2j", "0.5j", "-0.3-0.4j", "oops", "", "1/2"]
+# b and theta decide most verdicts: plain values half of the time
+CONTRACT_NUMBER = st.one_of(st.floats(0.05, 3.0).map(repr), st.sampled_from(FLOAT_VALUES * 3 + ODD_VALUES))
+CONTRACT_WEIGHT = st.sampled_from([None] * 20 + FLOAT_VALUES * 3 + ODD_VALUES)
+CONTRACT_COUPLING = st.sampled_from([None] * 6 + FLOAT_VALUES + ODD_VALUES)
+
+
+@st.composite
+def command_argvs(draw) -> list[str]:
+    """``construct``, ``classify``, ``edge-check`` or ``table`` with a random
+    family and random options; ``--starts`` and ``--max-iters`` from 1 to 3."""
+    command = draw(st.sampled_from(["construct", "classify", "edge-check", "table"]))
+    argv = [command, f"--b={draw(CONTRACT_NUMBER)}"]
+    angle = draw(st.sampled_from(["--theta", "--theta", None] + (["--theta-frac"] if command != "table" else [])))
+    if angle == "--theta-frac":
+        argv.append(f"--theta-frac={draw(st.sampled_from(['1/6', '-1/3', '0', '5/2', '1e308', '1/0', 'x']))}")
+    elif angle:
+        argv.append(f"--theta={draw(CONTRACT_NUMBER)}")
+    if command == "table":
+        return argv
+    family = draw(st.sampled_from([None] + sorted(FAMILIES) * 3))
+    if family:
+        argv.append(f"--family={family}")
+    options = [("a", CONTRACT_WEIGHT), ("c", CONTRACT_WEIGHT)]
+    options += [(name, CONTRACT_COUPLING) for name in ("xi-eta", "eta-zeta", "zeta-xi")]
+    options.append(("target-p", st.sampled_from([None] * 3 + ["5", "6", "7", "8"])))
+    for name, values in options:
+        value = draw(values)
+        if value is not None:
+            argv.append(f"--{name}={value}")
+    if command == "edge-check":
+        argv += [f"--starts={draw(st.integers(1, 3))}", f"--max-iters={draw(st.integers(1, 3))}"]
+        if draw(st.booleans()):
+            argv.append("--analytic")
+    return argv
+
+
+@st.composite
+def matrix_files(draw) -> bytes:
+    """A matrix file for local dimensions 1 to 3: a PSD, low-rank, indefinite,
+    slightly non-Hermitian or single-entry matrix, largest entry 1, times a
+    scale from 1e-320 to 1.7e308."""
+    m, n = draw(st.sampled_from(list(itertools.product((1, 2, 3), repeat=2))))
+    d = m * n
+    kind = draw(st.sampled_from(["psd", "low-rank", "indefinite", "non-hermitian", "single-entry"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    if kind in ("psd", "low-rank"):
+        g = g[:, : rng.integers(1, d + 1) if kind == "low-rank" else d]
+        mat = g @ g.conj().T
+    elif kind == "single-entry":
+        mat = np.zeros((d, d), dtype=complex)
+        mat[rng.integers(d), rng.integers(d)] = 1.0
+    else:
+        mat = g + g.conj().T
+        if kind == "non-hermitian":
+            mat[0, -1] += 1e-6 * np.abs(mat).max()
+    scale = draw(st.sampled_from([1e-320, 1e-300, 1e-150, 1e-9, 1.0, 1e9, 1e150, 1e300, 1e307, 1.7e308]))
+    with np.errstate(under="ignore"):
+        mat = mat / np.abs(mat).max() * scale
+    data = {"m": m, "n": n, "re": mat.real.tolist(), "im": mat.imag.tolist()}
+    return json.dumps(data).encode()
+
+
+class TestContract:
+    @pytest.fixture(scope="class")
+    def matrix_path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("contract") / "matrix.json"
+
+    @given(argv=command_argvs())
+    @example(argv=["construct", "--family=edge", "--b=1.7e308", "--theta=0.5"])
+    @example(argv=["edge-check", "--family=edge", "--b=1.7e308", "--theta=0.5", "--analytic"])
+    @example(argv=["classify", "--family=choi", "--a=1e308", "--b=1e308", "--c=1e308"])
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_argvs_keep_the_exit_code_contract(self, argv):
+        assert_contract(argv)
+
+    @given(content=matrix_files(), starts=st.integers(1, 3), max_iters=st.integers(1, 3))
+    @example(content=b"\xff\xfe\x00", starts=1, max_iters=1)  # not UTF-8
+    @example(content=b'{"m": 1e400, "n": 1, "re": [[1.0]], "im": [[0.0]]}', starts=1, max_iters=1)
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_matrix_files_keep_the_exit_code_contract(self, matrix_path, content, starts, max_iters):
+        matrix_path.write_bytes(content)
+        assert_contract(["classify", "--in", str(matrix_path)])
+        assert_contract(["edge-check", "--in", str(matrix_path), f"--starts={starts}", f"--max-iters={max_iters}"])
 
 
 def test_console_entry_point(tmp_path):
