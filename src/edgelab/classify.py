@@ -21,7 +21,7 @@ from math import comb
 import numpy as np
 
 from .errors import ConditionViolatedError, DimensionMismatchError, InvalidParamError
-from .linalg import PSD_ATOL, RANK_RTOL, BipartiteOperator, _check_hermitian, _partial_transpose, _rank_psd
+from .linalg import BipartiteOperator, _check_hermitian, _partial_transpose, _rank_psd
 from .states import edge_condition_holds
 
 # Units of rounding, eps * max(b**3, 1), the product margin of a certificate must exceed.
@@ -43,8 +43,6 @@ class Classification:
     type: tuple[int, int]
     kernel_dims: tuple[int, int]
     admissibility: Admissibility
-    rel_tol: float
-    abs_tol: float
 
 
 def alternating_binomial_sum(k: int, ell: int, m: int) -> int:
@@ -76,7 +74,7 @@ def rank_bounds(m: int, n: int, p: int, q: int) -> Admissibility:
     return Admissibility.ADMISSIBLE
 
 
-def _classify_stack(h: np.ndarray, m: int, n: int, rel_tol: float = RANK_RTOL, abs_tol: float = PSD_ATOL):
+def _classify_stack(h: np.ndarray, m: int, n: int):
     """The lists of ranks ``p`` of a (k, mn, mn) stack of states on an m x n space,
     ranks ``q`` of their partial transposes, and the PSD flags of each; raises
     :class:`NotHermitianError` for the first state that is not Hermitian."""
@@ -84,13 +82,11 @@ def _classify_stack(h: np.ndarray, m: int, n: int, rel_tol: float = RANK_RTOL, a
     # Partial transposition permutes entries and commutes with the adjoint, so
     # the partial transposes of the symmetrized states are Hermitian as they stand.
     vals = np.linalg.eigvalsh(np.concatenate((h, _partial_transpose(h, m, n))))
-    ranks, psd = (flags.tolist() for flags in _rank_psd(vals, rel_tol, abs_tol))
+    ranks, psd = (flags.tolist() for flags in _rank_psd(vals))
     return ranks[:k], ranks[k:], psd[:k], psd[k:]
 
 
-def classify_many(
-    ops: Iterable[BipartiteOperator], rel_tol: float = RANK_RTOL, abs_tol: float = PSD_ATOL
-) -> list[Classification]:
+def classify_many(ops: Iterable[BipartiteOperator]) -> list[Classification]:
     """:func:`classify` of every operator in ``ops``, all of one shape ``(m, n)``.
 
     Raises :class:`NotHermitianError` for the first operator that is not
@@ -111,22 +107,19 @@ def classify_many(
             type=(p, q),
             kernel_dims=(d - p, d - q),
             admissibility=rank_bounds(m, n, p, q) if p and q else Admissibility.BELOW_LOWER_BOUND,
-            rel_tol=rel_tol,
-            abs_tol=abs_tol,
         )
-        for p, q, p_psd, q_psd in zip(*_classify_stack(mats, m, n, rel_tol, abs_tol))
+        for p, q, p_psd, q_psd in zip(*_classify_stack(mats, m, n))
     ]
 
 
-def classify(
-    s: BipartiteOperator, rel_tol: float = RANK_RTOL, abs_tol: float = PSD_ATOL
-) -> Classification:
+def classify(s: BipartiteOperator) -> Classification:
     """PSD/PPT flags, (rank, partial-transpose rank) type, and admissibility.
 
     :func:`classify_many` of the one operator: one Hermiticity check and one
-    ``eigvalsh`` call for the state and its partial transpose.
+    ``eigvalsh`` call for the state and its partial transpose.  The ranks
+    apply ``linalg.RANK_RTOL`` and the PSD flags ``linalg.PSD_ATOL``.
     """
-    return classify_many([s], rel_tol, abs_tol)[0]
+    return classify_many([s])[0]
 
 
 class EdgeCertificate(Enum):

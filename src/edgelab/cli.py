@@ -26,7 +26,7 @@ from . import io as mio
 from .classify import EdgeCertificate, classify, classify_many, verify_edge_analytic
 from .classify import _classify_stack
 from .errors import EdgeLabError, InvalidParamError
-from .linalg import BipartiteOperator
+from .linalg import PSD_ATOL, RANK_RTOL, BipartiteOperator
 from .search import SearchVerdict, product_vector_search, product_vector_search_many
 from .states import (
     _CHOI_ZEROS,
@@ -143,7 +143,7 @@ def _classification_report(c) -> dict:
         "type": list(c.type),
         "kernelDims": list(c.kernel_dims),
         "admissibility": c.admissibility.value,
-        "tolerances": {"relTol": c.rel_tol, "absTol": c.abs_tol},
+        "tolerances": {"relTol": RANK_RTOL, "absTol": PSD_ATOL},
     }
 
 

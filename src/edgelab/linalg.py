@@ -30,8 +30,7 @@ from .errors import DimensionMismatchError, InvalidParamError, NotHermitianError
 
 # Tolerances.  Ranks use a relative singular-value threshold; PSD checks use
 # an absolute floor on the smallest eigenvalue so that boundary families
-# (which are PSD by construction but accumulate rounding) pass.  Only
-# ``classify`` lets a caller override the first two.
+# (which are PSD by construction but accumulate rounding) pass.
 RANK_RTOL = 1e-9
 PSD_ATOL = 1e-10
 HERM_RTOL = 1e-10
@@ -128,28 +127,26 @@ def _check_hermitian(m: np.ndarray) -> np.ndarray:
     raise NotHermitianError(f"not Hermitian{where}: relative asymmetry {rel:.3e} exceeds {HERM_RTOL:.1e}")
 
 
-def _rank(sv: np.ndarray, rel_tol: float, top: np.ndarray) -> np.ndarray:
-    """Count of the nonnegative values ``sv`` above ``rel_tol`` times ``top``, the largest.
+def _rank(sv: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """Count of the nonnegative values ``sv`` above :data:`RANK_RTOL` times ``top``, the largest.
 
     The one rank-threshold rule of the package: ``sv`` holds singular values,
     or the absolute eigenvalues of a Hermitian matrix (its singular values),
     along the last axis, with one count per leading index; ``top``, the largest
     of each, comes off the ends of sorted values.  The zero matrix has rank 0.
     """
-    if rel_tol <= 0:
-        raise ValueError("rel_tol must be positive")
-    return (sv > rel_tol * top).sum(axis=-1)
+    return (sv > RANK_RTOL * top).sum(axis=-1)
 
 
-def _rank_psd(vals: np.ndarray, rel_tol: float, abs_tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _rank_psd(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ranks and PSD flags from eigenvalues in ascending order (last axis), as from ``eigvalsh``.
 
-    PSD means a smallest eigenvalue, the first, ``>= -abs_tol * max(1, ||m||_2)``;
+    PSD means a smallest eigenvalue, the first, ``>= -PSD_ATOL * max(1, ||m||_2)``;
     the largest magnitude ``||m||_2`` is that of the first or the last.
     """
     mag = np.abs(vals)
     top = np.maximum(mag[..., :1], mag[..., -1:])
-    return _rank(mag, rel_tol, top), vals[..., 0] >= -abs_tol * np.maximum(top[..., 0], 1.0)
+    return _rank(mag, top), vals[..., 0] >= -PSD_ATOL * np.maximum(top[..., 0], 1.0)
 
 
 def _kernel(h: np.ndarray) -> np.ndarray:
@@ -161,7 +158,7 @@ def _kernel(h: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(h)
     mag = np.abs(vals)
     order = np.argsort(mag, kind="stable")
-    return vecs[:, order[: h.shape[0] - _rank(mag, RANK_RTOL, mag[order[-1:]])]]
+    return vecs[:, order[: h.shape[0] - _rank(mag, mag[order[-1:]])]]
 
 
 def is_psd(m: np.ndarray) -> bool:
@@ -169,5 +166,5 @@ def is_psd(m: np.ndarray) -> bool:
 
     One Hermiticity check and one ``eigvalsh``.
     """
-    return bool(_rank_psd(np.linalg.eigvalsh(_check_hermitian(m)), RANK_RTOL, PSD_ATOL)[1])
+    return bool(_rank_psd(np.linalg.eigvalsh(_check_hermitian(m)))[1])
 

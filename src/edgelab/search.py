@@ -45,7 +45,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidParamError
-from .linalg import BipartiteOperator, _check_hermitian, _kernel, partial_transpose
+from .linalg import BipartiteOperator, _check_hermitian, _kernel, _partial_transpose
 
 FOUND_THRESHOLD = 1e-9
 
@@ -187,7 +187,7 @@ class _Objective:
         h = _check_hermitian(s.mat)
         # Partial transposition commutes with the adjoint, so the partial
         # transpose of the symmetrized state is Hermitian as it stands.
-        tau = partial_transpose(BipartiteOperator(m, n, h)).mat
+        tau = _partial_transpose(h, m, n)
         # shape (m, n, k): first axis contracts with x, second with y
         self.ka = _kernel(h).conj().reshape(m, n, -1)
         self.kt = _kernel(tau).conj().reshape(m, n, -1)

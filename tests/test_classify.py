@@ -85,11 +85,6 @@ class TestClassify:
         # one matrix in, so no index into a stack
         assert "stack" not in str(err.value)
 
-    @pytest.mark.parametrize("rel_tol", [0.0, -1e-9])
-    def test_rejects_nonpositive_rel_tol(self, rel_tol):
-        with pytest.raises(ValueError):
-            classify(edge_state(1.0, THETA), rel_tol=rel_tol)
-
     def test_family_type_coverage(self):
         one, two, three = cmath.exp(0.3j), cmath.exp(-0.1j), cmath.exp(0.2j)
         states = [
@@ -144,12 +139,6 @@ class TestClassifyMany:
         ops = [BipartiteOperator(1, 3, phase_circulant(t)) for t in thetas]
         assert classify_many(ops) == [classify(s) for s in ops]
 
-    def test_keeps_the_tolerances(self):
-        ops = [edge_state(1.0, THETA), corner_state(2.0)]
-        got = classify_many(ops, rel_tol=1e-6, abs_tol=1e-8)
-        assert got == [classify(s, rel_tol=1e-6, abs_tol=1e-8) for s in ops]
-        assert {(c.rel_tol, c.abs_tol) for c in got} == {(1e-6, 1e-8)}
-
     def test_non_hermitian_in_the_middle_of_a_stack(self):
         bad = np.zeros((9, 9))
         bad[0, 1] = 1.0
@@ -164,10 +153,6 @@ class TestClassifyMany:
 
     def test_empty(self):
         assert classify_many([]) == []
-
-    def test_rejects_zero_rel_tol(self):
-        with pytest.raises(ValueError):
-            classify_many([edge_state(1.0, THETA)], rel_tol=0.0)
 
 
 class TestRankBounds:

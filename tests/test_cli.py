@@ -28,6 +28,21 @@ THETA = math.pi / 6
 CLASSIFY_MODULE = importlib.import_module("edgelab.classify")
 
 
+EDGE_FILE = matrix_to_dict(edge_state(1.0, THETA))
+# Edits that make a matrix file malformed: m and n must be JSON integers and
+# the entries of re and im JSON numbers, none of them coerced.
+MALFORMED_EDITS = [
+    {"m": 3.7},
+    {"m": "3"},
+    {"m": 3.0},
+    {"m": True, "n": 9},  # as m = 1, a 1 x 9 operator of type (8, 8)
+    {"re": [[str(v) for v in row] for row in EDGE_FILE["re"]]},
+    {"re": [[i == j for j in range(9)] for i in range(9)], "im": [[False] * 9] * 9},  # as numbers, type (9, 9)
+    {"re": [[True] + row[1:] for row in EDGE_FILE["re"]]},
+    {"im": [[None] * 9] + EDGE_FILE["im"][1:]},
+]
+
+
 class TestMatrixFiles:
     def test_round_trip(self, tmp_path):
         s = edge_state(1.7, -0.4)
@@ -55,6 +70,11 @@ class TestMatrixFiles:
     def test_rejects_missing_fields(self):
         with pytest.raises(EdgeLabError):
             matrix_from_dict({"m": 3, "n": 3, "re": [[0.0] * 9] * 9})
+
+    @pytest.mark.parametrize("edit", MALFORMED_EDITS)
+    def test_rejects_what_is_not_an_integer_or_a_number(self, edit):
+        with pytest.raises(EdgeLabError, match="malformed matrix file"):
+            matrix_from_dict(json.loads(json.dumps(dict(EDGE_FILE, **edit))))
 
     def test_rejects_garbage_file(self, tmp_path):
         path = tmp_path / "junk.json"
@@ -229,6 +249,14 @@ class TestClassifyCommand:
         assert report["isPPT"] is True
         assert report["admissibility"] == "Admissible"
 
+    def test_report_bytes(self, capsys):
+        code, out, err = run_cli(capsys, "classify", "--family", "edge", "--b", "1", "--theta-frac", "1/6")
+        assert (code, err) == (0, "")
+        assert out == (
+            '{"isPSD": true, "isPPT": true, "type": [8, 6], "kernelDims": [1, 3], '
+            '"admissibility": "Admissible", "tolerances": {"relTol": 1e-09, "absTol": 1e-10}}\n'
+        )
+
     def test_corner_family(self, capsys):
         code, out, _ = run_cli(capsys, "classify", "--family", "state-7-6", "--b", "2")
         assert code == 0
@@ -341,7 +369,8 @@ class TestClassifyCommand:
     def test_malformed_file_exit_2(self, capsys, tmp_path):
         path = tmp_path / "malformed.json"
         # the second file nests too deep for the JSON decoder
-        for text in ('{"m": 3}', "[" * 100_000 + "]" * 100_000):
+        edits = [json.dumps(dict(EDGE_FILE, **edit)) for edit in MALFORMED_EDITS]
+        for text in ['{"m": 3}', "[" * 100_000 + "]" * 100_000] + edits:
             path.write_text(text)
             code, out, err = run_cli(capsys, "classify", "--in", str(path))
             assert (code, out) == (2, "")
@@ -918,6 +947,12 @@ class TestContract:
     @given(content=matrix_files(), starts=st.integers(1, 3), max_iters=st.integers(1, 3))
     @example(content=b"\xff\xfe\x00", starts=1, max_iters=1)  # not UTF-8
     @example(content=b'{"m": 1e400, "n": 1, "re": [[1.0]], "im": [[0.0]]}', starts=1, max_iters=1)
+    # not integers, then strings, booleans and nulls for numbers: exit 2
+    @example(content=json.dumps(dict(EDGE_FILE, m=3.0)).encode(), starts=1, max_iters=1)
+    @example(content=json.dumps(dict(EDGE_FILE, m=True, n=9)).encode(), starts=1, max_iters=1)
+    @example(content=json.dumps(dict(EDGE_FILE, re=[["0.5"] * 9] * 9)).encode(), starts=1, max_iters=1)
+    @example(content=json.dumps(dict(EDGE_FILE, im=[[False] * 9] * 9)).encode(), starts=1, max_iters=1)
+    @example(content=json.dumps(dict(EDGE_FILE, im=[[None] * 9] * 9)).encode(), starts=1, max_iters=1)
     @settings(max_examples=100, deadline=None, derandomize=True)
     def test_matrix_files_keep_the_exit_code_contract(self, matrix_path, content, starts, max_iters):
         matrix_path.write_bytes(content)

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from edgelab import BipartiteOperator, NotHermitianError, classify, is_psd, partial_transpose, phase_circulant
+from edgelab import linalg
 from edgelab.classify import _classify_stack
 from edgelab.linalg import _check_hermitian, _kernel, _rank_psd
 from helpers import (
@@ -168,8 +170,8 @@ def test_stacked_rules_match_matrix_by_matrix(rng):
     ]
     stack = _check_hermitian(np.array(mats))
     assert np.array_equal(stack, [_check_hermitian(m) for m in mats])
-    ranks, psd = _rank_psd(np.linalg.eigvalsh(stack), 1e-9, 1e-10)
-    singles = [_rank_psd(np.linalg.eigvalsh(h), 1e-9, 1e-10) for h in stack]
+    ranks, psd = _rank_psd(np.linalg.eigvalsh(stack))
+    singles = [_rank_psd(np.linalg.eigvalsh(h)) for h in stack]
     assert list(zip(ranks.tolist(), psd.tolist())) == [(int(r), bool(p)) for r, p in singles]
     assert ranks.tolist() == [numerical_rank(m) for m in mats]
     assert psd.tolist() == [is_psd(m) for m in mats]
@@ -245,7 +247,11 @@ def test_helpers_match_their_references_bit_for_bit(mats, dim, seed, flat):
             # on the two thresholds, which only the true largest magnitude puts there
             tols.append((mag[-2] / mag[-1], max(-first[0], 0.0) / max(mag[-1], 1.0)))
         for rel_tol, abs_tol in tols:
-            for new, ref in zip(_rank_psd(vals, rel_tol, abs_tol), reference_rank_psd(vals, rel_tol, abs_tol)):
+            # _rank_psd reads both thresholds from the module when called
+            rank_rtol = mock.patch.object(linalg, "RANK_RTOL", rel_tol)
+            with rank_rtol, mock.patch.object(linalg, "PSD_ATOL", abs_tol):
+                got = _rank_psd(vals)
+            for new, ref in zip(got, reference_rank_psd(vals, rel_tol, abs_tol)):
                 assert np.array_equal(new, ref)
 
 
