@@ -184,9 +184,7 @@ def cmd_edge_check(args) -> int:
         print(json.dumps(report))
         return 0
     op = _load_input(args)
-    result = product_vector_search(
-        op, starts=args.starts, max_iters=args.max_iters, seed=args.seed
-    )
+    result = product_vector_search(op, starts=args.starts, seed=args.seed)
     report = {
         "verdict": result.verdict.value,
         "certifiedBy": "numeric",
@@ -269,12 +267,7 @@ def cmd_sweep(args) -> int:
         total = math.prod(steps for steps, _ in ranges.values())
         for lo in range(0, total, SWEEP_CHUNK):
             points = [point(k) for k in range(lo, min(lo + SWEEP_CHUNK, total))]
-            try:
-                mats = build(points)
-            except EdgeLabError:  # raise the first failing point's error, as one by one
-                mats = np.array([build_family(family, params).mat for params in points])
-            if not np.isfinite(mats).all():  # as each point's operator checks its matrix
-                raise InvalidParamError("matrix entries must be finite")
+            mats = build(points)
             rows = [
                 [params[name] for name in columns] + [p_psd and q_psd, p, q]
                 for params, p, q, p_psd, q_psd in zip(points, *_classify_stack(mats, *dims))
@@ -370,7 +363,6 @@ def _edge_check_options(p):
     _add_family_options(p, require_family=False)
     p.add_argument("--in", dest="infile")
     p.add_argument("--starts", type=int, default=200)
-    p.add_argument("--max-iters", type=int, default=500)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--analytic", action="store_true", help="use the analytic certificate (edge family only)")
 

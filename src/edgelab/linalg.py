@@ -13,11 +13,11 @@ values of a Hermitian matrix are its absolute eigenvalues.  :func:`is_psd`
 makes one Hermiticity check and one ``eigvalsh`` per matrix; ``classify``
 makes one check and one ``eigvalsh`` call per stack of states and partial
 transposes.  Both read the ranks and PSD flags with :func:`_rank_psd`, which,
-like :func:`_check_hermitian` and :func:`_rank`, takes a single matrix or a
-stack over leading axes, and reads the ends of the ascending spectra that
-``eigvalsh`` returns.  :func:`_kernel`, the one subspace routine, gives the
-kernel of a Hermitian matrix from one ``eigh``.  Every rank applies the one
-threshold rule of :func:`_rank`.
+like :func:`_check_hermitian`, takes a single matrix or a stack over leading
+axes, and reads the ends of the ascending spectra that ``eigvalsh`` returns.
+:func:`_kernel`, the one subspace routine, gives the kernel of a Hermitian
+matrix from one ``eigh``.  Every rank applies the one threshold rule of
+:func:`_rank_psd`.
 """
 
 from __future__ import annotations
@@ -127,38 +127,29 @@ def _check_hermitian(m: np.ndarray) -> np.ndarray:
     raise NotHermitianError(f"not Hermitian{where}: relative asymmetry {rel:.3e} exceeds {HERM_RTOL:.1e}")
 
 
-def _rank(sv: np.ndarray, top: np.ndarray) -> np.ndarray:
-    """Count of the nonnegative values ``sv`` above :data:`RANK_RTOL` times ``top``, the largest.
-
-    The one rank-threshold rule of the package: ``sv`` holds singular values,
-    or the absolute eigenvalues of a Hermitian matrix (its singular values),
-    along the last axis, with one count per leading index; ``top``, the largest
-    of each, comes off the ends of sorted values.  The zero matrix has rank 0.
-    """
-    return (sv > RANK_RTOL * top).sum(axis=-1)
-
-
 def _rank_psd(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ranks and PSD flags from eigenvalues in ascending order (last axis), as from ``eigvalsh``.
 
-    PSD means a smallest eigenvalue, the first, ``>= -PSD_ATOL * max(1, ||m||_2)``;
-    the largest magnitude ``||m||_2`` is that of the first or the last.
+    The one rank-threshold rule of the package: the rank counts the absolute
+    eigenvalues (the singular values of a Hermitian matrix) above
+    :data:`RANK_RTOL` times the largest, ``||m||_2``, which is that of the
+    first or the last; the zero matrix has rank 0.  PSD means a smallest
+    eigenvalue, the first, ``>= -PSD_ATOL * max(1, ||m||_2)``.
     """
     mag = np.abs(vals)
     top = np.maximum(mag[..., :1], mag[..., -1:])
-    return _rank(mag, top), vals[..., 0] >= -PSD_ATOL * np.maximum(top[..., 0], 1.0)
+    return (mag > RANK_RTOL * top).sum(axis=-1), vals[..., 0] >= -PSD_ATOL * np.maximum(top[..., 0], 1.0)
 
 
 def _kernel(h: np.ndarray) -> np.ndarray:
     """Kernel basis of a Hermitian matrix from one ``eigh``.
 
     The columns are the eigenvectors of the ``d - r`` eigenvalues smallest in
-    absolute value, ``r`` being the rank under the threshold rule of :func:`_rank`.
+    absolute value, ``r`` being the rank under the threshold rule of :func:`_rank_psd`.
     """
     vals, vecs = np.linalg.eigh(h)
-    mag = np.abs(vals)
-    order = np.argsort(mag, kind="stable")
-    return vecs[:, order[: h.shape[0] - _rank(mag, mag[order[-1:]])]]
+    order = np.argsort(np.abs(vals), kind="stable")
+    return vecs[:, order[: h.shape[0] - _rank_psd(vals)[0]]]
 
 
 def is_psd(m: np.ndarray) -> bool:

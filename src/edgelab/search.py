@@ -49,8 +49,10 @@ from .linalg import BipartiteOperator, _check_hermitian, _kernel, _partial_trans
 
 FOUND_THRESHOLD = 1e-9
 
-# A start stops once one step lowers its objective by less than this.
+# A start stops once one step lowers its objective by less than
+# CONVERGENCE_TOL, or after MAX_ITERS steps.
 CONVERGENCE_TOL = 1e-14
+MAX_ITERS = 500
 
 # Starts advanced together, over one or more states.  One 1,000-start search
 # of edge_state(1, pi/6) took 96, 69, 56 and 55 ms in blocks of 128, 256, 512
@@ -265,20 +267,18 @@ def _step(segs: list[_Segment], x: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     return x, y, _per_state(segs, _Objective.value, x, y)
 
 
-def _descend(
-    objs: list[_Objective], bounds: np.ndarray, x: np.ndarray, y: np.ndarray, max_iters: int
-) -> np.ndarray:
+def _descend(objs: list[_Objective], bounds: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Run every start of a block to its stop, updating ``x`` and ``y`` in place.
 
     State ``j`` owns the rows ``bounds[j]:bounds[j + 1]``.  A start leaves
     the running set once its decrease falls under :data:`CONVERGENCE_TOL` or
-    after ``max_iters`` steps; the starts then at or under
+    after :data:`MAX_ITERS` steps; the starts then at or under
     :data:`FOUND_THRESHOLD` polish together while strictly improving.
     Returns the objective of each start.
     """
     live = np.arange(len(x))
     f = _per_state(_segments(objs, bounds, live), _Objective.value, x, y)
-    for _ in range(max_iters):
+    for _ in range(MAX_ITERS):
         x[live], y[live], f_new = _step(_segments(objs, bounds, live), x[live])
         going = f[live] - f_new >= CONVERGENCE_TOL
         f[live] = f_new
@@ -297,10 +297,7 @@ def _descend(
 
 
 def product_vector_search_many(
-    states: Iterable[BipartiteOperator],
-    starts: int = 200,
-    max_iters: int = 500,
-    seed: int = 0,
+    states: Iterable[BipartiteOperator], *, starts: int = 200, seed: int = 0
 ) -> list[EdgeSearchResult]:
     """:func:`product_vector_search` of every operator in ``states``, all of one shape.
 
@@ -309,15 +306,13 @@ def product_vector_search_many(
     that of searching the state alone.  The starts of all states run in one
     loop, in lockstep blocks of :data:`BLOCK` that take the next starts of
     consecutive states; one closed-form solve per half-step serves every
-    state of a block.  Raises :class:`InvalidParamError` when ``starts < 1``,
-    ``max_iters < 1`` or ``seed < 0``, ``TypeError`` when ``seed`` is not an
-    integer, and :class:`DimensionMismatchError` when the shapes differ; an
-    empty ``states`` gives ``[]``.
+    state of a block.  Raises :class:`InvalidParamError` when ``starts < 1``
+    or ``seed < 0``, ``TypeError`` when ``seed`` is not an integer, and
+    :class:`DimensionMismatchError` when the shapes differ; an empty
+    ``states`` gives ``[]``.
     """
     if starts < 1:
         raise InvalidParamError(f"starts must be >= 1, got {starts}")
-    if max_iters < 1:
-        raise InvalidParamError(f"max_iters must be >= 1, got {max_iters}")
     if seed < 0:
         raise InvalidParamError(f"seed must be >= 0, got {seed}")
     states = list(states)
@@ -352,7 +347,7 @@ def product_vector_search_many(
         xs, ys = zip(*(_random_starts(rngs[i], count, m, n) for i, count in block))
         x, y = np.concatenate(xs), np.concatenate(ys)
         bounds = np.cumsum([0] + [count for _, count in block])
-        f = _descend([objs[i] for i, _ in block], bounds, x, y, max_iters)
+        f = _descend([objs[i] for i, _ in block], bounds, x, y)
         for (i, _), a, b in zip(block, bounds.tolist(), bounds[1:].tolist()):
             j = a + int(np.argmin(f[a:b]))
             if f[j] < best[i][0]:
@@ -377,23 +372,21 @@ def product_vector_search_many(
     return results
 
 
-def product_vector_search(
-    s: BipartiteOperator,
-    starts: int = 200,
-    max_iters: int = 500,
-    seed: int = 0,
-) -> EdgeSearchResult:
+def product_vector_search(s: BipartiteOperator, *, starts: int = 200, seed: int = 0) -> EdgeSearchResult:
     """Search for a unit product vector in the range pair of ``s``.
 
-    Runs ``starts`` alternating minimizations from seeded random unit pairs.
-    The search makes one generator, ``default_rng(seed)``, and start ``i``
-    takes row ``i`` of its stream: a fixed seed gives a fixed result, a run
-    of fewer starts is a bit-exact prefix of a longer one, and a start does
-    not depend on the block it runs in.  The starts run in index order, in
+    Runs ``starts`` alternating minimizations from seeded random unit pairs;
+    each stops once a step lowers its objective by less than
+    :data:`CONVERGENCE_TOL`, or after :data:`MAX_ITERS` steps.  ``starts``
+    and ``seed`` are keyword-only.  The search makes one generator,
+    ``default_rng(seed)``, and start ``i`` takes row ``i`` of its stream: a
+    fixed seed gives a fixed result, a run of fewer starts is a bit-exact
+    prefix of a longer one, and a start does not depend on the block it
+    runs in.  The starts run in index order, in
     lockstep blocks of :data:`BLOCK` starts, so memory stays proportional
     to the block and the cost per start falls as more starts share a block.
     The best pair is that of the first start with the smallest objective.
     This is :func:`product_vector_search_many` of one state, and raises what
     it raises.
     """
-    return product_vector_search_many([s], starts, max_iters, seed)[0]
+    return product_vector_search_many([s], starts=starts, seed=seed)[0]

@@ -101,6 +101,8 @@ def _core_entries(b: float, diagonal: float, couplings: tuple) -> tuple:
     by row, and ``1/b`` or ``b`` on the other diagonal entries."""
     if b <= 0:
         raise InvalidParamError(f"b must be positive, got {b}")
+    if not math.isfinite(b) or not math.isfinite(1 / b):
+        raise InvalidParamError("matrix entries must be finite")
     return (diagonal,) * 3 + couplings + (1 / b, b, b, 1 / b, 1 / b, b)
 
 
@@ -121,6 +123,8 @@ def _choi_entries(a: float, b: float, c: float) -> tuple:
     """Weight (k, i) at diagonal entry 3i + k, over :data:`_CHOI_ZEROS`; a -0.0 weight as the map's +0.0."""
     if min(a, b, c) < 0:
         raise InvalidParamError("weights must be nonnegative")
+    if not all(map(math.isfinite, (a, b, c))):
+        raise InvalidParamError("matrix entries must be finite")
     a, b, c = a + 0.0, b + 0.0, c + 0.0
     return (a, a, a) + (complex(-1.0, -0.0),) * 6 + (c, b, b, c, c, b)
 

@@ -461,17 +461,6 @@ class TestEdgeCheck:
         assert_one_line_error(err)
         assert "starts" in err
 
-    @pytest.mark.parametrize("max_iters", ["0", "-2"])
-    def test_no_iterations_exit_2(self, capsys, max_iters):
-        # a separable state: with no step the random starts would read as edge
-        code, out, err = run_cli(
-            capsys, "edge-check", "--family", "edge", "--b", "1", "--theta", "0",
-            "--starts", "5", "--max-iters", max_iters,
-        )
-        assert (code, out) == (2, "")
-        assert_one_line_error(err)
-        assert "max_iters" in err
-
     def test_negative_seed_exit_2(self, capsys):
         code, out, err = run_cli(
             capsys, "edge-check", "--family", "edge", "--b", "1", "--theta=0.5",
@@ -877,7 +866,7 @@ CONTRACT_COUPLING = st.sampled_from([None] * 6 + FLOAT_VALUES + ODD_VALUES)
 @st.composite
 def command_argvs(draw) -> list[str]:
     """``construct``, ``classify``, ``edge-check`` or ``table`` with a random
-    family and random options; ``--starts`` and ``--max-iters`` from 1 to 3."""
+    family and random options; ``--starts`` from 1 to 3."""
     command = draw(st.sampled_from(["construct", "classify", "edge-check", "table"]))
     argv = [command, f"--b={draw(CONTRACT_NUMBER)}"]
     angle = draw(st.sampled_from(["--theta", "--theta", None] + (["--theta-frac"] if command != "table" else [])))
@@ -898,7 +887,7 @@ def command_argvs(draw) -> list[str]:
         if value is not None:
             argv.append(f"--{name}={value}")
     if command == "edge-check":
-        argv += [f"--starts={draw(st.integers(1, 3))}", f"--max-iters={draw(st.integers(1, 3))}"]
+        argv.append(f"--starts={draw(st.integers(1, 3))}")
         if draw(st.booleans()):
             argv.append("--analytic")
     return argv
@@ -944,20 +933,20 @@ class TestContract:
     def test_argvs_keep_the_exit_code_contract(self, argv):
         assert_contract(argv)
 
-    @given(content=matrix_files(), starts=st.integers(1, 3), max_iters=st.integers(1, 3))
-    @example(content=b"\xff\xfe\x00", starts=1, max_iters=1)  # not UTF-8
-    @example(content=b'{"m": 1e400, "n": 1, "re": [[1.0]], "im": [[0.0]]}', starts=1, max_iters=1)
+    @given(content=matrix_files(), starts=st.integers(1, 3))
+    @example(content=b"\xff\xfe\x00", starts=1)  # not UTF-8
+    @example(content=b'{"m": 1e400, "n": 1, "re": [[1.0]], "im": [[0.0]]}', starts=1)
     # not integers, then strings, booleans and nulls for numbers: exit 2
-    @example(content=json.dumps(dict(EDGE_FILE, m=3.0)).encode(), starts=1, max_iters=1)
-    @example(content=json.dumps(dict(EDGE_FILE, m=True, n=9)).encode(), starts=1, max_iters=1)
-    @example(content=json.dumps(dict(EDGE_FILE, re=[["0.5"] * 9] * 9)).encode(), starts=1, max_iters=1)
-    @example(content=json.dumps(dict(EDGE_FILE, im=[[False] * 9] * 9)).encode(), starts=1, max_iters=1)
-    @example(content=json.dumps(dict(EDGE_FILE, im=[[None] * 9] * 9)).encode(), starts=1, max_iters=1)
+    @example(content=json.dumps(dict(EDGE_FILE, m=3.0)).encode(), starts=1)
+    @example(content=json.dumps(dict(EDGE_FILE, m=True, n=9)).encode(), starts=1)
+    @example(content=json.dumps(dict(EDGE_FILE, re=[["0.5"] * 9] * 9)).encode(), starts=1)
+    @example(content=json.dumps(dict(EDGE_FILE, im=[[False] * 9] * 9)).encode(), starts=1)
+    @example(content=json.dumps(dict(EDGE_FILE, im=[[None] * 9] * 9)).encode(), starts=1)
     @settings(max_examples=100, deadline=None, derandomize=True)
-    def test_matrix_files_keep_the_exit_code_contract(self, matrix_path, content, starts, max_iters):
+    def test_matrix_files_keep_the_exit_code_contract(self, matrix_path, content, starts):
         matrix_path.write_bytes(content)
         assert_contract(["classify", "--in", str(matrix_path)])
-        assert_contract(["edge-check", "--in", str(matrix_path), f"--starts={starts}", f"--max-iters={max_iters}"])
+        assert_contract(["edge-check", "--in", str(matrix_path), f"--starts={starts}"])
 
 
 def test_console_entry_point(tmp_path):

@@ -24,7 +24,7 @@ from edgelab import (
 )
 from edgelab import search
 from edgelab.errors import DimensionMismatchError, InvalidParamError
-from edgelab.search import BLOCK, FOUND_THRESHOLD, _Objective
+from edgelab.search import BLOCK, FOUND_THRESHOLD, MAX_ITERS, _Objective
 from helpers import kernel_basis, product_vector, proj, random_unit, random_unitary, range_basis
 
 # observed floor of the search objective on edge_state(1, pi/6) with the
@@ -154,11 +154,6 @@ def test_objective_decreases_monotonically():
         assert mid <= prev + 1e-12
         assert cur <= mid + 1e-12
         prev = cur
-
-
-def test_rejects_no_iterations():
-    with pytest.raises(InvalidParamError, match="max_iters"):
-        product_vector_search(edge_state(1.0, 0.0), starts=5, max_iters=0)
 
 
 def test_rejects_negative_seed():
@@ -300,11 +295,20 @@ def _pure_2x3():
 
 
 @pytest.mark.parametrize(
-    "state", [edge_state(1.0, math.pi / 6), corner_state(2.0), _pure_2x3()], ids=["edge", "corner", "pure-2x3"]
+    "state, max_iters",
+    [
+        (edge_state(1.0, math.pi / 6), MAX_ITERS),
+        (corner_state(2.0), MAX_ITERS),
+        (_pure_2x3(), MAX_ITERS),
+        # the cap is read from the module when the search runs
+        (edge_state(1.0, math.pi / 6), 2),
+    ],
+    ids=["edge", "corner", "pure-2x3", "edge-capped"],
 )
-def test_lockstep_matches_start_by_start_search(state):
-    reference = _start_by_start_objectives(state, starts=30, seed=2)
-    res = product_vector_search(state, starts=30, seed=2)
+def test_lockstep_matches_start_by_start_search(state, max_iters):
+    reference = _start_by_start_objectives(state, starts=30, seed=2, max_iters=max_iters)
+    with mock.patch.object(search, "MAX_ITERS", max_iters):
+        res = product_vector_search(state, starts=30, seed=2)
     assert np.all(reference > FOUND_THRESHOLD)
     np.testing.assert_allclose(res.per_start_objectives, reference, rtol=1e-12, atol=0)
 
