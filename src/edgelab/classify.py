@@ -2,9 +2,11 @@
 analytic edge certificate for the phase-parameterized family.
 
 ``_classify_stack`` is the one classification path: one Hermiticity check
-over a stack of states and one ``eigvalsh`` call over the states and their
-partial transposes give every rank and PSD flag.  :func:`classify_many` wraps
-its results in :class:`Classification`; ``edgelab sweep`` reads them as they are.
+over a stack of states and ``linalg._spectra`` of the states and their
+partial transposes, block by block from ``linalg.SPLIT_MIN`` states on and one
+``eigvalsh`` call below, give every rank and PSD flag.  :func:`classify_many`
+wraps its results in :class:`Classification`; ``edgelab sweep`` reads them as
+they are.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from math import comb
 import numpy as np
 
 from .errors import ConditionViolatedError, DimensionMismatchError, InvalidParamError
-from .linalg import BipartiteOperator, _check_hermitian, _partial_transpose, _rank_psd
+from .linalg import BipartiteOperator, _check_hermitian, _partial_transpose, _rank_psd, _spectra
 from .states import edge_condition_holds
 
 # Units of rounding, eps * max(b**3, 1), the product margin of a certificate must exceed.
@@ -81,13 +83,15 @@ def _classify_stack(h: np.ndarray, m: int, n: int):
     k, h = len(h), _check_hermitian(h)
     # Partial transposition permutes entries and commutes with the adjoint, so
     # the partial transposes of the symmetrized states are Hermitian as they stand.
-    vals = np.linalg.eigvalsh(np.concatenate((h, _partial_transpose(h, m, n))))
+    vals = _spectra(h, _partial_transpose(h, m, n))
     ranks, psd = (flags.tolist() for flags in _rank_psd(vals))
     return ranks[:k], ranks[k:], psd[:k], psd[k:]
 
 
 def classify_many(ops: Iterable[BipartiteOperator]) -> list[Classification]:
     """:func:`classify` of every operator in ``ops``, all of one shape ``(m, n)``.
+
+    Below ``linalg.SPLIT_MIN`` operators one ``eigvalsh`` call, else block by block.
 
     Raises :class:`NotHermitianError` for the first operator that is not
     Hermitian and :class:`DimensionMismatchError` when the shapes differ; an
@@ -115,9 +119,10 @@ def classify_many(ops: Iterable[BipartiteOperator]) -> list[Classification]:
 def classify(s: BipartiteOperator) -> Classification:
     """PSD/PPT flags, (rank, partial-transpose rank) type, and admissibility.
 
-    :func:`classify_many` of the one operator: one Hermiticity check and one
-    ``eigvalsh`` call for the state and its partial transpose.  The ranks
-    apply ``linalg.RANK_RTOL`` and the PSD flags ``linalg.PSD_ATOL``.
+    :func:`classify_many` of the one operator, below the split's gate: one
+    Hermiticity check and one ``eigvalsh`` call for the state and its partial
+    transpose.  The ranks apply ``linalg.RANK_RTOL`` and the PSD flags
+    ``linalg.PSD_ATOL``.
     """
     return classify_many([s])[0]
 

@@ -121,7 +121,7 @@ def _corner_entries(b: float) -> tuple:
 
 def _choi_entries(a: float, b: float, c: float) -> tuple:
     """Weight (k, i) at diagonal entry 3i + k, over :data:`_CHOI_ZEROS`; a -0.0 weight as the map's +0.0."""
-    if min(a, b, c) < 0:
+    if any(w < 0 for w in (a, b, c)):
         raise InvalidParamError("weights must be nonnegative")
     if not all(map(math.isfinite, (a, b, c))):
         raise InvalidParamError("matrix entries must be finite")

@@ -503,7 +503,7 @@ def reference_corner_matrix(b: float) -> np.ndarray:
 
 def reference_choi_matrix(a: float, b: float, c: float) -> np.ndarray:
     """The Choi matrix by one masked write per kind of entry, as a 3x3x3x3 grid of blocks."""
-    if min(a, b, c) < 0:
+    if any(w < 0 for w in (a, b, c)):
         raise InvalidParamError("weights must be nonnegative")
     weights = np.array([[a, b, c], [c, a, b], [b, c, a]])
     mat = np.full((9, 9), complex(-0.0, -0.0))

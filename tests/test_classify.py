@@ -85,6 +85,18 @@ class TestClassify:
         # one matrix in, so no index into a stack
         assert "stack" not in str(err.value)
 
+    def test_one_state_takes_one_eigvalsh_call(self, monkeypatch):
+        # below the split's gate: the state and its partial transpose in one call
+        calls, eigvalsh = [], np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        assert classify(edge_state(1.0, THETA)).type == (8, 6)
+        assert calls == [(2, 9, 9)]
+
     def test_family_type_coverage(self):
         one, two, three = cmath.exp(0.3j), cmath.exp(-0.1j), cmath.exp(0.2j)
         states = [

@@ -10,15 +10,17 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from edgelab import BipartiteOperator, choi_matrix, classify, edge_state, product_vector_search
+from edgelab import BipartiteOperator, choi_matrix, classify, classify_many, edge_state, linalg
+from edgelab import product_vector_search
 from edgelab.classify import _classify_stack
-from edgelab.cli import COMMANDS, FAMILIES, SWEEP_CHUNK, _parse_range, main, make_parser
+from edgelab.cli import COMMANDS, FAMILIES, SWEEP_CHUNK, _parse_range, _table_families, main, make_parser
 from edgelab.io import matrix_from_dict, matrix_to_dict, read_matrix, write_matrix
 from edgelab.errors import EdgeLabError
 from helpers import REFERENCE_FAMILIES, assert_same_entries, reference_sweep
@@ -184,6 +186,33 @@ class TestChunkBuilders:
         want = [(c.type[0], c.type[1], c.is_psd, c.is_ppt) for c in map(classify, ops)]
         assert [(p, q, p_psd, p_psd and q_psd) for p, q, p_psd, q_psd in got] == want
 
+    def test_the_split_classifies_every_family_as_below_the_gate(self):
+        # the table's states and each family at points out to the float limits,
+        # one state at a time below the gate, against each state alone and each
+        # family as one stack with the gate at 1, so that every stack splits
+        couplings = {"xi_eta": "0.3", "eta_zeta": "-0.5j", "zeta_xi": "0"}
+        bs = [1e-300, 1e-6, 1.0, 1e6, 1e300]
+        weights = [(1e308, 1e308, 1.7e308), (1.7e308, 1e308, 1e308), (1e308,) * 3,
+                   (2.0, 1.0, 1.0), (1.9, 1.0, 1.0), (2.0, 3.0, 1 / 3), (0.0, 0.0, 0.0)]
+        points = {
+            "p-theta": [{"theta": t} for t in (THETA, math.pi / 3, 0.0, 3.0)],
+            "edge": [{"b": b, "theta": t} for b in bs for t in (THETA, math.pi / 3, -0.5, 1e-4, 0.0)],
+            "state-7-6": [{"b": b} for b in bs],
+            "choi": [dict(zip("abc", w)) for w in weights],
+            "face": [dict(couplings, b=b, theta=THETA) for b in bs],
+            "p5": [{"b": b, "theta": THETA, "target_p": t} for b in bs for t in (5, 6, 7, 8)],
+        }
+        points["edge-general"] = points["edge"]
+        assert set(points) == set(FAMILIES)
+        stacks = [[op for _, op in _table_families(1.0, THETA)]] + [
+            [BipartiteOperator(*FAMILIES[family][1], mat) for mat in FAMILIES[family][2](ps)]
+            for family, ps in points.items()
+        ]
+        want = [classify(op) for ops in stacks for op in ops]
+        with mock.patch.object(linalg, "SPLIT_MIN", 1):
+            assert [classify(op) for ops in stacks for op in ops] == want
+            assert [c for ops in stacks for c in classify_many(ops)] == want
+
 
 class TestConstruct:
     def test_edge_matrix_entries(self, capsys):
@@ -332,6 +361,13 @@ class TestClassifyCommand:
         assert code == 2
         assert "not Hermitian" in err
         assert "stack" not in err
+
+    @pytest.mark.parametrize("weights", sorted(set(itertools.permutations(["nan", "-1", "1"])))
+                             + sorted(set(itertools.permutations(["inf", "-1", "1"]))))
+    def test_a_negative_weight_is_reported_whatever_the_order(self, capsys, weights):
+        argv = [f"--{name}={w}" for name, w in zip("abc", weights)]
+        code, out, err = run_cli(capsys, "classify", "--family", "choi", *argv)
+        assert (code, out, err) == (2, "", "edgelab: error: weights must be nonnegative\n")
 
     def test_huge_finite_entries_give_a_verdict(self, capsys):
         code, out, err = run_cli(
@@ -577,7 +613,10 @@ class TestSweep:
             lines.append(line)
         assert path.read_bytes() == "".join(line + "\r\n" for line in lines).encode()
 
-    def test_one_eigvalsh_call_per_chunk(self, capsys, monkeypatch):
+    def test_at_most_two_block_eigvalsh_calls_per_chunk(self, capsys, monkeypatch):
+        # the edge states' blocks: {0, 4, 8} and 1 x 1 ones, and for their
+        # partial transposes three pairs and 1 x 1 ones; the last chunk, of
+        # 16 states, is at or above the split's gate too
         calls, operators = [], []
         eigvalsh = CLASSIFY_MODULE.np.linalg.eigvalsh
         post_init = BipartiteOperator.__post_init__
@@ -592,12 +631,14 @@ class TestSweep:
 
         monkeypatch.setattr(CLASSIFY_MODULE.np.linalg, "eigvalsh", counting)
         monkeypatch.setattr(BipartiteOperator, "__post_init__", counting_post_init)
+        assert 400 % SWEEP_CHUNK >= linalg.SPLIT_MIN
         code, out, _ = run_cli(
             capsys, "sweep", "--family", "edge", "--range", "b=0.5:2:20", "--range", "theta=-1.2:1.2:20",
         )
         assert code == 0
         assert len(out.splitlines()) == 401
-        assert len(calls) <= math.ceil(400 / SWEEP_CHUNK)
+        assert len(calls) <= 2 * math.ceil(400 / SWEEP_CHUNK)
+        assert all(shape[-2:] != (9, 9) for shape in calls)
         assert operators == []
 
     def test_memory_does_not_grow_with_the_grid(self, capsys, tmp_path):
@@ -703,6 +744,17 @@ class TestSweep:
         assert [line.split(",")[2:] for line in lines[1:]] == [
             [c, "True", "9", "9"] for c in ("1e+307", "5.5e+307", "1e+308")
         ]
+
+    def test_huge_weights_through_the_split(self, capsys):
+        # 64 states make one chunk at or above the gate, and each reads the
+        # type that classify gives the one state (1e308, 1e308, 1e308)
+        assert SWEEP_CHUNK >= linalg.SPLIT_MIN
+        code, out, err = run_cli(
+            capsys, "sweep", "--family", "choi", "--b", "1e308", "--c", "1e308", "--range", "a=1e308:1.7e308:64",
+        )
+        assert (code, err) == (0, "")
+        rows = out.splitlines()[1:]
+        assert len(rows) == 64 and all(row.endswith(",True,9,9") for row in rows)
 
     @given(
         start=st.floats(width=64),

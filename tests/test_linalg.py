@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 from edgelab import BipartiteOperator, NotHermitianError, classify, is_psd, partial_transpose, phase_circulant
 from edgelab import linalg
 from edgelab.classify import _classify_stack
-from edgelab.linalg import _check_hermitian, _kernel, _rank_psd
+from edgelab.linalg import SPLIT_MIN, _blocks, _check_hermitian, _kernel, _rank_psd, _spectra
 from helpers import (
     HERM_RTOL,
     PSD_ATOL,
@@ -175,6 +175,61 @@ def test_stacked_rules_match_matrix_by_matrix(rng):
     assert list(zip(ranks.tolist(), psd.tolist())) == [(int(r), bool(p)) for r, p in singles]
     assert ranks.tolist() == [numerical_rank(m) for m in mats]
     assert psd.tolist() == [is_psd(m) for m in mats]
+
+
+class TestSplitSpectra:
+    """Stacks of at least SPLIT_MIN matrices take their spectra from the
+    connected blocks of the stack's nonzero pattern."""
+
+    @given(
+        data=st.data(),
+        k=st.sampled_from([1, SPLIT_MIN - 1, SPLIT_MIN, SPLIT_MIN + 1, 3 * SPLIT_MIN]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_block_diagonal_stacks_classify_matrix_by_matrix(self, data, k, seed):
+        # one block structure per stack, 1 to 9 coordinates a block, under one
+        # permutation; each block has its own planted rank, each matrix a scale
+        sizes, left = [], 9
+        while left:
+            sizes.append(data.draw(st.integers(1, left)))
+            left -= sizes[-1]
+        g = np.random.default_rng(seed)
+        blocks = np.split(g.permutation(9), np.cumsum(sizes)[:-1])
+        stack, planted = np.zeros((k, 9, 9), complex), []
+        for h in stack:
+            ranks = [int(g.integers(0, len(b) + 1)) for b in blocks]
+            for b, r in zip(blocks, ranks):
+                h[np.ix_(b, b)] = (planted_rank_hermitian, planted_rank_psd)[g.integers(2)](g, len(b), r)
+            h *= 10.0 ** g.uniform(-100.0, 100.0)
+            planted.append(sum(ranks))
+        ranks, psd = _rank_psd(_spectra(stack))
+        singles = [_rank_psd(np.linalg.eigvalsh(h)) for h in stack]
+        assert list(zip(ranks.tolist(), psd.tolist())) == [(int(r), bool(p)) for r, p in singles]
+        assert ranks.tolist() == planted
+        ops = [BipartiteOperator(3, 3, h) for h in stack]
+        want = [(c.type[0], c.type[1], c.is_psd, c.is_ppt) for c in map(classify, ops)]
+        got = [(p, q, p_psd, p_psd and q_psd) for p, q, p_psd, q_psd in zip(*_classify_stack(stack, 3, 3))]
+        assert got == want
+
+    def test_the_pattern_is_the_union_over_the_stack(self, rng):
+        stack = np.array([np.diag(rng.uniform(1.0, 2.0, 9)).astype(complex) for _ in range(SPLIT_MIN)])
+        stack[0, 0, 1] = stack[0, 1, 0] = 0.5
+        stack[1, 1, 2] = stack[1, 2, 1] = 0.5j
+        blocks = _blocks((stack != 0).any(axis=0).tobytes(), 9)
+        assert [(s, idx.tolist()) for s, idx in blocks] == [(1, [[3], [4], [5], [6], [7], [8]]), (3, [[0, 1, 2]])]
+        assert_allclose(_spectra(stack), np.linalg.eigvalsh(stack), rtol=1e-14)
+
+    def test_negative_zeros_are_zeros(self, monkeypatch):
+        # nine 1 x 1 blocks, read off the diagonal without an eigvalsh call
+        stack = np.tile(np.eye(9, dtype=complex), (SPLIT_MIN, 1, 1))
+        stack[:, 0, 8] = stack[:, 8, 0] = complex(-0.0, -0.0)
+        monkeypatch.setattr(np.linalg, "eigvalsh", None)
+        assert np.array_equal(_spectra(stack), np.ones((SPLIT_MIN, 9)))
+
+    @pytest.mark.parametrize("k", [1, SPLIT_MIN])
+    def test_zero_stack_has_rank_zero_and_is_psd(self, k):
+        assert _classify_stack(np.zeros((k, 9, 9)), 3, 3) == ([0] * k, [0] * k, [True] * k, [True] * k)
 
 
 MATRIX_KINDS = ("hermitian", "low-rank", "indefinite", "just under", "just over")

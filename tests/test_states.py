@@ -482,6 +482,7 @@ class TestBuildsMatchTheirReferences:
 
     @given(a=WEIGHTS, b=WEIGHTS, c=WEIGHTS)
     @example(a=-1.0, b=1.0, c=1.0)
+    @example(a=math.nan, b=-1.0, c=1.0)  # a negative weight after a NaN one
     @example(a=-0.0, b=-0.0, c=1e-320)
     @BUILD_SETTINGS
     def test_choi_matrix(self, a, b, c):
