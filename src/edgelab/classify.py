@@ -82,7 +82,8 @@ def _classify_stack(h: np.ndarray, m: int, n: int):
     :class:`NotHermitianError` for the first state that is not Hermitian."""
     k, h = len(h), _check_hermitian(h)
     # Partial transposition permutes entries and commutes with the adjoint, so
-    # the partial transposes of the symmetrized states are Hermitian as they stand.
+    # the partial transposes of the checked states, exactly Hermitian as given
+    # or symmetrized, are Hermitian as they stand.
     vals = _spectra(h, _partial_transpose(h, m, n))
     ranks, psd = (flags.tolist() for flags in _rank_psd(vals))
     return ranks[:k], ranks[k:], psd[:k], psd[k:]

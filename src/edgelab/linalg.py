@@ -9,17 +9,19 @@ operator is a grid of m x m blocks of size n x n, and ``numpy.kron`` realizes
 the tensor product in exactly this layout.
 
 Ranks of Hermitian matrices come from their spectrum, since the singular
-values of a Hermitian matrix are its absolute eigenvalues.  :func:`is_psd`
-makes one Hermiticity check and one ``eigvalsh`` per matrix; ``classify``
-makes one check per stack of states, and :func:`_spectra` gives the spectra
-of the states and their partial transposes block by block from
-:data:`SPLIT_MIN` states on, and from one ``eigvalsh`` call below.  Both read
-the ranks and PSD flags with :func:`_rank_psd`, which, like
-:func:`_check_hermitian`, takes a single matrix or a stack over leading axes,
-and reads the ends of the ascending spectra.
-:func:`_kernel`, the one subspace routine, gives the kernel of a Hermitian
-matrix from one ``eigh``.  Every rank applies the one threshold rule of
-:func:`_rank_psd`.
+values of a Hermitian matrix are its absolute eigenvalues.
+:func:`_check_hermitian` passes an exactly Hermitian stack, as every
+constructor builds, on as it is after one comparison, and symmetrizes only a
+near-Hermitian one.  :func:`is_psd` makes one Hermiticity check and one
+``eigvalsh`` per matrix; ``classify`` makes one check per stack of states,
+and :func:`_spectra` gives the spectra of the states and their partial
+transposes block by block from :data:`SPLIT_MIN` states on, and from one
+``eigvalsh`` call below.  Both read the ranks and PSD flags with
+:func:`_rank_psd`, which, like :func:`_check_hermitian`, takes a single
+matrix or a stack over leading axes, and reads the ends of the ascending
+spectra.  :func:`_kernel`, the one subspace routine, gives the kernel of a
+Hermitian matrix from one ``eigh``.  Every rank applies the one threshold
+rule of :func:`_rank_psd`.
 """
 
 from __future__ import annotations
@@ -102,22 +104,23 @@ def _squared_norm(x: np.ndarray) -> np.ndarray:
 
 
 def _check_hermitian(m: np.ndarray) -> np.ndarray:
-    """Validate near-Hermiticity and return the symmetrized matrix ``(m + m^H) / 2``.
+    """Validate near-Hermiticity and return a Hermitian matrix to use for ``m``.
 
-    ``m`` is one matrix or a stack over leading axes; a stack raises for its
-    first matrix that fails, named by its flat index over the leading axes
-    when the stack holds more than one matrix.  An exactly Hermitian stack,
-    as the constructors build, is only checked for an overflowing norm.
+    ``m`` is one matrix or a stack over leading axes.  A stack equal to its
+    adjoint entry for entry, as the constructors build, comes back as it is,
+    after one comparison: no arithmetic, so nothing can overflow.  Any other
+    stack passes when each matrix has ``||m - m^H||_F <= HERM_RTOL * max(||m||_F, 1)``
+    and comes back symmetrized, ``(m + m^H) / 2``; it raises for its first
+    matrix that fails, named by its flat index over the leading axes when the
+    stack holds more than one matrix.  Callers must not write into the result.
     """
     m = _as_complex(m)
     if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise DimensionMismatchError("expected a square matrix")
     mh = m.conj().swapaxes(-2, -1)
-    d = m - mh
-    norm2 = _squared_norm(m)
-    if not d.any() and norm2.max(initial=0.0) < np.inf:
-        return (m + mh) / 2
-    scale2, asym2 = np.maximum(norm2, 1.0), _squared_norm(d)
+    if (m == mh).all():
+        return m
+    scale2, asym2 = np.maximum(_squared_norm(m), 1.0), _squared_norm(m - mh)
     # a sum of squares past the float limit would pass any asymmetry
     fails = (asym2 > HERM_RTOL**2 * scale2) | np.isinf(scale2)
     if not fails.any():
@@ -195,9 +198,17 @@ def _kernel(h: np.ndarray) -> np.ndarray:
 
 
 def is_psd(m: np.ndarray) -> bool:
-    """True iff the symmetrized matrix has min eigenvalue >= -PSD_ATOL * max(1, ||m||_2).
+    """True iff the matrix has min eigenvalue >= -PSD_ATOL * max(1, ||m||_2).
 
-    One Hermiticity check and one ``eigvalsh``.
+    One Hermiticity check, whose exactly Hermitian input is used as it is and
+    near-Hermitian input symmetrized, and one ``eigvalsh``.  Raises
+    :class:`DimensionMismatchError` for an empty matrix and
+    :class:`InvalidParamError` for a non-finite entry.
     """
+    m = _as_complex(m)
+    if not m.size:
+        raise DimensionMismatchError("expected a nonempty square matrix")
+    if not np.isfinite(m).all():
+        raise InvalidParamError("matrix entries must be finite")
     return bool(_rank_psd(np.linalg.eigvalsh(_check_hermitian(m)))[1])
 

@@ -188,7 +188,8 @@ class _Objective:
         m, n = self.m, self.n = s.m, s.n
         h = _check_hermitian(s.mat)
         # Partial transposition commutes with the adjoint, so the partial
-        # transpose of the symmetrized state is Hermitian as it stands.
+        # transpose of the checked state, exactly Hermitian as given or
+        # symmetrized, is Hermitian as it stands.
         tau = _partial_transpose(h, m, n)
         # shape (m, n, k): first axis contracts with x, second with y
         self.ka = _kernel(h).conj().reshape(m, n, -1)

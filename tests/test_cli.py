@@ -214,6 +214,42 @@ class TestChunkBuilders:
             assert [c for ops in stacks for c in classify_many(ops)] == want
 
 
+class TestCallersMatrices:
+    """The Hermiticity check passes an exactly Hermitian matrix on as it is, so
+    every classify and search path must leave the caller's matrix, signed
+    zeros included, as it was; the matrices are read-only to catch a write."""
+
+    def test_classify_and_search_leave_the_matrix_as_it_was(self):
+        ops = [choi_matrix(2.0, 1.0, 1.0), edge_state(1.0, THETA)]
+        assert np.signbit(ops[0].mat.imag).any()
+        want = [op.mat.copy() for op in ops]
+        for op in ops:
+            op.mat.setflags(write=False)
+        classify(ops[0])
+        classify_many(ops)
+        product_vector_search(ops[0], starts=4, seed=0)
+        for op, mat in zip(ops, want):
+            assert_same_entries(op.mat, mat)
+
+    def test_a_sweep_chunk_is_left_as_it_was(self, capsys, monkeypatch):
+        seen = []
+
+        def spy(mats, m, n):
+            seen.append((mats, mats.copy()))
+            mats.setflags(write=False)
+            return _classify_stack(mats, m, n)
+
+        monkeypatch.setattr("edgelab.cli._classify_stack", spy)
+        code, _, _ = run_cli(
+            capsys, "sweep", "--family", "choi", "--b", "1", "--c", "1",
+            "--range", "a=0:4:5", "--search", "--starts", "3",
+        )
+        assert code == 0 and len(seen) == 1
+        mats, want = seen[0]
+        assert np.signbit(want.imag).any()
+        assert_same_entries(mats, want)
+
+
 class TestConstruct:
     def test_edge_matrix_entries(self, capsys):
         code, out, _ = run_cli(capsys, "construct", "--family", "edge", "--b", "1", "--theta", "0.5236")

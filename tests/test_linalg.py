@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 
 from edgelab import BipartiteOperator, NotHermitianError, classify, is_psd, partial_transpose, phase_circulant
 from edgelab import linalg
+from edgelab.errors import DimensionMismatchError, InvalidParamError
 from edgelab.classify import _classify_stack
 from edgelab.linalg import SPLIT_MIN, _blocks, _check_hermitian, _kernel, _rank_psd, _spectra
 from helpers import (
@@ -17,6 +18,7 @@ from helpers import (
     RANK_RTOL,
     NotPSDError,
     Subspace,
+    assert_same_entries,
     assert_same_outcome,
     gram_realization,
     kernel_basis,
@@ -143,7 +145,7 @@ def test_hermitian_check_near_the_float_limit(rng):
     big = np.zeros((9, 9), dtype=complex)
     big[0, 1] = big[1, 0] = 1.7e308
     big[2, 2] = -1.7e308
-    assert np.array_equal(_check_hermitian(big), big)
+    assert _check_hermitian(big) is big
     skew = big.copy()
     skew[1, 0] = -1.7e308
     bad = np.diag([1e308] * 9).astype(complex)
@@ -157,9 +159,32 @@ def test_hermitian_check_near_the_float_limit(rng):
     small[0, 1] = 1e-3
     with pytest.raises(NotHermitianError, match="matrix 1 of the stack"):
         _check_hermitian(np.array([big, small]))
-    # ordinary entries symmetrize to the bits of (m + m^H) / 2
+    # near-Hermitian entries symmetrize to the bits of (m + m^H) / 2
     m = random_hermitian(rng, 9) + 1e-12 * random_hermitian(rng, 9) * 1j
     assert np.array_equal(_check_hermitian(m), (m + m.conj().T) / 2)
+
+
+@pytest.mark.parametrize("lead", [(), (1,), (3,), (2, 2)])
+def test_exactly_hermitian_input_comes_back_as_is(rng, lead):
+    # signed zeros, subnormals and entries near the float limit, whose
+    # symmetrized copy would change bits or overflow
+    m = np.zeros((*lead, 4, 4), dtype=complex)
+    m[..., 0, 1], m[..., 1, 0] = complex(-0.0, 0.0), complex(0.0, -0.0)
+    m[..., 1, 2], m[..., 2, 1] = complex(5e-324, -5e-324), complex(5e-324, 5e-324)
+    m[..., 2, 3], m[..., 3, 2] = complex(1.7e308, -1.7e308), complex(1.7e308, 1.7e308)
+    m[..., 3, 3] = complex(-1.7e308, -0.0)
+    m[..., 0, 0] = rng.standard_normal(lead)
+    want = m.copy()
+    got = _check_hermitian(m)
+    assert got is m
+    assert_same_entries(m, want)
+    # the same matrix in a stack with a near-Hermitian one is symmetrized
+    # with the rest, as before
+    near = np.array([np.eye(4, dtype=complex), np.eye(4, dtype=complex)])
+    near[1, 0, 1] = 1e-12
+    mixed = np.concatenate([m.reshape(-1, 4, 4), near])
+    with np.errstate(over="ignore"):
+        assert_same_outcome(_check_hermitian(mixed), reference_check_hermitian(mixed))
 
 
 def test_stacked_rules_match_matrix_by_matrix(rng):
@@ -273,25 +298,35 @@ def draw_matrix(g: np.random.Generator, kind: str, dim: int, scale: float) -> np
 @example(mats=[("hermitian", 308.2)], dim=2, seed=0, flat=True)
 @example(mats=[("just over", 2.0)], dim=3, seed=1, flat=True)
 @example(mats=[("low-rank", -320.0), ("indefinite", -310.0)], dim=4, seed=2, flat=False)
+@example(mats=[("hermitian", -320.0), ("just under", 0.0)], dim=3, seed=0, flat=False)
+@example(mats=[("hermitian", 308.2), ("just under", 308.2)], dim=3, seed=0, flat=False)
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_helpers_match_their_references_bit_for_bit(mats, dim, seed, flat):
     """_check_hermitian and _rank_psd give what the earlier versions gave.
 
-    Symmetrized bits, error text with its stack index, then ranks and PSD
-    flags from the ascending spectrum against full reductions.
+    A stack equal to its adjoint entry for entry, which the earlier version
+    accepted too, comes back as the same array with all its bits; any other
+    stack, mixed ones included, gives the earlier version's symmetrized bits
+    or error text with its stack index.  Then ranks and PSD flags from the
+    ascending spectrum against full reductions.
     """
     g = np.random.default_rng(seed)
-    stack = np.array([draw_matrix(g, kind, dim, 10.0**log_scale) for kind, log_scale in mats])
+    stack = np.array([draw_matrix(g, kind, dim, 10.0**log_scale) for kind, log_scale in mats], dtype=complex)
     if flat and len(stack) == 1:
         stack = stack[0]
     # entries near the float limit overflow on the way, in both versions alike
     with np.errstate(all="ignore"):
         want = outcome(reference_check_hermitian, stack)
-        assert_same_outcome(outcome(_check_hermitian, stack), want)
+        got = outcome(_check_hermitian, stack)
+        if (stack == stack.conj().swapaxes(-2, -1)).all():
+            assert not isinstance(want, NotHermitianError), want
+            assert got is stack
+        else:
+            assert_same_outcome(got, want)
         if isinstance(want, NotHermitianError):
             return
         try:
-            vals = np.linalg.eigvalsh(want)
+            vals = np.linalg.eigvalsh(got)
         except np.linalg.LinAlgError:
             return
         tols = [(RANK_RTOL, PSD_ATOL), (1e-3, 1e-3)]
@@ -411,6 +446,17 @@ class TestIsPsd:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitianError):
             is_psd(np.array([[1.0, 1.0], [-1.0, 1.0]]))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(1.0, np.nan), complex(np.inf, 0.0)])
+    def test_rejects_non_finite_entries(self, bad):
+        for m in ([[bad]], [[1.0, bad], [bad, 1.0]], [[1.0, 0.0], [bad, 1.0]]):
+            with pytest.raises(InvalidParamError, match="matrix entries must be finite"):
+                is_psd(np.array(m))
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0,), (2, 0, 0)])
+    def test_rejects_an_empty_matrix(self, shape):
+        with pytest.raises(DimensionMismatchError):
+            is_psd(np.zeros(shape))
 
 
 class TestGramRealization:
