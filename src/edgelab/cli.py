@@ -1,12 +1,14 @@
 """Command-line front end.
 
 Subcommands: construct | classify | edge-check | sweep | table.
-Matrices travel as JSON files (see :mod:`edgelab.io`); sweeps emit CSV with a
-frozen column order and build and classify each chunk of their grid as one stack.
+The families are those of :data:`edgelab.states.FAMILIES`; their parameters,
+the complex couplings included, are parsed with the options.  Matrices travel as
+JSON files (see :mod:`edgelab.io`); sweeps emit CSV with a frozen column
+order and build and classify each chunk of their grid as one stack.
 
 Exit codes: 0 success (classify: state is PPT; table: all targets achieved),
 1 for a negative verdict (classify: not PPT; table: missing types), 2 for
-invalid parameters or malformed input.
+invalid parameters, malformed input or output that cannot be written.
 """
 
 from __future__ import annotations
@@ -29,19 +31,12 @@ from .errors import EdgeLabError, InvalidParamError
 from .linalg import PSD_ATOL, RANK_RTOL, BipartiteOperator
 from .search import SearchVerdict, product_vector_search, product_vector_search_many
 from .states import (
-    _CHOI_ZEROS,
-    _FACE_FLAT,
+    FAMILIES,
     GramSpec,
-    _choi_entries,
-    _corner_entries,
-    _edge_entries,
-    _face_entries,
-    _generalized_entries,
-    _stack,
+    build_family,
     edge_state,
     face_state,
-    phase_circulant,
-    singular_gram_offdiags,
+    require_params,
 )
 
 # Achievable bi-qutrit edge types (p >= q convention); (4, 4) is known but not
@@ -60,7 +55,7 @@ def _parse_complex(text: str) -> complex:
     try:
         return complex(text.replace(" ", ""))
     except ValueError as exc:
-        raise InvalidParamError(f"cannot parse complex number {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"cannot parse complex number {text!r}") from exc
 
 
 def _theta_frac(text: str) -> float:
@@ -69,46 +64,6 @@ def _theta_frac(text: str) -> float:
         return math.pi * float(Fraction(text))
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise argparse.ArgumentTypeError(f"bad rational multiple of pi {text!r}") from exc
-
-
-def _face(p: dict) -> tuple:
-    couplings = (_parse_complex(p[name]) for name in ("xi_eta", "eta_zeta", "zeta_xi"))
-    return _face_entries(p["b"], GramSpec(p["theta"], *couplings))
-
-
-def _p5(p: dict) -> tuple:
-    return _face_entries(p["b"], GramSpec(p["theta"], *singular_gram_offdiags(p["theta"], p["target_p"])))
-
-
-# Each family's required parameters, in the frozen column order of ``sweep``, its local
-# dimensions, and its builder: a list of points (options by name, theta in radians) to their stack.
-FAMILIES = {
-    "p-theta": (("theta",), (1, 3), lambda ps: np.array([phase_circulant(p["theta"]) for p in ps])),
-    "edge": (("b", "theta"), (3, 3), lambda ps: _stack([_edge_entries(p["b"], p["theta"]) for p in ps])),
-    "edge-general": (
-        ("b", "theta"), (3, 3), lambda ps: _stack([_generalized_entries(p["b"], p["theta"]) for p in ps]),
-    ),
-    "state-7-6": (("b",), (3, 3), lambda ps: _stack([_corner_entries(p["b"]) for p in ps])),
-    "choi": (
-        ("a", "b", "c"), (3, 3),
-        lambda ps: _stack([_choi_entries(p["a"], p["b"], p["c"]) for p in ps], base=_CHOI_ZEROS),
-    ),
-    "face": (("b", "theta"), (3, 3), lambda ps: _stack([_face(p) for p in ps], _FACE_FLAT)),
-    "p5": (("b", "theta", "target_p"), (3, 3), lambda ps: _stack([_p5(p) for p in ps], _FACE_FLAT)),
-}
-
-
-def _require(family: str, params: dict):
-    for name in FAMILIES[family][0]:
-        if params.get(name) is None:
-            raise InvalidParamError(f"family {family!r} needs --{name.replace('_', '-')}")
-
-
-def build_family(family: str, params: dict) -> BipartiteOperator:
-    """The member of ``family`` at ``params`` (option names as keys, theta in radians)."""
-    _require(family, params)
-    _, dims, build = FAMILIES[family]
-    return BipartiteOperator(*dims, build([params])[0])
 
 
 def _load_input(args) -> BipartiteOperator:
@@ -130,9 +85,9 @@ def _add_family_options(parser, require_family: bool):
     )
     parser.add_argument("--a", type=float)
     parser.add_argument("--c", type=float)
-    parser.add_argument("--xi-eta", default="0", help="complex, e.g. 0.5+0.3j")
-    parser.add_argument("--eta-zeta", default="0")
-    parser.add_argument("--zeta-xi", default="0")
+    parser.add_argument("--xi-eta", type=_parse_complex, default=0j, help="complex, e.g. 0.5+0.3j")
+    parser.add_argument("--eta-zeta", type=_parse_complex, default=0j)
+    parser.add_argument("--zeta-xi", type=_parse_complex, default=0j)
     parser.add_argument("--target-p", type=int, choices=(5, 6, 7, 8))
 
 
@@ -171,7 +126,7 @@ def cmd_edge_check(args) -> int:
     if args.analytic:
         if getattr(args, "family", None) != "edge":
             raise InvalidParamError("--analytic applies only to --family edge")
-        _require(args.family, vars(args))
+        require_params(args.family, vars(args))
         trace = verify_edge_analytic(args.b, args.theta)
         report = {
             "verdict": "Edge" if trace.verdict is EdgeCertificate.EDGE_CERTIFIED else trace.verdict.value,
@@ -308,8 +263,7 @@ def _table_families(b: float, theta: float):
     yield "face, two unimodular couplings", face_state(b, GramSpec(theta, one, two, 0))
     yield "face, three unimodular couplings", face_state(b, GramSpec(theta, one, two, three))
     for target in (8, 7, 6, 5):
-        spec = GramSpec(theta, *singular_gram_offdiags(theta, target))
-        yield f"singular-gram face, p={target}", face_state(b, spec)
+        yield f"singular-gram face, p={target}", build_family("p5", dict(b=b, theta=theta, target_p=target))
 
 
 def cmd_table(args) -> int:
@@ -424,7 +378,7 @@ def main(argv=None) -> int:
         # or to an error; the answer or the error is the report, not a warning
         with np.errstate(over="ignore"):
             return args.func(args)
-    except (EdgeLabError, np.linalg.LinAlgError) as exc:
+    except (EdgeLabError, np.linalg.LinAlgError, OSError) as exc:
         print(f"edgelab: error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,7 +12,8 @@ Ranks and kernels of the families decompose accordingly.
 The edge, generalized edge, corner and Choi families write 15 entries at
 :data:`_CORE_FLAT`, and the face family those and its three coupling pairs at
 :data:`_FACE_FLAT`, each family from one function that validates a point and
-gives them; :func:`_matrix` writes one point and :func:`_stack` a chunk.
+gives them; :func:`_matrix` writes one point and :func:`_stack` a chunk, as
+each family's builder in :data:`FAMILIES`, the table of the families by name.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GramNotPSDError, InvalidParamError, OffdiagTooLargeError
-from .linalg import BipartiteOperator, is_psd
+from .linalg import BipartiteOperator, _rank_psd
 
 # Coordinate pairs carrying the off-diagonal inner products of the face
 # family (state side / transpose side).
@@ -220,7 +221,8 @@ def _face_entries(b: float, g: GramSpec) -> tuple:
     for val in offdiags:
         if abs(val) > 1 + OFFDIAG_SLACK:
             raise OffdiagTooLargeError(f"|{val}| > 1")
-    if not is_psd(g.gram()):
+    # finite couplings give a finite, exactly Hermitian Gram matrix, which is_psd's checks pass as it is
+    if not _rank_psd(np.linalg.eigvalsh(g.gram()))[1]:
         raise GramNotPSDError("implied Gram matrix is not PSD")
     core = _core_entries(b, 2 * math.cos(g.theta), _phases(g.theta))
     return core + tuple(v for val in offdiags for v in (val, val.conjugate()))
@@ -260,7 +262,48 @@ def singular_gram_offdiags(theta: float, target_p: int) -> tuple[complex, comple
         out = (e, e, e)
     else:
         raise InvalidParamError(f"target_p must be in 5..8, got {target_p}")
-    if any(abs(v) > 1 + OFFDIAG_SLACK for v in out):
-        raise InvalidParamError("computed off-diagonal left the closed unit disk")
     return tuple(complex(v) for v in out)
 
+
+# Each family's required parameters, in the frozen column order of a sweep, its local
+# dimensions, and its builder: a list of points (parameters by name, theta in radians,
+# the face family's couplings xi_eta, eta_zeta and zeta_xi complex) to their stack.
+FAMILIES = {
+    "p-theta": (("theta",), (1, 3), lambda ps: np.array([phase_circulant(p["theta"]) for p in ps])),
+    "edge": (("b", "theta"), (3, 3), lambda ps: _stack([_edge_entries(p["b"], p["theta"]) for p in ps])),
+    "edge-general": (
+        ("b", "theta"), (3, 3), lambda ps: _stack([_generalized_entries(p["b"], p["theta"]) for p in ps]),
+    ),
+    "state-7-6": (("b",), (3, 3), lambda ps: _stack([_corner_entries(p["b"]) for p in ps])),
+    "choi": (
+        ("a", "b", "c"), (3, 3),
+        lambda ps: _stack([_choi_entries(p["a"], p["b"], p["c"]) for p in ps], base=_CHOI_ZEROS),
+    ),
+    "face": (
+        ("b", "theta", "xi_eta", "eta_zeta", "zeta_xi"), (3, 3),
+        lambda ps: _stack([
+            _face_entries(p["b"], GramSpec(p["theta"], p["xi_eta"], p["eta_zeta"], p["zeta_xi"])) for p in ps
+        ], _FACE_FLAT),
+    ),
+    "p5": (
+        ("b", "theta", "target_p"), (3, 3),
+        lambda ps: _stack([
+            _face_entries(p["b"], GramSpec(p["theta"], *singular_gram_offdiags(p["theta"], p["target_p"])))
+            for p in ps
+        ], _FACE_FLAT),
+    ),
+}
+
+
+def require_params(family: str, params: dict) -> None:
+    """Raise :class:`InvalidParamError` for the first parameter of ``family`` absent or None in ``params``."""
+    for name in FAMILIES[family][0]:
+        if params.get(name) is None:
+            raise InvalidParamError(f"family {family!r} needs --{name.replace('_', '-')}")
+
+
+def build_family(family: str, params: dict) -> BipartiteOperator:
+    """The member of ``family`` at ``params``, keyed as the points of :data:`FAMILIES`."""
+    require_params(family, params)
+    _, dims, build = FAMILIES[family]
+    return BipartiteOperator(*dims, build([params])[0])

@@ -40,6 +40,7 @@ from edgelab import (
     singular_gram_offdiags,
 )
 from edgelab import cli
+from edgelab.states import FAMILIES
 
 
 class NotPSDError(EdgeLabError):
@@ -532,8 +533,8 @@ def reference_face_matrix(b: float, g: GramSpec) -> np.ndarray:
     return _reference_operator(x)
 
 
-# Each family's member at one point, from the one-point constructors (face couplings as
-# the CLI passes them, strings).
+# Each family's member at one point, from the one-point constructors (face couplings
+# complex, as the CLI passes them).
 REFERENCE_FAMILIES = {
     "p-theta": lambda p: BipartiteOperator(1, 3, phase_circulant(p["theta"])),
     "edge": lambda p: edge_state(p["b"], p["theta"]),
@@ -541,9 +542,7 @@ REFERENCE_FAMILIES = {
     "state-7-6": lambda p: corner_state(p["b"]),
     "choi": lambda p: choi_matrix(p["a"], p["b"], p["c"]),
     "p5": lambda p: face_state(p["b"], GramSpec(p["theta"], *singular_gram_offdiags(p["theta"], p["target_p"]))),
-    "face": lambda p: face_state(
-        p["b"], GramSpec(p["theta"], *(complex(p[name]) for name in ("xi_eta", "eta_zeta", "zeta_xi")))
-    ),
+    "face": lambda p: face_state(p["b"], GramSpec(p["theta"], p["xi_eta"], p["eta_zeta"], p["zeta_xi"])),
 }
 
 
@@ -568,7 +567,7 @@ def _reference_sweep(args) -> None:
     family = args.family
     if family == "face":
         raise InvalidParamError(f"sweep does not support family {family!r}")
-    columns = cli.FAMILIES[family][0]
+    columns = FAMILIES[family][0]
     if not args.range:
         raise InvalidParamError("provide at least one --range NAME=START:STOP:STEPS")
     ranges = {}

@@ -6,6 +6,7 @@ import io
 import itertools
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -20,9 +21,10 @@ from hypothesis import strategies as st
 from edgelab import BipartiteOperator, choi_matrix, classify, classify_many, edge_state, linalg
 from edgelab import product_vector_search
 from edgelab.classify import _classify_stack
-from edgelab.cli import COMMANDS, FAMILIES, SWEEP_CHUNK, _parse_range, _table_families, main, make_parser
+from edgelab.cli import COMMANDS, SWEEP_CHUNK, _parse_range, _table_families, main, make_parser
 from edgelab.io import matrix_from_dict, matrix_to_dict, read_matrix, write_matrix
 from edgelab.errors import EdgeLabError
+from edgelab.states import FAMILIES
 from helpers import REFERENCE_FAMILIES, assert_same_entries, reference_sweep
 
 THETA = math.pi / 6
@@ -154,12 +156,12 @@ def sweep_argvs(draw) -> list[str]:
 POSITIVE = st.floats(1e-300, 1e300)
 WEIGHT = st.one_of(st.floats(0.0, 1e300), st.just(-0.0))
 STRICT_THETA = st.builds(lambda t, sign: sign * t, st.floats(1e-3, math.pi / 3 - 1e-3), st.sampled_from([1.0, -1.0]))
-# couplings as the CLI passes them, of modulus at most 1/2, so that under the
+# couplings as the CLI parses them, of modulus at most 1/2, so that under the
 # strict condition the Gram matrix, of diagonal 2cos(theta) > 1, is PSD
 COUPLING = st.one_of(
     st.sampled_from(["0", "-0", "0.5", "-0.5j", "0.3-0j"]),
     st.builds(lambda r, phi: repr(cmath.rect(r, phi)), st.floats(0.0, 0.5), st.floats(-4.0, 4.0)),
-)
+).map(complex)
 FAMILY_POINTS = {
     "p-theta": st.fixed_dictionaries({"theta": st.floats(-4.0, 4.0)}),
     "edge": st.fixed_dictionaries({"b": POSITIVE, "theta": st.floats(-4.0, 4.0)}),
@@ -190,7 +192,7 @@ class TestChunkBuilders:
         # the table's states and each family at points out to the float limits,
         # one state at a time below the gate, against each state alone and each
         # family as one stack with the gate at 1, so that every stack splits
-        couplings = {"xi_eta": "0.3", "eta_zeta": "-0.5j", "zeta_xi": "0"}
+        couplings = {"xi_eta": complex("0.3"), "eta_zeta": complex("-0.5j"), "zeta_xi": complex("0")}
         bs = [1e-300, 1e-6, 1.0, 1e6, 1e300]
         weights = [(1e308, 1e308, 1.7e308), (1.7e308, 1e308, 1e308), (1e308,) * 3,
                    (2.0, 1.0, 1.0), (1.9, 1.0, 1.0), (2.0, 3.0, 1 / 3), (0.0, 0.0, 0.0)]
@@ -437,6 +439,19 @@ class TestClassifyCommand:
         assert (code, out) == (2, "")
         assert_one_line_error(err)
         assert "did not converge" in err
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("option", ["--xi-eta", "--eta-zeta", "--zeta-xi"])
+    def test_unparsable_coupling_exit_2(self, capsys, family, option):
+        code, err = usage_error(capsys, "classify", "--family", family, "--b", "1", "--theta", "0.5", option, "oops")
+        assert code == 2
+        assert f"argument {option}: cannot parse complex number 'oops'" in err
+
+    def test_coupling_with_spaces(self, capsys):
+        argv = ["classify", "--family", "face", "--b", "1", "--theta", "0.5", "--xi-eta"]
+        spaced = run_cli(capsys, *argv, "0.3 + 0.2j")
+        assert spaced == run_cli(capsys, *argv, "0.3+0.2j")
+        assert spaced[0] == 0
 
     def test_malformed_file_exit_2(self, capsys, tmp_path):
         path = tmp_path / "malformed.json"
@@ -1035,6 +1050,25 @@ class TestContract:
         matrix_path.write_bytes(content)
         assert_contract(["classify", "--in", str(matrix_path)])
         assert_contract(["edge-check", "--in", str(matrix_path), f"--starts={starts}"])
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv, stdout",
+    [
+        (["classify", "--family", "edge", "--b", "1", "--theta", "0.5"], "/dev/full"),
+        (["sweep", "--family", "edge", "--b", "1", "--range", "theta=0:1:5", "--out", "/dev/full"], None),
+    ],
+    ids=["classify-stdout", "sweep-out"],
+)
+def test_failed_write_exit_2(argv, stdout):
+    with open(stdout or os.devnull, "w") as out:
+        result = subprocess.run(
+            [sys.executable, "-m", "edgelab.cli", *argv], stdout=out, stderr=subprocess.PIPE, text=True
+        )
+    assert result.returncode == 2
+    assert_one_line_error(result.stderr)
+    assert "No space left on device" in result.stderr
 
 
 def test_console_entry_point(tmp_path):

@@ -27,6 +27,7 @@ from edgelab import (
     phase_circulant,
     singular_gram_offdiags,
 )
+from edgelab.states import build_family
 from helpers import (
     assert_same_outcome,
     cyclic_map_apply,
@@ -360,6 +361,13 @@ class TestFaceState:
             assert_allclose(s85.mat, golden_type85_matrix(b, theta), atol=1e-15)
             s55 = face_state(b, GramSpec(theta, *singular_gram_offdiags(theta, 5)))
             assert_allclose(s55.mat, golden_type55_matrix(b, theta), atol=1e-15)
+
+    def test_build_family_needs_every_coupling(self):
+        point = {"b": 1.0, "theta": THETA, "xi_eta": 0.3, "eta_zeta": -0.5j, "zeta_xi": 0j}
+        want = face_state(1.0, GramSpec(THETA, 0.3, -0.5j, 0j)).mat
+        assert np.array_equal(build_family("face", point).mat, want)
+        with pytest.raises(InvalidParamError, match="needs --zeta-xi"):
+            build_family("face", {k: v for k, v in point.items() if k != "zeta_xi"})
 
     def test_rank_formulas_on_random_specs(self, rng):
         for _ in range(100):
