@@ -19,6 +19,7 @@ import csv
 import itertools
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -30,14 +31,7 @@ from .classify import _classify_stack
 from .errors import EdgeLabError, InvalidParamError
 from .linalg import PSD_ATOL, RANK_RTOL, BipartiteOperator
 from .search import SearchVerdict, product_vector_search, product_vector_search_many
-from .states import (
-    FAMILIES,
-    GramSpec,
-    build_family,
-    edge_state,
-    face_state,
-    require_params,
-)
+from .states import FAMILIES, GramSpec, build_family, edge_state, face_state, require_params
 
 # Achievable bi-qutrit edge types (p >= q convention); (4, 4) is known but not
 # constructed by any family here.
@@ -377,8 +371,14 @@ def main(argv=None) -> int:
         # entries near the float limit may overflow on their way to an answer
         # or to an error; the answer or the error is the report, not a warning
         with np.errstate(over="ignore"):
-            return args.func(args)
+            code = args.func(args)
+        sys.stdout.flush()  # a full disk or a closed pipe fails here, not at exit
+        return code
     except (EdgeLabError, np.linalg.LinAlgError, OSError) as exc:
+        if isinstance(exc, OSError) and sys.stdout is sys.__stdout__ is not None:
+            # what stdout could not take stays in its buffer: send it to
+            # devnull, or the flush at exit fails on it again (exit 120)
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"edgelab: error: {exc}", file=sys.stderr)
         return 2
 

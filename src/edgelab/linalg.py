@@ -16,10 +16,11 @@ near-Hermitian one.  :func:`is_psd` makes one Hermiticity check and one
 ``eigvalsh`` per matrix; ``classify`` makes one check per stack of states,
 and :func:`_spectra` gives the spectra of the states and their partial
 transposes block by block from :data:`SPLIT_MIN` states on, and from one
-``eigvalsh`` call below.  Both read the ranks and PSD flags with
-:func:`_rank_psd`, which, like :func:`_check_hermitian`, takes a single
-matrix or a stack over leading axes, and reads the ends of the ascending
-spectra.  :func:`_kernel`, the one subspace routine, gives the kernel of a
+``eigvalsh`` call below.  Both, and the face family's Gram check in
+``states``, read the ranks and PSD flags with :func:`_rank_psd`, which, like
+:func:`_check_hermitian`, takes a single matrix or a stack over leading axes,
+and reads the ends of the ascending spectra.  The ``_`` names here are shared
+within the package only.  :func:`_kernel`, the one subspace routine, gives the kernel of a
 Hermitian matrix from one ``eigh``.  Every rank applies the one threshold
 rule of :func:`_rank_psd`.
 """

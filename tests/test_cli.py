@@ -1052,23 +1052,50 @@ class TestContract:
         assert_contract(["edge-check", "--in", str(matrix_path), f"--starts={starts}"])
 
 
+def cli_env(unbuffered: bool) -> dict:
+    """The environment with stdout unbuffered, as ``PYTHONUNBUFFERED=1`` makes it, or
+    block-buffered when redirected, as it is by default: a short output then
+    reaches the file or pipe only when flushed."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONUNBUFFERED": "1"} if unbuffered else env
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize(
     "argv, stdout",
     [
         (["classify", "--family", "edge", "--b", "1", "--theta", "0.5"], "/dev/full"),
+        (["table"], "/dev/full"),
         (["sweep", "--family", "edge", "--b", "1", "--range", "theta=0:1:5", "--out", "/dev/full"], None),
     ],
-    ids=["classify-stdout", "sweep-out"],
+    ids=["classify-stdout", "table-stdout", "sweep-out"],
 )
-def test_failed_write_exit_2(argv, stdout):
+def test_failed_write_exit_2(argv, stdout, unbuffered):
     with open(stdout or os.devnull, "w") as out:
         result = subprocess.run(
-            [sys.executable, "-m", "edgelab.cli", *argv], stdout=out, stderr=subprocess.PIPE, text=True
+            [sys.executable, "-m", "edgelab.cli", *argv],
+            stdout=out, stderr=subprocess.PIPE, text=True, env=cli_env(unbuffered),
         )
     assert result.returncode == 2
     assert_one_line_error(result.stderr)
     assert "No space left on device" in result.stderr
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_pipe_exit_2(unbuffered):
+    # as `edgelab sweep ... | head -1`: 5000 rows, some 160 kB, more than the
+    # pipe and stdout's buffer hold, so the sweep writes on after the reader has gone
+    child = subprocess.Popen(
+        [sys.executable, "-m", "edgelab.cli", "sweep", "--family", "edge", "--b", "1", "--range", "theta=0:1:5000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=cli_env(unbuffered),
+    )
+    assert child.stdout.readline().startswith("b,theta,isPPT,p,q")
+    child.stdout.close()
+    err = child.stderr.read()
+    assert child.wait(timeout=60) == 2
+    assert_one_line_error(err)
+    assert "Broken pipe" in err
 
 
 def test_console_entry_point(tmp_path):
