@@ -31,7 +31,7 @@ from .classify import _classify_stack
 from .errors import EdgeLabError, InvalidParamError
 from .linalg import PSD_ATOL, RANK_RTOL, BipartiteOperator
 from .search import SearchVerdict, product_vector_search, product_vector_search_many
-from .states import FAMILIES, GramSpec, build_family, edge_state, face_state, require_params
+from .states import FAMILIES, build_family
 
 # Achievable bi-qutrit edge types (p >= q convention); (4, 4) is known but not
 # constructed by any family here.
@@ -60,11 +60,19 @@ def _theta_frac(text: str) -> float:
         raise argparse.ArgumentTypeError(f"bad rational multiple of pi {text!r}") from exc
 
 
+def _family_point(args) -> dict:
+    """The options of ``args`` as a point of ``args.family``; a missing parameter is named as its option."""
+    for name in FAMILIES[args.family][0]:
+        if getattr(args, name) is None:
+            raise InvalidParamError(f"family {args.family!r} needs --{name.replace('_', '-')}")
+    return vars(args)
+
+
 def _load_input(args) -> BipartiteOperator:
-    if getattr(args, "infile", None):
+    if args.infile:
         return mio.read_matrix(args.infile)
-    if getattr(args, "family", None):
-        return build_family(args.family, vars(args))
+    if args.family:
+        return build_family(args.family, _family_point(args))
     raise InvalidParamError("provide --in FILE or --family NAME")
 
 
@@ -101,7 +109,7 @@ def _vector_json(v: np.ndarray) -> dict:
 
 
 def cmd_construct(args) -> int:
-    op = build_family(args.family, vars(args))
+    op = build_family(args.family, _family_point(args))
     if args.out:
         mio.write_matrix(op, args.out)
     else:
@@ -118,9 +126,9 @@ def cmd_classify(args) -> int:
 
 def cmd_edge_check(args) -> int:
     if args.analytic:
-        if getattr(args, "family", None) != "edge":
+        if args.family != "edge":
             raise InvalidParamError("--analytic applies only to --family edge")
-        require_params(args.family, vars(args))
+        _family_point(args)
         trace = verify_edge_analytic(args.b, args.theta)
         report = {
             "verdict": "Edge" if trace.verdict is EdgeCertificate.EDGE_CERTIFIED else trace.verdict.value,
@@ -249,15 +257,15 @@ def cmd_sweep(args) -> int:
 
 
 def _table_families(b: float, theta: float):
-    one = cmath.exp(0.3j)
-    two = cmath.exp(-0.1j)
-    three = cmath.exp(0.2j)
-    yield "edge", edge_state(b, theta)
-    yield "face, one unimodular coupling", face_state(b, GramSpec(theta, one, 0, 0))
-    yield "face, two unimodular couplings", face_state(b, GramSpec(theta, one, two, 0))
-    yield "face, three unimodular couplings", face_state(b, GramSpec(theta, one, two, three))
-    for target in (8, 7, 6, 5):
-        yield f"singular-gram face, p={target}", build_family("p5", dict(b=b, theta=theta, target_p=target))
+    one, two, three = cmath.exp(0.3j), cmath.exp(-0.1j), cmath.exp(0.2j)
+    rows = [
+        ("edge", "edge", {}),
+        ("face, one unimodular coupling", "face", dict(xi_eta=one, eta_zeta=0, zeta_xi=0)),
+        ("face, two unimodular couplings", "face", dict(xi_eta=one, eta_zeta=two, zeta_xi=0)),
+        ("face, three unimodular couplings", "face", dict(xi_eta=one, eta_zeta=two, zeta_xi=three)),
+    ] + [(f"singular-gram face, p={target}", "p5", dict(target_p=target)) for target in (8, 7, 6, 5)]
+    for name, family, params in rows:
+        yield name, build_family(family, dict(params, b=b, theta=theta))
 
 
 def cmd_table(args) -> int:

@@ -33,7 +33,8 @@ objective ``||d x||^2`` then takes two stacked products per state.  Every
 product is stacked row by row, so each start stops on its own, after the
 same steps it would take alone, and its result depends neither on the starts
 nor on the states that share its block.  Memory grows with the block, not
-with the number of starts.
+with the number of starts.  A start whose objective is exactly 0 takes no
+step, and a result's ``starts`` is always the count asked for.
 """
 
 from __future__ import annotations
@@ -90,6 +91,11 @@ class SearchVerdict(Enum):
 
 @dataclass(frozen=True)
 class EdgeSearchResult:
+    """The best objective and pair of a search, and the objective of each start in order.
+
+    ``starts`` is always the count asked for; a start at exactly 0 took no step.
+    """
+
     best_objective: float
     best_x: np.ndarray
     best_y: np.ndarray
@@ -173,10 +179,6 @@ def _rowwise(a: np.ndarray, mat: np.ndarray) -> np.ndarray:
     return (a[:, None] @ mat)[:, 0]
 
 
-def _sq_norms(v: np.ndarray) -> np.ndarray:
-    return (v.real**2 + v.imag**2).sum(axis=1)
-
-
 class _Objective:
     """The kernel bases, and the two Hermitian forms of the objective as matrices.
 
@@ -204,12 +206,9 @@ class _Objective:
         self.m_y = form.reshape(m * m, n * n)
         self.m_x = form.transpose(2, 3, 0, 1).reshape(n * n, m * m)
 
-    @property
-    def trivial(self) -> bool:
-        return self.ka.shape[2] == 0 and self.kt.shape[2] == 0
-
     def value(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return _sq_norms((self.x_form(y) @ x[:, :, None])[:, :, 0])
+        d = (self.x_form(y) @ x[:, :, None])[:, :, 0]
+        return (d.real**2 + d.imag**2).sum(axis=1)
 
     def x_form(self, y: np.ndarray) -> np.ndarray:
         """Stacked ``d = [c_a ; conj(c_t)]``, so that ``value(x, y) = ||d x||^2``.
@@ -271,22 +270,23 @@ def _step(segs: list[_Segment], x: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
 def _descend(objs: list[_Objective], bounds: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Run every start of a block to its stop, updating ``x`` and ``y`` in place.
 
-    State ``j`` owns the rows ``bounds[j]:bounds[j + 1]``.  A start leaves
-    the running set once its decrease falls under :data:`CONVERGENCE_TOL` or
-    after :data:`MAX_ITERS` steps; the starts then at or under
-    :data:`FOUND_THRESHOLD` polish together while strictly improving.
-    Returns the objective of each start.
+    State ``j`` owns the rows ``bounds[j]:bounds[j + 1]``.  A start at
+    exactly 0, the least value of a sum of squares, takes no step.  Any other
+    start leaves the running set once its decrease falls under
+    :data:`CONVERGENCE_TOL` or after :data:`MAX_ITERS` steps; the starts then
+    above 0 and at or under :data:`FOUND_THRESHOLD` polish together while
+    strictly improving.  Returns the objective of each start.
     """
-    live = np.arange(len(x))
-    f = _per_state(_segments(objs, bounds, live), _Objective.value, x, y)
+    f = _per_state(_segments(objs, bounds, np.arange(len(x))), _Objective.value, x, y)
+    live = np.flatnonzero(f > 0)
     for _ in range(MAX_ITERS):
+        if not live.size:
+            break
         x[live], y[live], f_new = _step(_segments(objs, bounds, live), x[live])
         going = f[live] - f_new >= CONVERGENCE_TOL
         f[live] = f_new
         live = live[going]
-        if not live.size:
-            break
-    live = np.flatnonzero(f <= FOUND_THRESHOLD)
+    live = np.flatnonzero((f > 0) & (f <= FOUND_THRESHOLD))
     for _ in range(POLISH_STEPS):
         if not live.size:
             break
@@ -327,23 +327,15 @@ def product_vector_search_many(
 
     objs = [_Objective(s) for s in states]
     rngs = [default_rng(seed) for _ in states]
-    results: list[EdgeSearchResult | None] = [None] * len(states)
-    for i, obj in enumerate(objs):
-        if obj.trivial:
-            # full-rank state and partial transpose: every product vector qualifies
-            x, y = _random_starts(rngs[i], 1, m, n)
-            results[i] = EdgeSearchResult(0.0, x[0], y[0], 1, np.zeros(1), SearchVerdict.PRODUCT_VECTOR_FOUND)
-    todo = [i for i, r in enumerate(results) if r is None]
-
-    best = {i: (np.inf, None, None) for i in todo}
-    per_start = {i: [] for i in todo}
+    best = [(np.inf, None, None)] * len(states)
+    per_start = [[] for _ in states]
     # the starts of every state in turn, cut into blocks: (state, count) pairs
-    total = len(todo) * starts
+    total = len(states) * starts
     for lo in range(0, total, BLOCK):
         hi = min(lo + BLOCK, total)
         block = [
-            (todo[k], min(hi, (k + 1) * starts) - max(lo, k * starts))
-            for k in range(lo // starts, (hi - 1) // starts + 1)
+            (i, min(hi, (i + 1) * starts) - max(lo, i * starts))
+            for i in range(lo // starts, (hi - 1) // starts + 1)
         ]
         xs, ys = zip(*(_random_starts(rngs[i], count, m, n) for i, count in block))
         x, y = np.concatenate(xs), np.concatenate(ys)
@@ -354,23 +346,11 @@ def product_vector_search_many(
             if f[j] < best[i][0]:
                 best[i] = (float(f[j]), x[j].copy(), y[j].copy())
             per_start[i].append(f[a:b])
-
-    for i in todo:
-        f, best_x, best_y = best[i]
-        verdict = (
-            SearchVerdict.PRODUCT_VECTOR_FOUND
-            if f <= FOUND_THRESHOLD
-            else SearchVerdict.NONE_FOUND_ABOVE_THRESHOLD
-        )
-        results[i] = EdgeSearchResult(
-            best_objective=f,
-            best_x=best_x,
-            best_y=best_y,
-            starts=starts,
-            per_start_objectives=np.concatenate(per_start[i]),
-            verdict=verdict,
-        )
-    return results
+    found, none = SearchVerdict.PRODUCT_VECTOR_FOUND, SearchVerdict.NONE_FOUND_ABOVE_THRESHOLD
+    return [
+        EdgeSearchResult(f, best_x, best_y, starts, np.concatenate(fs), found if f <= FOUND_THRESHOLD else none)
+        for (f, best_x, best_y), fs in zip(best, per_start)
+    ]
 
 
 def product_vector_search(s: BipartiteOperator, *, starts: int = 200, seed: int = 0) -> EdgeSearchResult:
@@ -387,6 +367,9 @@ def product_vector_search(s: BipartiteOperator, *, starts: int = 200, seed: int 
     lockstep blocks of :data:`BLOCK` starts, so memory stays proportional
     to the block and the cost per start falls as more starts share a block.
     The best pair is that of the first start with the smallest objective.
+    A start at exactly 0 takes no step, so on a state whose kernels are both
+    empty the best pair is start 0's and the verdict is found; ``starts`` of
+    the result is always the count asked for.
     This is :func:`product_vector_search_many` of one state, and raises what
     it raises.
     """

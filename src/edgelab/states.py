@@ -295,15 +295,13 @@ FAMILIES = {
 }
 
 
-def require_params(family: str, params: dict) -> None:
-    """Raise :class:`InvalidParamError` for the first parameter of ``family`` absent or None in ``params``."""
-    for name in FAMILIES[family][0]:
-        if params.get(name) is None:
-            raise InvalidParamError(f"family {family!r} needs --{name.replace('_', '-')}")
-
-
 def build_family(family: str, params: dict) -> BipartiteOperator:
-    """The member of ``family`` at ``params``, keyed as the points of :data:`FAMILIES`."""
-    require_params(family, params)
-    _, dims, build = FAMILIES[family]
+    """The member of ``family`` at ``params``, keyed as the points of :data:`FAMILIES`.
+
+    Raises :class:`InvalidParamError` naming the first key of the family absent or None in ``params``.
+    """
+    columns, dims, build = FAMILIES[family]
+    for name in columns:
+        if params.get(name) is None:
+            raise InvalidParamError(f"family {family!r} needs {name}")
     return BipartiteOperator(*dims, build([params])[0])

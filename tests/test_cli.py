@@ -287,6 +287,19 @@ class TestConstruct:
         code, _, _ = run_cli(capsys, "construct", "--family", "edge", "--theta", "0.5")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["construct", "--family", "edge", "--b", "1"], "edge' needs --theta"),
+            (["classify", "--family", "p5", "--b", "1", "--theta", "0.5"], "p5' needs --target-p"),
+            (["edge-check", "--family", "choi", "--a", "3", "--c", "1"], "choi' needs --b"),
+            (["edge-check", "--family", "edge", "--theta", "0.5", "--analytic"], "edge' needs --b"),
+        ],
+    )
+    def test_missing_param_is_named_as_its_option(self, capsys, argv, option):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", f"edgelab: error: family '{option}\n")
+
     def test_out_file_matches_stdout(self, capsys, tmp_path):
         argv = ["construct", "--family", "edge", "--b", "1.3", "--theta-frac", "1/5"]
         out_file = tmp_path / "edge.json"
@@ -556,6 +569,14 @@ class TestEdgeCheck:
         assert (code, out) == (2, "")
         assert_one_line_error(err)
         assert "seed" in err
+
+    def test_full_rank_state_counts_the_starts_asked_for(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "edge-check", "--family", "choi", "--a", "3", "--b", "2", "--c", "1", "--starts", "7",
+        )
+        assert code == 0
+        report = strict_json(out)
+        assert (report["verdict"], report["bestObjective"], report["starts"]) == ("ProductVectorFound", 0.0, 7)
 
     def test_one_start_prints_strict_json(self, capsys):
         code, out, _ = run_cli(
@@ -863,6 +884,32 @@ class TestSweep:
         assert code == 2
 
 
+# The whole stdout of ``edgelab table`` at its defaults b=1, theta=pi/6; the
+# header of the grid ends in three spaces, the last written \x20.
+TABLE_STDOUT = """\
+types achieved at b=1.0, theta=0.5235987755982988
+
+        p=4   p=5   p=6   p=7   p=8  \x20
+  q=6   .     *     *     *     *
+  q=5   .     *     *     *     *
+  q=4   o     .     .     .     .
+
+  * constructed here    o known type, not constructed    . no edge state
+
+  (5, 5): singular-gram face, p=5
+  (5, 6): face, three unimodular couplings
+  (6, 5): singular-gram face, p=6
+  (6, 6): face, two unimodular couplings
+  (7, 5): singular-gram face, p=7
+  (7, 6): face, one unimodular coupling
+  (8, 5): singular-gram face, p=8
+  (8, 6): edge
+
+targets (p >= q): (5, 5) (6, 5) (6, 6) (7, 5) (7, 6) (8, 5) (8, 6)
+all targets achieved; (4, 4) is out of scope for these families
+"""
+
+
 class TestTable:
     def test_achieves_all_targets(self, capsys):
         code, out, _ = run_cli(capsys, "table")
@@ -871,6 +918,10 @@ class TestTable:
         assert "all targets achieved" in out
         for t in ["(5, 5)", "(6, 5)", "(7, 5)", "(8, 5)", "(5, 6)", "(6, 6)", "(7, 6)", "(8, 6)"]:
             assert t in out
+
+    def test_stdout_bytes(self, capsys):
+        code, out, err = run_cli(capsys, "table")
+        assert (code, out, err) == (0, TABLE_STDOUT, "")
 
     def test_marks_4_4_as_not_constructed(self, capsys):
         _, out, _ = run_cli(capsys, "table")

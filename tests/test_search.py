@@ -75,10 +75,27 @@ def test_rank_one_product_state(rng):
     assert abs(np.vdot(res.best_y, y)) == pytest.approx(1.0, abs=1e-6)
 
 
-def test_full_rank_state_trivially_found():
-    res = product_vector_search(BipartiteOperator(3, 3, np.eye(9)), starts=5, seed=0)
-    assert res.verdict is SearchVerdict.PRODUCT_VECTOR_FOUND
-    assert res.best_objective == 0.0
+def test_full_rank_state_trivially_found(monkeypatch):
+    # both kernels are empty: every start is at exactly 0, the least objective, and takes no step
+    steps = [0]
+    step = search._step
+
+    def counting(*args):
+        steps[0] += 1
+        return step(*args)
+
+    monkeypatch.setattr(search, "_step", counting)
+    x, y = search._random_starts(np.random.default_rng(7), 1, 3, 3)
+    for state in (BipartiteOperator(3, 3, np.eye(9)), choi_matrix(3.0, 2.0, 1.0)):
+        for starts in (1, 5, BLOCK + 1):
+            res = product_vector_search(state, starts=starts, seed=7)
+            assert res.verdict is SearchVerdict.PRODUCT_VECTOR_FOUND
+            assert res.best_objective == 0.0
+            assert res.starts == starts
+            assert not res.per_start_objectives.any()
+            # the best pair is start 0's, bit for bit
+            assert np.array_equal(res.best_x, x[0]) and np.array_equal(res.best_y, y[0])
+    assert steps[0] == 0
 
 
 def test_completeness_on_random_separable_states(rng):
@@ -99,13 +116,17 @@ def test_completeness_on_random_separable_states(rng):
 
 
 def test_result_invariants():
-    res = product_vector_search(edge_state(2.0, 0.4), starts=20, seed=5)
-    assert res.starts == 20
-    assert res.per_start_objectives.shape == (20,)
-    assert res.best_objective == res.per_start_objectives.min()
-    assert np.linalg.norm(res.best_x) == pytest.approx(1.0, abs=1e-12)
-    assert np.linalg.norm(res.best_y) == pytest.approx(1.0, abs=1e-12)
-    assert np.all(res.per_start_objectives >= 0)
+    # an edge state, and a Choi matrix that is full rank on both sides: one search path
+    for state, full_rank in [(edge_state(2.0, 0.4), False), (choi_matrix(3.0, 2.0, 1.0), True)]:
+        res = product_vector_search(state, starts=20, seed=5)
+        assert res.starts == 20
+        assert res.per_start_objectives.shape == (20,)
+        assert res.best_objective == res.per_start_objectives.min()
+        assert np.linalg.norm(res.best_x) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(res.best_y) == pytest.approx(1.0, abs=1e-12)
+        assert np.all(res.per_start_objectives >= 0)
+        assert (res.verdict is SearchVerdict.PRODUCT_VECTOR_FOUND) == full_rank
+        assert (res.per_start_objectives == 0).all() == full_rank
 
 
 def test_deterministic_for_fixed_seed():

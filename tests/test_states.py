@@ -366,7 +366,8 @@ class TestFaceState:
         point = {"b": 1.0, "theta": THETA, "xi_eta": 0.3, "eta_zeta": -0.5j, "zeta_xi": 0j}
         want = face_state(1.0, GramSpec(THETA, 0.3, -0.5j, 0j)).mat
         assert np.array_equal(build_family("face", point).mat, want)
-        with pytest.raises(InvalidParamError, match="needs --zeta-xi"):
+        # a library caller reads the key it left out, not a command-line option
+        with pytest.raises(InvalidParamError, match="^family 'face' needs zeta_xi$"):
             build_family("face", {k: v for k, v in point.items() if k != "zeta_xi"})
 
     def test_rank_formulas_on_random_specs(self, rng):
