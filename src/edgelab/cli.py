@@ -69,11 +69,11 @@ def _family_point(args) -> dict:
 
 
 def _load_input(args) -> BipartiteOperator:
+    if bool(args.infile) == bool(args.family):
+        raise InvalidParamError("provide exactly one of --in FILE and --family NAME")
     if args.infile:
         return mio.read_matrix(args.infile)
-    if args.family:
-        return build_family(args.family, _family_point(args))
-    raise InvalidParamError("provide --in FILE or --family NAME")
+    return build_family(args.family, _family_point(args))
 
 
 def _add_family_options(parser, require_family: bool):
@@ -126,8 +126,8 @@ def cmd_classify(args) -> int:
 
 def cmd_edge_check(args) -> int:
     if args.analytic:
-        if args.family != "edge":
-            raise InvalidParamError("--analytic applies only to --family edge")
+        if args.family != "edge" or args.infile:
+            raise InvalidParamError("--analytic applies only to --family edge, without --in")
         _family_point(args)
         trace = verify_edge_analytic(args.b, args.theta)
         report = {
@@ -201,6 +201,8 @@ def cmd_sweep(args) -> int:
             raise InvalidParamError(f"family {family!r} has no parameter {name!r}")
         if name in ranges:
             raise InvalidParamError(f"parameter {name!r} has more than one --range")
+        if getattr(args, name) is not None:
+            raise InvalidParamError(f"fix parameter --{name.replace('_', '-')} or sweep it, not both")
         ranges[name] = (steps, value)
     fixed = {pname: getattr(args, pname) for pname in columns if pname not in ranges}
     for pname, val in fixed.items():

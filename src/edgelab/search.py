@@ -9,24 +9,24 @@ which vanishes exactly on the product vectors witnessing a range-criterion
 violation of the edge property.  Both alternating steps are exact: for fixed
 x the objective is a Hermitian quadratic form in y, and for fixed y it is one
 in x too, since the conjugated term is ``conj(x)^H E conj(x) = x^H conj(E) x``.
-Each step is therefore the smallest eigenvector of an m x m or n x n complex
-Hermitian matrix, unique up to a global phase.  For 3 x 3 forms, those of
-every bi-qutrit state, it comes in closed form (Kopp, Int. J. Mod. Phys. C
-19, 523 (2008), arXiv:physics/0610206); only rows whose two smallest
-eigenvalues nearly coincide, and forms of other sizes, take ``eigh``.
+The search takes bi-qutrit states only, so each step is the smallest
+eigenvector of a 3 x 3 complex Hermitian matrix, unique up to a global phase.
+It comes in closed form (Kopp, Int. J. Mod. Phys. C 19, 523 (2008),
+arXiv:physics/0610206); only rows whose two smallest eigenvalues nearly
+coincide take ``eigh``.
 
 Both forms are linear in the outer product of the fixed factor: the form in
 y has entries ``sum conj(x_i) x_j M[(i, j), (l, o)]``, and the form in x is
-the same sum over ``conj(y_l) y_o``, where the (m^2, n^2) matrix ``M`` comes
-from the kernel bases once per search.
+the same sum over ``conj(y_l) y_o``, where the 9 x 9 matrix ``M`` comes from
+the kernel bases once per search.
 
 Each state's search draws its starting pairs from its own generator,
 ``default_rng(seed)``; start i takes row i of its stream.  The starts of one
 or more states run in one loop, in lockstep blocks of :data:`BLOCK` that take
 the next starts of consecutive states, so a block may end with the first
 starts of one state after the last starts of another.  A block's pairs are
-stacked as arrays of shape ``(block, m)`` and ``(block, n)``, the rows of
-each state contiguous.  One step of every running start of the block is, per
+stacked as two arrays of shape ``(block, 3)``, the rows of each state
+contiguous.  One step of every running start of the block is, per
 factor, one product of each state's flattened outer products with its ``M``
 and one stacked smallest eigenvector for the rows of all states; the
 objective ``||d x||^2`` then takes two stacked products per state.  Every
@@ -108,33 +108,31 @@ def _unit_rows(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def _random_starts(rng: np.random.Generator, count: int, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _random_starts(rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
     """The next ``count`` random unit pairs of the search's generator, one row per start.
 
     A row holds the real and imaginary parts of x, then those of y.  Rows
     come off the generator's stream in order, so start ``i`` takes row ``i``
     however the starts are split into blocks.
     """
-    z = rng.standard_normal((count, 2 * (m + n)))
-    x = z[:, :m] + 1j * z[:, m : 2 * m]
-    y = z[:, 2 * m : 2 * m + n] + 1j * z[:, 2 * m + n :]
+    z = rng.standard_normal((count, 12))
+    x = z[:, :3] + 1j * z[:, 3:6]
+    y = z[:, 6:9] + 1j * z[:, 9:]
     return _unit_rows(x), _unit_rows(y)
 
 
 def _smallest_eigvecs(h: np.ndarray) -> np.ndarray:
-    """Stacked unit eigenvectors of the smallest eigenvalues of Hermitian ``h[b]``.
+    """Stacked unit eigenvectors of the smallest eigenvalues of Hermitian 3 x 3 ``h[b]``.
 
-    3 x 3 forms take Kopp's closed form (Int. J. Mod. Phys. C 19, 523 (2008),
+    Each row takes Kopp's closed form (Int. J. Mod. Phys. C 19, 523 (2008),
     arXiv:physics/0610206): the smallest eigenvalue lambda from the
     trigonometric solution of the characteristic cubic, then the column of
     ``adj(h - lambda I) = (lambda_2 - lambda) (lambda_3 - lambda) v v^H`` with
     the largest diagonal entry.  Rows whose adjugate trace is at most
     :data:`GAP_FLOOR`, or not finite, take ``eigh`` instead, and only those
     rows.  Every operation acts row by row, so a row's vector does not depend
-    on the rows stacked with it.  Forms of any other size take ``eigh``.
+    on the rows stacked with it.
     """
-    if h.shape[1:] != (3, 3):
-        return np.linalg.eigh(h)[1][:, :, 0]
     b = len(h)
     # the six distinct entries, scaled to a largest modulus of 1 so that no
     # power below under- or overflows; the eigenvectors do not change
@@ -180,31 +178,30 @@ def _rowwise(a: np.ndarray, mat: np.ndarray) -> np.ndarray:
 
 
 class _Objective:
-    """The kernel bases, and the two Hermitian forms of the objective as matrices.
+    """The kernel bases of a 3 x 3 operator, and the two Hermitian forms of the objective as matrices.
 
-    Every method takes one row per start: ``x`` of shape ``(rows, m)``, ``y``
-    of shape ``(rows, n)``, and outer products as flattened by :func:`_outer`.
+    Every method takes one row per start: ``x`` and ``y`` of shape
+    ``(rows, 3)``, and outer products as flattened by :func:`_outer`.
     """
 
     def __init__(self, s: BipartiteOperator):
-        m, n = self.m, self.n = s.m, s.n
         h = _check_hermitian(s.mat)
         # Partial transposition commutes with the adjoint, so the partial
         # transpose of the checked state, exactly Hermitian as given or
         # symmetrized, is Hermitian as it stands.
-        tau = _partial_transpose(h, m, n)
-        # shape (m, n, k): first axis contracts with x, second with y
-        self.ka = _kernel(h).conj().reshape(m, n, -1)
-        self.kt = _kernel(tau).conj().reshape(m, n, -1)
-        # y @ k, reshaped to (rows, k, m), stacks the rows of d from ka, then kt
-        self.k = np.concatenate([self.ka, self.kt], axis=2).transpose(1, 2, 0).reshape(n, -1)
+        tau = _partial_transpose(h, 3, 3)
+        # shape (3, 3, k): first axis contracts with x, second with y
+        self.ka = _kernel(h).conj().reshape(3, 3, -1)
+        self.kt = _kernel(tau).conj().reshape(3, 3, -1)
+        # y @ k, reshaped to (rows, k, 3), stacks the rows of d from ka, then kt
+        self.k = np.concatenate([self.ka, self.kt], axis=2).transpose(1, 2, 0).reshape(3, -1)
         # f(x, y) = sum conj(x_i) x_j conj(y_l) y_o form[i, j, l, o]; the kt
         # term sees conj(x), so its coefficient of conj(x_i) x_j is t[j, i, l, o]
         a = np.einsum("ila,joa->ijlo", self.ka.conj(), self.ka)
         t = np.einsum("ila,joa->ijlo", self.kt.conj(), self.kt)
         form = a + t.transpose(1, 0, 2, 3)
-        self.m_y = form.reshape(m * m, n * n)
-        self.m_x = form.transpose(2, 3, 0, 1).reshape(n * n, m * m)
+        self.m_y = form.reshape(9, 9)
+        self.m_x = form.transpose(2, 3, 0, 1).reshape(9, 9)
 
     def value(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         d = (self.x_form(y) @ x[:, :, None])[:, :, 0]
@@ -216,18 +213,18 @@ class _Objective:
         The conjugated term is ``||c_t conj(x)||^2 = ||conj(c_t) x||^2``, so for
         fixed y the objective is the Hermitian form ``x^H d^H d x`` in x.
         """
-        d = _rowwise(y, self.k).reshape(len(y), -1, self.m)
+        d = _rowwise(y, self.k).reshape(len(y), -1, 3)
         tail = d[:, self.ka.shape[2] :]
         np.conjugate(tail, out=tail)
         return d
 
     def y_forms(self, ox: np.ndarray) -> np.ndarray:
-        """Stacked forms in y, of shape ``(rows, n, n)``, from ``ox = _outer(x)``."""
-        return _rowwise(ox, self.m_y).reshape(len(ox), self.n, self.n)
+        """Stacked forms in y, of shape ``(rows, 3, 3)``, from ``ox = _outer(x)``."""
+        return _rowwise(ox, self.m_y).reshape(len(ox), 3, 3)
 
     def x_forms(self, oy: np.ndarray) -> np.ndarray:
-        """Stacked forms in x, of shape ``(rows, m, m)``, from ``oy = _outer(y)``."""
-        return _rowwise(oy, self.m_x).reshape(len(oy), self.m, self.m)
+        """Stacked forms in x, of shape ``(rows, 3, 3)``, from ``oy = _outer(y)``."""
+        return _rowwise(oy, self.m_x).reshape(len(oy), 3, 3)
 
 
 # One state's objective and the rows ``lo:hi`` it owns in a stack of rows.
@@ -300,7 +297,7 @@ def _descend(objs: list[_Objective], bounds: np.ndarray, x: np.ndarray, y: np.nd
 def product_vector_search_many(
     states: Iterable[BipartiteOperator], *, starts: int = 200, seed: int = 0
 ) -> list[EdgeSearchResult]:
-    """:func:`product_vector_search` of every operator in ``states``, all of one shape.
+    """:func:`product_vector_search` of every 3 x 3 operator in ``states``.
 
     Each state makes its own generator, ``default_rng(seed)``, and start ``i``
     of a state takes row ``i`` of its stream, so each result is bit for bit
@@ -309,8 +306,8 @@ def product_vector_search_many(
     consecutive states; one closed-form solve per half-step serves every
     state of a block.  Raises :class:`InvalidParamError` when ``starts < 1``
     or ``seed < 0``, ``TypeError`` when ``seed`` is not an integer, and
-    :class:`DimensionMismatchError` when the shapes differ; an empty
-    ``states`` gives ``[]``.
+    :class:`DimensionMismatchError`, naming the shape, when an operator is
+    not 3 x 3, before any start runs; an empty ``states`` gives ``[]``.
     """
     if starts < 1:
         raise InvalidParamError(f"starts must be >= 1, got {starts}")
@@ -319,9 +316,9 @@ def product_vector_search_many(
     states = list(states)
     if not states:
         return []
-    m, n = states[0].m, states[0].n
-    if any(s.m != m or s.n != n for s in states):
-        raise DimensionMismatchError("product_vector_search_many needs operators of one shape (m, n)")
+    for s in states:
+        if (s.m, s.n) != (3, 3):
+            raise DimensionMismatchError(f"the search takes 3 x 3 operators only, got {s.m} x {s.n}")
     # numpy.random loads here, on the first search, not with edgelab
     from numpy.random import default_rng
 
@@ -337,7 +334,7 @@ def product_vector_search_many(
             (i, min(hi, (i + 1) * starts) - max(lo, i * starts))
             for i in range(lo // starts, (hi - 1) // starts + 1)
         ]
-        xs, ys = zip(*(_random_starts(rngs[i], count, m, n) for i, count in block))
+        xs, ys = zip(*(_random_starts(rngs[i], count) for i, count in block))
         x, y = np.concatenate(xs), np.concatenate(ys)
         bounds = np.cumsum([0] + [count for _, count in block])
         f = _descend([objs[i] for i, _ in block], bounds, x, y)
@@ -354,7 +351,7 @@ def product_vector_search_many(
 
 
 def product_vector_search(s: BipartiteOperator, *, starts: int = 200, seed: int = 0) -> EdgeSearchResult:
-    """Search for a unit product vector in the range pair of ``s``.
+    """Search for a unit product vector in the range pair of the 3 x 3 operator ``s``.
 
     Runs ``starts`` alternating minimizations from seeded random unit pairs;
     each stops once a step lowers its objective by less than

@@ -466,6 +466,24 @@ class TestClassifyCommand:
         assert spaced == run_cli(capsys, *argv, "0.3+0.2j")
         assert spaced[0] == 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--family", "choi", "--a", "1", "--b", "1", "--c", "1"],
+            ["edge-check", "--family", "choi", "--a", "1", "--b", "1", "--c", "1"],
+            ["edge-check", "--family", "edge", "--b", "1", "--theta", "0.5", "--analytic"],
+        ],
+        ids=["classify", "edge-check", "edge-check-analytic"],
+    )
+    def test_file_and_family_together_exit_2(self, capsys, tmp_path, argv):
+        # one operator per command line: neither the PPT file nor the family is dropped unseen
+        path = tmp_path / "edge.json"
+        write_matrix(edge_state(1.0, THETA), path)
+        code, out, err = run_cli(capsys, *argv, "--in", str(path))
+        assert (code, out) == (2, "")
+        assert_one_line_error(err)
+        assert "--in" in err
+
     def test_malformed_file_exit_2(self, capsys, tmp_path):
         path = tmp_path / "malformed.json"
         # the second file nests too deep for the JSON decoder
@@ -577,6 +595,16 @@ class TestEdgeCheck:
         assert code == 0
         report = strict_json(out)
         assert (report["verdict"], report["bestObjective"], report["starts"]) == ("ProductVectorFound", 0.0, 7)
+
+    @pytest.mark.parametrize("source", ["p-theta", "2x3-file"])
+    def test_operator_not_3x3_exit_2(self, capsys, tmp_path, source):
+        path = tmp_path / "two-by-three.json"
+        write_matrix(BipartiteOperator(2, 3, np.eye(6)), path)
+        argv = ["--family", "p-theta", "--theta", "0.5"] if source == "p-theta" else ["--in", str(path)]
+        code, out, err = run_cli(capsys, "edge-check", *argv)
+        assert (code, out) == (2, "")
+        assert_one_line_error(err)
+        assert "3 x 3" in err
 
     def test_one_start_prints_strict_json(self, capsys):
         code, out, _ = run_cli(
@@ -878,6 +906,29 @@ class TestSweep:
             assert (code, out) == (2, "")
             assert_one_line_error(err)
             assert text in err
+
+    def test_fixed_and_swept_parameter_exit_2(self, capsys, tmp_path):
+        out_file = tmp_path / "sweep.csv"
+        for out_args in ([], ["--out", str(out_file)]):
+            code, out, err = run_cli(
+                capsys, "sweep", "--family", "edge", "--b", "5",
+                "--range", "b=1:2:2", "--range", "theta=0:1:2", *out_args,
+            )
+            assert (code, out) == (2, "")
+            assert_one_line_error(err)
+            assert "--b" in err
+        assert not out_file.exists()
+
+    def test_search_of_an_operator_not_3x3_exit_2(self, capsys, tmp_path):
+        out_file = tmp_path / "sweep.csv"
+        for out_args in ([], ["--out", str(out_file)]):
+            code, out, err = run_cli(
+                capsys, "sweep", "--family", "p-theta", "--range", "theta=0:1:3", "--search", *out_args,
+            )
+            assert (code, out) == (2, "")
+            assert_one_line_error(err)
+            assert "1 x 3" in err
+        assert not out_file.exists()
 
     def test_unknown_parameter_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "sweep", "--family", "edge", "--b", "1", "--range", "zeta=0:1:2")

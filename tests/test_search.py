@@ -19,6 +19,7 @@ from edgelab import (
     edge_state,
     face_state,
     partial_transpose,
+    phase_circulant,
     product_vector_search,
     product_vector_search_many,
 )
@@ -85,7 +86,7 @@ def test_full_rank_state_trivially_found(monkeypatch):
         return step(*args)
 
     monkeypatch.setattr(search, "_step", counting)
-    x, y = search._random_starts(np.random.default_rng(7), 1, 3, 3)
+    x, y = search._random_starts(np.random.default_rng(7), 1)
     for state in (BipartiteOperator(3, 3, np.eye(9)), choi_matrix(3.0, 2.0, 1.0)):
         for starts in (1, 5, BLOCK + 1):
             res = product_vector_search(state, starts=starts, seed=7)
@@ -247,9 +248,21 @@ def test_stacked_search_across_a_block_boundary():
     _assert_same_results(product_vector_search_many(states, starts=k, seed=4), alone)
 
 
-def test_stacked_search_needs_one_shape():
-    with pytest.raises(DimensionMismatchError):
-        product_vector_search_many([edge_state(1.0, 0.5), _pure_2x3()], starts=2)
+@pytest.mark.parametrize(
+    "op", [BipartiteOperator(1, 3, phase_circulant(0.5)), BipartiteOperator(2, 3, np.eye(6))], ids=["1x3", "2x3"]
+)
+def test_search_rejects_other_shapes(op):
+    with pytest.raises(DimensionMismatchError, match=f"got {op.m} x {op.n}"):
+        product_vector_search(op, starts=2)
+
+
+def test_stacked_search_takes_bi_qutrit_states_only(monkeypatch):
+    # the shape check sits at the door: no state's objective is built, so no start runs
+    built = mock.Mock(side_effect=AssertionError("an objective was built"))
+    monkeypatch.setattr(search, "_Objective", built)
+    with pytest.raises(DimensionMismatchError, match="got 1 x 3"):
+        product_vector_search_many([edge_state(1.0, 0.5), BipartiteOperator(1, 3, phase_circulant(0.5))], starts=2)
+    assert not built.called
     assert product_vector_search_many([]) == []
     assert product_vector_search_many(iter([])) == []
 
@@ -308,11 +321,14 @@ def _start_by_start_objectives(s, starts, seed, max_iters=500, convergence_tol=1
     return np.array(out)
 
 
-def _pure_2x3():
-    """An entangled pure 2 x 3 state: no product vector in its range."""
-    v = np.zeros(6, dtype=complex)
-    v[0], v[5] = math.sqrt(2 / 3), 1j * math.sqrt(1 / 3)
-    return BipartiteOperator(2, 3, np.outer(v, v.conj()))
+def _pure_entangled():
+    """An entangled pure state of Schmidt rank 2: no product vector in its range.
+
+    Its kernel has 8 vectors and that of its partial transpose 5.
+    """
+    v = np.zeros(9, dtype=complex)
+    v[0], v[4] = math.sqrt(2 / 3), 1j * math.sqrt(1 / 3)
+    return BipartiteOperator(3, 3, np.outer(v, v.conj()))
 
 
 @pytest.mark.parametrize(
@@ -320,11 +336,11 @@ def _pure_2x3():
     [
         (edge_state(1.0, math.pi / 6), MAX_ITERS),
         (corner_state(2.0), MAX_ITERS),
-        (_pure_2x3(), MAX_ITERS),
+        (_pure_entangled(), MAX_ITERS),
         # the cap is read from the module when the search runs
         (edge_state(1.0, math.pi / 6), 2),
     ],
-    ids=["edge", "corner", "pure-2x3", "edge-capped"],
+    ids=["edge", "corner", "pure-entangled", "edge-capped"],
 )
 def test_lockstep_matches_start_by_start_search(state, max_iters):
     reference = _start_by_start_objectives(state, starts=30, seed=2, max_iters=max_iters)
@@ -349,7 +365,7 @@ def test_starts_advance_in_lockstep(monkeypatch):
     monkeypatch.setattr(search.np, "einsum", counting("einsum", np.einsum))
     state = edge_state(1.0, math.pi / 6)
     # set-up: the kernels and the objective of the starts
-    _Objective(state).value(*search._random_starts(np.random.default_rng(0), 200, 3, 3))
+    _Objective(state).value(*search._random_starts(np.random.default_rng(0), 200))
     setup = dict(calls)
     calls.update(eigh=0, einsum=0)
     monkeypatch.setattr(search, "_step", counting("step", search._step))
@@ -395,12 +411,11 @@ DRAW_SEEDS = [0, 1, 901, 2**32 - 1, 2**32, 2**40 + 17, 2**64 + 5, 2**73 + 12345,
 @pytest.mark.parametrize("seed", DRAW_SEEDS)
 def test_random_starts_match_default_rng(seed):
     # a block of 256 and then one of 44 take the rows of one 300-row draw
-    m, n = 2, 3
-    z = np.random.default_rng(seed).standard_normal((300, 2 * (m + n)))
-    x = z[:, :m] + 1j * z[:, m : 2 * m]
-    y = z[:, 2 * m : 2 * m + n] + 1j * z[:, 2 * m + n :]
+    z = np.random.default_rng(seed).standard_normal((300, 12))
+    x = z[:, :3] + 1j * z[:, 3:6]
+    y = z[:, 6:9] + 1j * z[:, 9:]
     rng = np.random.default_rng(seed)
-    blocks = [search._random_starts(rng, count, m, n) for count in (256, 44)]
+    blocks = [search._random_starts(rng, count) for count in (256, 44)]
     got_x, got_y = (np.concatenate(parts) for parts in zip(*blocks))
     assert np.array_equal(got_x, x / np.linalg.norm(x, axis=1, keepdims=True))
     assert np.array_equal(got_y, y / np.linalg.norm(y, axis=1, keepdims=True))
@@ -414,20 +429,19 @@ def test_import_does_not_load_numpy_random():
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
-def _separable(rng, m, n, k):
+def _separable(rng, k):
     """A sum of k random product projectors: both kernels are nontrivial."""
-    mat = sum(proj(product_vector(random_unit(rng, m), random_unit(rng, n))) for _ in range(k))
-    return BipartiteOperator(m, n, mat)
+    mat = sum(proj(product_vector(random_unit(rng, 3), random_unit(rng, 3))) for _ in range(k))
+    return BipartiteOperator(3, 3, mat)
 
 
-@pytest.mark.parametrize("m, n", [(3, 3), (2, 3), (3, 2)])
-def test_forms_match_gram_construction(m, n, rng):
+def test_forms_match_gram_construction(rng):
     # the oracle: the forms as Hermitian products of the contracted kernels
-    for k in (1, 2, m + n - 2):
-        obj = _Objective(_separable(rng, m, n, k))
+    for k in (1, 2, 4):
+        obj = _Objective(_separable(rng, k))
         assert obj.ka.shape[2] and obj.kt.shape[2]
-        x = np.array([random_unit(rng, m) for _ in range(20)])
-        y = np.array([random_unit(rng, n) for _ in range(20)])
+        x = np.array([random_unit(rng, 3) for _ in range(20)])
+        y = np.array([random_unit(rng, 3) for _ in range(20)])
         c1 = np.einsum("ila,bi->bal", obj.ka, x)
         c2 = np.einsum("ila,bi->bal", obj.kt, x.conj())
         y_form = c1.conj().transpose(0, 2, 1) @ c1 + c2.conj().transpose(0, 2, 1) @ c2
@@ -499,9 +513,6 @@ def test_smallest_eigvecs_falls_back_row_by_row(eigh_rows):
     assert eigh_rows == [5]
     rayleigh = np.einsum("bi,bij,bj->b", v.conj(), h, v).real
     assert np.all(np.abs(rayleigh) <= 1e-14)
-    # forms of other sizes take eigh as it stands
-    h2 = h[:, :2, :2]
-    assert np.array_equal(search._smallest_eigvecs(h2), np.linalg.eigh(h2)[1][:, :, 0])
 
 
 def _realified_form(c, e):
