@@ -19,6 +19,7 @@ import csv
 import itertools
 import json
 import math
+import operator
 import os
 import sys
 from fractions import Fraction
@@ -38,10 +39,12 @@ from .states import FAMILIES, build_family
 TARGET_TYPES = {(5, 5), (6, 5), (7, 5), (8, 5), (6, 6), (7, 6), (8, 6)}
 KNOWN_NOT_CONSTRUCTED = {(4, 4)}
 
-# Grid points built, classified and written together by ``sweep``.  On a
-# 400-point sweep, chunks of 16 to 400 points gave the same rows per second
-# within 7%, and one stack of all 400 raised the peak memory of the process
-# by 8% against chunks of 64.
+# Grid points built, classified and written together by ``sweep``.  On the
+# 400-point edge sweep, with chunks built as columns, chunks of 16, 32, 128
+# and 400 points gave 0.66, 0.85, 1.05 and 1.2 times the rows per second of
+# chunks of 64 (CPU time, 60 interleaved runs each, 2 CPUs), and the peak
+# memory that Python traces during the sweep grows with the chunk: 0.25 MB
+# at 16, 0.44 MB at 64 and 1.28 MB at 400.
 SWEEP_CHUNK = 64
 
 
@@ -60,18 +63,36 @@ def _theta_frac(text: str) -> float:
         raise argparse.ArgumentTypeError(f"bad rational multiple of pi {text!r}") from exc
 
 
+def _reject_unread(args, read, source: str) -> None:
+    """Raise naming the first family option given in ``args`` that ``source``,
+    which reads the parameters ``read``, does not read."""
+    for columns, _, _ in FAMILIES.values():
+        for name in columns:
+            if name not in read and getattr(args, name) is not None:
+                raise InvalidParamError(f"{source} takes no --{name.replace('_', '-')}")
+
+
 def _family_point(args) -> dict:
-    """The options of ``args`` as a point of ``args.family``; a missing parameter is named as its option."""
-    for name in FAMILIES[args.family][0]:
-        if getattr(args, name) is None:
+    """The options of ``args`` as a point of ``args.family``, an absent coupling
+    read as 0; a missing parameter is named as its option, and so is one the
+    family does not take."""
+    columns = FAMILIES[args.family][0]
+    _reject_unread(args, columns, f"family {args.family!r}")
+    point = dict(vars(args))
+    for name in ("xi_eta", "eta_zeta", "zeta_xi"):
+        if point[name] is None:
+            point[name] = 0j
+    for name in columns:
+        if point[name] is None:
             raise InvalidParamError(f"family {args.family!r} needs --{name.replace('_', '-')}")
-    return vars(args)
+    return point
 
 
 def _load_input(args) -> BipartiteOperator:
     if bool(args.infile) == bool(args.family):
         raise InvalidParamError("provide exactly one of --in FILE and --family NAME")
     if args.infile:
+        _reject_unread(args, (), "--in FILE")
         return mio.read_matrix(args.infile)
     return build_family(args.family, _family_point(args))
 
@@ -87,9 +108,9 @@ def _add_family_options(parser, require_family: bool):
     )
     parser.add_argument("--a", type=float)
     parser.add_argument("--c", type=float)
-    parser.add_argument("--xi-eta", type=_parse_complex, default=0j, help="complex, e.g. 0.5+0.3j")
-    parser.add_argument("--eta-zeta", type=_parse_complex, default=0j)
-    parser.add_argument("--zeta-xi", type=_parse_complex, default=0j)
+    parser.add_argument("--xi-eta", type=_parse_complex, help="complex, e.g. 0.5+0.3j")
+    parser.add_argument("--eta-zeta", type=_parse_complex)
+    parser.add_argument("--zeta-xi", type=_parse_complex)
     parser.add_argument("--target-p", type=int, choices=(5, 6, 7, 8))
 
 
@@ -156,7 +177,8 @@ def cmd_edge_check(args) -> int:
 
 
 def _parse_range(text: str):
-    """``--range NAME=START:STOP:STEPS``: the name, the step count and the i-th value.
+    """``--range NAME=START:STOP:STEPS``: the name, the step count and the
+    function from an integer array of step indices to their values.
 
     The values are those of ``numpy.linspace(START, STOP, STEPS)``, bit for
     bit, computed when asked for, so a range holds no list of its values.
@@ -175,16 +197,32 @@ def _parse_range(text: str):
     delta = stop - start
     step = delta / div
 
-    def value(i: int) -> float:
+    def values(i: np.ndarray) -> np.ndarray:
         # as numpy.linspace: STOP exactly at the end, else i * step + start,
         # or (i / div) * delta + start when the step underflows to zero
         if steps == 1:
-            return start
-        if i == div:
-            return stop
-        return i * step + start if step != 0 else (i / div) * delta + start
+            return np.full(i.shape, start)
+        with np.errstate(invalid="ignore", over="ignore"):
+            out = i * step + start if step != 0 else (i / div) * delta + start
+        out[i == div] = stop
+        return out
 
-    return name.strip(), steps, value
+    return name.strip(), steps, values
+
+
+def _grid_indices(first: int, count: int, steps: list) -> list:
+    """The per-axis step indices of grid points ``first`` to ``first + count - 1``
+    in row-major order, the last axis fastest, as int64 arrays.
+
+    ``first`` is split by Python-int ``divmod``, so the indices are exact on
+    grids of up to 2**53 points an axis, whatever their product.
+    """
+    carry, out = np.arange(count), []
+    for n in reversed(steps):
+        first, i0 = divmod(first, n)
+        carry, i = np.divmod(carry + i0, n)
+        out.append(i)
+    return out[::-1]
 
 
 def cmd_sweep(args) -> int:
@@ -192,55 +230,51 @@ def cmd_sweep(args) -> int:
     if family == "face":  # its couplings are complex options, which no range gives
         raise InvalidParamError(f"sweep does not support family {family!r}")
     columns, dims, build = FAMILIES[family]
+    _reject_unread(args, columns, f"family {family!r}")
     if not args.range:
         raise InvalidParamError("provide at least one --range NAME=START:STOP:STEPS")
     ranges = {}
     for text in args.range:
-        name, steps, value = _parse_range(text)
+        name, steps, values = _parse_range(text)
         if name not in columns:
             raise InvalidParamError(f"family {family!r} has no parameter {name!r}")
         if name in ranges:
             raise InvalidParamError(f"parameter {name!r} has more than one --range")
         if getattr(args, name) is not None:
             raise InvalidParamError(f"fix parameter --{name.replace('_', '-')} or sweep it, not both")
-        ranges[name] = (steps, value)
+        ranges[name] = (steps, values)
     fixed = {pname: getattr(args, pname) for pname in columns if pname not in ranges}
     for pname, val in fixed.items():
         if val is None:
             raise InvalidParamError(f"fix parameter --{pname.replace('_', '-')} or sweep it")
 
-    # the last range varies fastest; target_p is an integer option: build and
-    # print 5, not 5.0
-    axes = [(name, steps, value, name == "target_p") for name, (steps, value) in reversed(ranges.items())]
-
-    def point(k: int) -> dict:
-        """Grid point ``k`` in row-major order."""
-        params = dict(fixed)
-        for name, steps, value, integral in axes:
-            k, i = divmod(k, steps)
-            v = value(i)
-            params[name] = int(v) if integral and v.is_integer() else v
-        return params
-
     def chunks():
-        total = math.prod(steps for steps, _ in ranges.values())
+        """Each chunk's rows, built and classified from its parameter columns."""
+        steps = [n for n, _ in ranges.values()]
+        total = math.prod(steps)
         for lo in range(0, total, SWEEP_CHUNK):
-            points = [point(k) for k in range(lo, min(lo + SWEEP_CHUNK, total))]
-            mats = build(points)
-            rows = [
-                [params[name] for name in columns] + [p_psd and q_psd, p, q]
-                for params, p, q, p_psd, q_psd in zip(points, *_classify_stack(mats, *dims))
-            ]
+            k = min(SWEEP_CHUNK, total - lo)
+            cols = {name: [val] * k for name, val in fixed.items()}
+            for (name, (_, values)), i in zip(ranges.items(), _grid_indices(lo, k, steps)):
+                cols[name] = values(i).tolist()
+            if "target_p" in ranges:  # an integer option: build and print 5, not 5.0
+                cols["target_p"] = [int(v) if v.is_integer() else v for v in cols["target_p"]]
+            cols = [cols[name] for name in columns]
+            mats = build(*cols)
+            p, q, p_psd, q_psd = _classify_stack(mats, *dims)
+            cols += [map(operator.and_, p_psd, q_psd), p, q]
             if args.search:
                 ops = [BipartiteOperator(*dims, mat) for mat in mats]
-                for row, r in zip(rows, product_vector_search_many(ops, starts=args.starts, seed=args.seed)):
-                    row.append(r.best_objective)
-            yield [[repr(v) if isinstance(v, float) else v for v in row] for row in rows]
+                results = product_vector_search_many(ops, starts=args.starts, seed=args.seed)
+                cols.append([r.best_objective for r in results])
+            yield zip(*cols)
 
     header = list(columns) + ["isPPT", "p", "q"] + (["bestObjective"] if args.search else [])
     # Each chunk is written once it is done, so memory does not grow with the
     # grid.  Nothing is opened before the first chunk is done; a point failing
-    # in a later chunk leaves the rows of the chunks before it written.
+    # in a later chunk leaves the rows of the chunks before it written.  csv
+    # writes a Python float as its repr, and every float column holds Python
+    # floats (a numpy scalar's repr would read np.float64(...)).
     done = chunks()
     first = next(done)  # every range has at least one step
     try:

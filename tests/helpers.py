@@ -572,12 +572,12 @@ def _reference_sweep(args) -> None:
         raise InvalidParamError("provide at least one --range NAME=START:STOP:STEPS")
     ranges = {}
     for text in args.range:
-        name, steps, value = cli._parse_range(text)
+        name, steps, values = cli._parse_range(text)
         if name not in columns:
             raise InvalidParamError(f"family {family!r} has no parameter {name!r}")
         if name in ranges:
             raise InvalidParamError(f"parameter {name!r} has more than one --range")
-        ranges[name] = (steps, value)
+        ranges[name] = (steps, lambda i, values=values: values(np.array([i])).tolist()[0])
     fixed = {}
     for pname in columns:
         if pname in ranges:

@@ -21,11 +21,11 @@ from hypothesis import strategies as st
 from edgelab import BipartiteOperator, choi_matrix, classify, classify_many, edge_state, linalg
 from edgelab import product_vector_search
 from edgelab.classify import _classify_stack
-from edgelab.cli import COMMANDS, SWEEP_CHUNK, _parse_range, _table_families, main, make_parser
+from edgelab.cli import COMMANDS, SWEEP_CHUNK, _grid_indices, _parse_range, _table_families, main, make_parser
 from edgelab.io import matrix_from_dict, matrix_to_dict, read_matrix, write_matrix
 from edgelab.errors import EdgeLabError
 from edgelab.states import FAMILIES
-from helpers import REFERENCE_FAMILIES, assert_same_entries, reference_sweep
+from helpers import REFERENCE_FAMILIES, assert_same_entries, assert_same_outcome, outcome, reference_sweep
 
 THETA = math.pi / 6
 # the module, which the package's ``classify`` function shadows as an attribute
@@ -175,18 +175,49 @@ FAMILY_POINTS = {
 }
 
 
+def build_chunk(family: str, points: list) -> np.ndarray:
+    """The stack that the builder of ``family`` gives for ``points``, passed as its parameter columns."""
+    columns, _, build = FAMILIES[family]
+    return build(*([p[name] for p in points] for name in columns))
+
+
 class TestChunkBuilders:
     @given(data=st.data(), family=st.sampled_from(sorted(FAMILY_POINTS)))
     @settings(max_examples=100, deadline=None, derandomize=True)
     def test_stacks_are_the_one_point_matrices_and_classify_alike(self, data, family):
         points = data.draw(st.lists(FAMILY_POINTS[family], min_size=1, max_size=SWEEP_CHUNK + 6))
-        _, dims, build = FAMILIES[family]
+        dims = FAMILIES[family][1]
         ops = [REFERENCE_FAMILIES[family](p) for p in points]
-        stack = build(points)
+        stack = build_chunk(family, points)
         assert_same_entries(stack, np.array([op.mat for op in ops]))
         got = list(zip(*_classify_stack(stack, *dims)))
         want = [(c.type[0], c.type[1], c.is_psd, c.is_ppt) for c in map(classify, ops)]
         assert [(p, q, p_psd, p_psd and q_psd) for p, q, p_psd, q_psd in got] == want
+
+    @given(data=st.data(), family=st.sampled_from(sorted(set(FAMILY_POINTS) - {"p-theta"})))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_invalid_points_raise_as_their_one_point_constructors(self, data, family):
+        # one or two invalid values at random points: the column checks must
+        # accept exactly what the one-point checks accept, and the error is
+        # that of the first point whose constructor raises
+        points = data.draw(st.lists(FAMILY_POINTS[family], min_size=1, max_size=SWEEP_CHUNK + 6))
+        for _ in range(data.draw(st.integers(1, 2))):
+            point = data.draw(st.sampled_from(points))
+            name = data.draw(st.sampled_from(FAMILIES[family][0]))
+            if name == "target_p":
+                bad = [4, 9, 0, 5.5, math.nan]
+            elif name in ("xi_eta", "eta_zeta", "zeta_xi"):
+                bad = [complex(math.nan, 0), complex(0, math.inf), 1.5j, -1.0, 2.0]
+            else:
+                bad = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 5e-324, 1e308]
+            point[name] = data.draw(st.sampled_from(bad))
+            if family == "choi" and data.draw(st.booleans()):
+                point.update(a=math.nan, b=-1.0)  # a NaN weight before a negative one
+        singles = [outcome(REFERENCE_FAMILIES[family], p) for p in points]
+        want = next((r for r in singles if isinstance(r, EdgeLabError)), None)
+        if want is None:
+            want = np.array([op.mat for op in singles])
+        assert_same_outcome(outcome(build_chunk, family, points), want)
 
     def test_the_split_classifies_every_family_as_below_the_gate(self):
         # the table's states and each family at points out to the float limits,
@@ -207,7 +238,7 @@ class TestChunkBuilders:
         points["edge-general"] = points["edge"]
         assert set(points) == set(FAMILIES)
         stacks = [[op for _, op in _table_families(1.0, THETA)]] + [
-            [BipartiteOperator(*FAMILIES[family][1], mat) for mat in FAMILIES[family][2](ps)]
+            [BipartiteOperator(*FAMILIES[family][1], mat) for mat in build_chunk(family, ps)]
             for family, ps in points.items()
         ]
         want = [classify(op) for ops in stacks for op in ops]
@@ -483,6 +514,31 @@ class TestClassifyCommand:
         assert (code, out) == (2, "")
         assert_one_line_error(err)
         assert "--in" in err
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["classify", "--in", "FILE", "--b", "5", "--theta", "9"], ("--b", "--theta")),
+            (["classify", "--family", "edge", "--b", "1", "--theta", "0.5", "--a", "3", "--target-p", "5"],
+             ("--a", "--target-p")),
+            (["sweep", "--family", "edge", "--b", "1", "--a", "7", "--range", "theta=0:1:2"], ("--a",)),
+            (["construct", "--family", "choi", "--a", "2", "--b", "1", "--c", "1", "--xi-eta", "0"], ("--xi-eta",)),
+            (["edge-check", "--family", "edge", "--b", "1", "--theta", "0.5", "--analytic", "--c", "1"], ("--c",)),
+        ],
+        ids=["in-file", "classify-family", "sweep", "construct-zero-coupling", "edge-check-analytic"],
+    )
+    def test_options_the_input_does_not_read_exit_2(self, capsys, tmp_path, argv, named):
+        path = tmp_path / "edge.json"
+        write_matrix(edge_state(1.0, THETA), path)
+        code, out, err = run_cli(capsys, *[str(path) if arg == "FILE" else arg for arg in argv])
+        assert (code, out) == (2, "")
+        assert_one_line_error(err)
+        assert any(f"takes no {option}\n" in err for option in named)
+
+    def test_face_reads_an_absent_coupling_as_zero(self, capsys):
+        argv = ["classify", "--family", "face", "--b", "1", "--theta", "0.5", "--xi-eta", "0.3"]
+        zeros = ["--eta-zeta", "0", "--zeta-xi", "0"]
+        assert run_cli(capsys, *argv) == run_cli(capsys, *argv, *zeros)
 
     def test_malformed_file_exit_2(self, capsys, tmp_path):
         path = tmp_path / "malformed.json"
@@ -866,23 +922,45 @@ class TestSweep:
     @example(start=1.0, stop=math.inf, steps=1)
     @settings(max_examples=300, deadline=None)
     def test_range_values_are_those_of_linspace(self, start, stop, steps):
-        name, count, value = _parse_range(f" x ={start!r}:{stop!r}:{steps}")
+        name, count, values = _parse_range(f" x ={start!r}:{stop!r}:{steps}")
         assert (name, count) == ("x", steps)
         start, stop = float(repr(start)), float(repr(stop))  # a NaN's text drops its payload
         with np.errstate(all="ignore"):
             want = np.linspace(start, stop, steps) if steps > 1 else np.array([start])
-        assert np.array([value(i) for i in range(steps)]).tobytes() == want.tobytes()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = values(np.arange(steps))
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+        # in any order and any number at a time
+        order = np.random.default_rng(steps).permutation(steps)
+        assert values(order).tobytes() == want[order].tobytes()
 
     def test_range_holds_no_list_of_its_values(self):
         _parse_range("b=1:2:2")  # first use, outside the measurement
         tracemalloc.start()
         try:
-            _, steps, value = _parse_range("b=1:2:1000000")
+            _, steps, values = _parse_range("b=1:2:1000000")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 20_000  # a list of the values would take about 32 MB
-        assert (steps, value(0), value(999_999)) == (1_000_000, 1.0, 2.0)
+        assert (steps, values(np.array([0, 999_999])).tolist()) == (1_000_000, [1.0, 2.0])
+
+    @pytest.mark.parametrize("steps", [[2**53, 2**53], [3, 2**53, 7], [2**40, 1, 2**30], [5, 3]])
+    @pytest.mark.parametrize("first", [0, 2**63 - 3, 2**63 + 1, 2**100 + 12345, 2**105 - 64])
+    def test_chunk_indices_are_those_of_python_divmod(self, steps, first):
+        first %= math.prod(steps)
+        count = min(SWEEP_CHUNK, math.prod(steps) - first)
+        got = _grid_indices(first, count, steps)
+        assert all(i.dtype == np.int64 for i in got)
+        want = []
+        for k in range(first, first + count):
+            digits = []
+            for n in reversed(steps):
+                k, i = divmod(k, n)
+                digits.append(i)
+            want.append(digits[::-1])
+        assert np.array(got).T.tolist() == want
 
     @given(argv=sweep_argvs())
     @example(argv=["sweep", "--family=choi", "--b=1", "--c=1", "--range=a=inf:-1:3"])  # inf, nan, then a < 0
@@ -1027,10 +1105,24 @@ class TestParser:
         assert capsys.readouterr().err == ""
 
 
+def unread_options(argv) -> set:
+    """The family options of a ``construct``, ``classify`` or ``edge-check``
+    argv that its ``--family`` does not take, named as in the error line
+    (``--theta-frac`` as ``--theta``); those given with ``--in``."""
+    if argv[0] == "table":
+        return set()
+    given = {arg.split("=", 1)[0].replace("--theta-frac", "--theta") for arg in argv[1:]}
+    family = next((arg.split("=", 1)[1] for arg in argv if arg.startswith("--family=")), None)
+    takes = FAMILIES[family][0] if family else ()
+    options = {name for columns, _, _ in FAMILIES.values() for name in columns} - set(takes)
+    return given & {"--" + name.replace("_", "-") for name in options}
+
+
 def assert_contract(argv):
     """Run ``main(argv)`` and check the exit-code contract:
     0, 1 or 2, never a traceback; exit 2 from edgelab prints one error line;
-    the reports are strict JSON; classify exits 0 exactly when isPPT."""
+    the reports are strict JSON; classify exits 0 exactly when isPPT; an
+    option that the input does not read exits 2."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -1041,6 +1133,12 @@ def assert_contract(argv):
             return
     out, err = out.getvalue(), err.getvalue()
     assert code in (0, 1, 2), argv
+    unread = unread_options(argv)
+    if unread:
+        assert code == 2, argv
+        # unless a check made before the options are read fails first
+        if "--analytic" not in argv and any(arg.startswith("--family=") for arg in argv):
+            assert any(f"takes no {option}\n" in err for option in unread), (argv, err)
     if code == 2:
         assert out == "", argv
         assert_one_line_error(err)
