@@ -69,7 +69,10 @@ def _reject_unread(args, read, source: str) -> None:
     for columns, _, _ in FAMILIES.values():
         for name in columns:
             if name not in read and getattr(args, name) is not None:
-                raise InvalidParamError(f"{source} takes no --{name.replace('_', '-')}")
+                option = "--" + name.replace("_", "-")
+                if name == "theta":  # --theta-frac sets it too, and args do not tell which was given
+                    option += " or --theta-frac"
+                raise InvalidParamError(f"{source} takes no {option}")
 
 
 def _family_point(args) -> dict:

@@ -14,12 +14,11 @@ The edge, generalized edge, corner and Choi families write 15 entries at
 :data:`_FACE_FLAT`, each family from one function that validates a point and
 gives them; :func:`_matrix` writes one point.  Each family's builder in
 :data:`FAMILIES`, the table of the families by name, takes a chunk of points
-as parameter columns and writes their entries with :func:`_stack` from arrays,
-after checks on whole columns that accept exactly what the point functions
-accept; when a check fails, the point functions run over the points in turn
-and raise the first invalid point's error.  The ``face`` builder, whose
-couplings no sweep gives, and the 3x3 ``p-theta`` one take their points one
-by one.
+as parameter columns and writes their entries with :func:`_stack`.  The edge
+family's builder computes them from arrays, after checks on whole columns
+that accept exactly what :func:`_edge_entries` accepts; when a check fails,
+the point function runs over the points in turn and raises the first invalid
+point's error.  The other builders run their point functions point by point.
 """
 
 from __future__ import annotations
@@ -281,15 +280,6 @@ def _unit(theta: np.ndarray) -> np.ndarray:
     return np.array([cmath.exp(1j * t) for t in theta.tolist()])
 
 
-def _triples(k: int, *values) -> np.ndarray:
-    """(k, 3 * len(values)) rows of entries: each of ``values``, a column or a
-    constant, three times over, as :data:`_CORE_FLAT` orders them."""
-    rows = np.empty((k, len(values)), dtype=complex)
-    for j, v in enumerate(values):
-        rows[:, j] = v
-    return np.repeat(rows, 3, axis=1)
-
-
 def _core_rows(b: np.ndarray, diagonal, upper, lower):
     """:func:`_core_entries` of each point, or None when a ``b`` fails its checks."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -297,71 +287,35 @@ def _core_rows(b: np.ndarray, diagonal, upper, lower):
         # exactly when b > 0, b and 1/b finite: NaN, b <= 0, b = inf and 1/b = inf fail
         if not ((inv > 0) & (inv < math.inf)).all():
             return None
-    return _triples(len(b), diagonal, upper, lower, inv, b)
+    return np.repeat(np.stack([diagonal, upper, lower, inv, b], axis=1), 3, axis=1)
 
 
 def _edge_rows(b, theta):
+    """:func:`_edge_entries` of each point, or None when a point fails its checks."""
     if not np.isfinite(theta).all():
         return None
     e = _unit(theta)
     return _core_rows(b, 2 * e.real, -e, -e.conj())
 
 
-def _generalized_rows(b, theta):
-    if not np.isfinite(theta).all():
-        return None
-    e = _unit(theta)
-    return _core_rows(b, np.array([min_psd_diagonal(t) for t in theta.tolist()]), -e, -e.conj())
-
-
-def _choi_rows(a, b, c):
-    with np.errstate(invalid="ignore"):
-        if not all(((w >= 0) & np.isfinite(w)).all() for w in (a, b, c)):
-            return None
-    return _triples(len(a), a + 0.0, complex(-1.0, -0.0), complex(-1.0, -0.0), c + 0.0, b + 0.0)
-
-
 def _p5_entries(b: float, theta: float, target_p: int) -> tuple:
     return _face_entries(b, GramSpec(theta, *singular_gram_offdiags(theta, target_p)))
-
-
-def _p5_rows(b, theta, target_p):
-    with np.errstate(invalid="ignore"):
-        if not ((0 < abs(theta)) & (abs(theta) < math.pi / 3) & np.isin(target_p, (5, 6, 7, 8))).all():
-            return None
-    offdiags = np.array([singular_gram_offdiags(*p) for p in zip(theta.tolist(), target_p.tolist())])
-    if (abs(offdiags) > 1 + OFFDIAG_SLACK).any():
-        return None
-    e = _unit(theta)
-    # the Gram matrices of offdiag_gram, [[d, rho, tau*], [rho*, d, sigma], [tau, sigma*, d]]
-    gram = np.empty((len(b), 9), dtype=complex)
-    gram[:, [0, 4, 8]] = 2 * e.real[:, None]
-    gram[:, [1, 5, 6]] = offdiags
-    gram[:, [3, 7, 2]] = offdiags.conj()
-    if not _rank_psd(np.linalg.eigvalsh(gram.reshape(-1, 3, 3)))[1].all():
-        return None
-    core = _core_rows(b, 2 * e.real, -e, -e.conj())
-    if core is None:
-        return None
-    return np.concatenate([core, np.stack([offdiags, offdiags.conj()], axis=2).reshape(-1, 6)], axis=1)
 
 
 def _columns(entries, rows=None, flat: np.ndarray = _CORE_FLAT, base: np.ndarray = _ZEROS):
     """A builder of :data:`FAMILIES`: the (k, 9, 9) stack of a chunk from its k-long parameter columns.
 
     ``rows`` gives the chunk's entries from the columns as float arrays, or
-    None when a check fails.  Then, and for columns of other than floats and
-    integers within 2**53, ``entries`` of each point in turn gives them, so
-    the first invalid point raises its own error.  So does one point alone,
-    which ``entries`` builds in a third to a quarter of the time of ``rows``.
+    None when a check fails.  Then, and without ``rows``, ``entries`` of each
+    point in turn gives them, so the first invalid point raises its own
+    error.  So does one point alone, which ``entries`` builds in a third to a
+    quarter of the time of ``rows``.
     """
 
     def build(*columns):
         got = None
         if rows is not None and len(columns[0]) > 1:
-            arrays = [np.asarray(col) for col in columns]
-            if all(a.dtype == float or a.dtype.kind == "i" and (abs(a) <= 2**53).all() for a in arrays):
-                got = rows(*(a.astype(float, copy=False) for a in arrays))
+            got = rows(*(np.asarray(col, dtype=float) for col in columns))
         if got is None:
             got = [entries(*point) for point in zip(*columns)]
         return _stack(got, flat, base)
@@ -376,14 +330,14 @@ def _columns(entries, rows=None, flat: np.ndarray = _CORE_FLAT, base: np.ndarray
 FAMILIES = {
     "p-theta": (("theta",), (1, 3), lambda theta: np.array([phase_circulant(t) for t in theta])),
     "edge": (("b", "theta"), (3, 3), _columns(_edge_entries, _edge_rows)),
-    "edge-general": (("b", "theta"), (3, 3), _columns(_generalized_entries, _generalized_rows)),
-    "state-7-6": (("b",), (3, 3), _columns(_corner_entries, lambda b: _core_rows(b, 1.0, 1.0, 1.0))),
-    "choi": (("a", "b", "c"), (3, 3), _columns(_choi_entries, _choi_rows, base=_CHOI_ZEROS)),
+    "edge-general": (("b", "theta"), (3, 3), _columns(_generalized_entries)),
+    "state-7-6": (("b",), (3, 3), _columns(_corner_entries)),
+    "choi": (("a", "b", "c"), (3, 3), _columns(_choi_entries, base=_CHOI_ZEROS)),
     "face": (
         ("b", "theta", "xi_eta", "eta_zeta", "zeta_xi"), (3, 3),
         _columns(lambda b, theta, *couplings: _face_entries(b, GramSpec(theta, *couplings)), flat=_FACE_FLAT),
     ),
-    "p5": (("b", "theta", "target_p"), (3, 3), _columns(_p5_entries, _p5_rows, _FACE_FLAT)),
+    "p5": (("b", "theta", "target_p"), (3, 3), _columns(_p5_entries, flat=_FACE_FLAT)),
 }
 
 

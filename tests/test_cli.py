@@ -518,14 +518,19 @@ class TestClassifyCommand:
     @pytest.mark.parametrize(
         "argv, named",
         [
-            (["classify", "--in", "FILE", "--b", "5", "--theta", "9"], ("--b", "--theta")),
+            (["classify", "--in", "FILE", "--b", "5", "--theta", "9"], ("--b", "--theta or --theta-frac")),
+            (["classify", "--in", "FILE", "--theta-frac", "1/6"], ("--theta or --theta-frac",)),
+            (["construct", "--family", "state-7-6", "--b", "2", "--theta-frac", "1/6"], ("--theta or --theta-frac",)),
             (["classify", "--family", "edge", "--b", "1", "--theta", "0.5", "--a", "3", "--target-p", "5"],
              ("--a", "--target-p")),
             (["sweep", "--family", "edge", "--b", "1", "--a", "7", "--range", "theta=0:1:2"], ("--a",)),
             (["construct", "--family", "choi", "--a", "2", "--b", "1", "--c", "1", "--xi-eta", "0"], ("--xi-eta",)),
             (["edge-check", "--family", "edge", "--b", "1", "--theta", "0.5", "--analytic", "--c", "1"], ("--c",)),
         ],
-        ids=["in-file", "classify-family", "sweep", "construct-zero-coupling", "edge-check-analytic"],
+        ids=[
+            "in-file", "in-file-theta-frac", "family-theta-frac", "classify-family", "sweep",
+            "construct-zero-coupling", "edge-check-analytic",
+        ],
     )
     def test_options_the_input_does_not_read_exit_2(self, capsys, tmp_path, argv, named):
         path = tmp_path / "edge.json"
@@ -1108,14 +1113,16 @@ class TestParser:
 def unread_options(argv) -> set:
     """The family options of a ``construct``, ``classify`` or ``edge-check``
     argv that its ``--family`` does not take, named as in the error line
-    (``--theta-frac`` as ``--theta``); those given with ``--in``."""
+    (``--theta`` and ``--theta-frac`` as both); those given with ``--in``."""
     if argv[0] == "table":
         return set()
-    given = {arg.split("=", 1)[0].replace("--theta-frac", "--theta") for arg in argv[1:]}
+    given = {arg.split("=", 1)[0] for arg in argv[1:]}
+    given = {"--theta or --theta-frac" if arg in ("--theta", "--theta-frac") else arg for arg in given}
     family = next((arg.split("=", 1)[1] for arg in argv if arg.startswith("--family=")), None)
     takes = FAMILIES[family][0] if family else ()
     options = {name for columns, _, _ in FAMILIES.values() for name in columns} - set(takes)
-    return given & {"--" + name.replace("_", "-") for name in options}
+    named = {"--theta or --theta-frac" if name == "theta" else "--" + name.replace("_", "-") for name in options}
+    return given & named
 
 
 def assert_contract(argv):
