@@ -2,9 +2,11 @@
 
 Subcommands: construct | classify | edge-check | sweep | table.
 The families are those of :data:`edgelab.states.FAMILIES`; their parameters,
-the complex couplings included, are parsed with the options.  Matrices travel as
-JSON files (see :mod:`edgelab.io`); sweeps emit CSV with a frozen column
-order and build and classify each chunk of their grid as one stack.
+the complex couplings included, are parsed with the options and named,
+defaulted and checked by :func:`_point` alone.  An empty ``--in`` or ``--out``
+is a given path, not an absent one.  Matrices travel as JSON files (see
+:mod:`edgelab.io`); sweeps emit CSV with a frozen column order and build and
+classify each chunk of their grid as one stack.
 
 Exit codes: 0 success (classify: state is PPT; table: all targets achieved),
 1 for a negative verdict (classify: not PPT; table: missing types), 2 for
@@ -63,41 +65,43 @@ def _theta_frac(text: str) -> float:
         raise argparse.ArgumentTypeError(f"bad rational multiple of pi {text!r}") from exc
 
 
-def _reject_unread(args, read, source: str) -> None:
-    """Raise naming the first family option given in ``args`` that ``source``,
-    which reads the parameters ``read``, does not read."""
-    for columns, _, _ in FAMILIES.values():
-        for name in columns:
-            if name not in read and getattr(args, name) is not None:
-                option = "--" + name.replace("_", "-")
-                if name == "theta":  # --theta-frac sets it too, and args do not tell which was given
-                    option += " or --theta-frac"
-                raise InvalidParamError(f"{source} takes no {option}")
+def _option(name: str) -> str:
+    """The option that sets the family parameter ``name``: both angle options
+    set theta, and the parsed args do not tell which was given."""
+    return "--theta or --theta-frac" if name == "theta" else "--" + name.replace("_", "-")
 
 
-def _family_point(args) -> dict:
-    """The options of ``args`` as a point of ``args.family``, an absent coupling
-    read as 0; a missing parameter is named as its option, and so is one the
-    family does not take."""
-    columns = FAMILIES[args.family][0]
-    _reject_unread(args, columns, f"family {args.family!r}")
-    point = dict(vars(args))
-    for name in ("xi_eta", "eta_zeta", "zeta_xi"):
-        if point[name] is None:
+def _point(args, swept=()) -> dict:
+    """The family parameters that ``args`` fixes, an absent coupling read as 0.
+
+    Raises naming the first family option that the input (``args.family``, or
+    ``--in FILE`` without one) does not read, then the first parameter that is
+    both fixed and ``swept``, then the first that is neither.
+    """
+    columns = FAMILIES[args.family][0] if args.family is not None else ()
+    for name in dict.fromkeys(p for family in FAMILIES.values() for p in family[0]):
+        if name not in columns and getattr(args, name) is not None:
+            source = f"family {args.family!r}" if args.family is not None else "--in FILE"
+            raise InvalidParamError(f"{source} takes no {_option(name)}")
+    for name in swept:
+        if getattr(args, name) is not None:
+            raise InvalidParamError(f"fix parameter {_option(name)} or sweep it, not both")
+    point = {name: getattr(args, name) for name in columns if name not in swept}
+    for name, val in point.items():
+        if val is None and name in ("xi_eta", "eta_zeta", "zeta_xi"):
             point[name] = 0j
-    for name in columns:
-        if point[name] is None:
-            raise InvalidParamError(f"family {args.family!r} needs --{name.replace('_', '-')}")
+        elif val is None and swept:
+            raise InvalidParamError(f"fix parameter {_option(name)} or sweep it")
+        elif val is None:
+            raise InvalidParamError(f"family {args.family!r} needs {_option(name)}")
     return point
 
 
 def _load_input(args) -> BipartiteOperator:
-    if bool(args.infile) == bool(args.family):
+    if (args.infile is None) == (args.family is None):
         raise InvalidParamError("provide exactly one of --in FILE and --family NAME")
-    if args.infile:
-        _reject_unread(args, (), "--in FILE")
-        return mio.read_matrix(args.infile)
-    return build_family(args.family, _family_point(args))
+    point = _point(args)
+    return mio.read_matrix(args.infile) if args.family is None else build_family(args.family, point)
 
 
 def _add_family_options(parser, require_family: bool):
@@ -133,8 +137,8 @@ def _vector_json(v: np.ndarray) -> dict:
 
 
 def cmd_construct(args) -> int:
-    op = build_family(args.family, _family_point(args))
-    if args.out:
+    op = build_family(args.family, _point(args))
+    if args.out is not None:
         mio.write_matrix(op, args.out)
     else:
         print(json.dumps(mio.matrix_to_dict(op)))
@@ -150,10 +154,9 @@ def cmd_classify(args) -> int:
 
 def cmd_edge_check(args) -> int:
     if args.analytic:
-        if args.family != "edge" or args.infile:
+        if args.family != "edge" or args.infile is not None:
             raise InvalidParamError("--analytic applies only to --family edge, without --in")
-        _family_point(args)
-        trace = verify_edge_analytic(args.b, args.theta)
+        trace = verify_edge_analytic(**_point(args))
         report = {
             "verdict": "Edge" if trace.verdict is EdgeCertificate.EDGE_CERTIFIED else trace.verdict.value,
             "certifiedBy": "analytic",
@@ -233,7 +236,6 @@ def cmd_sweep(args) -> int:
     if family == "face":  # its couplings are complex options, which no range gives
         raise InvalidParamError(f"sweep does not support family {family!r}")
     columns, dims, build = FAMILIES[family]
-    _reject_unread(args, columns, f"family {family!r}")
     if not args.range:
         raise InvalidParamError("provide at least one --range NAME=START:STOP:STEPS")
     ranges = {}
@@ -243,13 +245,8 @@ def cmd_sweep(args) -> int:
             raise InvalidParamError(f"family {family!r} has no parameter {name!r}")
         if name in ranges:
             raise InvalidParamError(f"parameter {name!r} has more than one --range")
-        if getattr(args, name) is not None:
-            raise InvalidParamError(f"fix parameter --{name.replace('_', '-')} or sweep it, not both")
         ranges[name] = (steps, values)
-    fixed = {pname: getattr(args, pname) for pname in columns if pname not in ranges}
-    for pname, val in fixed.items():
-        if val is None:
-            raise InvalidParamError(f"fix parameter --{pname.replace('_', '-')} or sweep it")
+    fixed = _point(args, ranges)
 
     def chunks():
         """Each chunk's rows, built and classified from its parameter columns."""
@@ -281,7 +278,7 @@ def cmd_sweep(args) -> int:
     done = chunks()
     first = next(done)  # every range has at least one step
     try:
-        out = open(args.out, "w", newline="") if args.out else sys.stdout
+        out = open(args.out, "w", newline="") if args.out is not None else sys.stdout
     except OSError as exc:
         raise EdgeLabError(f"cannot write CSV file {args.out}: {exc}") from exc
     try:
@@ -290,7 +287,7 @@ def cmd_sweep(args) -> int:
         for rows in itertools.chain([first], done):
             writer.writerows(rows)
     finally:
-        if args.out:
+        if out is not sys.stdout:
             out.close()
     return 0
 

@@ -232,8 +232,7 @@ def _face_entries(b: float, g: GramSpec) -> tuple:
     # finite couplings give a finite, exactly Hermitian Gram matrix, which is_psd's checks pass as it is
     if not _rank_psd(np.linalg.eigvalsh(g.gram()))[1]:
         raise GramNotPSDError("implied Gram matrix is not PSD")
-    core = _core_entries(b, 2 * math.cos(g.theta), *_phases(g.theta)[:2])
-    return core + tuple(v for val in offdiags for v in (val, val.conjugate()))
+    return _edge_entries(b, g.theta) + tuple(v for val in offdiags for v in (val, val.conjugate()))
 
 
 def face_state(b: float, g: GramSpec) -> BipartiteOperator:

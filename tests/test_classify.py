@@ -189,6 +189,8 @@ class TestRankBounds:
             rank_bounds(3, 3, 0, 5)
         with pytest.raises(InvalidParamError):
             rank_bounds(3, 3, 5, 10)
+        with pytest.raises(InvalidParamError, match="local dimensions must be positive"):
+            rank_bounds(0, 3, 1, 1)
 
     @pytest.mark.parametrize("m, n", [(2, 2), (2, 3), (3, 3)])
     def test_matches_polynomial_oracle(self, m, n):

@@ -321,7 +321,7 @@ class TestConstruct:
     @pytest.mark.parametrize(
         "argv, option",
         [
-            (["construct", "--family", "edge", "--b", "1"], "edge' needs --theta"),
+            (["construct", "--family", "edge", "--b", "1"], "edge' needs --theta or --theta-frac"),
             (["classify", "--family", "p5", "--b", "1", "--theta", "0.5"], "p5' needs --target-p"),
             (["edge-check", "--family", "choi", "--a", "3", "--c", "1"], "choi' needs --b"),
             (["edge-check", "--family", "edge", "--theta", "0.5", "--analytic"], "edge' needs --b"),
@@ -340,13 +340,14 @@ class TestConstruct:
         assert out_file.read_text() == printed
 
     def test_unwritable_out_exit_2(self, capsys, tmp_path):
-        out_file = tmp_path / "missing" / "edge.json"
-        code, out, err = run_cli(
-            capsys, "construct", "--family", "edge", "--b", "1", "--theta", "0.5", "--out", str(out_file)
-        )
-        assert (code, out) == (2, "")
-        assert_one_line_error(err)
-        assert str(out_file) in err
+        # an empty --out is a path that cannot be opened, not an absent --out
+        for out_file in (str(tmp_path / "missing" / "edge.json"), ""):
+            code, out, err = run_cli(
+                capsys, "construct", "--family", "edge", "--b", "1", "--theta", "0.5", "--out", out_file
+            )
+            assert (code, out) == (2, "")
+            assert_one_line_error(err)
+            assert f"cannot write matrix file {out_file}: " in err
 
 
 class TestClassifyCommand:
@@ -500,17 +501,20 @@ class TestClassifyCommand:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["classify", "--family", "choi", "--a", "1", "--b", "1", "--c", "1"],
-            ["edge-check", "--family", "choi", "--a", "1", "--b", "1", "--c", "1"],
-            ["edge-check", "--family", "edge", "--b", "1", "--theta", "0.5", "--analytic"],
+            ["classify", "--family", "choi", "--a", "1", "--b", "1", "--c", "1", "--in", "FILE"],
+            ["edge-check", "--family", "choi", "--a", "1", "--b", "1", "--c", "1", "--in", "FILE"],
+            ["edge-check", "--family", "edge", "--b", "1", "--theta", "0.5", "--analytic", "--in", "FILE"],
+            # an empty --in is a given path, not an absent --in
+            ["classify", "--in", "", "--family", "edge", "--b", "1", "--theta", "0.5"],
+            ["edge-check", "--in", "", "--family", "edge", "--b", "1", "--theta", "0.5", "--starts", "3"],
         ],
-        ids=["classify", "edge-check", "edge-check-analytic"],
+        ids=["classify", "edge-check", "edge-check-analytic", "classify-empty-in", "edge-check-empty-in"],
     )
     def test_file_and_family_together_exit_2(self, capsys, tmp_path, argv):
         # one operator per command line: neither the PPT file nor the family is dropped unseen
         path = tmp_path / "edge.json"
         write_matrix(edge_state(1.0, THETA), path)
-        code, out, err = run_cli(capsys, *argv, "--in", str(path))
+        code, out, err = run_cli(capsys, *[str(path) if arg == "FILE" else arg for arg in argv])
         assert (code, out) == (2, "")
         assert_one_line_error(err)
         assert "--in" in err
@@ -554,6 +558,14 @@ class TestClassifyCommand:
             code, out, err = run_cli(capsys, "classify", "--in", str(path))
             assert (code, out) == (2, "")
             assert_one_line_error(err)
+        negative = dict(EDGE_FILE, m=-3, n=-3)  # m * n = 9 fits the 9 x 9 arrays
+        for text, message in [("[1, 2]", "does not contain a JSON object"),
+                              (json.dumps(negative), "local dimensions must be positive")]:
+            path.write_text(text)
+            code, out, err = run_cli(capsys, "classify", "--in", str(path))
+            assert (code, out) == (2, "")
+            assert_one_line_error(err)
+            assert message in err
 
 
 class TestEdgeCheck:
@@ -599,8 +611,10 @@ class TestEdgeCheck:
         assert "0 < b < inf" in err
 
     def test_analytic_requires_edge_family(self, capsys):
-        code, _, _ = run_cli(capsys, "edge-check", "--family", "state-7-6", "--b", "1", "--analytic")
-        assert code == 2
+        # an empty --in is a given path, which --analytic does not read
+        refused = "edgelab: error: --analytic applies only to --family edge, without --in\n"
+        for params in (["--family", "state-7-6", "--b", "1"], ["--family", "edge", "--b", "1", "--theta", "0.5", "--in", ""]):
+            assert run_cli(capsys, "edge-check", *params, "--analytic") == (2, "", refused)
 
     def test_separable_point_found(self, capsys):
         code, out, _ = run_cli(
@@ -832,12 +846,13 @@ class TestSweep:
         assert out == "".join(line + "\r\n" for line in lines)
 
     def test_unwritable_out_exit_2(self, capsys, tmp_path):
-        out_file = tmp_path / "missing" / "sweep.csv"
-        argv = ["sweep", "--family", "edge", "--b", "1", "--range", "theta=0:1:3", "--out", str(out_file)]
-        code, out, err = run_cli(capsys, *argv)
-        assert (code, out) == (2, "")
-        assert_one_line_error(err)
-        assert str(out_file) in err
+        # an empty --out is a path that cannot be opened, not an absent --out
+        for out_file in ("", str(tmp_path / "missing" / "sweep.csv")):
+            argv = ["sweep", "--family", "edge", "--b", "1", "--range", "theta=0:1:3", "--out", out_file]
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert_one_line_error(err)
+            assert f"cannot write CSV file {out_file}: " in err
         # an invalid first chunk is reported before the file is opened
         code, _, err = run_cli(capsys, *argv[:3], "--b=-1", *argv[5:])
         assert code == 2
@@ -1012,6 +1027,20 @@ class TestSweep:
             assert_one_line_error(err)
             assert "1 x 3" in err
         assert not out_file.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--family", "face", "--b", "1", "--theta", "0.5", "--range", "b=1:2:2"],
+             "sweep does not support family 'face'"),
+            (["--family", "edge", "--b", "1", "--theta", "0.5"], "provide at least one --range NAME=START:STOP:STEPS"),
+            (["--family", "edge", "--range", "theta=0:1:2"], "fix parameter --b or sweep it"),
+            (["--family", "edge", "--range", "b=1:2:2"], "fix parameter --theta or --theta-frac or sweep it"),
+        ],
+        ids=["face", "no-range", "missing-b", "missing-theta"],
+    )
+    def test_refused_sweep_exit_2(self, capsys, argv, message):
+        assert run_cli(capsys, "sweep", *argv) == (2, "", f"edgelab: error: {message}\n")
 
     def test_unknown_parameter_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "sweep", "--family", "edge", "--b", "1", "--range", "zeta=0:1:2")

@@ -37,6 +37,16 @@ from helpers import (
 )
 
 
+@pytest.mark.parametrize(
+    "m, n, mat, message",
+    [(2, 3, np.eye(9), "does not match local dims"), (0, 3, np.zeros((0, 0)), "local dimensions must be positive")],
+    ids=["shape", "zero-dim"],
+)
+def test_operator_rejects_dims_that_do_not_fit(m, n, mat, message):
+    with pytest.raises(DimensionMismatchError, match=message):
+        BipartiteOperator(m, n, mat)
+
+
 def test_tensor_identity():
     assert_allclose(tensor(np.eye(2), np.eye(3)), np.eye(6))
 
@@ -457,6 +467,11 @@ class TestIsPsd:
     def test_rejects_an_empty_matrix(self, shape):
         with pytest.raises(DimensionMismatchError):
             is_psd(np.zeros(shape))
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3)])
+    def test_rejects_a_matrix_that_is_not_square(self, shape):
+        with pytest.raises(DimensionMismatchError, match="expected a square matrix"):
+            is_psd(np.ones(shape))
 
 
 class TestGramRealization:
