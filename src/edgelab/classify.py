@@ -3,8 +3,10 @@ analytic edge certificate for the phase-parameterized family.
 
 ``_classify_stack`` is the one classification path: one Hermiticity check
 over a stack of states and ``linalg._spectra`` of the states and their
-partial transposes, block by block from ``linalg.SPLIT_MIN`` states on and one
-``eigvalsh`` call below, give every rank and PSD flag.  :func:`classify_many`
+partial transposes, block by block from ``linalg.SPLIT_MIN`` states on (a 2 x 2
+block in closed form) and one ``eigvalsh`` call below, give every rank and
+PSD flag; a matrix whose rank reads 0 is read again from a sixteenth of it,
+as ``linalg._rank_psd`` says.  :func:`classify_many`
 wraps its results in :class:`Classification`; ``edgelab sweep`` reads them as
 they are.
 """
@@ -84,15 +86,21 @@ def _classify_stack(h: np.ndarray, m: int, n: int):
     # Partial transposition permutes entries and commutes with the adjoint, so
     # the partial transposes of the checked states, exactly Hermitian as given
     # or symmetrized, are Hermitian as they stand.
-    vals = _spectra(h, _partial_transpose(h, m, n))
-    ranks, psd = (flags.tolist() for flags in _rank_psd(vals))
+    both = (h, _partial_transpose(h, m, n))
+    ranks, psd = (flags.tolist() for flags in _rank_psd(_spectra(*both)))
+    if 0 in ranks:  # zero, or a spectrum past the float range: see _rank_psd
+        zero = [i for i, r in enumerate(ranks) if r == 0]
+        again = _rank_psd(np.linalg.eigvalsh(np.concatenate(both)[zero] / 16))
+        for i, r, p in zip(zero, *(flags.tolist() for flags in again)):
+            ranks[i], psd[i] = r, p
     return ranks[:k], ranks[k:], psd[:k], psd[k:]
 
 
 def classify_many(ops: Iterable[BipartiteOperator]) -> list[Classification]:
     """:func:`classify` of every operator in ``ops``, all of one shape ``(m, n)``.
 
-    Below ``linalg.SPLIT_MIN`` operators one ``eigvalsh`` call, else block by block.
+    Below ``linalg.SPLIT_MIN`` operators one ``eigvalsh`` call, else block by
+    block, a 2 x 2 block in closed form.
 
     Raises :class:`NotHermitianError` for the first operator that is not
     Hermitian and :class:`DimensionMismatchError` when the shapes differ; an
@@ -122,8 +130,11 @@ def classify(s: BipartiteOperator) -> Classification:
 
     :func:`classify_many` of the one operator, below the split's gate: one
     Hermiticity check and one ``eigvalsh`` call for the state and its partial
-    transpose.  The ranks apply ``linalg.RANK_RTOL`` and the PSD flags
-    ``linalg.PSD_ATOL``.
+    transpose, whose blocks (2 x 2 ones in closed form) only stacks of
+    ``linalg.SPLIT_MIN`` operators or more take apart.  The ranks apply
+    ``linalg.RANK_RTOL`` and the PSD flags ``linalg.PSD_ATOL``; a rank that
+    reads 0 is read again from a sixteenth of the matrix, whose spectrum
+    does not overflow.
     """
     return classify_many([s])[0]
 

@@ -5,8 +5,9 @@ The families are those of :data:`edgelab.states.FAMILIES`; their parameters,
 the complex couplings included, are parsed with the options and named,
 defaulted and checked by :func:`_point` alone.  An empty ``--in`` or ``--out``
 is a given path, not an absent one.  Matrices travel as JSON files (see
-:mod:`edgelab.io`); sweeps emit CSV with a frozen column order and build and
-classify each chunk of their grid as one stack.
+:mod:`edgelab.io`); sweeps emit CSV with a frozen column order, build and
+classify each chunk of :data:`SWEEP_CHUNK` grid points as one stack, and
+format each distinct value of a chunk's parameter columns once.
 
 Exit codes: 0 success (classify: state is PPT; table: all targets achieved),
 1 for a negative verdict (classify: not PPT; table: missing types), 2 for
@@ -41,13 +42,19 @@ from .states import FAMILIES, build_family
 TARGET_TYPES = {(5, 5), (6, 5), (7, 5), (8, 5), (6, 6), (7, 6), (8, 6)}
 KNOWN_NOT_CONSTRUCTED = {(4, 4)}
 
-# Grid points built, classified and written together by ``sweep``.  On the
-# 400-point edge sweep, with chunks built as columns, chunks of 16, 32, 128
-# and 400 points gave 0.66, 0.85, 1.05 and 1.2 times the rows per second of
-# chunks of 64 (CPU time, 60 interleaved runs each, 2 CPUs), and the peak
-# memory that Python traces during the sweep grows with the chunk: 0.25 MB
-# at 16, 0.44 MB at 64 and 1.28 MB at 400.
-SWEEP_CHUNK = 64
+# Grid points built, classified and written together by ``sweep``.  Edge
+# sweeps at each chunk size, interleaved in one process (CPU time, medians of
+# 400 and 80 sweeps, 2 CPUs): rows/s over those of 64-point chunks, the peak
+# memory that Python traces during a sweep, and the peak RSS of a process
+# that ran it:
+#   chunk   400 points (20 x 20)       4,096 points (64 x 64)
+#      64   1.00  0.44 MB  33.4 MB     1.00  0.46 MB  33.0 MB
+#     256   1.36  0.85 MB  33.7 MB     1.46  1.04 MB  33.8 MB
+#     512   1.47  1.30 MB  34.1 MB     1.57  1.87 MB  35.0 MB
+#    1024   1.41  1.31 MB  34.0 MB     1.58  3.55 MB  36.0 MB
+# At 512 and 1024 the 400-point sweep is one chunk, the same work; past 512
+# the larger sweep's traced peak doubles for no gain.
+SWEEP_CHUNK = 512
 
 
 def _parse_complex(text: str) -> complex:
@@ -255,14 +262,20 @@ def cmd_sweep(args) -> int:
         for lo in range(0, total, SWEEP_CHUNK):
             k = min(SWEEP_CHUNK, total - lo)
             cols = {name: [val] * k for name, val in fixed.items()}
+            text = {name: [repr(val)] * k for name, val in fixed.items()}
             for (name, (_, values)), i in zip(ranges.items(), _grid_indices(lo, k, steps)):
-                cols[name] = values(i).tolist()
-            if "target_p" in ranges:  # an integer option: build and print 5, not 5.0
-                cols["target_p"] = [int(v) if v.is_integer() else v for v in cols["target_p"]]
-            cols = [cols[name] for name in columns]
-            mats = build(*cols)
+                # each distinct value of the chunk is printed once; keyed by
+                # its index, not its value, -0.0 keeps its own repr
+                i, at = np.unique(i, return_inverse=True)
+                vals = values(i).tolist()
+                if name == "target_p":  # an integer option: build and print 5, not 5.0
+                    vals = [int(v) if v.is_integer() else v for v in vals]
+                at, reprs = at.tolist(), [repr(v) for v in vals]
+                cols[name] = [vals[j] for j in at]
+                text[name] = [reprs[j] for j in at]
+            mats = build(*(cols[name] for name in columns))
             p, q, p_psd, q_psd = _classify_stack(mats, *dims)
-            cols += [map(operator.and_, p_psd, q_psd), p, q]
+            cols = [text[name] for name in columns] + [map(operator.and_, p_psd, q_psd), p, q]
             if args.search:
                 ops = [BipartiteOperator(*dims, mat) for mat in mats]
                 results = product_vector_search_many(ops, starts=args.starts, seed=args.seed)
@@ -272,9 +285,10 @@ def cmd_sweep(args) -> int:
     header = list(columns) + ["isPPT", "p", "q"] + (["bestObjective"] if args.search else [])
     # Each chunk is written once it is done, so memory does not grow with the
     # grid.  Nothing is opened before the first chunk is done; a point failing
-    # in a later chunk leaves the rows of the chunks before it written.  csv
-    # writes a Python float as its repr, and every float column holds Python
-    # floats (a numpy scalar's repr would read np.float64(...)).
+    # in a later chunk leaves the rows of the chunks before it written.  The
+    # parameter columns hold their values' reprs, which csv writes as they
+    # are, and bestObjective Python floats, which csv writes as their repr (a
+    # numpy scalar's repr would read np.float64(...)).
     done = chunks()
     first = next(done)  # every range has at least one step
     try:

@@ -15,14 +15,16 @@ constructor builds, on as it is after one comparison, and symmetrizes only a
 near-Hermitian one.  :func:`is_psd` makes one Hermiticity check and one
 ``eigvalsh`` per matrix; ``classify`` makes one check per stack of states,
 and :func:`_spectra` gives the spectra of the states and their partial
-transposes block by block from :data:`SPLIT_MIN` states on, and from one
-``eigvalsh`` call below.  Both, and the face family's Gram check in
-``states``, read the ranks and PSD flags with :func:`_rank_psd`, which, like
-:func:`_check_hermitian`, takes a single matrix or a stack over leading axes,
+transposes block by block from :data:`SPLIT_MIN` states on, a 2 x 2 block in
+closed form, and from one ``eigvalsh`` call below.  Both, and the face
+family's Gram check in ``states``, read the ranks and PSD flags with
+:func:`_rank_psd`, which, like :func:`_check_hermitian`, takes a single matrix or a stack over leading axes,
 and reads the ends of the ascending spectra.  The ``_`` names here are shared
 within the package only.  :func:`_kernel`, the one subspace routine, gives the kernel of a
 Hermitian matrix from one ``eigh``.  Every rank applies the one threshold
-rule of :func:`_rank_psd`.
+rule of :func:`_rank_psd`, and where a rank reads 0 the caller reads the
+spectrum again from a sixteenth of the matrix, so that a spectrum past the
+float range is not read as the zero matrix's.
 """
 
 from __future__ import annotations
@@ -148,6 +150,13 @@ def _rank_psd(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     :data:`RANK_RTOL` times the largest, ``||m||_2``, which is that of the
     first or the last; the zero matrix has rank 0.  PSD means a smallest
     eigenvalue, the first, ``>= -PSD_ATOL * max(1, ||m||_2)``.
+
+    A finite matrix whose spectrum overflows reads rank 0 too, as its largest
+    eigenvalue is inf.  So where a rank reads 0, callers take the spectrum
+    again from the matrix times 1/16: an exact scaling, under which neither
+    rank nor PSD flag changes while the largest eigenvalue stays >= 1.  An
+    eigenvalue of a matrix of d rows is at most d times its largest entry
+    modulus, so for d <= 16 the sixteenth's spectrum is within the range.
     """
     mag = np.abs(vals)
     top = np.maximum(mag[..., :1], mag[..., -1:])
@@ -166,13 +175,32 @@ def _blocks(pattern: bytes, d: int) -> tuple:
     return tuple((s, np.array([b for b in blocks if len(b) == s])) for s in sorted({len(b) for b in blocks}))
 
 
+def _pair_spectra(h: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The eigenvalues of the 2 x 2 blocks ``[[a, c*], [c, d]]`` on the index
+    pairs ``idx`` of each matrix of ``h``, in closed form: ``m - r`` and
+    ``m + r``, ``m = (a + d)/2`` and ``r = hypot((a - d)/2, |c|)``.
+
+    Each block is first scaled by the power of two that puts its largest
+    entry part in [0.5, 1), an exact scaling, so that a subnormal diagonal is
+    not halved to 0 and no sum near the float limit overflows.
+    """
+    i, j = idx.T
+    a, d, c = h[:, i, i].real, h[:, j, j].real, h[:, j, i]
+    e = np.frexp(np.maximum(np.maximum(abs(a), abs(d)), np.maximum(abs(c.real), abs(c.imag))))[1]
+    a, d, re, im = (np.ldexp(x, -e) for x in (a, d, c.real, c.imag))
+    m, r = (a + d) / 2, np.hypot((a - d) / 2, np.hypot(re, im))
+    with np.errstate(over="ignore"):  # to inf, as from eigvalsh; see _rank_psd
+        return np.ldexp(np.concatenate([m - r, m + r], axis=-1), np.concatenate([e, e], axis=-1))
+
+
 def _spectra(*stacks: np.ndarray) -> np.ndarray:
     """Ascending spectra of the matrices of (k, d, d) Hermitian stacks, in order.
 
     Under :data:`SPLIT_MIN` matrices, one ``eigvalsh`` of their concatenation.
     Else each stack splits by the connected blocks of its joint nonzero
-    pattern: a 1 x 1 block gives its real diagonal entry, and each larger size
-    one ``eigvalsh`` of its gathered blocks (one block is the matrix itself).
+    pattern: a 1 x 1 block gives its real diagonal entry, a 2 x 2 block its
+    two eigenvalues in closed form (:func:`_pair_spectra`), and each larger
+    size one ``eigvalsh`` of its gathered blocks (one block is the matrix itself).
     """
     if len(stacks[0]) < SPLIT_MIN:
         return np.linalg.eigvalsh(np.concatenate(stacks))
@@ -180,6 +208,7 @@ def _spectra(*stacks: np.ndarray) -> np.ndarray:
     for h in stacks:
         parts = [
             h[:, idx[:, 0], idx[:, 0]].real if s == 1
+            else _pair_spectra(h, idx) if s == 2
             else np.linalg.eigvalsh(h[:, idx[:, :, None], idx[:, None, :]]).reshape(len(h), -1)
             for s, idx in _blocks((h != 0).any(axis=0).tobytes(), h.shape[-1])
         ]
@@ -188,21 +217,27 @@ def _spectra(*stacks: np.ndarray) -> np.ndarray:
 
 
 def _kernel(h: np.ndarray) -> np.ndarray:
-    """Kernel basis of a Hermitian matrix from one ``eigh``.
+    """Kernel basis of a Hermitian matrix from one ``eigh``, or two where the
+    rank reads 0 (see :func:`_rank_psd`).
 
     The columns are the eigenvectors of the ``d - r`` eigenvalues smallest in
     absolute value, ``r`` being the rank under the threshold rule of :func:`_rank_psd`.
     """
     vals, vecs = np.linalg.eigh(h)
+    rank = _rank_psd(vals)[0]
+    if not rank:  # zero, or a spectrum past the float range: see _rank_psd
+        vals, vecs = np.linalg.eigh(h / 16)
+        rank = _rank_psd(vals)[0]
     order = np.argsort(np.abs(vals), kind="stable")
-    return vecs[:, order[: h.shape[0] - _rank_psd(vals)[0]]]
+    return vecs[:, order[: h.shape[0] - rank]]
 
 
 def is_psd(m: np.ndarray) -> bool:
     """True iff the matrix has min eigenvalue >= -PSD_ATOL * max(1, ||m||_2).
 
     One Hermiticity check, whose exactly Hermitian input is used as it is and
-    near-Hermitian input symmetrized, and one ``eigvalsh``.  Raises
+    near-Hermitian input symmetrized, and one ``eigvalsh``, or two where the
+    rank reads 0 (see :func:`_rank_psd`).  Raises
     :class:`DimensionMismatchError` for an empty matrix and
     :class:`InvalidParamError` for a non-finite entry.
     """
@@ -211,5 +246,9 @@ def is_psd(m: np.ndarray) -> bool:
         raise DimensionMismatchError("expected a nonempty square matrix")
     if not np.isfinite(m).all():
         raise InvalidParamError("matrix entries must be finite")
-    return bool(_rank_psd(np.linalg.eigvalsh(_check_hermitian(m)))[1])
+    h = _check_hermitian(m)
+    rank, psd = _rank_psd(np.linalg.eigvalsh(h))
+    if not rank:  # zero, or a spectrum past the float range: see _rank_psd
+        psd = _rank_psd(np.linalg.eigvalsh(h / 16))[1]
+    return bool(psd)
 

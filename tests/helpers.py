@@ -584,7 +584,7 @@ def _reference_sweep(args) -> None:
             continue
         val = getattr(args, pname)
         if val is None:
-            raise InvalidParamError(f"fix parameter --{pname.replace('_', '-')} or sweep it")
+            raise InvalidParamError(f"fix parameter {cli._option(pname)} or sweep it")
         fixed[pname] = val
     axes = [(name, steps, value, name == "target_p") for name, (steps, value) in reversed(ranges.items())]
 

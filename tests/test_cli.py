@@ -461,6 +461,19 @@ class TestClassifyCommand:
         assert report["isPPT"] is True
         assert report["type"] == [9, 9]
 
+    def test_an_overflowing_spectrum_reads_its_rank(self, capsys, tmp_path):
+        # 1e308 J, J the all-ones matrix: its range is u (x) u, and its one
+        # nonzero eigenvalue, 9e308, overflows the float range
+        path = tmp_path / "big.json"
+        write_matrix(BipartiteOperator(3, 3, np.full((9, 9), 1e308)), path)
+        code, out, err = run_cli(capsys, "classify", "--in", str(path))
+        assert (code, err) == (0, "")
+        report = strict_json(out)
+        assert (report["type"], report["kernelDims"], report["isPPT"]) == ([1, 1], [8, 8], True)
+        code, out, err = run_cli(capsys, "edge-check", "--in", str(path), "--starts", "20")
+        assert (code, err) == (0, "")
+        assert strict_json(out)["verdict"] == "ProductVectorFound"
+
     @pytest.mark.parametrize("opposite", [0.0, -1.7e308], ids=["norm-overflows", "difference-overflows"])
     def test_huge_non_hermitian_file_exit_2(self, capsys, tmp_path, opposite):
         # the Frobenius norm overflows; the asymmetry must still be seen
@@ -765,12 +778,16 @@ class TestSweep:
 
     @pytest.mark.parametrize(
         "b_steps, theta_steps, search",
-        [(9, 15, ()), (5, 14, ("--search", "--starts", "5", "--seed", "2"))],
-        ids=["135-classify", "70-search"],
+        [
+            (2 * SWEEP_CHUNK // 13 + 1, 13, ()),
+            (SWEEP_CHUNK // 14 + 1, 14, ("--search", "--starts", "5", "--seed", "2")),
+        ],
+        ids=["3-chunks-classify", "2-chunks-search"],
     )
     def test_bytes_across_chunk_boundaries(self, capsys, tmp_path, b_steps, theta_steps, search):
-        # 135 points are chunks of 64 + 64 + 7, and 70 points 64 + 6
-        assert SWEEP_CHUNK == 64
+        # two full chunks and 3 points, or one and 6: the last chunk under the split's gate
+        total = b_steps * theta_steps
+        assert total // SWEEP_CHUNK == (1 if search else 2) and 0 < total % SWEEP_CHUNK < linalg.SPLIT_MIN
         path = tmp_path / "sweep.csv"
         code, _, _ = run_cli(
             capsys, "sweep", "--family", "edge", "--range", f"b=0.5:2:{b_steps}",
@@ -788,10 +805,10 @@ class TestSweep:
             lines.append(line)
         assert path.read_bytes() == "".join(line + "\r\n" for line in lines).encode()
 
-    def test_at_most_two_block_eigvalsh_calls_per_chunk(self, capsys, monkeypatch):
+    def test_one_block_eigvalsh_call_per_chunk(self, capsys, monkeypatch):
         # the edge states' blocks: {0, 4, 8} and 1 x 1 ones, and for their
-        # partial transposes three pairs and 1 x 1 ones; the last chunk, of
-        # 16 states, is at or above the split's gate too
+        # partial transposes three pairs, in closed form, and 1 x 1 ones; the
+        # last chunk, of 16 states, is at or above the split's gate too
         calls, operators = [], []
         eigvalsh = CLASSIFY_MODULE.np.linalg.eigvalsh
         post_init = BipartiteOperator.__post_init__
@@ -806,14 +823,14 @@ class TestSweep:
 
         monkeypatch.setattr(CLASSIFY_MODULE.np.linalg, "eigvalsh", counting)
         monkeypatch.setattr(BipartiteOperator, "__post_init__", counting_post_init)
-        assert 400 % SWEEP_CHUNK >= linalg.SPLIT_MIN
+        b_steps = SWEEP_CHUNK // 16 + 1  # chunks of SWEEP_CHUNK and 16 states
+        assert 16 >= linalg.SPLIT_MIN
         code, out, _ = run_cli(
-            capsys, "sweep", "--family", "edge", "--range", "b=0.5:2:20", "--range", "theta=-1.2:1.2:20",
+            capsys, "sweep", "--family", "edge", "--range", f"b=0.5:2:{b_steps}", "--range", "theta=-1.2:1.2:16",
         )
         assert code == 0
-        assert len(out.splitlines()) == 401
-        assert len(calls) <= 2 * math.ceil(400 / SWEEP_CHUNK)
-        assert all(shape[-2:] != (9, 9) for shape in calls)
+        assert len(out.splitlines()) == 16 * b_steps + 1
+        assert calls == [(SWEEP_CHUNK, 1, 3, 3), (16, 1, 3, 3)]
         assert operators == []
 
     def test_memory_does_not_grow_with_the_grid(self, capsys, tmp_path):
@@ -831,16 +848,18 @@ class TestSweep:
         assert peak(64) <= 1.5 * peak(8)  # 4,096 rows against 512
 
     def test_failure_in_a_later_chunk_leaves_earlier_chunks_written(self, capsys):
-        # b runs from 2 down to -1 in 70 steps: the first chunk (b[0..31],
-        # two thetas each) is valid, the second reaches b <= 0
-        assert SWEEP_CHUNK == 64
+        # b runs from 2 down to -1 in SWEEP_CHUNK + 6 steps: the first chunk
+        # (b[0 .. SWEEP_CHUNK/2 - 1], two thetas each) is valid, the second reaches b <= 0
+        steps, half = SWEEP_CHUNK + 6, SWEEP_CHUNK // 2
+        bs = np.linspace(2, -1, steps).tolist()
+        assert min(bs[:half]) > 0 >= min(bs[half:])
         code, out, err = run_cli(
-            capsys, "sweep", "--family", "edge", "--range", "b=2:-1:70", "--range", "theta=0:0.5:2",
+            capsys, "sweep", "--family", "edge", "--range", f"b=2:-1:{steps}", "--range", "theta=0:0.5:2",
         )
         assert code == 2
         assert_one_line_error(err)
         lines = ["b,theta,isPPT,p,q"]
-        for b, theta in itertools.product(np.linspace(2, -1, 70).tolist()[:32], [0.0, 0.5]):
+        for b, theta in itertools.product(bs[:half], [0.0, 0.5]):
             c = classify(edge_state(b, theta))
             lines.append(f"{b!r},{theta!r},{c.is_ppt},{c.type[0]},{c.type[1]}")
         assert out == "".join(line + "\r\n" for line in lines)
@@ -985,7 +1004,9 @@ class TestSweep:
     @given(argv=sweep_argvs())
     @example(argv=["sweep", "--family=choi", "--b=1", "--c=1", "--range=a=inf:-1:3"])  # inf, nan, then a < 0
     @example(argv=["sweep", "--family=edge", "--theta=0.5", "--range=b=5e-324:-1:3"])  # 1/b = inf, then b < 0
-    @example(argv=["sweep", "--family=edge", "--theta=0.5", "--range=b=2:-1:67"])  # the second chunk fails
+    @example(argv=["sweep", "--family=edge", "--theta=0.5", f"--range=b=2:-1:{2 * SWEEP_CHUNK}"])  # the second chunk fails
+    @example(argv=["sweep", "--family=edge", "--range=b=1:2:2"])  # no angle: named by both its options
+    @example(argv=["sweep", "--family=edge", "--range=b=1:2:2", "--range=theta=0:-0.0:2"])  # thetas 0.0, -0.0
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_matches_the_point_by_point_reference(self, argv):
         out, err = io.StringIO(), io.StringIO()

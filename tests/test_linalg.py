@@ -212,6 +212,30 @@ def test_stacked_rules_match_matrix_by_matrix(rng):
     assert psd.tolist() == [is_psd(m) for m in mats]
 
 
+# 2 x 2 blocks [[a, c*], [c, d]] and their ranks, whose closed-form spectra
+# need the scaling by a power of two: (a + d)/2 and (a - d)/2 round a lone
+# subnormal to 0 or overflow near the float limit.
+PAIR_BLOCKS = {
+    "subnormal diagonal": [
+        (5e-324, 0.0, 0j, 1), (5e-324, 5e-324, 0j, 2), (0.0, 5e-324, 5e-324j, 2), (5e-324, -5e-324, 5e-324, 2),
+    ],
+    "near the float limit": [
+        (1.7e308, -1.7e308, 5e307 - 1e307j, 2), (1.2e308, 1.2e308, 5e307, 2),
+        (-1.2e308, -1.2e308, 5e307j, 2), (8e307, 8e307, -8e307j, 1),
+    ],
+    "singular at 2**1000": [
+        (2.0**1000 * a, 2.0**1000 * d, 2.0**1000 * c, 1) for a, d, c in [(1, 4, 2j), (9, 16, 12), (16, 9, -12j), (1, 1, -1)]
+    ],
+    "singular at 2**-1000": [
+        (2.0**-1000 * a, 2.0**-1000 * d, 2.0**-1000 * c, 1) for a, d, c in [(1, 4, 2j), (9, 16, 12), (16, 9, -12j), (1, 1, -1)]
+    ],
+    "signed zeros": [
+        (-0.0, -0.0, complex(-0.0, -0.0), 0), (1.0, -0.0, complex(0.0, -0.0), 1),
+        (-0.0, 1.0, complex(-0.0, 0.0), 1), (-1.0, -0.0, 1.0, 2),
+    ],
+}
+
+
 class TestSplitSpectra:
     """Stacks of at least SPLIT_MIN matrices take their spectra from the
     connected blocks of the stack's nonzero pattern."""
@@ -261,6 +285,24 @@ class TestSplitSpectra:
         stack[:, 0, 8] = stack[:, 8, 0] = complex(-0.0, -0.0)
         monkeypatch.setattr(np.linalg, "eigvalsh", None)
         assert np.array_equal(_spectra(stack), np.ones((SPLIT_MIN, 9)))
+
+    @pytest.mark.parametrize("case", sorted(PAIR_BLOCKS))
+    def test_pair_blocks_in_closed_form_read_as_the_whole_matrix(self, case, monkeypatch):
+        # matrix j holds blocks (j, j + 1, j + 2) of the case on the pairs {1, 3},
+        # {2, 6} and {5, 7}, and zeros elsewhere; every pair is one 2 x 2 block
+        blocks = PAIR_BLOCKS[case]
+        stack, planted = np.zeros((SPLIT_MIN, 9, 9), complex), []
+        for j, h in enumerate(stack):
+            planted.append(0)
+            for t, (r, s) in enumerate([(1, 3), (2, 6), (5, 7)]):
+                a, d, c, rank = blocks[(j + t) % len(blocks)]
+                h[r, r], h[s, s], h[s, r], h[r, s] = a, d, c, np.conj(c)
+                planted[-1] += rank
+        want = [_rank_psd(np.linalg.eigvalsh(h)) for h in stack]
+        monkeypatch.setattr(np.linalg, "eigvalsh", None)
+        ranks, psd = _rank_psd(_spectra(stack))
+        assert list(zip(ranks.tolist(), psd.tolist())) == [(int(r), bool(p)) for r, p in want]
+        assert ranks.tolist() == planted
 
     @pytest.mark.parametrize("k", [1, SPLIT_MIN])
     def test_zero_stack_has_rank_zero_and_is_psd(self, k):
@@ -425,6 +467,23 @@ def test_kernel_matches_the_svd_kernel_and_the_classified_rank(rng):
         svd_kernel = kernel_basis(h)
         assert svd_kernel.dim == 9 - rank
         assert all(svd_kernel.residual(col) <= 1e-10 for col in k.T)
+
+
+@pytest.mark.parametrize("k", [1, SPLIT_MIN])
+def test_a_spectrum_past_the_float_range_is_read_from_a_sixteenth(k):
+    # 1e308 J, J the all-ones matrix, has the range u (x) u and the eigenvalue
+    # 9e308, and a 2 x 2 block of 1e308 on the identity 2e308: both overflow
+    # to inf, which read rank 0, the zero matrix's, before the rescaling
+    j = np.full((9, 9), 1e308, dtype=complex)
+    block = np.eye(9, dtype=complex)
+    block[1:3, 1:3] = 1e308
+    for m, psd in [(j, True), (-j, False), (block, True)]:
+        assert _classify_stack(np.array([m] * k), 3, 3) == ([1] * k, [1] * k, [psd] * k, [psd] * k)
+        assert is_psd(m) is psd
+        ker = _kernel(m)
+        assert ker.shape == (9, 8)
+        assert_allclose(ker.conj().T @ ker, np.eye(8), atol=1e-12)
+        assert np.abs((m / 1e308) @ ker).max() <= 1e-9
 
 
 def test_projector_full_space():
