@@ -4,7 +4,7 @@ analytic edge certificate for the phase-parameterized family.
 ``_classify_stack`` is the one classification path: one Hermiticity check
 over a stack of states and ``linalg._spectra`` of the states and their
 partial transposes, block by block from ``linalg.SPLIT_MIN`` states on (a 2 x 2
-block in closed form) and one ``eigvalsh`` call below, give every rank and
+or 3 x 3 block in closed form) and one ``eigvalsh`` call below, give every rank and
 PSD flag; a matrix whose rank reads 0 is read again from a sixteenth of it,
 as ``linalg._rank_psd`` says.  :func:`classify_many`
 wraps its results in :class:`Classification`; ``edgelab sweep`` reads them as
@@ -80,8 +80,8 @@ def rank_bounds(m: int, n: int, p: int, q: int) -> Admissibility:
 
 def _classify_stack(h: np.ndarray, m: int, n: int):
     """The lists of ranks ``p`` of a (k, mn, mn) stack of states on an m x n space,
-    ranks ``q`` of their partial transposes, and the PSD flags of each; raises
-    :class:`NotHermitianError` for the first state that is not Hermitian."""
+    ranks ``q`` of their partial transposes, and the PSD flags of each, from
+    ``linalg._spectra``; raises :class:`NotHermitianError` for the first non-Hermitian state."""
     k, h = len(h), _check_hermitian(h)
     # Partial transposition permutes entries and commutes with the adjoint, so
     # the partial transposes of the checked states, exactly Hermitian as given
@@ -100,7 +100,7 @@ def classify_many(ops: Iterable[BipartiteOperator]) -> list[Classification]:
     """:func:`classify` of every operator in ``ops``, all of one shape ``(m, n)``.
 
     Below ``linalg.SPLIT_MIN`` operators one ``eigvalsh`` call, else block by
-    block, a 2 x 2 block in closed form.
+    block, a 2 x 2 or 3 x 3 block in closed form (see ``linalg._spectra``).
 
     Raises :class:`NotHermitianError` for the first operator that is not
     Hermitian and :class:`DimensionMismatchError` when the shapes differ; an
@@ -130,7 +130,7 @@ def classify(s: BipartiteOperator) -> Classification:
 
     :func:`classify_many` of the one operator, below the split's gate: one
     Hermiticity check and one ``eigvalsh`` call for the state and its partial
-    transpose, whose blocks (2 x 2 ones in closed form) only stacks of
+    transpose, whose blocks (2 x 2 and 3 x 3 ones in closed form) only stacks of
     ``linalg.SPLIT_MIN`` operators or more take apart.  The ranks apply
     ``linalg.RANK_RTOL`` and the PSD flags ``linalg.PSD_ATOL``; a rank that
     reads 0 is read again from a sixteenth of the matrix, whose spectrum

@@ -6,8 +6,9 @@ the complex couplings included, are parsed with the options and named,
 defaulted and checked by :func:`_point` alone.  An empty ``--in`` or ``--out``
 is a given path, not an absent one.  Matrices travel as JSON files (see
 :mod:`edgelab.io`); sweeps emit CSV with a frozen column order, build and
-classify each chunk of :data:`SWEEP_CHUNK` grid points as one stack, and
-format each distinct value of a chunk's parameter columns once.
+classify each chunk of :data:`SWEEP_CHUNK` grid points as one stack,
+format each distinct value of a chunk's parameter columns once, and write
+each chunk's rows in one write.
 
 Exit codes: 0 success (classify: state is PPT; table: all targets achieved),
 1 for a negative verdict (classify: not PPT; table: missing types), 2 for
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import csv
 import itertools
 import json
 import math
@@ -275,20 +275,21 @@ def cmd_sweep(args) -> int:
                 text[name] = [reprs[j] for j in at]
             mats = build(*(cols[name] for name in columns))
             p, q, p_psd, q_psd = _classify_stack(mats, *dims)
-            cols = [text[name] for name in columns] + [map(operator.and_, p_psd, q_psd), p, q]
+            cols = [text[name] for name in columns]
+            cols += [map(str, map(operator.and_, p_psd, q_psd)), map(str, p), map(str, q)]
             if args.search:
                 ops = [BipartiteOperator(*dims, mat) for mat in mats]
                 results = product_vector_search_many(ops, starts=args.starts, seed=args.seed)
-                cols.append([r.best_objective for r in results])
-            yield zip(*cols)
+                cols.append([repr(r.best_objective) for r in results])
+            yield "\r\n".join(map(",".join, zip(*cols))) + "\r\n"
 
     header = list(columns) + ["isPPT", "p", "q"] + (["bestObjective"] if args.search else [])
-    # Each chunk is written once it is done, so memory does not grow with the
-    # grid.  Nothing is opened before the first chunk is done; a point failing
-    # in a later chunk leaves the rows of the chunks before it written.  The
-    # parameter columns hold their values' reprs, which csv writes as they
-    # are, and bestObjective Python floats, which csv writes as their repr (a
-    # numpy scalar's repr would read np.float64(...)).
+    # Each chunk is written once it is done, in one write, so memory does not
+    # grow with the grid.  Nothing is opened before the first chunk is done; a
+    # point failing in a later chunk leaves the rows of the chunks before it
+    # written.  The rows are CSV as the csv module writes them, lines ending
+    # in \r\n: every cell is a float or int repr or a bool, none of which holds
+    # a comma, a quote or a line break, so no cell needs quoting.
     done = chunks()
     first = next(done)  # every range has at least one step
     try:
@@ -296,10 +297,9 @@ def cmd_sweep(args) -> int:
     except OSError as exc:
         raise EdgeLabError(f"cannot write CSV file {args.out}: {exc}") from exc
     try:
-        writer = csv.writer(out)
-        writer.writerow(header)
-        for rows in itertools.chain([first], done):
-            writer.writerows(rows)
+        out.write(",".join(header) + "\r\n")
+        for chunk in itertools.chain([first], done):
+            out.write(chunk)
     finally:
         if out is not sys.stdout:
             out.close()

@@ -15,8 +15,9 @@ constructor builds, on as it is after one comparison, and symmetrizes only a
 near-Hermitian one.  :func:`is_psd` makes one Hermiticity check and one
 ``eigvalsh`` per matrix; ``classify`` makes one check per stack of states,
 and :func:`_spectra` gives the spectra of the states and their partial
-transposes block by block from :data:`SPLIT_MIN` states on, a 2 x 2 block in
-closed form, and from one ``eigvalsh`` call below.  Both, and the face
+transposes block by block from :data:`SPLIT_MIN` states on, a 2 x 2 or 3 x 3
+block in closed form (the latter from :func:`_cubic`, which the search
+shares), and from one ``eigvalsh`` call below.  Both, and the face
 family's Gram check in ``states``, read the ranks and PSD flags with
 :func:`_rank_psd`, which, like :func:`_check_hermitian`, takes a single matrix or a stack over leading axes,
 and reads the ends of the ascending spectra.  The ``_`` names here are shared
@@ -48,6 +49,20 @@ HERM_RTOL = 1e-10
 # (1.9) times as long at k = 1, 1.00-1.05 (1.03-1.09) at 8, 0.88-0.91 (0.92-1.01)
 # at 10, 0.79 (0.85) at 16 and 0.52 (0.63) at 64: CPU time, 15-31 runs, 2 CPUs.
 SPLIT_MIN = 10
+
+# A 3 x 3 block of the split path takes eigvalsh when 1 - r**2 is at most
+# this, r = cos(3 phi) of its cubic (see _cubic).  A closed-form root errs by
+# about eps / sqrt(1 - r**2) of the block's scale, so about 2e-12 at the
+# floor: 500 times under RANK_RTOL and 50 times under PSD_ATOL.  The double
+# roots at 0 of corner_state's all-ones block and of edge_state(b, +-pi/3)
+# sit at r = 1 and need it.
+CUBIC_FLOOR = 1e-8
+
+_TINY = np.finfo(float).tiny
+# Flat indices of a 3 x 3 matrix: its diagonal, then g_i = h[i+1, i+2] (mod 3).
+_ENTRIES = np.array([0, 4, 8, 5, 6, 1])
+_NEXT = np.array([1, 2, 0])
+_PREV = np.array([2, 0, 1])
 
 
 def _as_complex(a) -> np.ndarray:
@@ -193,25 +208,61 @@ def _pair_spectra(h: np.ndarray, idx: np.ndarray) -> np.ndarray:
         return np.ldexp(np.concatenate([m - r, m + r], axis=-1), np.concatenate([e, e], axis=-1))
 
 
+def _cubic(d: np.ndarray, g: np.ndarray) -> tuple:
+    """Kopp's trigonometric solution (Int. J. Mod. Phys. C 19, 523 (2008),
+    arXiv:physics/0610206) of the characteristic cubic of 3 x 3 Hermitian
+    blocks with real diagonals ``d`` and ``g_i = h[i+1, i+2]`` (mod 3), both of
+    shape (3, ...), scaled so that no power of them under- or overflows: ``q``,
+    ``2p`` and ``r``, the eigenvalues being ``q + 2p cos(arccos(r)/3 + 2 pi j/3)``
+    (j = 1 the smallest), then ``d - q``, ``|g_i|^2`` and ``g_{i+1} g_{i+2}``
+    for the search's adjugates.  A non-finite entry gives a NaN ``r``."""
+    g2 = np.abs(g) ** 2
+    gg = g[_NEXT] * g[_PREV]
+    q = d.sum(axis=0) / 3
+    d0 = d - q
+    two_p = np.sqrt(((d0 * d0).sum(axis=0) + 2 * g2.sum(axis=0)) * (2 / 3))
+    det = d0.prod(axis=0) + 2 * (g[0] * gg[0]).real - (d0 * g2).sum(axis=0)
+    r = np.minimum(np.maximum(4 * det / np.maximum(two_p**3, _TINY), -1.0), 1.0)
+    return q, two_p, r, d0, g2, gg
+
+
 def _spectra(*stacks: np.ndarray) -> np.ndarray:
     """Ascending spectra of the matrices of (k, d, d) Hermitian stacks, in order.
 
     Under :data:`SPLIT_MIN` matrices, one ``eigvalsh`` of their concatenation.
     Else each stack splits by the connected blocks of its joint nonzero
     pattern: a 1 x 1 block gives its real diagonal entry, a 2 x 2 block its
-    two eigenvalues in closed form (:func:`_pair_spectra`), and each larger
-    size one ``eigvalsh`` of its gathered blocks (one block is the matrix itself).
+    two eigenvalues in closed form (:func:`_pair_spectra`), a 3 x 3 block,
+    scaled as a pair is, its three from :func:`_cubic`, and each larger size,
+    and the 3 x 3 blocks near a double root (:data:`CUBIC_FLOOR`), one
+    ``eigvalsh`` of its gathered blocks.
     """
     if len(stacks[0]) < SPLIT_MIN:
         return np.linalg.eigvalsh(np.concatenate(stacks))
     spectra = []
     for h in stacks:
-        parts = [
-            h[:, idx[:, 0], idx[:, 0]].real if s == 1
-            else _pair_spectra(h, idx) if s == 2
-            else np.linalg.eigvalsh(h[:, idx[:, :, None], idx[:, None, :]]).reshape(len(h), -1)
-            for s, idx in _blocks((h != 0).any(axis=0).tobytes(), h.shape[-1])
-        ]
+        k, n, parts = len(h), h.shape[-1], []
+        for s, idx in _blocks((h != 0).any(axis=0).tobytes(), n):
+            if s == 1:
+                parts.append(h[:, idx[:, 0], idx[:, 0]].real)
+            elif s == 2:
+                parts.append(_pair_spectra(h, idx))
+            elif s > 3:
+                parts.append(np.linalg.eigvalsh(h[:, idx[:, :, None], idx[:, None, :]]).reshape(k, -1))
+            else:
+                # the six entries, shape (6, blocks, k), each block scaled as a pair is
+                e = h.reshape(k, -1).T[(idx[:, _ENTRIES // 3] * n + idx[:, _ENTRIES % 3]).T]
+                ex = np.frexp(np.maximum(abs(e.real), abs(e.imag)).max(axis=0))[1]
+                e = np.ldexp(e.view(float), np.repeat(-ex, 2, axis=-1)).view(complex)
+                q, two_p, r = _cubic(e[:3].real, e[3:])[:3]
+                t = np.arccos(r) / 3 + (2 * np.pi / 3) * np.arange(3)[:, None, None]
+                with np.errstate(over="ignore"):  # to inf, as from eigvalsh; see _rank_psd
+                    vals = np.ldexp(q + two_p * np.cos(t), ex)
+                near = ~(1 - r * r > CUBIC_FLOOR)  # a NaN r too
+                if near.any():
+                    b, i = np.nonzero(near)
+                    vals[:, b, i] = np.linalg.eigvalsh(h[i[:, None, None], idx[b, :, None], idx[b, None, :]]).T
+                parts.append(vals.reshape(-1, k).T)
         spectra.append(np.sort(np.concatenate(parts, axis=-1), axis=-1))
     return np.concatenate(spectra)
 

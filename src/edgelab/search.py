@@ -12,8 +12,9 @@ in x too, since the conjugated term is ``conj(x)^H E conj(x) = x^H conj(E) x``.
 The search takes bi-qutrit states only, so each step is the smallest
 eigenvector of a 3 x 3 complex Hermitian matrix, unique up to a global phase.
 It comes in closed form (Kopp, Int. J. Mod. Phys. C 19, 523 (2008),
-arXiv:physics/0610206); only rows whose two smallest eigenvalues nearly
-coincide take ``eigh``.
+arXiv:physics/0610206), from the characteristic cubic that ``linalg._cubic``
+solves for ``classify``'s 3 x 3 blocks too; only rows whose two smallest
+eigenvalues nearly coincide take ``eigh``.
 
 Both forms are linear in the outer product of the fixed factor: the form in
 y has entries ``sum conj(x_i) x_j M[(i, j), (l, o)]``, and the form in x is
@@ -46,7 +47,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidParamError
-from .linalg import BipartiteOperator, _check_hermitian, _kernel, _partial_transpose
+from .linalg import _ENTRIES, _NEXT, _PREV, _TINY, BipartiteOperator, _check_hermitian, _cubic, _kernel
+from .linalg import _partial_transpose
 
 FOUND_THRESHOLD = 1e-9
 
@@ -74,11 +76,6 @@ POLISH_STEPS = 60
 # to a gap of 1e-5, as from eigh, but 4e-15 at 1e-6 and 4e-12 at 1e-7.
 GAP_FLOOR = 1e-5
 
-_TINY = np.finfo(float).tiny
-# Flat indices of a 3 x 3 matrix: its diagonal, then g_i = h[i+1, i+2] (mod 3).
-_ENTRIES = np.array([0, 4, 8, 5, 6, 1])
-_NEXT = np.array([1, 2, 0])
-_PREV = np.array([2, 0, 1])
 # Row k: where the entries of column k of an adjugate sit in its diagonal,
 # its entries a_i at (i+1, i+2) and their conjugates, stacked in that order.
 _ADJ_COLUMNS = np.array([[0, 8, 4], [5, 1, 6], [7, 3, 2]])
@@ -124,9 +121,9 @@ def _random_starts(rng: np.random.Generator, count: int) -> tuple[np.ndarray, np
 def _smallest_eigvecs(h: np.ndarray) -> np.ndarray:
     """Stacked unit eigenvectors of the smallest eigenvalues of Hermitian 3 x 3 ``h[b]``.
 
-    Each row takes Kopp's closed form (Int. J. Mod. Phys. C 19, 523 (2008),
-    arXiv:physics/0610206): the smallest eigenvalue lambda from the
-    trigonometric solution of the characteristic cubic, then the column of
+    Each row takes Kopp's closed form: the smallest eigenvalue lambda from
+    the trigonometric solution of the characteristic cubic, ``linalg._cubic``
+    of the row divided by its largest entry modulus, then the column of
     ``adj(h - lambda I) = (lambda_2 - lambda) (lambda_3 - lambda) v v^H`` with
     the largest diagonal entry.  Rows whose adjugate trace is at most
     :data:`GAP_FLOOR`, or not finite, take ``eigh`` instead, and only those
@@ -135,22 +132,14 @@ def _smallest_eigvecs(h: np.ndarray) -> np.ndarray:
     """
     b = len(h)
     # the six distinct entries, scaled to a largest modulus of 1 so that no
-    # power below under- or overflows; the eigenvectors do not change
+    # power in the cubic under- or overflows; the eigenvectors do not change
     e = h.reshape(b, 9).T[_ENTRIES]
     e /= np.maximum(np.abs(e).max(axis=0), _TINY)
-    d, g = e[:3].real, e[3:]
-    g2 = np.abs(g) ** 2
-    gg = g[_NEXT] * g[_PREV]
-    q = d.sum(axis=0) / 3
-    d0 = d - q
-    # the eigenvalues of h - q I are 2p cos(phi + 2 pi j / 3), cos(3 phi) = r
-    two_p = np.sqrt(((d0 * d0).sum(axis=0) + 2 * g2.sum(axis=0)) * (2 / 3))
-    det = d0.prod(axis=0) + 2 * (g[0] * gg[0]).real - (d0 * g2).sum(axis=0)
-    r = np.minimum(np.maximum(4 * det / np.maximum(two_p**3, _TINY), -1.0), 1.0)
+    _, two_p, r, d0, g2, gg = _cubic(e[:3].real, e[3:])
     dl = d0 - two_p * np.cos(np.arccos(r) / 3 + 2 * np.pi / 3)
     # adj(h - lambda I): its diagonal ad and its entries a_i at (i+1, i+2)
     ad = dl[_NEXT] * dl[_PREV] - g2
-    a = gg.conj() - dl * g
+    a = gg.conj() - dl * e[3:]
     adj = np.concatenate([ad, a, a.conj()])
     v = adj[_ADJ_COLUMNS[ad.argmax(axis=0)], np.arange(b)[:, None]]
     n = np.abs(v)

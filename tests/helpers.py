@@ -405,8 +405,9 @@ def assert_same_outcome(got, want) -> None:
 # ----------------------------------------------------------------------------
 # Bit-exact oracles: the Hermiticity check, the spectrum reading and the
 # family builds as edgelab wrote them with one numpy call per reduction or
-# block, kept so the faster versions can be compared with them bit for bit,
-# errors and their messages included.
+# block, and the search's 3 x 3 eigenvectors as written before their cubic
+# was shared, kept so the current versions can be compared with them bit for
+# bit, errors and their messages included.
 
 
 def reference_check_hermitian(m) -> np.ndarray:
@@ -443,6 +444,40 @@ def reference_rank_psd(vals: np.ndarray, rel_tol: float, abs_tol: float) -> tupl
     scale = np.maximum(1.0, mag.max(axis=-1))
     smax = mag.max(axis=-1, keepdims=True, initial=0.0)
     return (mag > rel_tol * smax).sum(axis=-1), vals.min(axis=-1) >= -abs_tol * scale
+
+
+# the search's eigh fallback floor, restated
+GAP_FLOOR = 1e-5
+
+
+def reference_smallest_eigvecs(h: np.ndarray) -> np.ndarray:
+    """The search's closed-form smallest eigenvectors of Hermitian 3 x 3 ``h[b]``
+    as written before their cubic moved into ``linalg``, whole in one function."""
+    b, tiny = len(h), np.finfo(float).tiny
+    nxt, prv = np.array([1, 2, 0]), np.array([2, 0, 1])
+    e = h.reshape(b, 9).T[np.array([0, 4, 8, 5, 6, 1])]
+    e /= np.maximum(np.abs(e).max(axis=0), tiny)
+    d, g = e[:3].real, e[3:]
+    g2 = np.abs(g) ** 2
+    gg = g[nxt] * g[prv]
+    q = d.sum(axis=0) / 3
+    d0 = d - q
+    two_p = np.sqrt(((d0 * d0).sum(axis=0) + 2 * g2.sum(axis=0)) * (2 / 3))
+    det = d0.prod(axis=0) + 2 * (g[0] * gg[0]).real - (d0 * g2).sum(axis=0)
+    r = np.minimum(np.maximum(4 * det / np.maximum(two_p**3, tiny), -1.0), 1.0)
+    dl = d0 - two_p * np.cos(np.arccos(r) / 3 + 2 * np.pi / 3)
+    ad = dl[nxt] * dl[prv] - g2
+    a = gg.conj() - dl * g
+    adj = np.concatenate([ad, a, a.conj()])
+    columns = np.array([[0, 8, 4], [5, 1, 6], [7, 3, 2]])
+    v = adj[columns[ad.argmax(axis=0)], np.arange(b)[:, None]]
+    n = np.abs(v)
+    v /= np.maximum(np.sqrt((n * n).sum(axis=1)), tiny)[:, None]
+    t = ad.sum(axis=0)
+    if not t.min() > GAP_FLOOR:
+        rows = ~(t > GAP_FLOOR)
+        v[rows] = np.linalg.eigh(h[rows])[1][:, :, 0]
+    return v
 
 
 def _reference_require_finite(**values) -> None:

@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edgelab import BipartiteOperator, choi_matrix, classify, classify_many, edge_state, linalg
-from edgelab import product_vector_search
+from edgelab import cli, product_vector_search
 from edgelab.classify import _classify_stack
 from edgelab.cli import COMMANDS, SWEEP_CHUNK, _grid_indices, _parse_range, _table_families, main, make_parser
 from edgelab.io import matrix_from_dict, matrix_to_dict, read_matrix, write_matrix
@@ -777,17 +777,20 @@ class TestSweep:
         assert path.read_bytes() == "".join(line + "\r\n" for line in lines).encode()
 
     @pytest.mark.parametrize(
-        "b_steps, theta_steps, search",
+        "b_steps, theta_steps, chunk, search",
         [
-            (2 * SWEEP_CHUNK // 13 + 1, 13, ()),
-            (SWEEP_CHUNK // 14 + 1, 14, ("--search", "--starts", "5", "--seed", "2")),
+            (2 * SWEEP_CHUNK // 13 + 1, 13, SWEEP_CHUNK, ()),
+            (3, 13, 16, ("--search", "--starts", "5", "--seed", "2")),
         ],
-        ids=["3-chunks-classify", "2-chunks-search"],
+        ids=["3-chunks-classify", "3-chunks-search"],
     )
-    def test_bytes_across_chunk_boundaries(self, capsys, tmp_path, b_steps, theta_steps, search):
-        # two full chunks and 3 points, or one and 6: the last chunk under the split's gate
+    def test_bytes_across_chunk_boundaries(self, capsys, monkeypatch, tmp_path, b_steps, theta_steps, chunk, search):
+        # two full chunks and 3 points, or 7: the last chunk under the split's
+        # gate; the search sweep, whose reference searches point by point,
+        # takes chunks of 16, at or above the gate too
+        monkeypatch.setattr(cli, "SWEEP_CHUNK", chunk)
         total = b_steps * theta_steps
-        assert total // SWEEP_CHUNK == (1 if search else 2) and 0 < total % SWEEP_CHUNK < linalg.SPLIT_MIN
+        assert total // chunk == 2 and 0 < total % chunk < linalg.SPLIT_MIN <= chunk
         path = tmp_path / "sweep.csv"
         code, _, _ = run_cli(
             capsys, "sweep", "--family", "edge", "--range", f"b=0.5:2:{b_steps}",
@@ -805,16 +808,17 @@ class TestSweep:
             lines.append(line)
         assert path.read_bytes() == "".join(line + "\r\n" for line in lines).encode()
 
-    def test_one_block_eigvalsh_call_per_chunk(self, capsys, monkeypatch):
-        # the edge states' blocks: {0, 4, 8} and 1 x 1 ones, and for their
-        # partial transposes three pairs, in closed form, and 1 x 1 ones; the
-        # last chunk, of 16 states, is at or above the split's gate too
+    def test_eigvalsh_only_on_blocks_near_a_double_root(self, capsys, monkeypatch):
+        # the edge states' blocks: {0, 4, 8}, in closed form unless near a
+        # double root, and 1 x 1 ones, and for their partial transposes three
+        # pairs, in closed form, and 1 x 1 ones; the last chunk, of 16 states,
+        # is at or above the split's gate too
         calls, operators = [], []
         eigvalsh = CLASSIFY_MODULE.np.linalg.eigvalsh
         post_init = BipartiteOperator.__post_init__
 
         def counting(a, *args, **kwargs):
-            calls.append(np.shape(a))
+            calls.append(a)
             return eigvalsh(a, *args, **kwargs)
 
         def counting_post_init(op):
@@ -830,8 +834,25 @@ class TestSweep:
         )
         assert code == 0
         assert len(out.splitlines()) == 16 * b_steps + 1
-        assert calls == [(SWEEP_CHUNK, 1, 3, 3), (16, 1, 3, 3)]
+        assert calls == []
+        # theta = +-pi/3 (a double root at 0) at the ends of each b's four
+        # thetas: one call per chunk, on those points' blocks only
+        third = repr(math.pi / 3)
+        code, out, _ = run_cli(
+            capsys, "sweep", "--family", "edge", "--range", "b=0.5:2:5", "--range", f"theta=-{third}:{third}:4",
+        )
+        assert code == 0
+        assert [line.split(",")[3:] for line in out.splitlines()[1:]] == [["7", "6"], ["8", "6"], ["8", "6"], ["7", "6"]] * 5
+        assert [len(a) for a in calls] == [10]
         assert operators == []
+        for (b, theta), block in zip(itertools.product(np.linspace(0.5, 2, 5), [-math.pi / 3, math.pi / 3]), calls[0]):
+            assert np.array_equal(block, edge_state(b, theta).mat[np.ix_([0, 4, 8], [0, 4, 8])])
+        # the all-ones block of state-7-6 has r = 1: every point takes eigvalsh
+        calls.clear()
+        code, out, _ = run_cli(capsys, "sweep", "--family", "state-7-6", "--range", "b=0.01:100:16")
+        assert code == 0
+        assert [line.split(",")[1:] for line in out.splitlines()[1:]] == [["True", "7", "6"]] * 16
+        assert [np.shape(a) for a in calls] == [(16, 3, 3)]
 
     def test_memory_does_not_grow_with_the_grid(self, capsys, tmp_path):
         def peak(theta_steps):

@@ -11,7 +11,7 @@ from edgelab import BipartiteOperator, NotHermitianError, classify, is_psd, part
 from edgelab import linalg
 from edgelab.errors import DimensionMismatchError, InvalidParamError
 from edgelab.classify import _classify_stack
-from edgelab.linalg import SPLIT_MIN, _blocks, _check_hermitian, _kernel, _rank_psd, _spectra
+from edgelab.linalg import CUBIC_FLOOR, SPLIT_MIN, _blocks, _check_hermitian, _kernel, _rank_psd, _spectra
 from helpers import (
     HERM_RTOL,
     PSD_ATOL,
@@ -30,6 +30,7 @@ from helpers import (
     projector,
     random_hermitian,
     random_unit,
+    random_unitary,
     range_basis,
     reference_check_hermitian,
     reference_rank_psd,
@@ -236,6 +237,32 @@ PAIR_BLOCKS = {
 }
 
 
+def _gaussian_integers(g: np.random.Generator) -> np.ndarray:
+    return (g.integers(-4, 5, 3) + 1j * g.integers(-4, 5, 3)).astype(complex)
+
+
+def _rank_one(g: np.random.Generator) -> np.ndarray:
+    v = _gaussian_integers(g)
+    return np.outer(v, v.conj())
+
+
+def _double_top(g: np.random.Generator, shift: float) -> np.ndarray:
+    p = _rank_one(g)
+    return (np.trace(p).real + shift) * np.eye(3) - p
+
+
+# 3 x 3 Hermitian blocks of Gaussian integers, exact at every power-of-two
+# scale, subnormal included: their planted roots are exact
+TRIPLE_BLOCKS = {
+    "double root at 0": _rank_one,
+    "double root at 0, negative": lambda g: -_rank_one(g),
+    "double root at the top": lambda g: _double_top(g, 0.0),
+    "double root at the top, nonzero": lambda g: _double_top(g, 3.0),
+    "one root at 0": lambda g: _rank_one(g) - _rank_one(g),
+    "integer": lambda g: _rank_one(g) + _rank_one(g) - _rank_one(g),
+}
+
+
 class TestSplitSpectra:
     """Stacks of at least SPLIT_MIN matrices take their spectra from the
     connected blocks of the stack's nonzero pattern."""
@@ -303,6 +330,43 @@ class TestSplitSpectra:
         ranks, psd = _rank_psd(_spectra(stack))
         assert list(zip(ranks.tolist(), psd.tolist())) == [(int(r), bool(p)) for r, p in want]
         assert ranks.tolist() == planted
+
+    @given(
+        kinds=st.lists(st.sampled_from(sorted(TRIPLE_BLOCKS)), min_size=SPLIT_MIN, max_size=2 * SPLIT_MIN),
+        scale=st.sampled_from([1.0, 2.0**1000, 2.0**-1000, 2.0**-1064]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_triple_blocks_in_closed_form_read_as_eigvalsh(self, kinds, scale, seed):
+        # the all-ones block first, so that the stack's pattern is one 3 x 3
+        # block; at 2**-1064 every nonzero entry is subnormal
+        g = np.random.default_rng(seed)
+        stack = np.array([np.ones((3, 3))] + [TRIPLE_BLOCKS[kind](g) for kind in kinds], dtype=complex) * scale
+        assert [s for s, _ in _blocks((stack != 0).any(axis=0).tobytes(), 3)] == [3]
+        ranks, psd = _rank_psd(_spectra(stack))
+        want_ranks, want_psd = _rank_psd(np.linalg.eigvalsh(stack))
+        assert ranks.tolist() == want_ranks.tolist()
+        assert psd.tolist() == want_psd.tolist()
+
+    def test_triple_blocks_near_a_double_root_take_eigvalsh(self, monkeypatch):
+        # eigenvalues 2 cos(phi/3 + 2 pi j / 3) in a random eigenbasis, so that
+        # r = cos(phi) and 1 - r**2 = sin(phi)**2: block 0 just inside the
+        # floor takes eigvalsh, block 1 just outside it the closed form
+        g = np.random.default_rng(12)
+        blocks = []
+        for sin2 in [0.9 * CUBIC_FLOOR, 1.1 * CUBIC_FLOOR] + [0.5] * (SPLIT_MIN - 2):
+            u = random_unitary(g, 3)
+            h = (u * 2 * np.cos(math.asin(math.sqrt(sin2)) / 3 + 2 * np.pi / 3 * np.arange(3))) @ u.conj().T
+            blocks.append((h + h.conj().T) / 2)
+        stack = np.array(blocks)
+        want = np.linalg.eigvalsh(stack)
+        calls, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+        got = _spectra(stack)
+        assert len(calls) == 1 and np.array_equal(calls[0], stack[:1])
+        assert np.array_equal(got[0], want[0])
+        # about eps / sqrt(1 - r**2) = 2e-12 near the double root
+        assert_allclose(got[1:], want[1:], rtol=0, atol=1e-11)
 
     @pytest.mark.parametrize("k", [1, SPLIT_MIN])
     def test_zero_stack_has_rank_zero_and_is_psd(self, k):

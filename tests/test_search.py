@@ -26,7 +26,7 @@ from edgelab import (
 from edgelab import search
 from edgelab.errors import DimensionMismatchError, InvalidParamError
 from edgelab.search import BLOCK, FOUND_THRESHOLD, MAX_ITERS, _Objective
-from helpers import kernel_basis, product_vector, proj, random_unit, random_unitary, range_basis
+from helpers import kernel_basis, product_vector, proj, random_unit, random_unitary, range_basis, reference_smallest_eigvecs
 
 # observed floor of the search objective on edge_state(1, pi/6) with the
 # settings below; the assertion only relies on the spec threshold 1e-6
@@ -513,6 +513,25 @@ def test_smallest_eigvecs_falls_back_row_by_row(eigh_rows):
     assert eigh_rows == [5]
     rayleigh = np.einsum("bi,bij,bj->b", v.conj(), h, v).real
     assert np.all(np.abs(rayleigh) <= 1e-14)
+
+
+def test_smallest_eigvecs_keep_their_bits(eigh_rows):
+    # the cubic now comes from linalg, and every bit of the eigenvectors, and
+    # so of every search, stays that of the search's own closed form
+    g = np.random.default_rng(9)
+    random = _forms(g, g.uniform(-2.0, 3.0, (40, 3)))
+    stacks = {
+        "random": random,
+        "under-gap-floor": _forms(g, [[0.0, 1e-12 if i % 3 else 1e-7, 1.0] for i in range(12)]),
+        "zero": np.zeros((5, 3, 3), dtype=complex),
+        "times-2**500": random * 2.0**500,
+        "times-2**-500": random * 2.0**-500,
+    }
+    stacks["all"] = np.concatenate(list(stacks.values()))[g.permutation(sum(map(len, stacks.values())))]
+    for name, h in stacks.items():
+        del eigh_rows[:]
+        assert np.array_equal(search._smallest_eigvecs(h), reference_smallest_eigvecs(h)), name
+        assert bool(eigh_rows) == (name in ("under-gap-floor", "zero", "all")), name
 
 
 def _realified_form(c, e):
