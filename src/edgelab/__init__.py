@@ -25,7 +25,7 @@ from .errors import (
     NotHermitianError,
     OffdiagTooLargeError,
 )
-from .linalg import BipartiteOperator, is_psd, partial_transpose
+from .linalg import BipartiteOperator
 from .search import EdgeSearchResult, SearchVerdict, product_vector_search, product_vector_search_many
 from .states import (
     GramSpec,
@@ -67,10 +67,8 @@ __all__ = [
     "edge_state",
     "face_state",
     "generalized_edge_state",
-    "is_psd",
     "min_psd_diagonal",
     "offdiag_gram",
-    "partial_transpose",
     "phase_circulant",
     "product_vector_search",
     "product_vector_search_many",

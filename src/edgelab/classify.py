@@ -3,12 +3,10 @@ analytic edge certificate for the phase-parameterized family.
 
 ``_classify_stack`` is the one classification path: one Hermiticity check
 over a stack of states and ``linalg._spectra`` of the states and their
-partial transposes, block by block from ``linalg.SPLIT_MIN`` states on (a 2 x 2
-or 3 x 3 block in closed form) and one ``eigvalsh`` call below, give every rank and
-PSD flag; a matrix whose rank reads 0 is read again from a sixteenth of it,
-as ``linalg._rank_psd`` says.  :func:`classify_many`
-wraps its results in :class:`Classification`; ``edgelab sweep`` reads them as
-they are.
+partial transposes give every rank and PSD flag; a matrix whose rank reads 0
+is read again from a sixteenth of it, as ``linalg._rank_psd`` says.
+:func:`classify_many` wraps its results in :class:`Classification`;
+``edgelab sweep`` reads them as they are.
 """
 
 from __future__ import annotations
@@ -97,10 +95,8 @@ def _classify_stack(h: np.ndarray, m: int, n: int):
 
 
 def classify_many(ops: Iterable[BipartiteOperator]) -> list[Classification]:
-    """:func:`classify` of every operator in ``ops``, all of one shape ``(m, n)``.
-
-    Below ``linalg.SPLIT_MIN`` operators one ``eigvalsh`` call, else block by
-    block, a 2 x 2 or 3 x 3 block in closed form (see ``linalg._spectra``).
+    """:func:`classify` of every operator in ``ops``, all of one shape ``(m, n)``,
+    from one ``linalg._spectra`` call for the states and their partial transposes.
 
     Raises :class:`NotHermitianError` for the first operator that is not
     Hermitian and :class:`DimensionMismatchError` when the shapes differ; an
@@ -128,13 +124,12 @@ def classify_many(ops: Iterable[BipartiteOperator]) -> list[Classification]:
 def classify(s: BipartiteOperator) -> Classification:
     """PSD/PPT flags, (rank, partial-transpose rank) type, and admissibility.
 
-    :func:`classify_many` of the one operator, below the split's gate: one
-    Hermiticity check and one ``eigvalsh`` call for the state and its partial
-    transpose, whose blocks (2 x 2 and 3 x 3 ones in closed form) only stacks of
-    ``linalg.SPLIT_MIN`` operators or more take apart.  The ranks apply
+    :func:`classify_many` of the one operator: its spectrum and that of its
+    partial transpose come from ``linalg._spectra``.  The ranks apply
     ``linalg.RANK_RTOL`` and the PSD flags ``linalg.PSD_ATOL``; a rank that
     reads 0 is read again from a sixteenth of the matrix, whose spectrum
-    does not overflow.
+    does not overflow.  ``classify(BipartiteOperator(1, d, m)).is_psd`` is
+    the PSD flag of any d x d matrix ``m``.
     """
     return classify_many([s])[0]
 

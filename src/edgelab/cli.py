@@ -104,6 +104,16 @@ def _point(args, swept=()) -> dict:
     return point
 
 
+def _search_options(args, refuse: str | None = None) -> dict:
+    """``--starts`` and ``--seed`` as the search's keywords, those not given
+    left to the search's defaults (200 starts, seed 0).  Where no search runs,
+    ``refuse`` names the input, and the first of them given raises."""
+    given = {name: getattr(args, name) for name in ("starts", "seed") if getattr(args, name) is not None}
+    if given and refuse is not None:
+        raise InvalidParamError(f"{refuse} takes no --{next(iter(given))}")
+    return given
+
+
 def _load_input(args) -> BipartiteOperator:
     if (args.infile is None) == (args.family is None):
         raise InvalidParamError("provide exactly one of --in FILE and --family NAME")
@@ -163,6 +173,7 @@ def cmd_edge_check(args) -> int:
     if args.analytic:
         if args.family != "edge" or args.infile is not None:
             raise InvalidParamError("--analytic applies only to --family edge, without --in")
+        _search_options(args, "--analytic")
         trace = verify_edge_analytic(**_point(args))
         report = {
             "verdict": "Edge" if trace.verdict is EdgeCertificate.EDGE_CERTIFIED else trace.verdict.value,
@@ -175,7 +186,7 @@ def cmd_edge_check(args) -> int:
         print(json.dumps(report))
         return 0
     op = _load_input(args)
-    result = product_vector_search(op, starts=args.starts, seed=args.seed)
+    result = product_vector_search(op, **_search_options(args))
     report = {
         "verdict": result.verdict.value,
         "certifiedBy": "numeric",
@@ -243,6 +254,7 @@ def cmd_sweep(args) -> int:
     if family == "face":  # its couplings are complex options, which no range gives
         raise InvalidParamError(f"sweep does not support family {family!r}")
     columns, dims, build = FAMILIES[family]
+    search = _search_options(args, None if args.search else "sweep without --search")
     if not args.range:
         raise InvalidParamError("provide at least one --range NAME=START:STOP:STEPS")
     ranges = {}
@@ -279,7 +291,7 @@ def cmd_sweep(args) -> int:
             cols += [map(str, map(operator.and_, p_psd, q_psd)), map(str, p), map(str, q)]
             if args.search:
                 ops = [BipartiteOperator(*dims, mat) for mat in mats]
-                results = product_vector_search_many(ops, starts=args.starts, seed=args.seed)
+                results = product_vector_search_many(ops, **search)
                 cols.append([repr(r.best_objective) for r in results])
             yield "\r\n".join(map(",".join, zip(*cols))) + "\r\n"
 
@@ -368,8 +380,8 @@ def _classify_options(p):
 def _edge_check_options(p):
     _add_family_options(p, require_family=False)
     p.add_argument("--in", dest="infile")
-    p.add_argument("--starts", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--starts", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--analytic", action="store_true", help="use the analytic certificate (edge family only)")
 
 
@@ -377,8 +389,8 @@ def _sweep_options(p):
     _add_family_options(p, require_family=True)
     p.add_argument("--range", action="append", default=[], metavar="NAME=START:STOP:STEPS")
     p.add_argument("--search", action="store_true", help="add a bestObjective column")
-    p.add_argument("--starts", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--starts", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", help="CSV path (default: stdout)")
 
 

@@ -12,20 +12,15 @@ Ranks of Hermitian matrices come from their spectrum, since the singular
 values of a Hermitian matrix are its absolute eigenvalues.
 :func:`_check_hermitian` passes an exactly Hermitian stack, as every
 constructor builds, on as it is after one comparison, and symmetrizes only a
-near-Hermitian one.  :func:`is_psd` makes one Hermiticity check and one
-``eigvalsh`` per matrix; ``classify`` makes one check per stack of states,
-and :func:`_spectra` gives the spectra of the states and their partial
-transposes block by block from :data:`SPLIT_MIN` states on, a 2 x 2 or 3 x 3
-block in closed form (the latter from :func:`_cubic`, which the search
-shares), and from one ``eigvalsh`` call below.  Both, and the face
-family's Gram check in ``states``, read the ranks and PSD flags with
-:func:`_rank_psd`, which, like :func:`_check_hermitian`, takes a single matrix or a stack over leading axes,
-and reads the ends of the ascending spectra.  The ``_`` names here are shared
-within the package only.  :func:`_kernel`, the one subspace routine, gives the kernel of a
-Hermitian matrix from one ``eigh``.  Every rank applies the one threshold
-rule of :func:`_rank_psd`, and where a rank reads 0 the caller reads the
-spectrum again from a sixteenth of the matrix, so that a spectrum past the
-float range is not read as the zero matrix's.
+near-Hermitian one.  :func:`_spectra` gives the spectra of stacks of
+matrices, and its docstring is the one description of how.  Every rank and
+PSD flag applies the one threshold rule of :func:`_rank_psd`: ``classify``'s,
+those of the face family's Gram check in ``states``, and those of
+:func:`_kernel`, the one subspace routine, which gives the kernel of a
+Hermitian matrix from one ``eigh``.  Where a rank reads 0 the caller reads
+the spectrum again from a sixteenth of the matrix, so that a spectrum past
+the float range is not read as the zero matrix's.  The ``_`` names here are
+shared within the package only.
 """
 
 from __future__ import annotations
@@ -65,10 +60,6 @@ _NEXT = np.array([1, 2, 0])
 _PREV = np.array([2, 0, 1])
 
 
-def _as_complex(a) -> np.ndarray:
-    return np.asarray(a, dtype=complex)
-
-
 @dataclass(frozen=True)
 class BipartiteOperator:
     """A square matrix on an (m x n)-dimensional tensor-product space.
@@ -84,7 +75,7 @@ class BipartiteOperator:
     def __post_init__(self):
         d = self.m * self.n
         if type(self.mat) is not np.ndarray or self.mat.dtype != complex:
-            object.__setattr__(self, "mat", _as_complex(self.mat))
+            object.__setattr__(self, "mat", np.asarray(self.mat, dtype=complex))
         if self.m <= 0 or self.n <= 0:
             raise DimensionMismatchError("local dimensions must be positive")
         if self.mat.shape != (d, d):
@@ -94,25 +85,12 @@ class BipartiteOperator:
         if not np.isfinite(self.mat).all():
             raise InvalidParamError("matrix entries must be finite")
 
-    @property
-    def dim(self) -> int:
-        return self.m * self.n
-
 
 def _partial_transpose(mats: np.ndarray, m: int, n: int) -> np.ndarray:
     """Transpose the first tensor factor of each matrix in a stack over leading axes."""
     lead = mats.shape[:-2]
     t = mats.reshape(*lead, m, n, m, n).swapaxes(-4, -2)
     return t.reshape(*lead, m * n, m * n)
-
-
-def partial_transpose(s: BipartiteOperator) -> BipartiteOperator:
-    """Transpose the first tensor factor only.
-
-    The output entry at ``((i, k), (j, l))`` is the input entry at
-    ``((j, k), (i, l))``; applied twice it is the identity, exactly.
-    """
-    return BipartiteOperator(s.m, s.n, _partial_transpose(s.mat, s.m, s.n))
 
 
 def _squared_norm(x: np.ndarray) -> np.ndarray:
@@ -124,17 +102,16 @@ def _squared_norm(x: np.ndarray) -> np.ndarray:
 def _check_hermitian(m: np.ndarray) -> np.ndarray:
     """Validate near-Hermiticity and return a Hermitian matrix to use for ``m``.
 
-    ``m`` is one matrix or a stack over leading axes.  A stack equal to its
-    adjoint entry for entry, as the constructors build, comes back as it is,
-    after one comparison: no arithmetic, so nothing can overflow.  Any other
-    stack passes when each matrix has ``||m - m^H||_F <= HERM_RTOL * max(||m||_F, 1)``
-    and comes back symmetrized, ``(m + m^H) / 2``; it raises for its first
-    matrix that fails, named by its flat index over the leading axes when the
-    stack holds more than one matrix.  Callers must not write into the result.
+    ``m`` is one complex square matrix or a stack of them over leading axes,
+    as :class:`BipartiteOperator` and the family builders give.  A stack
+    equal to its adjoint entry for entry, as the constructors build, comes
+    back as it is, after one comparison: no arithmetic, so nothing can
+    overflow.  Any other stack passes when each matrix has
+    ``||m - m^H||_F <= HERM_RTOL * max(||m||_F, 1)`` and comes back
+    symmetrized, ``(m + m^H) / 2``; it raises for its first matrix that
+    fails, named by its flat index over the leading axes when the stack
+    holds more than one matrix.  Callers must not write into the result.
     """
-    m = _as_complex(m)
-    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
-        raise DimensionMismatchError("expected a square matrix")
     mh = m.conj().swapaxes(-2, -1)
     if (m == mh).all():
         return m
@@ -281,25 +258,4 @@ def _kernel(h: np.ndarray) -> np.ndarray:
         rank = _rank_psd(vals)[0]
     order = np.argsort(np.abs(vals), kind="stable")
     return vecs[:, order[: h.shape[0] - rank]]
-
-
-def is_psd(m: np.ndarray) -> bool:
-    """True iff the matrix has min eigenvalue >= -PSD_ATOL * max(1, ||m||_2).
-
-    One Hermiticity check, whose exactly Hermitian input is used as it is and
-    near-Hermitian input symmetrized, and one ``eigvalsh``, or two where the
-    rank reads 0 (see :func:`_rank_psd`).  Raises
-    :class:`DimensionMismatchError` for an empty matrix and
-    :class:`InvalidParamError` for a non-finite entry.
-    """
-    m = _as_complex(m)
-    if not m.size:
-        raise DimensionMismatchError("expected a nonempty square matrix")
-    if not np.isfinite(m).all():
-        raise InvalidParamError("matrix entries must be finite")
-    h = _check_hermitian(m)
-    rank, psd = _rank_psd(np.linalg.eigvalsh(h))
-    if not rank:  # zero, or a spectrum past the float range: see _rank_psd
-        psd = _rank_psd(np.linalg.eigvalsh(h / 16))[1]
-    return bool(psd)
 

@@ -13,8 +13,8 @@ The search takes bi-qutrit states only, so each step is the smallest
 eigenvector of a 3 x 3 complex Hermitian matrix, unique up to a global phase.
 It comes in closed form (Kopp, Int. J. Mod. Phys. C 19, 523 (2008),
 arXiv:physics/0610206), from the characteristic cubic that ``linalg._cubic``
-solves for ``classify``'s 3 x 3 blocks too; only rows whose two smallest
-eigenvalues nearly coincide take ``eigh``.
+solves, the solver that ``linalg._spectra`` shares; only rows whose two
+smallest eigenvalues nearly coincide take ``eigh``.
 
 Both forms are linear in the outer product of the fixed factor: the form in
 y has entries ``sum conj(x_i) x_j M[(i, j), (l, o)]``, and the form in x is

@@ -229,7 +229,7 @@ def _face_entries(b: float, g: GramSpec) -> tuple:
     for val in offdiags:
         if abs(val) > 1 + OFFDIAG_SLACK:
             raise OffdiagTooLargeError(f"|{val}| > 1")
-    # finite couplings give a finite, exactly Hermitian Gram matrix, which is_psd's checks pass as it is
+    # finite couplings give a finite, exactly Hermitian Gram matrix, whose spectrum eigvalsh reads as it is
     if not _rank_psd(np.linalg.eigvalsh(g.gram()))[1]:
         raise GramNotPSDError("implied Gram matrix is not PSD")
     return _edge_entries(b, g.theta) + tuple(v for val in offdiags for v in (val, val.conjugate()))

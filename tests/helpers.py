@@ -1,15 +1,16 @@
 """Shared test utilities: golden matrices transcribed entry by entry,
 reference implementations that share no numerics with edgelab (among them
-the SVD subspaces, the range-criterion check and the separable
-decomposition of the theta = 0 edge state), the earlier builds, spectrum
-helpers and sweep loop that edgelab's faster ones must match bit for bit,
-and random-instance generators."""
+the SVD subspaces, the partial transpose, the range-criterion check and
+the separable decomposition of the theta = 0 edge state), the earlier
+builds, spectrum helpers and sweep loop that edgelab's faster ones must
+match bit for bit, and random-instance generators."""
 
 from __future__ import annotations
 
 import cmath
 import contextlib
 import csv
+import functools
 import io
 import itertools
 import math
@@ -28,13 +29,13 @@ from edgelab import (
     NotHermitianError,
     OffdiagTooLargeError,
     choi_matrix,
+    classify,
     classify_many,
     corner_state,
     edge_state,
     face_state,
     generalized_edge_state,
     min_psd_diagonal,
-    partial_transpose,
     phase_circulant,
     product_vector_search_many,
     singular_gram_offdiags,
@@ -205,6 +206,23 @@ def proj(v) -> np.ndarray:
     return v @ v.conj().T
 
 
+def partial_transpose(mats, m: int, n: int) -> np.ndarray:
+    """The partial transpose on the first factor of each mn x mn matrix of a
+    stack over leading axes, entry by entry from the index rule
+    ``out[(i, k), (j, l)] = in[(j, k), (i, l)]``, composite index ``i * n + k``."""
+    mats = np.asarray(mats, dtype=complex)
+    out = np.empty_like(mats)
+    for i, k, j, l in itertools.product(range(m), range(n), range(m), range(n)):
+        out[..., i * n + k, j * n + l] = mats[..., j * n + k, i * n + l]
+    return out
+
+
+def psd_flag(m) -> bool:
+    """The PSD flag of a d x d matrix as a library caller reads it:
+    ``classify(BipartiteOperator(1, d, m)).is_psd``."""
+    return classify(BipartiteOperator(1, len(m), m)).is_psd
+
+
 def product_vector(x, y) -> np.ndarray:
     """The composite vector of a factor pair."""
     return tensor(np.asarray(x, dtype=complex).ravel(), np.asarray(y, dtype=complex).ravel())
@@ -228,7 +246,7 @@ def check_range_criterion(s: BipartiteOperator, pairs) -> RangeCriterionCheck:
     if not pairs:
         return RangeCriterionCheck(False, (0, 0), math.inf)
     r_s = range_basis(s.mat)
-    r_t = range_basis(partial_transpose(s).mat)
+    r_t = range_basis(partial_transpose(s.mat, s.m, s.n))
     direct, conjugated = [], []
     worst = 0.0
     for x, y in pairs:
@@ -581,12 +599,18 @@ REFERENCE_FAMILIES = {
 }
 
 
+@functools.cache
+def _sweep_parser():
+    """The parser of ``edgelab sweep``, built once: a parser holds no state between parses."""
+    return cli.make_parser({"sweep": cli.COMMANDS["sweep"]})
+
+
 def reference_sweep(argv: list[str]) -> tuple[int, str, str]:
     """``edgelab sweep`` with each grid point built as one operator by its
     constructor, then classified and searched chunk by chunk through
     ``classify_many`` and ``product_vector_search_many``: the exit code, the
     standard output and the standard error of ``cli.main(argv)``."""
-    args = cli.make_parser().parse_args(argv)
+    args = _sweep_parser().parse_args(argv)
     out, err = io.StringIO(), io.StringIO()
     try:
         with np.errstate(over="ignore"), contextlib.redirect_stdout(out):
@@ -603,6 +627,9 @@ def _reference_sweep(args) -> None:
     if family == "face":
         raise InvalidParamError(f"sweep does not support family {family!r}")
     columns = FAMILIES[family][0]
+    search = {name: getattr(args, name) for name in ("starts", "seed") if getattr(args, name) is not None}
+    if search and not args.search:
+        raise InvalidParamError(f"sweep without --search takes no --{next(iter(search))}")
     if not args.range:
         raise InvalidParamError("provide at least one --range NAME=START:STOP:STEPS")
     ranges = {}
@@ -641,7 +668,7 @@ def _reference_sweep(args) -> None:
                 for params, c in zip(points, classify_many(ops))
             ]
             if args.search:
-                for row, r in zip(rows, product_vector_search_many(ops, starts=args.starts, seed=args.seed)):
+                for row, r in zip(rows, product_vector_search_many(ops, **search)):
                     row.append(r.best_objective)
             yield [[repr(v) if isinstance(v, float) else v for v in row] for row in rows]
 

@@ -20,9 +20,7 @@ from edgelab import (
     classify,
     edge_state,
     face_state,
-    is_psd,
     offdiag_gram,
-    partial_transpose,
     phase_circulant,
     product_vector_search,
     rank_bounds,
@@ -31,6 +29,7 @@ from edgelab import (
 )
 from edgelab.classify import alternating_binomial_sum
 from edgelab.cli import main
+from edgelab.linalg import _partial_transpose
 from helpers import (
     check_range_criterion,
     choi_ppt_region,
@@ -39,7 +38,9 @@ from helpers import (
     gram_realization,
     kernel_basis,
     numerical_rank,
+    partial_transpose,
     proj,
+    psd_flag,
     random_gram_spec,
     random_hermitian,
     random_unit,
@@ -77,7 +78,7 @@ def test_criterion_01_type_8_6_realization():
         c = classify(s)
         ok &= c.type == (8, 6) and c.is_ppt
         sv = np.linalg.svd(s.mat, compute_uv=False)
-        tv = np.linalg.svd(partial_transpose(s).mat, compute_uv=False)
+        tv = np.linalg.svd(partial_transpose(s.mat, 3, 3), compute_uv=False)
         ok &= sv[7] >= 1e6 * (1e-9 * sv[0]) and sv[8] <= 1e-9 * sv[0]
         ok &= tv[5] >= 1e6 * (1e-9 * tv[0]) and tv[6] <= 1e-9 * tv[0]
     elapsed = time.perf_counter() - t0
@@ -117,7 +118,7 @@ def test_criterion_04_kernel_golden_vectors():
     for b, theta in [(1.0, math.pi / 6), (2.0, -0.4), (0.5, 0.9), (7.0, 0.05)]:
         s = edge_state(b, theta)
         ok &= kernel_basis(s.mat).residual(edge_kernel_vector()) <= 1e-10
-        tau_kernel = kernel_basis(partial_transpose(s).mat)
+        tau_kernel = kernel_basis(partial_transpose(s.mat, 3, 3))
         for v in edge_tau_kernel_vectors(b, theta):
             ok &= tau_kernel.residual(v) <= 1e-10
     _report(4, "printed kernel vectors lie in computed kernels (residual <= 1e-10)", ok)
@@ -128,7 +129,7 @@ def test_criterion_05_phase_circulant_spectrum():
     for theta in np.linspace(-2.0, 2.0, 100):
         if abs(abs(theta) - PI3) < 1e-6:
             continue
-        ok &= is_psd(phase_circulant(theta)) == (abs(theta) <= PI3)
+        ok &= psd_flag(phase_circulant(theta)) == (abs(theta) <= PI3)
         if abs(theta) < PI3 - 1e-6:
             ok &= numerical_rank(phase_circulant(theta)) == 2
     ok &= numerical_rank(phase_circulant(PI3)) == 1
@@ -179,7 +180,7 @@ def test_criterion_07_type_coverage_and_rank_formulas(capsys):
             np.array([[b, spec.zeta_xi], [np.conj(spec.zeta_xi), 1 / b]]),
         ]
         ok &= numerical_rank(s.mat) == 2 + sum(numerical_rank(blk) for blk in blocks)
-        ok &= numerical_rank(partial_transpose(s).mat) == 3 + numerical_rank(spec.gram())
+        ok &= numerical_rank(partial_transpose(s.mat, 3, 3)) == 3 + numerical_rank(spec.gram())
     _report(7, "all eight types achieved at (b, theta) = (1, pi/6); rank formulas on 100 specs", ok)
 
 
@@ -239,9 +240,9 @@ def test_criterion_10_property_suites():
     for _ in range(100):
         m, n = int(rng.integers(2, 5)), int(rng.integers(2, 5))
         s = BipartiteOperator(m, n, random_hermitian(rng, m * n))
-        ok &= np.array_equal(partial_transpose(partial_transpose(s)).mat, s.mat)
+        ok &= np.array_equal(_partial_transpose(_partial_transpose(s.mat, m, n), m, n), s.mat)
         x, y = random_unit(rng, m), random_unit(rng, n)
-        lhs = partial_transpose(BipartiteOperator(m, n, proj(tensor(x, y)))).mat
+        lhs = _partial_transpose(BipartiteOperator(m, n, proj(tensor(x, y))).mat, m, n)
         ok &= np.linalg.norm(lhs - proj(tensor(np.conj(x), y))) <= 1e-12
 
     # rank scale invariance
@@ -262,6 +263,6 @@ def test_criterion_10_property_suites():
     # type symmetry under partial transposition
     for _ in range(100):
         s = BipartiteOperator(3, 3, random_hermitian(rng, 9))
-        ok &= classify(partial_transpose(s)).type == classify(s).type[::-1]
+        ok &= classify(BipartiteOperator(3, 3, partial_transpose(s.mat, 3, 3))).type == classify(s).type[::-1]
 
     _report(10, "involution, product-projector, scale invariance, Gram round-trip, type symmetry", ok)

@@ -20,7 +20,6 @@ from edgelab import (
     edge_state,
     face_state,
     generalized_edge_state,
-    partial_transpose,
     phase_circulant,
     rank_bounds,
     singular_gram_offdiags,
@@ -30,6 +29,7 @@ from edgelab.classify import alternating_binomial_sum
 from helpers import (
     check_range_criterion,
     choi_ppt_region,
+    partial_transpose,
     product_vector,
     proj,
     random_edge_params,
@@ -75,7 +75,7 @@ class TestClassify:
             m = int(rng.integers(2, 4))
             n = int(rng.integers(2, 4))
             s = BipartiteOperator(m, n, random_hermitian(rng, m * n))
-            assert classify(partial_transpose(s)).type == classify(s).type[::-1]
+            assert classify(BipartiteOperator(m, n, partial_transpose(s.mat, m, n))).type == classify(s).type[::-1]
 
     def test_rejects_non_hermitian(self):
         mat = np.zeros((9, 9))

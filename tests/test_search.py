@@ -18,7 +18,6 @@ from edgelab import (
     corner_state,
     edge_state,
     face_state,
-    partial_transpose,
     phase_circulant,
     product_vector_search,
     product_vector_search_many,
@@ -26,7 +25,16 @@ from edgelab import (
 from edgelab import search
 from edgelab.errors import DimensionMismatchError, InvalidParamError
 from edgelab.search import BLOCK, FOUND_THRESHOLD, MAX_ITERS, _Objective
-from helpers import kernel_basis, product_vector, proj, random_unit, random_unitary, range_basis, reference_smallest_eigvecs
+from helpers import (
+    kernel_basis,
+    partial_transpose,
+    product_vector,
+    proj,
+    random_unit,
+    random_unitary,
+    range_basis,
+    reference_smallest_eigvecs,
+)
 
 # observed floor of the search objective on edge_state(1, pi/6) with the
 # settings below; the assertion only relies on the spec threshold 1e-6
@@ -35,9 +43,7 @@ OBSERVED_EDGE_FLOOR = 1.36e-2
 
 def _range_residuals(s, x, y):
     r_s = range_basis(s.mat)
-    r_t = range_basis(
-        s.mat.reshape(s.m, s.n, s.m, s.n).transpose(2, 1, 0, 3).reshape(s.dim, s.dim)
-    )
+    r_t = range_basis(partial_transpose(s.mat, s.m, s.n))
     return (
         r_s.residual(product_vector(x, y)),
         r_t.residual(product_vector(np.conj(x), y)),
@@ -230,7 +236,7 @@ def _assert_same_results(stacked, alone):
     seed=st.integers(0, 2**40),
     block=st.integers(2, 24),
 )
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=20, deadline=None)
 def test_stacked_search_equals_one_state_at_a_time(picks, starts, seed, block):
     # small blocks make most states run over a block boundary
     states = [STACK_POOL[i] for i in picks]
@@ -271,7 +277,7 @@ def _start_by_start_objectives(s, starts, seed, max_iters=500, convergence_tol=1
     """Per-start objectives of the search run one start and one vector pair at a time."""
     m, n = s.m, s.n
     ka = kernel_basis(s.mat).basis.conj().reshape(m, n, -1)
-    kt = kernel_basis(partial_transpose(s).mat).basis.conj().reshape(m, n, -1)
+    kt = kernel_basis(partial_transpose(s.mat, m, n)).basis.conj().reshape(m, n, -1)
 
     def unit(g, dim):
         v = g.standard_normal(dim) + 1j * g.standard_normal(dim)

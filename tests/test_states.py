@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from edgelab import (
-    BipartiteOperator,
     DimensionMismatchError,
     GramNotPSDError,
     GramSpec,
@@ -19,14 +18,14 @@ from edgelab import (
     edge_condition_holds,
     edge_state,
     face_state,
+    classify,
     generalized_edge_state,
-    is_psd,
     min_psd_diagonal,
     offdiag_gram,
-    partial_transpose,
     phase_circulant,
     singular_gram_offdiags,
 )
+from edgelab.linalg import _partial_transpose
 from edgelab.states import build_family
 from helpers import (
     assert_same_outcome,
@@ -42,8 +41,10 @@ from helpers import (
     kernel_basis,
     numerical_rank,
     outcome,
+    partial_transpose,
     product_vector,
     proj,
+    psd_flag,
     random_edge_params,
     random_gram_spec,
     reference_choi_matrix,
@@ -75,7 +76,7 @@ class TestPhaseCirculant:
         for theta in np.linspace(-math.pi, math.pi, 101):
             if abs(abs(theta) - math.pi / 3) < 1e-6:
                 continue
-            assert is_psd(phase_circulant(theta)) == (abs(theta) <= math.pi / 3)
+            assert psd_flag(phase_circulant(theta)) == (abs(theta) <= math.pi / 3)
 
 
 class TestEdgeState:
@@ -84,7 +85,7 @@ class TestEdgeState:
         assert np.array_equal(edge_state(0.7, -0.4).mat, golden_edge_matrix(0.7, -0.4))
 
     def test_partial_transpose_matches_golden(self):
-        tau = partial_transpose(edge_state(1.0, THETA)).mat
+        tau = _partial_transpose(edge_state(1.0, THETA).mat, 3, 3)
         assert np.array_equal(tau, golden_edge_tau(1.0, THETA))
 
     def test_rejects_nonpositive_b(self):
@@ -95,24 +96,23 @@ class TestEdgeState:
 
     def test_ranks_and_ppt(self):
         s = edge_state(1.0, THETA)
-        tau = partial_transpose(s)
         assert numerical_rank(s.mat) == 8
-        assert numerical_rank(tau.mat) == 6
-        assert is_psd(s.mat) and is_psd(tau.mat)
+        assert numerical_rank(partial_transpose(s.mat, 3, 3)) == 6
+        assert classify(s).is_ppt
 
     def test_kernel_dims_across_parameters(self, rng):
         for _ in range(50):
             b, theta = random_edge_params(rng)
             s = edge_state(b, theta)
             assert kernel_basis(s.mat).dim == 1
-            assert kernel_basis(partial_transpose(s).mat).dim == 3
+            assert kernel_basis(partial_transpose(s.mat, 3, 3)).dim == 3
 
     def test_kernel_contains_printed_vectors(self, rng):
         for _ in range(10):
             b, theta = random_edge_params(rng)
             s = edge_state(b, theta)
             assert kernel_basis(s.mat).residual(edge_kernel_vector()) <= 1e-10
-            tau_kernel = kernel_basis(partial_transpose(s).mat)
+            tau_kernel = kernel_basis(partial_transpose(s.mat, 3, 3))
             for v in edge_tau_kernel_vectors(b, theta):
                 assert tau_kernel.residual(v) <= 1e-10
 
@@ -145,8 +145,8 @@ class TestMinPsdDiagonal:
             theta = 0.2 * k * math.pi
             a = min_psd_diagonal(theta)
             core = phase_circulant(theta) + (a - 2 * math.cos(theta)) * np.eye(3)
-            assert is_psd(core)
-            assert not is_psd(core - 1e-3 * np.eye(3))
+            assert psd_flag(core)
+            assert not psd_flag(core - 1e-3 * np.eye(3))
 
 
 class TestGeneralizedEdgeState:
@@ -158,17 +158,14 @@ class TestGeneralizedEdgeState:
 
     def test_ppt_for_every_theta(self):
         for theta in np.linspace(-math.pi, math.pi, 41):
-            s = generalized_edge_state(2.0, theta)
-            assert is_psd(s.mat)
-            assert is_psd(partial_transpose(s).mat)
+            assert classify(generalized_edge_state(2.0, theta)).is_ppt
 
     def test_ppt_at_wide_angle(self):
-        s = generalized_edge_state(1.0, 0.9 * math.pi)
-        assert is_psd(s.mat) and is_psd(partial_transpose(s).mat)
+        assert classify(generalized_edge_state(1.0, 0.9 * math.pi)).is_ppt
 
     def test_tau_kernel_unchanged_where_diagonal_agrees(self):
         b, theta = 2.0, 0.25  # |theta| <= pi/4, so the diagonal is unchanged
-        tau_kernel = kernel_basis(partial_transpose(generalized_edge_state(b, theta)).mat)
+        tau_kernel = kernel_basis(partial_transpose(generalized_edge_state(b, theta).mat, 3, 3))
         for v in edge_tau_kernel_vectors(b, theta):
             assert tau_kernel.residual(v) <= 1e-10
 
@@ -180,8 +177,8 @@ class TestCornerState:
     def test_ranks_and_ppt(self):
         s = corner_state(2.0)
         assert numerical_rank(s.mat) == 7
-        assert numerical_rank(partial_transpose(s).mat) == 6
-        assert is_psd(s.mat) and is_psd(partial_transpose(s).mat)
+        assert numerical_rank(partial_transpose(s.mat, 3, 3)) == 6
+        assert classify(s).is_ppt
 
     def test_rejects_nonpositive_b(self):
         with pytest.raises(InvalidParamError):
@@ -244,18 +241,18 @@ class TestChoiMatrix:
 
     def test_ppt_region_samples(self):
         s = choi_matrix(2.0, 3.0, 1 / 3)
-        assert is_psd(s.mat) and is_psd(partial_transpose(s).mat)
+        assert classify(s).is_ppt
         t = choi_matrix(1.9, 1.0, 1.0)
-        assert not is_psd(t.mat)
+        assert not classify(t).is_psd
 
     def test_zero_map(self):
         s = choi_matrix(0.0, 0.0, 0.0)
         nonzero = s.mat[s.mat != 0]
         assert np.array_equal(np.diag(s.mat), np.zeros(9))
         assert np.all(nonzero == -1)
-        tau = partial_transpose(s).mat
+        tau = partial_transpose(s.mat, 3, 3)
         assert np.all(tau[tau != 0] == -1)
-        assert not is_psd(s.mat)
+        assert not classify(s).is_psd
 
 
 class TestSeparableDecomposition:
@@ -353,7 +350,7 @@ class TestFaceState:
     )
     def test_types_by_unimodular_count(self, offdiags, expected):
         s = face_state(1.0, GramSpec(THETA, *offdiags))
-        assert (numerical_rank(s.mat), numerical_rank(partial_transpose(s).mat)) == expected
+        assert (numerical_rank(s.mat), numerical_rank(partial_transpose(s.mat, 3, 3))) == expected
 
     def test_golden_singular_family_matrices(self):
         for b, theta in ((1.0, THETA), (2.5, -0.5)):
@@ -383,7 +380,7 @@ class TestFaceState:
             p_expected = 2 + sum(numerical_rank(blk) for blk in blocks)
             q_expected = 3 + numerical_rank(spec.gram())
             assert numerical_rank(s.mat) == p_expected
-            assert numerical_rank(partial_transpose(s).mat) == q_expected
+            assert numerical_rank(partial_transpose(s.mat, 3, 3)) == q_expected
 
     def test_hadamard_cross_check(self, rng):
         # independent construction: realize the Gram vectors, embed them next
@@ -406,8 +403,8 @@ class TestFaceState:
             for slot, unit in ((1, 0), (3, 0), (5, 1), (7, 1), (2, 2), (6, 2)):
                 rows[slot, v.shape[1] + unit] = 1.0
             tau_mat = proj(p_vec) * (rows @ rows.conj().T)
-            cross = partial_transpose(BipartiteOperator(3, 3, tau_mat))
-            assert np.max(np.abs(cross.mat - face_state(b, spec).mat)) <= 1e-10
+            cross = _partial_transpose(tau_mat, 3, 3)
+            assert np.max(np.abs(cross - face_state(b, spec).mat)) <= 1e-10
 
     def test_rejects_oversized_coupling(self):
         with pytest.raises(OffdiagTooLargeError):
