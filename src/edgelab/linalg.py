@@ -219,7 +219,7 @@ def _spectra(*stacks: np.ndarray) -> np.ndarray:
     spectra = []
     for h in stacks:
         k, n, parts = len(h), h.shape[-1], []
-        for s, idx in _blocks((h != 0).any(axis=0).tobytes(), n):
+        for s, idx in _blocks(h.any(axis=0).tobytes(), n):
             if s == 1:
                 parts.append(h[:, idx[:, 0], idx[:, 0]].real)
             elif s == 2:

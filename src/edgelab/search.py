@@ -36,6 +36,14 @@ same steps it would take alone, and its result depends neither on the starts
 nor on the states that share its block.  Memory grows with the block, not
 with the number of starts.  A start whose objective is exactly 0 takes no
 step, and a result's ``starts`` is always the count asked for.
+
+A start stops once a step lowers its objective by less than
+:data:`CONVERGENCE_TOL`, or, while the objective is above
+:data:`RELATIVE_FLOOR`, by less than :data:`RELATIVE_TOL` of it, so a
+start on a floor far above the found-threshold spends no steps on digits
+that no verdict reads.  Under the floor the absolute rule decides alone, so a
+start that ends there has every bit it has under that rule.  The lockstep
+loop counts each start's steps and records why it stopped, as arrays.
 """
 
 from __future__ import annotations
@@ -57,6 +65,23 @@ FOUND_THRESHOLD = 1e-9
 CONVERGENCE_TOL = 1e-14
 MAX_ITERS = 500
 
+# A start above RELATIVE_FLOOR also stops once one step lowers its objective
+# by less than RELATIVE_TOL times the new value.  The steps converge
+# linearly, so on a floor of about 1e-2 the absolute rule spends its last
+# steps on some 12 digits that no verdict reads.  A start this rule stops is
+# above 1e-6 and was losing less than RELATIVE_TOL of its objective a step:
+# at that rate MAX_ITERS more steps would lower it by a factor of about
+# exp(-RELATIVE_TOL * MAX_ITERS) = 0.995, where FOUND_THRESHOLD lies a factor
+# of 1e-3 under 1e-6.  At or under RELATIVE_FLOOR the absolute rule alone
+# decides, so those starts keep every bit.  Against the absolute rule alone,
+# 1e-5 halved the steps per start on edge_state(1, pi/6) (28.7 to 14.1),
+# raised the benchmark's edge_search from 24.5k to 30.3k starts/s (10 of 10
+# pairs of 30 s runs, 2 CPUs) and moved the best floors in the sixth digit
+# at most; 932 searches, 800 of them on states with a planted product
+# vector, kept their verdicts.
+RELATIVE_TOL = 1e-5
+RELATIVE_FLOOR = 1e3 * FOUND_THRESHOLD
+
 # Starts advanced together, over one or more states.  One 1,000-start search
 # of edge_state(1, pi/6) took 96, 69, 56 and 55 ms in blocks of 128, 256, 512
 # and 1024, and 2,000 starts 130 ms in blocks of 1024 against 146 in 2048
@@ -76,6 +101,12 @@ POLISH_STEPS = 60
 # to a gap of 1e-5, as from eigh, but 4e-15 at 1e-6 and 4e-12 at 1e-7.
 GAP_FLOOR = 1e-5
 
+# Why a start stopped, by the code _descend gives it: it was at exactly 0 and
+# took no step, its last decrease fell under CONVERGENCE_TOL, or under
+# RELATIVE_TOL of its objective, it took MAX_ITERS steps, or it then polished.
+STOP_REASONS = ("zero", "converged", "relative", "max-iters", "polished")
+_ZERO, _CONVERGED, _RELATIVE, _CAPPED, _POLISHED = range(len(STOP_REASONS))
+
 # Row k: where the entries of column k of an adjugate sit in its diagonal,
 # its entries a_i at (i+1, i+2) and their conjugates, stacked in that order.
 _ADJ_COLUMNS = np.array([[0, 8, 4], [5, 1, 6], [7, 3, 2]])
@@ -88,9 +119,12 @@ class SearchVerdict(Enum):
 
 @dataclass(frozen=True)
 class EdgeSearchResult:
-    """The best objective and pair of a search, and the objective of each start in order.
+    """The best objective and pair of a search, and the objective, steps and stop reason of each start in order.
 
-    ``starts`` is always the count asked for; a start at exactly 0 took no step.
+    ``starts`` is always the count asked for; a start at exactly 0 took no
+    step.  ``steps`` counts each start's descent steps and the polish steps
+    that lowered its objective; ``stop_reasons`` names why each start
+    stopped, one of :data:`STOP_REASONS`.
     """
 
     best_objective: float
@@ -99,6 +133,8 @@ class EdgeSearchResult:
     starts: int
     per_start_objectives: np.ndarray
     verdict: SearchVerdict
+    steps: np.ndarray
+    stop_reasons: np.ndarray
 
 
 def _unit_rows(v: np.ndarray) -> np.ndarray:
@@ -253,26 +289,41 @@ def _step(segs: list[_Segment], x: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     return x, y, _per_state(segs, _Objective.value, x, y)
 
 
-def _descend(objs: list[_Objective], bounds: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _descend(
+    objs: list[_Objective], bounds: np.ndarray, x: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Run every start of a block to its stop, updating ``x`` and ``y`` in place.
 
     State ``j`` owns the rows ``bounds[j]:bounds[j + 1]``.  A start at
     exactly 0, the least value of a sum of squares, takes no step.  Any other
     start leaves the running set once its decrease falls under
-    :data:`CONVERGENCE_TOL` or after :data:`MAX_ITERS` steps; the starts then
-    above 0 and at or under :data:`FOUND_THRESHOLD` polish together while
-    strictly improving.  Returns the objective of each start.
+    :data:`CONVERGENCE_TOL`, or, while its objective is above
+    :data:`RELATIVE_FLOOR`, under :data:`RELATIVE_TOL` times it, or after
+    :data:`MAX_ITERS` steps; the starts then above 0 and at or under
+    :data:`FOUND_THRESHOLD` polish together while strictly improving.
+    Returns the objective, the step count and the stop reason (an index
+    into :data:`STOP_REASONS`) of each start.
     """
     f = _per_state(_segments(objs, bounds, np.arange(len(x))), _Objective.value, x, y)
+    steps = np.zeros(len(f), dtype=np.int64)
+    # whether a start's last decrease was at least CONVERGENCE_TOL: if it
+    # stopped all the same, the relative rule stopped it
+    moving = np.zeros(len(f), dtype=bool)
     live = np.flatnonzero(f > 0)
-    for _ in range(MAX_ITERS):
+    for k in range(1, MAX_ITERS + 1):
         if not live.size:
             break
         x[live], y[live], f_new = _step(_segments(objs, bounds, live), x[live])
-        going = f[live] - f_new >= CONVERGENCE_TOL
+        drop = f[live] - f_new
+        moving[live] = going = drop >= CONVERGENCE_TOL
+        steps[live] = k
         f[live] = f_new
-        live = live[going]
+        live = live[going & ((drop >= RELATIVE_TOL * f_new) | (f_new <= RELATIVE_FLOOR))]
+    reasons = np.where(moving, _RELATIVE, _CONVERGED)
+    reasons[steps == 0] = _ZERO
+    reasons[live] = _CAPPED
     live = np.flatnonzero((f > 0) & (f <= FOUND_THRESHOLD))
+    reasons[live] = _POLISHED
     for _ in range(POLISH_STEPS):
         if not live.size:
             break
@@ -280,7 +331,8 @@ def _descend(objs: list[_Objective], bounds: np.ndarray, x: np.ndarray, y: np.nd
         better = f_p < f[live]
         live = live[better]
         x[live], y[live], f[live] = x_p[better], y_p[better], f_p[better]
-    return f
+        steps[live] += 1
+    return f, steps, reasons
 
 
 def product_vector_search_many(
@@ -314,7 +366,8 @@ def product_vector_search_many(
     objs = [_Objective(s) for s in states]
     rngs = [default_rng(seed) for _ in states]
     best = [(np.inf, None, None)] * len(states)
-    per_start = [[] for _ in states]
+    # each state's per-start objectives, steps and stop reasons, block by block
+    per_start = [([], [], []) for _ in states]
     # the starts of every state in turn, cut into blocks: (state, count) pairs
     total = len(states) * starts
     for lo in range(0, total, BLOCK):
@@ -326,16 +379,18 @@ def product_vector_search_many(
         xs, ys = zip(*(_random_starts(rngs[i], count) for i, count in block))
         x, y = np.concatenate(xs), np.concatenate(ys)
         bounds = np.cumsum([0] + [count for _, count in block])
-        f = _descend([objs[i] for i, _ in block], bounds, x, y)
+        f, steps, reasons = _descend([objs[i] for i, _ in block], bounds, x, y)
         for (i, _), a, b in zip(block, bounds.tolist(), bounds[1:].tolist()):
             j = a + int(np.argmin(f[a:b]))
             if f[j] < best[i][0]:
                 best[i] = (float(f[j]), x[j].copy(), y[j].copy())
-            per_start[i].append(f[a:b])
+            for part, whole in zip(per_start[i], (f, steps, reasons)):
+                part.append(whole[a:b])
     found, none = SearchVerdict.PRODUCT_VECTOR_FOUND, SearchVerdict.NONE_FOUND_ABOVE_THRESHOLD
+    names = np.array(STOP_REASONS)
     return [
-        EdgeSearchResult(f, best_x, best_y, starts, np.concatenate(fs), found if f <= FOUND_THRESHOLD else none)
-        for (f, best_x, best_y), fs in zip(best, per_start)
+        EdgeSearchResult(f, best_x, best_y, starts, fs, found if f <= FOUND_THRESHOLD else none, steps, names[reasons])
+        for (f, best_x, best_y), (fs, steps, reasons) in zip(best, (map(np.concatenate, parts) for parts in per_start))
     ]
 
 
@@ -344,7 +399,10 @@ def product_vector_search(s: BipartiteOperator, *, starts: int = 200, seed: int 
 
     Runs ``starts`` alternating minimizations from seeded random unit pairs;
     each stops once a step lowers its objective by less than
-    :data:`CONVERGENCE_TOL`, or after :data:`MAX_ITERS` steps.  ``starts``
+    :data:`CONVERGENCE_TOL`, or, above :data:`RELATIVE_FLOOR`, by less than
+    :data:`RELATIVE_TOL` times the new objective, or after :data:`MAX_ITERS`
+    steps; the result gives each start's objective, step count and stop
+    reason.  ``starts``
     and ``seed`` are keyword-only.  The search makes one generator,
     ``default_rng(seed)``, and start ``i`` takes row ``i`` of its stream: a
     fixed seed gives a fixed result, a run of fewer starts is a bit-exact

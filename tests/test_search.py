@@ -24,12 +24,13 @@ from edgelab import (
 )
 from edgelab import search
 from edgelab.errors import DimensionMismatchError, InvalidParamError
-from edgelab.search import BLOCK, FOUND_THRESHOLD, MAX_ITERS, _Objective
+from edgelab.search import BLOCK, FOUND_THRESHOLD, MAX_ITERS, RELATIVE_FLOOR, STOP_REASONS, _Objective
 from helpers import (
     kernel_basis,
     partial_transpose,
     product_vector,
     proj,
+    random_edge_params,
     random_unit,
     random_unitary,
     range_basis,
@@ -100,6 +101,7 @@ def test_full_rank_state_trivially_found(monkeypatch):
             assert res.best_objective == 0.0
             assert res.starts == starts
             assert not res.per_start_objectives.any()
+            assert not res.steps.any() and (res.stop_reasons == "zero").all()
             # the best pair is start 0's, bit for bit
             assert np.array_equal(res.best_x, x[0]) and np.array_equal(res.best_y, y[0])
     assert steps[0] == 0
@@ -134,6 +136,10 @@ def test_result_invariants():
         assert np.all(res.per_start_objectives >= 0)
         assert (res.verdict is SearchVerdict.PRODUCT_VECTOR_FOUND) == full_rank
         assert (res.per_start_objectives == 0).all() == full_rank
+        assert res.steps.shape == res.stop_reasons.shape == (20,)
+        assert np.isin(res.stop_reasons, STOP_REASONS).all()
+        assert ((res.steps == 0) == (res.stop_reasons == "zero")).all()
+        assert (res.stop_reasons == "zero").all() == full_rank
 
 
 def test_deterministic_for_fixed_seed():
@@ -196,7 +202,8 @@ def test_fewer_starts_give_a_bit_exact_prefix(state):
     for k in (1, 37, BLOCK, BLOCK + 1):
         res = product_vector_search(state, starts=k, seed=4)
         assert res.starts == k
-        assert np.array_equal(res.per_start_objectives, full.per_start_objectives[:k])
+        for field in ("per_start_objectives", "steps", "stop_reasons"):
+            assert np.array_equal(getattr(res, field), getattr(full, field)[:k])
         assert res.best_objective == res.per_start_objectives.min()
 
 
@@ -226,7 +233,7 @@ def _assert_same_results(stacked, alone):
         assert got.verdict is want.verdict
         assert got.starts == want.starts
         assert got.best_objective == want.best_objective
-        for field in ("best_x", "best_y", "per_start_objectives"):
+        for field in ("best_x", "best_y", "per_start_objectives", "steps", "stop_reasons"):
             assert np.array_equal(getattr(got, field), getattr(want, field))
 
 
@@ -274,7 +281,13 @@ def test_stacked_search_takes_bi_qutrit_states_only(monkeypatch):
 
 
 def _start_by_start_objectives(s, starts, seed, max_iters=500, convergence_tol=1e-14):
-    """Per-start objectives of the search run one start and one vector pair at a time."""
+    """Per-start objectives, steps and stop reasons of the search run one start and one vector pair at a time.
+
+    A start stops once a step lowers its objective by less than
+    ``convergence_tol``, or, while its objective is above
+    ``search.RELATIVE_FLOOR``, by less than ``search.RELATIVE_TOL`` times it.
+    """
+    relative_tol, relative_floor = search.RELATIVE_TOL, search.RELATIVE_FLOOR
     m, n = s.m, s.n
     ka = kernel_basis(s.mat).basis.conj().reshape(m, n, -1)
     kt = kernel_basis(partial_transpose(s.mat, m, n)).basis.conj().reshape(m, n, -1)
@@ -302,20 +315,26 @@ def _start_by_start_objectives(s, starts, seed, max_iters=500, convergence_tol=1
         x = u[:m] + 1j * u[m:]
         return x / np.linalg.norm(x)
 
-    out = []
+    out, steps, reasons = [], [], []
     g = np.random.default_rng(seed)
     for _ in range(starts):
         x, y = unit(g, m), unit(g, n)
         f = value(x, y)
-        for _ in range(max_iters):
+        k, reason = 0, "zero" if f == 0 else "max-iters"
+        while f > 0 and k < max_iters:
             y = best_y(x)
             x = best_x(y)
             f_new = value(x, y)
-            if f - f_new < convergence_tol:
-                f = f_new
+            k += 1
+            drop, f = f - f_new, f_new
+            if drop < convergence_tol:
+                reason = "converged"
                 break
-            f = f_new
-        if f <= FOUND_THRESHOLD:
+            if f > relative_floor and drop < relative_tol * f:
+                reason = "relative"
+                break
+        if 0 < f <= FOUND_THRESHOLD:
+            reason = "polished"
             for _ in range(60):
                 y_p = best_y(x)
                 x_p = best_x(y_p)
@@ -323,8 +342,11 @@ def _start_by_start_objectives(s, starts, seed, max_iters=500, convergence_tol=1
                 if f_p >= f:
                     break
                 x, y, f = x_p, y_p, f_p
+                k += 1
         out.append(f)
-    return np.array(out)
+        steps.append(k)
+        reasons.append(reason)
+    return np.array(out), np.array(steps), np.array(reasons)
 
 
 def _pure_entangled():
@@ -349,11 +371,73 @@ def _pure_entangled():
     ids=["edge", "corner", "pure-entangled", "edge-capped"],
 )
 def test_lockstep_matches_start_by_start_search(state, max_iters):
-    reference = _start_by_start_objectives(state, starts=30, seed=2, max_iters=max_iters)
+    reference, steps, reasons = _start_by_start_objectives(state, starts=30, seed=2, max_iters=max_iters)
     with mock.patch.object(search, "MAX_ITERS", max_iters):
         res = product_vector_search(state, starts=30, seed=2)
     assert np.all(reference > FOUND_THRESHOLD)
     np.testing.assert_allclose(res.per_start_objectives, reference, rtol=1e-12, atol=0)
+    assert np.array_equal(res.steps, steps)
+    assert np.array_equal(res.stop_reasons, reasons)
+    # the cap stops every start of the capped search; the others stop by their decrease
+    assert (reasons == "max-iters").all() == (max_iters == 2)
+
+
+# The stack pool and two states whose starts end between FOUND_THRESHOLD and RELATIVE_FLOOR,
+# or just under the first: edge_state(1, 1e-4) at 5.0e-10 (ROADMAP item 4a)
+# and edge_state(1, pi/3 - 1e-4) at 1.7e-9, which no polish step touches
+RELATIVE_POOL = STACK_POOL + [edge_state(1.0, 1e-4), edge_state(1.0, math.pi / 3 - 1e-4)]
+
+
+def test_starts_under_the_relative_floor_keep_their_bits():
+    # patched to 0, the relative rule never stops a start: the absolute rule alone
+    for state in RELATIVE_POOL:
+        res = product_vector_search(state, starts=40, seed=6)
+        with mock.patch.object(search, "RELATIVE_TOL", 0.0):
+            absolute = product_vector_search(state, starts=40, seed=6)
+        low = res.per_start_objectives <= RELATIVE_FLOOR
+        for field in ("per_start_objectives", "steps", "stop_reasons"):
+            assert np.array_equal(getattr(res, field)[low], getattr(absolute, field)[low])
+        assert not (absolute.stop_reasons == "relative").any()
+        assert res.verdict is absolute.verdict
+        if res.best_objective <= RELATIVE_FLOOR:
+            assert res.best_objective == absolute.best_objective
+            assert np.array_equal(res.best_x, absolute.best_x) and np.array_equal(res.best_y, absolute.best_y)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    separable=st.booleans(),
+    log_weight=st.floats(-4.0, 0.0),
+    starts=st.sampled_from([3, 20]),
+)
+@settings(max_examples=30, deadline=None)
+def test_relative_stop_finds_every_planted_product_vector(seed, separable, log_weight, starts):
+    # an edge state plus c |xy><xy| has x (x) y in its range and conj(x) (x) y
+    # in that of its partial transpose, as a random separable state has its terms
+    rng = np.random.default_rng(seed)
+    if separable:
+        state = _separable(rng, int(rng.integers(1, 6)))
+    else:
+        v = product_vector(random_unit(rng, 3), random_unit(rng, 3))
+        state = BipartiteOperator(3, 3, edge_state(*random_edge_params(rng)).mat + 10.0**log_weight * proj(v))
+    res = product_vector_search(state, starts=starts, seed=seed)
+    with mock.patch.object(search, "RELATIVE_TOL", 0.0):
+        absolute = product_vector_search(state, starts=starts, seed=seed)
+    assert res.verdict is absolute.verdict
+
+
+@pytest.mark.parametrize(
+    "state",
+    [edge_state(1.3, 0.0), corner_state(1.0), edge_state(1.0, math.pi / 3)],
+    ids=["edge-b", "corner", "edge-pi3"],
+)
+def test_witness_starts_never_stop_relative(state):
+    # the witness states of the benchmark's search passes
+    res = product_vector_search(state, starts=200, seed=0)
+    assert res.verdict is SearchVerdict.PRODUCT_VECTOR_FOUND
+    assert not (res.stop_reasons == "relative").any()
+    r1, r2 = _range_residuals(state, res.best_x, res.best_y)
+    assert r1 <= 1e-8 and r2 <= 1e-8
 
 
 def test_starts_advance_in_lockstep(monkeypatch):
@@ -376,8 +460,10 @@ def test_starts_advance_in_lockstep(monkeypatch):
     calls.update(eigh=0, einsum=0)
     monkeypatch.setattr(search, "_step", counting("step", search._step))
     monkeypatch.setattr(search, "_smallest_eigvecs", counting("eigvecs", search._smallest_eigvecs))
-    product_vector_search(state, starts=200, seed=0)
+    res = product_vector_search(state, starts=200, seed=0)
     steps = calls["step"]
+    # no start polishes, so the loop runs as long as the longest descent
+    assert steps == res.steps.max()
     assert 0 < calls["eigvecs"] < 200
     assert calls["eigvecs"] == 2 * steps
     # every form of this search is far from a degenerate smallest pair, so no
