@@ -16,11 +16,11 @@ near-Hermitian one.  :func:`_spectra` gives the spectra of stacks of
 matrices, and its docstring is the one description of how.  Every rank and
 PSD flag applies the one threshold rule of :func:`_rank_psd`: ``classify``'s,
 those of the face family's Gram check in ``states``, and those of
-:func:`_kernel`, the one subspace routine, which gives the kernel of a
-Hermitian matrix from one ``eigh``.  Where a rank reads 0 the caller reads
-the spectrum again from a sixteenth of the matrix, so that a spectrum past
-the float range is not read as the zero matrix's.  The ``_`` names here are
-shared within the package only.
+:func:`_kernel`, the one subspace routine, which gives the kernels of a
+stack of Hermitian matrices from one ``eigh``.  Where a rank reads 0 the
+caller reads the spectrum again from a sixteenth of the matrix, so that a
+spectrum past the float range is not read as the zero matrix's.  The ``_``
+names here are shared within the package only.
 """
 
 from __future__ import annotations
@@ -244,18 +244,22 @@ def _spectra(*stacks: np.ndarray) -> np.ndarray:
     return np.concatenate(spectra)
 
 
-def _kernel(h: np.ndarray) -> np.ndarray:
-    """Kernel basis of a Hermitian matrix from one ``eigh``, or two where the
-    rank reads 0 (see :func:`_rank_psd`).
+def _kernel(h: np.ndarray) -> list[np.ndarray]:
+    """Kernel bases of a stack of Hermitian matrices from one ``eigh`` of the
+    stack, and one more of those whose rank reads 0 (see :func:`_rank_psd`).
 
-    The columns are the eigenvectors of the ``d - r`` eigenvalues smallest in
-    absolute value, ``r`` being the rank under the threshold rule of :func:`_rank_psd`.
+    Matrix ``i`` of the stack gives the columns of its eigenvectors of the
+    ``d - r`` eigenvalues smallest in absolute value, ``r`` being its rank
+    under the threshold rule of :func:`_rank_psd`.  ``eigh`` solves each
+    matrix of a stack on its own, so each basis has the bits of the matrix
+    solved alone.
     """
     vals, vecs = np.linalg.eigh(h)
     rank = _rank_psd(vals)[0]
-    if not rank:  # zero, or a spectrum past the float range: see _rank_psd
-        vals, vecs = np.linalg.eigh(h / 16)
-        rank = _rank_psd(vals)[0]
-    order = np.argsort(np.abs(vals), kind="stable")
-    return vecs[:, order[: h.shape[0] - rank]]
-
+    zero = np.flatnonzero(rank == 0)  # zero, or a spectrum past the float range
+    if zero.size:
+        vals[zero], vecs[zero] = np.linalg.eigh(h[zero] / 16)
+        rank[zero] = _rank_psd(vals[zero])[0]
+    order = np.argsort(np.abs(vals), axis=-1, kind="stable")
+    d = h.shape[-1]
+    return [v[:, o[: d - r]] for v, o, r in zip(vecs, order, rank.tolist())]

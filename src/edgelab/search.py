@@ -27,15 +27,21 @@ or more states run in one loop, in lockstep blocks of :data:`BLOCK` that take
 the next starts of consecutive states, so a block may end with the first
 starts of one state after the last starts of another.  A block's pairs are
 stacked as two arrays of shape ``(block, 3)``, the rows of each state
-contiguous.  One step of every running start of the block is, per
-factor, one product of each state's flattened outer products with its ``M``
-and one stacked smallest eigenvector for the rows of all states; the
-objective ``||d x||^2`` then takes two stacked products per state.  Every
-product is stacked row by row, so each start stops on its own, after the
-same steps it would take alone, and its result depends neither on the starts
-nor on the states that share its block.  Memory grows with the block, not
-with the number of starts.  A start whose objective is exactly 0 takes no
-step, and a result's ``starts`` is always the count asked for.
+contiguous, and each row names its state.  The matrices ``M`` and the
+kernel factors of every state of a search are stacked once, from one
+``eigh`` of the states and their partial transposes.  One step of every
+running start of the block is, per factor, one product of the rows'
+flattened outer products with their states' ``M`` and one stacked smallest
+eigenvector; the objective ``||d x||^2`` then takes one product for the
+rows of each kernel split.  A block of one state takes that state's
+matrices as they stand; a block of more takes a copy of each row's
+matrices, in their own layout.  Every product is stacked row by row, so
+each start stops on its own, after the same steps it would take alone, and
+its result depends neither on the starts nor on the states that share its
+block.  Memory grows with the block and with the states of the search,
+about 3 KB a state, not with the number of starts.  A start whose objective
+is exactly 0 takes no step, and a result's ``starts`` is always the count
+asked for.
 
 A start stops once a step lowers its objective by less than
 :data:`CONVERGENCE_TOL`, or, while the objective is above
@@ -202,109 +208,149 @@ def _rowwise(a: np.ndarray, mat: np.ndarray) -> np.ndarray:
     return (a[:, None] @ mat)[:, 0]
 
 
-class _Objective:
-    """The kernel bases of a 3 x 3 operator, and the two Hermitian forms of the objective as matrices.
+class _Gathered:
+    """Rows of a stack of matrices, copied into memory kept from call to call.
 
-    Every method takes one row per start: ``x`` and ``y`` of shape
-    ``(rows, 3)``, and outer products as flattened by :func:`_outer`.
+    A block of several states copies the matrices of its running rows each
+    step, about 2 KB a row.  Copied into fresh arrays each step, the
+    1,000-row block of the benchmark's search sweep took 1,500-2,600 page
+    faults a sweep in the benchmark's process and about 7% more time than
+    with the copies in one buffer, grown as needed, which took about 400,
+    most of them its first touch (2 CPUs).
     """
 
-    def __init__(self, s: BipartiteOperator):
-        h = _check_hermitian(s.mat)
+    def __init__(self, stack: np.ndarray):
+        self.stack, self.buffer = stack, stack[:0].copy()
+
+    def take(self, at: np.ndarray) -> np.ndarray:
+        """``stack[at]``, in the layout of ``stack``, until the next call."""
+        if len(self.buffer) < len(at):
+            self.buffer = np.empty((len(at), *self.stack.shape[1:]), dtype=self.stack.dtype)
+        # the indices are in range; "clip" writes into out without a buffer of its own
+        return np.take(self.stack, at, axis=0, out=self.buffer[: len(at)], mode="clip")
+
+
+class _Objective:
+    """The kernel bases of a search's 3 x 3 states, and the two Hermitian forms of each as matrices, stacked over the states.
+
+    State ``j`` has the kernel bases ``ka[j]`` and ``kt[j]`` of itself and
+    of its partial transpose, of shape ``(3, 3, k)``, their split ``(k1,
+    k2)`` of sizes, the matrix ``m_y[j]`` of its forms in y, whose transpose
+    is that of its forms in x, and the factor ``k[j]`` from which y gives
+    ``d`` (see :meth:`value`), zero past its split.  The methods take the
+    rows of a block, one row per start, and their states ``at``: one state's
+    index, whose matrices serve the rows as they stand, or one index per row,
+    which gathers a copy of each row's matrices into ``m_rows`` and
+    ``k_rows``.  A copy keeps the layout of the matrix it copies: one in
+    another layout takes another matmul loop of numpy, and other last bits.
+    """
+
+    def __init__(self, states: list[BipartiteOperator]):
+        h = _check_hermitian(np.stack([s.mat for s in states]))
         # Partial transposition commutes with the adjoint, so the partial
-        # transpose of the checked state, exactly Hermitian as given or
-        # symmetrized, is Hermitian as it stands.
-        tau = _partial_transpose(h, 3, 3)
+        # transposes of the checked states, exactly Hermitian as given or
+        # symmetrized, are Hermitian as they stand.
+        kernels = _kernel(np.concatenate([h, _partial_transpose(h, 3, 3)]))
+        n = len(states)
         # shape (3, 3, k): first axis contracts with x, second with y
-        self.ka = _kernel(h).conj().reshape(3, 3, -1)
-        self.kt = _kernel(tau).conj().reshape(3, 3, -1)
-        # y @ k, reshaped to (rows, k, 3), stacks the rows of d from ka, then kt
-        self.k = np.concatenate([self.ka, self.kt], axis=2).transpose(1, 2, 0).reshape(3, -1)
-        # f(x, y) = sum conj(x_i) x_j conj(y_l) y_o form[i, j, l, o]; the kt
-        # term sees conj(x), so its coefficient of conj(x_i) x_j is t[j, i, l, o]
-        a = np.einsum("ila,joa->ijlo", self.ka.conj(), self.ka)
-        t = np.einsum("ila,joa->ijlo", self.kt.conj(), self.kt)
-        form = a + t.transpose(1, 0, 2, 3)
-        self.m_y = form.reshape(9, 9)
-        self.m_x = form.transpose(2, 3, 0, 1).reshape(9, 9)
+        self.ka = [v.conj().reshape(3, 3, -1) for v in kernels[:n]]
+        self.kt = [v.conj().reshape(3, 3, -1) for v in kernels[n:]]
+        self.splits = [(a.shape[2], t.shape[2]) for a, t in zip(self.ka, self.kt)]
+        # y @ k[j].T, reshaped to (rows, k, 3), stacks the rows of d from ka, then kt
+        self.k = np.zeros((n, 3 * max(map(sum, self.splits)), 3), dtype=complex)
+        self.m_y = np.empty((n, 9, 9), dtype=complex)
+        for j, (ka, kt) in enumerate(zip(self.ka, self.kt)):
+            k = np.concatenate([ka, kt], axis=2)
+            self.k[j, : 3 * k.shape[2]] = k.transpose(2, 0, 1).reshape(-1, 3)
+            # f(x, y) = sum conj(x_i) x_j conj(y_l) y_o form[i, j, l, o]; the kt
+            # term sees conj(x), so its coefficient of conj(x_i) x_j is t[j, i, l, o]
+            a = np.einsum("ila,joa->ijlo", ka.conj(), ka)
+            t = np.einsum("ila,joa->ijlo", kt.conj(), kt)
+            self.m_y[j] = (a + t.transpose(1, 0, 2, 3)).reshape(9, 9)
+        self.m_rows, self.k_rows = _Gathered(self.m_y), _Gathered(self.k)
+        # each state's split, as an index into the distinct splits of the call
+        self.kinds = sorted(set(self.splits))
+        self.kind = np.array([self.kinds.index(split) for split in self.splits])
 
-    def value(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        d = (self.x_form(y) @ x[:, :, None])[:, :, 0]
-        return (d.real**2 + d.imag**2).sum(axis=1)
+    def value(self, at, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """``||d x||^2`` of each row, ``d`` being the :meth:`x_form` of its y: one product per kernel split.
 
-    def x_form(self, y: np.ndarray) -> np.ndarray:
-        """Stacked ``d = [c_a ; conj(c_t)]``, so that ``value(x, y) = ||d x||^2``.
+        A sum of squares over rows padded with zeros takes other last bits
+        than one over the rows alone, so the rows of each split take a
+        product of their own.
+        """
+        if isinstance(at, int):
+            return _sum_squares(self.x_form(at, y), x)
+        d = _rowwise(y, self.k_rows.take(at).swapaxes(1, 2)).reshape(len(y), -1, 3)
+        if len(self.kinds) == 1:
+            return _sum_squares(_conjugated_from(d, self.kinds[0][0]), x)
+        f = np.empty(len(x))
+        kind = self.kind[at]
+        for i, (k1, k2) in enumerate(self.kinds):
+            rows = np.flatnonzero(kind == i)
+            if rows.size:
+                f[rows] = _sum_squares(_conjugated_from(d[rows, : k1 + k2], k1), x[rows])
+        return f
+
+    def x_form(self, at: int, y: np.ndarray) -> np.ndarray:
+        """Stacked ``d = [c_a ; conj(c_t)]`` of rows of state ``at``, so that ``value(at, x, y) = ||d x||^2``.
 
         The conjugated term is ``||c_t conj(x)||^2 = ||conj(c_t) x||^2``, so for
         fixed y the objective is the Hermitian form ``x^H d^H d x`` in x.
         """
-        d = _rowwise(y, self.k).reshape(len(y), -1, 3)
-        tail = d[:, self.ka.shape[2] :]
-        np.conjugate(tail, out=tail)
-        return d
-
-    def y_forms(self, ox: np.ndarray) -> np.ndarray:
-        """Stacked forms in y, of shape ``(rows, 3, 3)``, from ``ox = _outer(x)``."""
-        return _rowwise(ox, self.m_y).reshape(len(ox), 3, 3)
-
-    def x_forms(self, oy: np.ndarray) -> np.ndarray:
-        """Stacked forms in x, of shape ``(rows, 3, 3)``, from ``oy = _outer(y)``."""
-        return _rowwise(oy, self.m_x).reshape(len(oy), 3, 3)
+        k1, k2 = self.splits[at]
+        return _conjugated_from(_rowwise(y, self.k[at, : 3 * (k1 + k2)].T).reshape(len(y), -1, 3), k1)
 
 
-# One state's objective and the rows ``lo:hi`` it owns in a stack of rows.
-_Segment = tuple[_Objective, int, int]
+def _conjugated_from(d: np.ndarray, k1: int) -> np.ndarray:
+    """``d``, its rows from ``k1`` on, those from ``kt``, conjugated in place."""
+    tail = d[:, k1:]
+    np.conjugate(tail, out=tail)
+    return d
 
 
-def _segments(objs: list[_Objective], bounds: np.ndarray, live: np.ndarray) -> list[_Segment]:
-    """Where each state's rows sit among the block rows ``live`` (ascending).
+def _sum_squares(d: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``||d x||^2`` of each row."""
+    d = (d @ x[:, :, None])[:, :, 0]
+    return (d.real**2 + d.imag**2).sum(axis=1)
 
-    State ``j`` owns the block rows ``bounds[j]:bounds[j + 1]``; a state with
-    no row in ``live`` has no segment.
+
+def _forms(o: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Stacked 3 x 3 forms, of shape ``(rows, 3, 3)``, from ``o = _outer(v)`` and the rows' form matrices ``m``."""
+    return _rowwise(o, m).reshape(len(o), 3, 3)
+
+
+def _step(obj: _Objective, at, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One alternating step from the rows ``x`` of states ``at``: the new ``x``, ``y`` and objective.
+
+    Each half-step is one product and one closed-form solve for the rows of
+    every state.
     """
-    if len(objs) == 1:
-        return [(objs[0], 0, len(live))]
-    cuts = np.searchsorted(live, bounds).tolist()
-    return [(obj, lo, hi) for obj, lo, hi in zip(objs, cuts, cuts[1:]) if hi > lo]
+    m_y = obj.m_y[at] if isinstance(at, int) else obj.m_rows.take(at)
+    y = _smallest_eigvecs(_forms(_outer(x), m_y))
+    x = _smallest_eigvecs(_forms(_outer(y), m_y.swapaxes(-2, -1)))
+    return x, y, obj.value(at, x, y)
 
 
-def _per_state(segs: list[_Segment], method, *rows: np.ndarray) -> np.ndarray:
-    """``method(obj, *rows)`` on each segment's rows, concatenated in row order.
-
-    A stack of one state makes the one call on the rows as they stand.
-    """
-    if len(segs) == 1:
-        return method(segs[0][0], *rows)
-    return np.concatenate([method(obj, *(r[lo:hi] for r in rows)) for obj, lo, hi in segs])
-
-
-def _step(segs: list[_Segment], x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One alternating step from the rows ``x``: the new ``x``, ``y`` and objective.
-
-    Each state builds the forms of its own rows; one closed-form solve per
-    half-step then serves the rows of every state.
-    """
-    y = _smallest_eigvecs(_per_state(segs, _Objective.y_forms, _outer(x)))
-    x = _smallest_eigvecs(_per_state(segs, _Objective.x_forms, _outer(y)))
-    return x, y, _per_state(segs, _Objective.value, x, y)
-
-
-def _descend(
-    objs: list[_Objective], bounds: np.ndarray, x: np.ndarray, y: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _descend(obj: _Objective, at, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Run every start of a block to its stop, updating ``x`` and ``y`` in place.
 
-    State ``j`` owns the rows ``bounds[j]:bounds[j + 1]``.  A start at
-    exactly 0, the least value of a sum of squares, takes no step.  Any other
-    start leaves the running set once its decrease falls under
-    :data:`CONVERGENCE_TOL`, or, while its objective is above
+    ``at`` names the states of the rows: one state's index, or one index a
+    row.  A start at exactly 0, the least value of a sum of squares, takes
+    no step.  Any other start leaves the running set once its decrease falls
+    under :data:`CONVERGENCE_TOL`, or, while its objective is above
     :data:`RELATIVE_FLOOR`, under :data:`RELATIVE_TOL` times it, or after
     :data:`MAX_ITERS` steps; the starts then above 0 and at or under
     :data:`FOUND_THRESHOLD` polish together while strictly improving.
     Returns the objective, the step count and the stop reason (an index
     into :data:`STOP_REASONS`) of each start.
     """
-    f = _per_state(_segments(objs, bounds, np.arange(len(x))), _Objective.value, x, y)
+
+    def rows(live: np.ndarray):
+        """The states of the running rows ``live``."""
+        return at if isinstance(at, int) else at[live]
+
+    f = obj.value(at, x, y)
     steps = np.zeros(len(f), dtype=np.int64)
     # whether a start's last decrease was at least CONVERGENCE_TOL: if it
     # stopped all the same, the relative rule stopped it
@@ -313,7 +359,7 @@ def _descend(
     for k in range(1, MAX_ITERS + 1):
         if not live.size:
             break
-        x[live], y[live], f_new = _step(_segments(objs, bounds, live), x[live])
+        x[live], y[live], f_new = _step(obj, rows(live), x[live])
         drop = f[live] - f_new
         moving[live] = going = drop >= CONVERGENCE_TOL
         steps[live] = k
@@ -327,7 +373,7 @@ def _descend(
     for _ in range(POLISH_STEPS):
         if not live.size:
             break
-        x_p, y_p, f_p = _step(_segments(objs, bounds, live), x[live])
+        x_p, y_p, f_p = _step(obj, rows(live), x[live])
         better = f_p < f[live]
         live = live[better]
         x[live], y[live], f[live] = x_p[better], y_p[better], f_p[better]
@@ -344,11 +390,12 @@ def product_vector_search_many(
     of a state takes row ``i`` of its stream, so each result is bit for bit
     that of searching the state alone.  The starts of all states run in one
     loop, in lockstep blocks of :data:`BLOCK` that take the next starts of
-    consecutive states; one closed-form solve per half-step serves every
-    state of a block.  Raises :class:`InvalidParamError` when ``starts < 1``
-    or ``seed < 0``, ``TypeError`` when ``seed`` is not an integer, and
-    :class:`DimensionMismatchError`, naming the shape, when an operator is
-    not 3 x 3, before any start runs; an empty ``states`` gives ``[]``.
+    consecutive states; one product and one closed-form solve per half-step
+    serve every state of a block.  Raises :class:`InvalidParamError` when
+    ``starts < 1`` or ``seed < 0``, ``TypeError`` when ``seed`` is not an
+    integer, and :class:`DimensionMismatchError`, naming the shape, when an
+    operator is not 3 x 3, before any start runs; an empty ``states`` gives
+    ``[]``.
     """
     if starts < 1:
         raise InvalidParamError(f"starts must be >= 1, got {starts}")
@@ -363,7 +410,7 @@ def product_vector_search_many(
     # numpy.random loads here, on the first search, not with edgelab
     from numpy.random import default_rng
 
-    objs = [_Objective(s) for s in states]
+    obj = _Objective(states)
     rngs = [default_rng(seed) for _ in states]
     best = [(np.inf, None, None)] * len(states)
     # each state's per-start objectives, steps and stop reasons, block by block
@@ -379,7 +426,9 @@ def product_vector_search_many(
         xs, ys = zip(*(_random_starts(rngs[i], count) for i, count in block))
         x, y = np.concatenate(xs), np.concatenate(ys)
         bounds = np.cumsum([0] + [count for _, count in block])
-        f, steps, reasons = _descend([objs[i] for i, _ in block], bounds, x, y)
+        # the rows' states: one state's index, so that its matrices serve as they are, or one a row
+        at = block[0][0] if len(block) == 1 else np.repeat(*zip(*block))
+        f, steps, reasons = _descend(obj, at, x, y)
         for (i, _), a, b in zip(block, bounds.tolist(), bounds[1:].tolist()):
             j = a + int(np.argmin(f[a:b]))
             if f[j] < best[i][0]:

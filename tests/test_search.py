@@ -25,6 +25,7 @@ from edgelab import (
 from edgelab import search
 from edgelab.errors import DimensionMismatchError, InvalidParamError
 from edgelab.search import BLOCK, FOUND_THRESHOLD, MAX_ITERS, RELATIVE_FLOOR, STOP_REASONS, _Objective
+from edgelab.states import build_family
 from helpers import (
     kernel_basis,
     partial_transpose,
@@ -151,40 +152,40 @@ def test_deterministic_for_fixed_seed():
 
 
 def _best_y(obj, x):
-    return search._smallest_eigvecs(obj.y_forms(search._outer(x)))
+    return search._smallest_eigvecs(search._forms(search._outer(x), obj.m_y[0]))
 
 
 def _best_x(obj, y):
-    return search._smallest_eigvecs(obj.x_forms(search._outer(y)))
+    return search._smallest_eigvecs(search._forms(search._outer(y), obj.m_y[0].T))
 
 
 def test_alternating_steps_are_exact_minimizers(rng):
     # each step solves its subproblem globally: no random candidate beats it
-    obj = _Objective(edge_state(1.4, 0.5))
+    obj = _Objective([edge_state(1.4, 0.5)])
     for _ in range(10):
         x_fixed = random_unit(rng, 3)[None]
         y_best = _best_y(obj, x_fixed)
-        f_y = obj.value(x_fixed, y_best)[0]
+        f_y = obj.value(0, x_fixed, y_best)[0]
         y_fixed = random_unit(rng, 3)[None]
         x_best = _best_x(obj, y_fixed)
-        f_x = obj.value(x_best, y_fixed)[0]
+        f_x = obj.value(0, x_best, y_fixed)[0]
         for _ in range(200):
-            assert f_y <= obj.value(x_fixed, random_unit(rng, 3)[None])[0] + 1e-12
-            assert f_x <= obj.value(random_unit(rng, 3)[None], y_fixed)[0] + 1e-12
+            assert f_y <= obj.value(0, x_fixed, random_unit(rng, 3)[None])[0] + 1e-12
+            assert f_x <= obj.value(0, random_unit(rng, 3)[None], y_fixed)[0] + 1e-12
 
 
 def test_objective_decreases_monotonically():
     # alternating exact minimization can never increase the objective
     s = edge_state(0.8, -0.6)
-    obj = _Objective(s)
+    obj = _Objective([s])
     g = np.random.default_rng(0)
     x, y = random_unit(g, 3)[None], random_unit(g, 3)[None]
-    prev = obj.value(x, y)[0]
+    prev = obj.value(0, x, y)[0]
     for _ in range(50):
         y = _best_y(obj, x)
-        mid = obj.value(x, y)[0]
+        mid = obj.value(0, x, y)[0]
         x = _best_x(obj, y)
-        cur = obj.value(x, y)[0]
+        cur = obj.value(0, x, y)[0]
         assert mid <= prev + 1e-12
         assert cur <= mid + 1e-12
         prev = cur
@@ -207,9 +208,24 @@ def test_fewer_starts_give_a_bit_exact_prefix(state):
         assert res.best_objective == res.per_start_objectives.min()
 
 
+def _pure_entangled():
+    """An entangled pure state of Schmidt rank 2: no product vector in its range.
+
+    Its kernel has 8 vectors and that of its partial transpose 5.
+    """
+    v = np.zeros(9, dtype=complex)
+    v[0], v[4] = math.sqrt(2 / 3), 1j * math.sqrt(1 / 3)
+    return BipartiteOperator(3, 3, np.outer(v, v.conj()))
+
+
+# The p5 states of the CLI's p5 sweep: kernel splits (4, 4), (3, 4), (2, 4)
+# and (1, 4), each with a sum of squares of its own length
+P5_STATES = [build_family("p5", {"b": 1.0, "theta": 0.5, "target_p": p}) for p in (5, 6, 7, 8)]
+
 # States the stacked search is checked on: edge, corner, choi and face states
 # without a witness, a full-rank state whose partial transpose is not, one
-# with both full rank (trivial), and the five witness states.
+# with both full rank (trivial), the five witness states, and states of
+# other kernel splits: the p5 states and a pure entangled state, split (8, 5).
 STACK_POOL = [
     edge_state(1.0, math.pi / 6),
     edge_state(0.7, -0.9),
@@ -224,6 +240,8 @@ STACK_POOL = [
     edge_state(1.3, 0.0),
     corner_state(1.0),
     edge_state(1.0, math.pi / 3),
+    *P5_STATES,
+    _pure_entangled(),
 ]
 
 
@@ -259,6 +277,13 @@ def test_stacked_search_across_a_block_boundary():
     k = BLOCK // 2 + 1
     alone = [product_vector_search(s, starts=k, seed=4) for s in states]
     _assert_same_results(product_vector_search_many(states, starts=k, seed=4), alone)
+
+
+def test_stacked_search_over_mixed_kernel_splits():
+    # one block of four splits: a sum of squares padded to the widest split
+    # would take other last bits on some of them
+    alone = [product_vector_search(s, starts=12, seed=4) for s in P5_STATES]
+    _assert_same_results(product_vector_search_many(P5_STATES, starts=12, seed=4), alone)
 
 
 @pytest.mark.parametrize(
@@ -347,16 +372,6 @@ def _start_by_start_objectives(s, starts, seed, max_iters=500, convergence_tol=1
         steps.append(k)
         reasons.append(reason)
     return np.array(out), np.array(steps), np.array(reasons)
-
-
-def _pure_entangled():
-    """An entangled pure state of Schmidt rank 2: no product vector in its range.
-
-    Its kernel has 8 vectors and that of its partial transpose 5.
-    """
-    v = np.zeros(9, dtype=complex)
-    v[0], v[4] = math.sqrt(2 / 3), 1j * math.sqrt(1 / 3)
-    return BipartiteOperator(3, 3, np.outer(v, v.conj()))
 
 
 @pytest.mark.parametrize(
@@ -455,7 +470,7 @@ def test_starts_advance_in_lockstep(monkeypatch):
     monkeypatch.setattr(search.np, "einsum", counting("einsum", np.einsum))
     state = edge_state(1.0, math.pi / 6)
     # set-up: the kernels and the objective of the starts
-    _Objective(state).value(*search._random_starts(np.random.default_rng(0), 200))
+    _Objective([state]).value(0, *search._random_starts(np.random.default_rng(0), 200))
     setup = dict(calls)
     calls.update(eigh=0, einsum=0)
     monkeypatch.setattr(search, "_step", counting("step", search._step))
@@ -496,6 +511,45 @@ def test_stacking_states_makes_fewer_closed_form_calls(monkeypatch):
     assert 4 * calls[0] < sum(alone)
 
 
+@pytest.mark.parametrize(
+    "states", [[edge_state(1.0, t) for t in np.linspace(-1.15, 1.15, 20)], P5_STATES], ids=["edge", "p5"]
+)
+def test_one_product_a_half_step_serves_every_state(monkeypatch, states):
+    # the block of the CLI benchmark's search sweep, 20 edge states of one
+    # kernel split, and the four p5 states of four splits: each half-step makes
+    # one form product for the rows of every state, and each value one
+    # product per kernel split among its rows
+    calls = {"_step": 0, "_forms": 0, "_sum_squares": 0}
+    values = []  # each value call's distinct splits and products
+
+    def counting(name, f):
+        def wrapped(*args):
+            calls[name] += 1
+            return f(*args)
+
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(search, name, counting(name, getattr(search, name)))
+    value = _Objective.value
+
+    def counting_value(obj, at, x, y):
+        before = calls["_sum_squares"]
+        f = value(obj, at, x, y)
+        values.append((len({obj.splits[j] for j in np.unique(at).tolist()}), calls["_sum_squares"] - before))
+        return f
+
+    monkeypatch.setattr(_Objective, "value", counting_value)
+    res = product_vector_search_many(states, starts=50, seed=2601)
+    assert len(states) * 50 <= BLOCK
+    # the loop runs as long as the longest descent and polish of any state
+    assert calls["_step"] >= max(r.steps.max() for r in res) > 0
+    assert calls["_forms"] == 2 * calls["_step"]
+    assert len(values) == calls["_step"] + 1
+    assert all(splits == products for splits, products in values)
+    assert values[0][0] == len(set(_Objective(states).splits))
+
+
 # seeds one to five 32-bit words wide
 DRAW_SEEDS = [0, 1, 901, 2**32 - 1, 2**32, 2**40 + 17, 2**64 + 5, 2**73 + 12345, 2**100 + 7]
 
@@ -530,19 +584,20 @@ def _separable(rng, k):
 def test_forms_match_gram_construction(rng):
     # the oracle: the forms as Hermitian products of the contracted kernels
     for k in (1, 2, 4):
-        obj = _Objective(_separable(rng, k))
-        assert obj.ka.shape[2] and obj.kt.shape[2]
+        obj = _Objective([_separable(rng, k)])
+        ka, kt = obj.ka[0], obj.kt[0]
+        assert ka.shape[2] and kt.shape[2]
         x = np.array([random_unit(rng, 3) for _ in range(20)])
         y = np.array([random_unit(rng, 3) for _ in range(20)])
-        c1 = np.einsum("ila,bi->bal", obj.ka, x)
-        c2 = np.einsum("ila,bi->bal", obj.kt, x.conj())
+        c1 = np.einsum("ila,bi->bal", ka, x)
+        c2 = np.einsum("ila,bi->bal", kt, x.conj())
         y_form = c1.conj().transpose(0, 2, 1) @ c1 + c2.conj().transpose(0, 2, 1) @ c2
-        d = np.concatenate([np.einsum("ila,bl->bai", obj.ka, y), np.einsum("ila,bl->bai", obj.kt, y).conj()], axis=1)
+        d = np.concatenate([np.einsum("ila,bl->bai", ka, y), np.einsum("ila,bl->bai", kt, y).conj()], axis=1)
         x_form = d.conj().transpose(0, 2, 1) @ d
         outer_x = (x.conj()[:, :, None] * x[:, None, :]).reshape(20, -1)
         outer_y = (y.conj()[:, :, None] * y[:, None, :]).reshape(20, -1)
-        np.testing.assert_allclose(obj.x_form(y), d, rtol=0, atol=1e-13 * np.abs(d).max())
-        for form, got in ((y_form, outer_x @ obj.m_y), (x_form, outer_y @ obj.m_x)):
+        np.testing.assert_allclose(obj.x_form(0, y), d, rtol=0, atol=1e-13 * np.abs(d).max())
+        for form, got in ((y_form, outer_x @ obj.m_y[0]), (x_form, outer_y @ obj.m_y[0].T)):
             assert np.abs(got - form.reshape(20, -1)).max() <= 1e-13 * np.abs(form).max()
 
 
@@ -636,15 +691,15 @@ def _realified_form(c, e):
 def test_best_x_form_is_hermitian_in_x(state, rng):
     # conj(x)^H E conj(x) = x^H conj(E) x, so for fixed y the objective is the
     # complex form C + conj(E), whose realification is the real 2m x 2m form
-    obj = _Objective(state)
+    obj = _Objective([state])
     for _ in range(10):
         y = random_unit(rng, 3)
-        c_a = np.einsum("ila,l->ai", obj.ka, y)
-        c_t = np.einsum("ila,l->ai", obj.kt, y)
+        c_a = np.einsum("ila,l->ai", obj.ka[0], y)
+        c_t = np.einsum("ila,l->ai", obj.kt[0], y)
         c, e = c_a.conj().T @ c_a, c_t.conj().T @ c_t
         form = c + e.conj()
         for _ in range(10):
             x = random_unit(rng, 3)
-            assert obj.value(x[None], y[None])[0] == pytest.approx(np.vdot(x, form @ x).real, rel=1e-12, abs=1e-15)
+            assert obj.value(0, x[None], y[None])[0] == pytest.approx(np.vdot(x, form @ x).real, rel=1e-12, abs=1e-15)
         floor = np.linalg.eigvalsh(_realified_form(c, e))[0]
-        assert obj.value(_best_x(obj, y[None]), y[None])[0] == pytest.approx(floor, abs=1e-12)
+        assert obj.value(0, _best_x(obj, y[None]), y[None])[0] == pytest.approx(floor, abs=1e-12)
