@@ -21,9 +21,9 @@ y has entries ``sum conj(x_i) x_j M[(i, j), (l, o)]``, and the form in x is
 the same sum over ``conj(y_l) y_o``, where the 9 x 9 matrix ``M`` comes from
 the kernel bases once per search.
 
-Each state's search draws its starting pairs from its own generator,
-``default_rng(seed)``; start i takes row i of its stream.  The starts of one
-or more states run in one loop, in lockstep blocks of :data:`BLOCK` that take
+A search draws its starting pairs from one generator, ``default_rng(seed)``,
+and start i of every state takes row i of that draw.  The starts of one or
+more states run in one loop, in lockstep blocks of :data:`BLOCK` that take
 the next starts of consecutive states, so a block may end with the first
 starts of one state after the last starts of another.  A block's pairs are
 stacked as two arrays of shape ``(block, 3)``, the rows of each state
@@ -33,13 +33,14 @@ kernel factors of every state of a search are stacked once, from one
 running start of the block is, per factor, one product of the rows'
 flattened outer products with their states' ``M`` and one stacked smallest
 eigenvector; the objective ``||d x||^2`` then takes one product for the
-rows of each kernel split.  A block of one state takes that state's
-matrices as they stand; a block of more takes a copy of each row's
-matrices, in their own layout.  Every product is stacked row by row, so
+rows of each kernel split.  Running rows of one state take that state's
+matrices as they stand; rows of more take a copy of each row's matrices,
+in their own layout.  Every product is stacked row by row, so
 each start stops on its own, after the same steps it would take alone, and
 its result depends neither on the starts nor on the states that share its
-block.  Memory grows with the block and with the states of the search,
-about 3 KB a state, not with the number of starts.  A start whose objective
+block.  The steps' memory grows with the block and with the states of the
+search, about 3 KB a state; the draw, 96 bytes a start while the search
+runs, and the results, 52 bytes a start, grow with the starts.  A start whose objective
 is exactly 0 takes no step, and a result's ``starts`` is always the count
 asked for.
 
@@ -152,7 +153,7 @@ def _random_starts(rng: np.random.Generator, count: int) -> tuple[np.ndarray, np
 
     A row holds the real and imaginary parts of x, then those of y.  Rows
     come off the generator's stream in order, so start ``i`` takes row ``i``
-    however the starts are split into blocks.
+    and a search of fewer starts takes a prefix of the rows of a longer one.
     """
     z = rng.standard_normal((count, 12))
     x = z[:, :3] + 1j * z[:, 3:6]
@@ -209,7 +210,7 @@ def _rowwise(a: np.ndarray, mat: np.ndarray) -> np.ndarray:
 
 
 class _Gathered:
-    """Rows of a stack of matrices, copied into memory kept from call to call.
+    """Rows of a stack of matrices: one matrix as it stands, or copies in memory kept from call to call.
 
     A block of several states copies the matrices of its running rows each
     step, about 2 KB a row.  Copied into fresh arrays each step, the
@@ -223,7 +224,15 @@ class _Gathered:
         self.stack, self.buffer = stack, stack[:0].copy()
 
     def take(self, at: np.ndarray) -> np.ndarray:
-        """``stack[at]``, in the layout of ``stack``, until the next call."""
+        """The matrices of the rows of states ``at``, in state order, until the next call.
+
+        Rows of one state take its matrix as it stands, one 2-D view that
+        every row broadcasts against: a copy made a 200-start search of
+        ``edge_state(1, pi/6)`` about 5% slower (process CPU time, 2 CPUs).
+        Rows of several take ``stack[at]``, in the layout of ``stack``.
+        """
+        if at[0] == at[-1]:
+            return self.stack[at[0]]
         if len(self.buffer) < len(at):
             self.buffer = np.empty((len(at), *self.stack.shape[1:]), dtype=self.stack.dtype)
         # the indices are in range; "clip" writes into out without a buffer of its own
@@ -238,10 +247,9 @@ class _Objective:
     k2)`` of sizes, the matrix ``m_y[j]`` of its forms in y, whose transpose
     is that of its forms in x, and the factor ``k[j]`` from which y gives
     ``d`` (see :meth:`value`), zero past its split.  The methods take the
-    rows of a block, one row per start, and their states ``at``: one state's
-    index, whose matrices serve the rows as they stand, or one index per row,
-    which gathers a copy of each row's matrices into ``m_rows`` and
-    ``k_rows``.  A copy keeps the layout of the matrix it copies: one in
+    rows of a block, one row per start, and their states ``at``, one index
+    per row in state order; ``m_rows`` and ``k_rows`` give the rows'
+    matrices.  A copy keeps the layout of the matrix it copies: one in
     another layout takes another matmul loop of numpy, and other last bits.
     """
 
@@ -272,16 +280,17 @@ class _Objective:
         self.kinds = sorted(set(self.splits))
         self.kind = np.array([self.kinds.index(split) for split in self.splits])
 
-    def value(self, at, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """``||d x||^2`` of each row, ``d`` being the :meth:`x_form` of its y: one product per kernel split.
+    def value(self, at: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """``||d x||^2`` of each row: one product per kernel split.
 
-        A sum of squares over rows padded with zeros takes other last bits
-        than one over the rows alone, so the rows of each split take a
-        product of their own.
+        ``d = [c_a ; conj(c_t)]`` comes from the row's y; the conjugated term
+        is ``||c_t conj(x)||^2 = ||conj(c_t) x||^2``, so for fixed y the
+        objective is the Hermitian form ``x^H d^H d x`` in x.  A sum of
+        squares over rows padded with zeros takes other last bits than one
+        over the rows alone, so the rows of each split take a product of
+        their own.
         """
-        if isinstance(at, int):
-            return _sum_squares(self.x_form(at, y), x)
-        d = _rowwise(y, self.k_rows.take(at).swapaxes(1, 2)).reshape(len(y), -1, 3)
+        d = _rowwise(y, self.k_rows.take(at).swapaxes(-2, -1)).reshape(len(y), -1, 3)
         if len(self.kinds) == 1:
             return _sum_squares(_conjugated_from(d, self.kinds[0][0]), x)
         f = np.empty(len(x))
@@ -291,15 +300,6 @@ class _Objective:
             if rows.size:
                 f[rows] = _sum_squares(_conjugated_from(d[rows, : k1 + k2], k1), x[rows])
         return f
-
-    def x_form(self, at: int, y: np.ndarray) -> np.ndarray:
-        """Stacked ``d = [c_a ; conj(c_t)]`` of rows of state ``at``, so that ``value(at, x, y) = ||d x||^2``.
-
-        The conjugated term is ``||c_t conj(x)||^2 = ||conj(c_t) x||^2``, so for
-        fixed y the objective is the Hermitian form ``x^H d^H d x`` in x.
-        """
-        k1, k2 = self.splits[at]
-        return _conjugated_from(_rowwise(y, self.k[at, : 3 * (k1 + k2)].T).reshape(len(y), -1, 3), k1)
 
 
 def _conjugated_from(d: np.ndarray, k1: int) -> np.ndarray:
@@ -320,36 +320,33 @@ def _forms(o: np.ndarray, m: np.ndarray) -> np.ndarray:
     return _rowwise(o, m).reshape(len(o), 3, 3)
 
 
-def _step(obj: _Objective, at, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _step(obj: _Objective, at: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One alternating step from the rows ``x`` of states ``at``: the new ``x``, ``y`` and objective.
 
     Each half-step is one product and one closed-form solve for the rows of
     every state.
     """
-    m_y = obj.m_y[at] if isinstance(at, int) else obj.m_rows.take(at)
+    m_y = obj.m_rows.take(at)
     y = _smallest_eigvecs(_forms(_outer(x), m_y))
     x = _smallest_eigvecs(_forms(_outer(y), m_y.swapaxes(-2, -1)))
     return x, y, obj.value(at, x, y)
 
 
-def _descend(obj: _Objective, at, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _descend(
+    obj: _Objective, at: np.ndarray, x: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Run every start of a block to its stop, updating ``x`` and ``y`` in place.
 
-    ``at`` names the states of the rows: one state's index, or one index a
-    row.  A start at exactly 0, the least value of a sum of squares, takes
-    no step.  Any other start leaves the running set once its decrease falls
-    under :data:`CONVERGENCE_TOL`, or, while its objective is above
+    ``at`` names the state of each row, in state order.  A start at exactly
+    0, the least value of a sum of squares, takes no step.  Any other start
+    leaves the running set once its decrease falls under
+    :data:`CONVERGENCE_TOL`, or, while its objective is above
     :data:`RELATIVE_FLOOR`, under :data:`RELATIVE_TOL` times it, or after
     :data:`MAX_ITERS` steps; the starts then above 0 and at or under
     :data:`FOUND_THRESHOLD` polish together while strictly improving.
     Returns the objective, the step count and the stop reason (an index
     into :data:`STOP_REASONS`) of each start.
     """
-
-    def rows(live: np.ndarray):
-        """The states of the running rows ``live``."""
-        return at if isinstance(at, int) else at[live]
-
     f = obj.value(at, x, y)
     steps = np.zeros(len(f), dtype=np.int64)
     # whether a start's last decrease was at least CONVERGENCE_TOL: if it
@@ -359,7 +356,7 @@ def _descend(obj: _Objective, at, x: np.ndarray, y: np.ndarray) -> tuple[np.ndar
     for k in range(1, MAX_ITERS + 1):
         if not live.size:
             break
-        x[live], y[live], f_new = _step(obj, rows(live), x[live])
+        x[live], y[live], f_new = _step(obj, at[live], x[live])
         drop = f[live] - f_new
         moving[live] = going = drop >= CONVERGENCE_TOL
         steps[live] = k
@@ -373,7 +370,7 @@ def _descend(obj: _Objective, at, x: np.ndarray, y: np.ndarray) -> tuple[np.ndar
     for _ in range(POLISH_STEPS):
         if not live.size:
             break
-        x_p, y_p, f_p = _step(obj, rows(live), x[live])
+        x_p, y_p, f_p = _step(obj, at[live], x[live])
         better = f_p < f[live]
         live = live[better]
         x[live], y[live], f[live] = x_p[better], y_p[better], f_p[better]
@@ -386,12 +383,12 @@ def product_vector_search_many(
 ) -> list[EdgeSearchResult]:
     """:func:`product_vector_search` of every 3 x 3 operator in ``states``.
 
-    Each state makes its own generator, ``default_rng(seed)``, and start ``i``
-    of a state takes row ``i`` of its stream, so each result is bit for bit
-    that of searching the state alone.  The starts of all states run in one
-    loop, in lockstep blocks of :data:`BLOCK` that take the next starts of
-    consecutive states; one product and one closed-form solve per half-step
-    serve every state of a block.  Raises :class:`InvalidParamError` when
+    The call draws ``starts`` pairs from one generator, ``default_rng(seed)``,
+    and start ``i`` of every state takes row ``i`` of that draw, so each
+    result is bit for bit that of searching the state alone.  The starts of
+    all states run in one loop, in lockstep blocks of :data:`BLOCK` that take
+    the next starts of consecutive states; one product and one closed-form
+    solve per half-step serve every state of a block.  Raises :class:`InvalidParamError` when
     ``starts < 1`` or ``seed < 0``, ``TypeError`` when ``seed`` is not an
     integer, and :class:`DimensionMismatchError`, naming the shape, when an
     operator is not 3 x 3, before any start runs; an empty ``states`` gives
@@ -411,35 +408,30 @@ def product_vector_search_many(
     from numpy.random import default_rng
 
     obj = _Objective(states)
-    rngs = [default_rng(seed) for _ in states]
-    best = [(np.inf, None, None)] * len(states)
-    # each state's per-start objectives, steps and stop reasons, block by block
-    per_start = [([], [], []) for _ in states]
-    # the starts of every state in turn, cut into blocks: (state, count) pairs
-    total = len(states) * starts
+    # start i of every state takes row i of the one draw
+    x0, y0 = _random_starts(default_rng(seed), starts)
+    n, total = len(states), len(states) * starts
+    f, steps, reasons = np.empty(total), np.empty(total, dtype=np.int64), np.empty(total, dtype=np.int64)
+    best, best_x, best_y = np.full(n, np.inf), np.empty((n, 3), dtype=complex), np.empty((n, 3), dtype=complex)
+    # the starts of every state in turn, cut into blocks
     for lo in range(0, total, BLOCK):
         hi = min(lo + BLOCK, total)
-        block = [
-            (i, min(hi, (i + 1) * starts) - max(lo, i * starts))
-            for i in range(lo // starts, (hi - 1) // starts + 1)
-        ]
-        xs, ys = zip(*(_random_starts(rngs[i], count) for i, count in block))
-        x, y = np.concatenate(xs), np.concatenate(ys)
-        bounds = np.cumsum([0] + [count for _, count in block])
-        # the rows' states: one state's index, so that its matrices serve as they are, or one a row
-        at = block[0][0] if len(block) == 1 else np.repeat(*zip(*block))
-        f, steps, reasons = _descend(obj, at, x, y)
-        for (i, _), a, b in zip(block, bounds.tolist(), bounds[1:].tolist()):
-            j = a + int(np.argmin(f[a:b]))
-            if f[j] < best[i][0]:
-                best[i] = (float(f[j]), x[j].copy(), y[j].copy())
-            for part, whole in zip(per_start[i], (f, steps, reasons)):
-                part.append(whole[a:b])
+        at, start = np.divmod(np.arange(lo, hi), starts)
+        x, y = x0[start], y0[start]
+        f[lo:hi], steps[lo:hi], reasons[lo:hi] = _descend(obj, at, x, y)
+        # each state's best pair: the first start of its smallest objective
+        for i in range(lo // starts, (hi - 1) // starts + 1):
+            a = max(i * starts, lo)
+            j = a + int(np.argmin(f[a : min(i * starts + starts, hi)]))
+            if f[j] < best[i]:
+                best[i], best_x[i], best_y[i] = f[j], x[j - lo], y[j - lo]
     found, none = SearchVerdict.PRODUCT_VECTOR_FOUND, SearchVerdict.NONE_FOUND_ABOVE_THRESHOLD
-    names = np.array(STOP_REASONS)
+    f, steps, reasons = (v.reshape(n, starts) for v in (f, steps, np.array(STOP_REASONS)[reasons]))
     return [
-        EdgeSearchResult(f, best_x, best_y, starts, fs, found if f <= FOUND_THRESHOLD else none, steps, names[reasons])
-        for (f, best_x, best_y), (fs, steps, reasons) in zip(best, (map(np.concatenate, parts) for parts in per_start))
+        EdgeSearchResult(
+            b, best_x[i], best_y[i], starts, f[i], found if b <= FOUND_THRESHOLD else none, steps[i], reasons[i]
+        )
+        for i, b in enumerate(best.tolist())
     ]
 
 
@@ -457,8 +449,10 @@ def product_vector_search(s: BipartiteOperator, *, starts: int = 200, seed: int 
     fixed seed gives a fixed result, a run of fewer starts is a bit-exact
     prefix of a longer one, and a start does not depend on the block it
     runs in.  The starts run in index order, in
-    lockstep blocks of :data:`BLOCK` starts, so memory stays proportional
-    to the block and the cost per start falls as more starts share a block.
+    lockstep blocks of :data:`BLOCK` starts, so the cost per start falls as
+    more starts share a block; the steps' memory grows with the block, and
+    the drawn pairs and the per-start results with the starts, about 150
+    bytes a start.
     The best pair is that of the first start with the smallest objective.
     A start at exactly 0 takes no step, so on a state whose kernels are both
     empty the best pair is start 0's and the verdict is found; ``starts`` of
