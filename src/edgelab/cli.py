@@ -12,7 +12,8 @@ each chunk's rows in one write.
 
 Exit codes: 0 success (classify: state is PPT; table: all targets achieved),
 1 for a negative verdict (classify: not PPT; table: missing types), 2 for
-invalid parameters, malformed input or output that cannot be written.
+invalid parameters, malformed input, output that cannot be written or memory
+that cannot be allocated.
 """
 
 from __future__ import annotations
@@ -444,12 +445,12 @@ def main(argv=None) -> int:
             code = args.func(args)
         sys.stdout.flush()  # a full disk or a closed pipe fails here, not at exit
         return code
-    except (EdgeLabError, np.linalg.LinAlgError, OSError) as exc:
+    except (EdgeLabError, np.linalg.LinAlgError, OSError, MemoryError) as exc:
         if isinstance(exc, OSError) and sys.stdout is sys.__stdout__ is not None:
             # what stdout could not take stays in its buffer: send it to
             # devnull, or the flush at exit fails on it again (exit 120)
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"edgelab: error: {exc}", file=sys.stderr)
+        print(f"edgelab: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

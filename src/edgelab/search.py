@@ -39,8 +39,9 @@ in their own layout.  Every product is stacked row by row, so
 each start stops on its own, after the same steps it would take alone, and
 its result depends neither on the starts nor on the states that share its
 block.  The steps' memory grows with the block and with the states of the
-search, about 3 KB a state; the draw, 96 bytes a start while the search
-runs, and the results, 52 bytes a start, grow with the starts.  A start whose objective
+search, about 3 KB a state; the draw, about 200 bytes a start while it is
+made and 96 while the search runs, and the results, 52 bytes a start, grow
+with the starts, which :data:`MAX_STARTS` bounds.  A start whose objective
 is exactly 0 takes no step, and a result's ``starts`` is always the count
 asked for.
 
@@ -88,6 +89,13 @@ MAX_ITERS = 500
 # vector, kept their verdicts.
 RELATIVE_TOL = 1e-5
 RELATIVE_FLOOR = 1e3 * FOUND_THRESHOLD
+
+# The most starts a search takes.  The draw peaks at about 200 bytes a start
+# while it is made, then keeps 96 while the search runs, and each state's
+# result keeps 52, so a one-state search of this many starts peaks at about
+# 1 GB.  A count far past it is refused before the draw, which would fail to
+# allocate (1e12 starts ask for 87 TiB) or to take its shape (past 2**63).
+MAX_STARTS = 2**22
 
 # Starts advanced together, over one or more states.  One 1,000-start search
 # of edge_state(1, pi/6) took 96, 69, 56 and 55 ms in blocks of 128, 256, 512
@@ -144,10 +152,6 @@ class EdgeSearchResult:
     stop_reasons: np.ndarray
 
 
-def _unit_rows(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
-
-
 def _random_starts(rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
     """The next ``count`` random unit pairs of the search's generator, one row per start.
 
@@ -156,9 +160,16 @@ def _random_starts(rng: np.random.Generator, count: int) -> tuple[np.ndarray, np
     and a search of fewer starts takes a prefix of the rows of a longer one.
     """
     z = rng.standard_normal((count, 12))
-    x = z[:, :3] + 1j * z[:, 3:6]
-    y = z[:, 6:9] + 1j * z[:, 9:]
-    return _unit_rows(x), _unit_rows(y)
+    # re + 1j * im, the sum taken in place, and z dropped before each row is
+    # divided by its norm in place: the bits of building new arrays, at a
+    # peak of about 200 bytes a start instead of 300
+    x, y = 1j * z[:, 3:6], 1j * z[:, 9:]
+    x += z[:, :3]
+    y += z[:, 6:9]
+    del z
+    for v in (x, y):
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+    return x, y
 
 
 def _smallest_eigvecs(h: np.ndarray) -> np.ndarray:
@@ -389,13 +400,13 @@ def product_vector_search_many(
     all states run in one loop, in lockstep blocks of :data:`BLOCK` that take
     the next starts of consecutive states; one product and one closed-form
     solve per half-step serve every state of a block.  Raises :class:`InvalidParamError` when
-    ``starts < 1`` or ``seed < 0``, ``TypeError`` when ``seed`` is not an
+    ``starts`` is not from 1 to :data:`MAX_STARTS` or ``seed < 0``, ``TypeError`` when ``seed`` is not an
     integer, and :class:`DimensionMismatchError`, naming the shape, when an
     operator is not 3 x 3, before any start runs; an empty ``states`` gives
     ``[]``.
     """
-    if starts < 1:
-        raise InvalidParamError(f"starts must be >= 1, got {starts}")
+    if not 1 <= starts <= MAX_STARTS:
+        raise InvalidParamError(f"starts must be from 1 to {MAX_STARTS}, got {starts}")
     if seed < 0:
         raise InvalidParamError(f"seed must be >= 0, got {seed}")
     states = list(states)
@@ -452,7 +463,8 @@ def product_vector_search(s: BipartiteOperator, *, starts: int = 200, seed: int 
     lockstep blocks of :data:`BLOCK` starts, so the cost per start falls as
     more starts share a block; the steps' memory grows with the block, and
     the drawn pairs and the per-start results with the starts, about 150
-    bytes a start.
+    bytes a start, and about 200 while the pairs are drawn; ``starts`` is at
+    most :data:`MAX_STARTS`.
     The best pair is that of the first start with the smallest objective.
     A start at exactly 0 takes no step, so on a state whose kernels are both
     empty the best pair is start 0's and the verdict is found; ``starts`` of

@@ -599,6 +599,13 @@ REFERENCE_FAMILIES = {
 }
 
 
+def cli_command(*argv: str) -> list[str]:
+    """The command that runs ``edgelab *argv`` in a child process.  The child
+    fails on a RuntimeWarning, as pyproject.toml's ``filterwarnings`` fails a
+    test on one."""
+    return [sys.executable, "-W", "error::RuntimeWarning", "-m", "edgelab.cli", *argv]
+
+
 @functools.cache
 def _sweep_parser():
     """The parser of ``edgelab sweep``, built once: a parser holds no state between parses."""

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import edgelab
 from edgelab import BipartiteOperator, choi_matrix, classify, classify_many, edge_state, linalg
 from edgelab import cli, product_vector_search
 from edgelab.classify import _classify_stack
@@ -25,7 +26,7 @@ from edgelab.cli import COMMANDS, SWEEP_CHUNK, _grid_indices, _parse_range, _tab
 from edgelab.io import matrix_from_dict, matrix_to_dict, read_matrix, write_matrix
 from edgelab.errors import EdgeLabError
 from edgelab.states import FAMILIES
-from helpers import REFERENCE_FAMILIES, assert_same_entries, assert_same_outcome, outcome, reference_sweep
+from helpers import REFERENCE_FAMILIES, assert_same_entries, assert_same_outcome, cli_command, outcome, reference_sweep
 
 THETA = math.pi / 6
 # the module, which the package's ``classify`` function shadows as an attribute
@@ -341,7 +342,7 @@ class TestConstruct:
 
     def test_unwritable_out_exit_2(self, capsys, tmp_path):
         # an empty --out is a path that cannot be opened, not an absent --out
-        for out_file in (str(tmp_path / "missing" / "edge.json"), ""):
+        for out_file in (str(tmp_path / "missing" / "edge.json"), "/nonexistent/dir/x.json", ""):
             code, out, err = run_cli(
                 capsys, "construct", "--family", "edge", "--b", "1", "--theta", "0.5", "--out", out_file
             )
@@ -435,6 +436,16 @@ class TestClassifyCommand:
         _, in_process, _ = run_cli(capsys, "classify", "--family", "edge", "--b", "1.3", "--theta", "0.7")
         assert via_file == in_process
 
+    def test_construct_output_with_m_true_exit_2(self, capsys, tmp_path):
+        # a matrix file's m must be a JSON integer: true is not read as 1
+        _, text, _ = run_cli(capsys, "construct", "--family", "edge", "--b", "1", "--theta", "0.5")
+        assert '"m": 3, "n": 3' in text
+        path = tmp_path / "m-true.json"
+        path.write_text(text.replace('"m": 3, "n": 3', '"m": true, "n": 9'))
+        code, out, err = run_cli(capsys, "classify", "--in", str(path))
+        assert (code, out) == (2, "")
+        assert_one_line_error(err)
+
     def test_non_hermitian_file_exit_2(self, capsys, tmp_path):
         bad = np.zeros((9, 9))
         bad[0, 1] = 1.0
@@ -515,13 +526,17 @@ class TestClassifyCommand:
         "argv",
         [
             ["classify", "--family", "choi", "--a", "1", "--b", "1", "--c", "1", "--in", "FILE"],
+            ["classify", "--in", "FILE", "--family", "edge", "--b", "1", "--theta", "0.5"],
             ["edge-check", "--family", "choi", "--a", "1", "--b", "1", "--c", "1", "--in", "FILE"],
             ["edge-check", "--family", "edge", "--b", "1", "--theta", "0.5", "--analytic", "--in", "FILE"],
             # an empty --in is a given path, not an absent --in
             ["classify", "--in", "", "--family", "edge", "--b", "1", "--theta", "0.5"],
             ["edge-check", "--in", "", "--family", "edge", "--b", "1", "--theta", "0.5", "--starts", "3"],
         ],
-        ids=["classify", "edge-check", "edge-check-analytic", "classify-empty-in", "edge-check-empty-in"],
+        ids=[
+            "classify", "classify-edge", "edge-check", "edge-check-analytic",
+            "classify-empty-in", "edge-check-empty-in",
+        ],
     )
     def test_file_and_family_together_exit_2(self, capsys, tmp_path, argv):
         # one operator per command line: neither the PPT file nor the family is dropped unseen
@@ -540,12 +555,15 @@ class TestClassifyCommand:
             (["construct", "--family", "state-7-6", "--b", "2", "--theta-frac", "1/6"], ("--theta or --theta-frac",)),
             (["classify", "--family", "edge", "--b", "1", "--theta", "0.5", "--a", "3", "--target-p", "5"],
              ("--a", "--target-p")),
+            (["classify", "--family", "edge", "--b", "1", "--theta", "0.5", "--a", "3"], ("--a",)),
             (["sweep", "--family", "edge", "--b", "1", "--a", "7", "--range", "theta=0:1:2"], ("--a",)),
             (["construct", "--family", "choi", "--a", "2", "--b", "1", "--c", "1", "--xi-eta", "0"], ("--xi-eta",)),
             (["edge-check", "--family", "edge", "--b", "1", "--theta", "0.5", "--analytic", "--c", "1"], ("--c",)),
             # the search options where no search runs
             (["edge-check", "--family", "edge", "--b", "1", "--theta", "0.5", "--analytic", "--starts", "5",
               "--seed", "3"], ("--starts",)),
+            (["edge-check", "--family", "edge", "--b", "1", "--theta", "0.5", "--analytic", "--starts", "5"],
+             ("--starts",)),
             (["edge-check", "--family", "edge", "--b", "1", "--theta", "0.5", "--analytic", "--seed", "0"],
              ("--seed",)),
             (["sweep", "--family", "edge", "--b", "1", "--range", "theta=0:1:2", "--starts", "7", "--seed", "2"],
@@ -553,9 +571,9 @@ class TestClassifyCommand:
             (["sweep", "--family", "edge", "--b", "1", "--range", "theta=0:1:2", "--seed", "2"], ("--seed",)),
         ],
         ids=[
-            "in-file", "in-file-theta-frac", "family-theta-frac", "classify-family", "sweep",
-            "construct-zero-coupling", "edge-check-analytic", "analytic-starts", "analytic-seed",
-            "sweep-starts", "sweep-seed",
+            "in-file", "in-file-theta-frac", "family-theta-frac", "classify-family", "classify-a", "sweep",
+            "construct-zero-coupling", "edge-check-analytic", "analytic-starts", "analytic-starts-only",
+            "analytic-seed", "sweep-starts", "sweep-seed",
         ],
     )
     def test_options_the_input_does_not_read_exit_2(self, capsys, tmp_path, argv, named):
@@ -569,7 +587,9 @@ class TestClassifyCommand:
     def test_face_reads_an_absent_coupling_as_zero(self, capsys):
         argv = ["classify", "--family", "face", "--b", "1", "--theta", "0.5", "--xi-eta", "0.3"]
         zeros = ["--eta-zeta", "0", "--zeta-xi", "0"]
-        assert run_cli(capsys, *argv) == run_cli(capsys, *argv, *zeros)
+        got = run_cli(capsys, *argv)
+        assert got == run_cli(capsys, *argv, *zeros)
+        assert got[0] == 0
 
     def test_malformed_file_exit_2(self, capsys, tmp_path):
         path = tmp_path / "malformed.json"
@@ -667,6 +687,23 @@ class TestEdgeCheck:
         assert report["certifiedBy"] == "numeric"
         assert report["bestObjective"] >= 1e-6
 
+    @pytest.mark.parametrize(
+        "angle, verdict, floor",
+        [
+            # above search.RELATIVE_FLOOR a start may stop relative to its own
+            # objective: the edge floor moves by under 1e-5 of itself
+            ("--theta-frac=1/6", "NoneFoundAboveThreshold", 1.362006709e-2),
+            # under it the absolute rule and the polish run to the floating floor
+            ("--theta=0", "ProductVectorFound", 0.0),
+        ],
+        ids=["edge", "separable"],
+    )
+    def test_default_search_floor(self, capsys, angle, verdict, floor):
+        code, out, _ = run_cli(capsys, "edge-check", "--family", "edge", "--b", "1", angle)
+        report = strict_json(out)
+        assert (code, report["verdict"]) == (0, verdict)
+        assert report["bestObjective"] == pytest.approx(floor, rel=1e-5, abs=1e-20)
+
     @pytest.mark.parametrize("starts", ["0", "-3"])
     def test_no_starts_exit_2(self, capsys, starts):
         code, out, err = run_cli(
@@ -685,6 +722,14 @@ class TestEdgeCheck:
         assert_one_line_error(err)
         assert "seed" in err
 
+    def test_failed_allocation_exit_2(self, capsys, monkeypatch):
+        def fail(*args):
+            raise MemoryError
+
+        monkeypatch.setattr("edgelab.search._random_starts", fail)
+        code, out, err = run_cli(capsys, "edge-check", "--family", "edge", "--b", "1", "--theta", "0.5")
+        assert (code, out, err) == (2, "", "edgelab: error: out of memory\n")
+
     def test_full_rank_state_counts_the_starts_asked_for(self, capsys):
         code, out, _ = run_cli(
             capsys, "edge-check", "--family", "choi", "--a", "3", "--b", "2", "--c", "1", "--starts", "7",
@@ -693,15 +738,15 @@ class TestEdgeCheck:
         report = strict_json(out)
         assert (report["verdict"], report["bestObjective"], report["starts"]) == ("ProductVectorFound", 0.0, 7)
 
-    @pytest.mark.parametrize("source", ["p-theta", "2x3-file"])
-    def test_operator_not_3x3_exit_2(self, capsys, tmp_path, source):
+    @pytest.mark.parametrize(
+        "source, shape", [("p-theta", "1 x 3"), ("2x3-file", "2 x 3")], ids=["p-theta", "2x3-file"]
+    )
+    def test_operator_not_3x3_exit_2(self, capsys, tmp_path, source, shape):
         path = tmp_path / "two-by-three.json"
         write_matrix(BipartiteOperator(2, 3, np.eye(6)), path)
         argv = ["--family", "p-theta", "--theta", "0.5"] if source == "p-theta" else ["--in", str(path)]
-        code, out, err = run_cli(capsys, "edge-check", *argv)
-        assert (code, out) == (2, "")
-        assert_one_line_error(err)
-        assert "3 x 3" in err
+        refused = f"edgelab: error: the search takes 3 x 3 operators only, got {shape}\n"
+        assert run_cli(capsys, "edge-check", *argv) == (2, "", refused)
 
     def test_one_start_prints_strict_json(self, capsys):
         code, out, _ = run_cli(
@@ -756,6 +801,47 @@ class TestSweep:
         second = float(lines[2].rsplit(",", 1)[1])
         assert first <= 1e-9  # separable at theta = 0
         assert second >= 1e-6
+
+    @pytest.mark.parametrize(
+        "argv, types",
+        [
+            # a 3 x 3 block near a double root takes eigvalsh, not the cubic's closed
+            # form: theta = +-pi/3 (a double root at 0) reads (7, 6), the 62 points between (8, 6)
+            (["--family", "edge", "--b", "1", "--range", "theta=-1.0471975511965976:1.0471975511965976:64"],
+             ["7,6"] + ["8,6"] * 62 + ["7,6"]),
+            # state-7-6's all-ones block has its double root at 0 at every point
+            (["--family", "state-7-6", "--range", "b=0.01:100:64"], ["7,6"] * 64),
+            # a p5 sweep across a chunk boundary, one chunk after another
+            (["--family", "p5", "--b", "1", "--target-p", "6", "--range", f"theta=-1:1:{SWEEP_CHUNK + 6}"],
+             ["6,5"] * (SWEEP_CHUNK + 6)),
+            (["--family", "edge", "--b", "1", "--range", "theta=-1:1:5", "--search", "--starts", "20"], ["8,6"] * 5),
+        ],
+        ids=["edge-pi3", "state-7-6", "p5-chunks", "edge-search"],
+    )
+    def test_types_row_by_row(self, capsys, argv, types):
+        code, out, err = run_cli(capsys, "sweep", *argv)
+        assert (code, err) == (0, "")
+        header, *rows = out.splitlines()
+        at = header.split(",").index("isPPT")
+        assert [",".join(row.split(",")[at : at + 3]) for row in rows] == ["True," + t for t in types]
+
+    @pytest.mark.parametrize("starts", ["12", "600"])
+    def test_p5_search_column_is_each_state_searched_alone(self, capsys, starts):
+        # four kernel splits share one search block; at 600 starts the blocks
+        # cross state boundaries and the last holds one state of the four
+        search = ["--starts", starts, "--seed", "4"]
+        code, out, _ = run_cli(
+            capsys, "sweep", "--family", "p5", "--b", "1", "--theta", "0.5", "--range", "target_p=5:8:4",
+            "--search", *search,
+        )
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [row[2] for row in rows] == ["5", "6", "7", "8"]
+        for row in rows:
+            code, out, _ = run_cli(
+                capsys, "edge-check", "--family", "p5", "--b", "1", "--theta", "0.5", "--target-p", row[2], *search
+            )
+            assert (code, repr(strict_json(out)["bestObjective"])) == (0, row[-1])
 
     def test_choi_sweep_sees_region_boundary(self, capsys):
         code, out, _ = run_cli(
@@ -959,6 +1045,15 @@ class TestSweep:
         )
         assert (code, out) == (2, "")
 
+    def test_search_with_more_starts_than_the_cap_exit_2(self, capsys):
+        # refused before a draw of 87 TiB
+        code, out, err = run_cli(
+            capsys, "sweep", "--family", "edge", "--b", "1", "--range", "theta=0.1:0.2:2",
+            "--search", "--starts", "1000000000000",
+        )
+        assert (code, out) == (2, "")
+        assert_one_line_error(err)
+
     def test_huge_finite_entries_give_verdicts(self, capsys):
         code, out, err = run_cli(
             capsys, "sweep", "--family", "choi", "--a", "1e308", "--b", "1e308", "--range", "c=1e307:1e308:3",
@@ -1088,8 +1183,10 @@ class TestSweep:
             (["--family", "edge", "--b", "1", "--theta", "0.5"], "provide at least one --range NAME=START:STOP:STEPS"),
             (["--family", "edge", "--range", "theta=0:1:2"], "fix parameter --b or sweep it"),
             (["--family", "edge", "--range", "b=1:2:2"], "fix parameter --theta or --theta-frac or sweep it"),
+            # a non-finite point (a = inf) reports before a later invalid one (a = -1)
+            (["--family", "choi", "--b", "1", "--c", "1", "--range=a=inf:-1:3"], "matrix entries must be finite"),
         ],
-        ids=["face", "no-range", "missing-b", "missing-theta"],
+        ids=["face", "no-range", "missing-b", "missing-theta", "choi-inf-first"],
     )
     def test_refused_sweep_exit_2(self, capsys, argv, message):
         assert run_cli(capsys, "sweep", *argv) == (2, "", f"edgelab: error: {message}\n")
@@ -1172,6 +1269,13 @@ class TestParser:
         with pytest.raises(SystemExit) as got:
             main(argv)
         assert (got.value.code, *capsys.readouterr()) == want
+
+    def test_the_iteration_cap_is_not_an_option(self, capsys):
+        # search.MAX_ITERS is a module constant
+        with pytest.raises(SystemExit) as exc:
+            main(["edge-check", "--help"])
+        assert exc.value.code == 0
+        assert "--max-iters" not in capsys.readouterr().out
 
     def test_builds_only_the_named_command(self, capsys, monkeypatch):
         calls = []
@@ -1328,6 +1432,9 @@ class TestContract:
     @example(argv=["construct", "--family=edge", "--b=1.7e308", "--theta=0.5"])
     @example(argv=["edge-check", "--family=edge", "--b=1.7e308", "--theta=0.5", "--analytic"])
     @example(argv=["classify", "--family=choi", "--a=1e308", "--b=1e308", "--c=1e308"])
+    # past search.MAX_STARTS: refused before a draw of 87 TiB, or of a shape past 2**63
+    @example(argv=["edge-check", "--family=edge", "--b=1", "--theta=0.5", "--starts=1000000000000"])
+    @example(argv=["edge-check", "--family=edge", "--b=1", "--theta=0.5", "--starts=100000000000000000000"])
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_argvs_keep_the_exit_code_contract(self, argv):
         assert_contract(argv)
@@ -1370,7 +1477,7 @@ def cli_env(unbuffered: bool) -> dict:
 def test_failed_write_exit_2(argv, stdout, unbuffered):
     with open(stdout or os.devnull, "w") as out:
         result = subprocess.run(
-            [sys.executable, "-m", "edgelab.cli", *argv],
+            cli_command(*argv),
             stdout=out, stderr=subprocess.PIPE, text=True, env=cli_env(unbuffered),
         )
     assert result.returncode == 2
@@ -1383,7 +1490,7 @@ def test_closed_pipe_exit_2(unbuffered):
     # as `edgelab sweep ... | head -1`: 5000 rows, some 160 kB, more than the
     # pipe and stdout's buffer hold, so the sweep writes on after the reader has gone
     child = subprocess.Popen(
-        [sys.executable, "-m", "edgelab.cli", "sweep", "--family", "edge", "--b", "1", "--range", "theta=0:1:5000"],
+        cli_command("sweep", "--family", "edge", "--b", "1", "--range", "theta=0:1:5000"),
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=cli_env(unbuffered),
     )
     assert child.stdout.readline().startswith("b,theta,isPPT,p,q")
@@ -1396,9 +1503,14 @@ def test_closed_pipe_exit_2(unbuffered):
 
 def test_console_entry_point(tmp_path):
     result = subprocess.run(
-        [sys.executable, "-m", "edgelab.cli", "classify", "--family", "edge", "--b", "1", "--theta-frac", "1/6"],
+        cli_command("classify", "--family", "edge", "--b", "1", "--theta-frac", "1/6"),
         capture_output=True,
         text=True,
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["type"] == [8, 6]
+
+
+def test_every_public_name_exists():
+    missing = [name for name in edgelab.__all__ if not hasattr(edgelab, name)]
+    assert not missing

@@ -2,6 +2,7 @@ import cmath
 import math
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -24,7 +25,7 @@ from edgelab import (
 )
 from edgelab import search
 from edgelab.errors import DimensionMismatchError, InvalidParamError
-from edgelab.search import BLOCK, FOUND_THRESHOLD, MAX_ITERS, RELATIVE_FLOOR, STOP_REASONS, _Objective
+from edgelab.search import BLOCK, FOUND_THRESHOLD, MAX_ITERS, MAX_STARTS, RELATIVE_FLOOR, STOP_REASONS, _Objective
 from edgelab.states import build_family
 from helpers import (
     kernel_basis,
@@ -198,6 +199,14 @@ def test_objective_decreases_monotonically():
 def test_rejects_negative_seed():
     with pytest.raises(InvalidParamError, match="seed"):
         product_vector_search(edge_state(1.0, 0.5), starts=3, seed=-1)
+
+
+def test_rejects_more_starts_than_the_cap(monkeypatch):
+    # refused before the draw: nothing of MAX_STARTS + 1 starts is allocated
+    monkeypatch.setattr(search, "_random_starts", mock.Mock(side_effect=AssertionError("drawn")))
+    for starts in (0, MAX_STARTS + 1, 10**20):
+        with pytest.raises(InvalidParamError, match=f"starts must be from 1 to {MAX_STARTS}, got {starts}$"):
+            product_vector_search_many([edge_state(1.0, 0.5)], starts=starts)
 
 
 @pytest.mark.parametrize("state", [corner_state(2.0), corner_state(1.0)], ids=["no-witness", "witness"])
@@ -571,6 +580,25 @@ def test_random_starts_match_default_rng(seed):
     got_x, got_y = (np.concatenate(parts) for parts in zip(*blocks))
     assert np.array_equal(got_x, x / np.linalg.norm(x, axis=1, keepdims=True))
     assert np.array_equal(got_y, y / np.linalg.norm(y, axis=1, keepdims=True))
+
+
+def test_the_draw_peaks_at_about_200_bytes_a_start():
+    # the normals (96 bytes a start) are dropped once x and y (96) are built,
+    # and x and y are normalized in place; building x and y beside the
+    # normals and normalizing into new arrays peaked at 304 bytes a start
+    count = 32_768
+    search._random_starts(np.random.default_rng(0), 8)  # first use, outside the measurement
+    tracemalloc.start()
+    try:
+        got = search._random_starts(np.random.default_rng(5), count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 216 * count
+    z = np.random.default_rng(5).standard_normal((count, 12))
+    for v, re, im in zip(got, (z[:, :3], z[:, 6:9]), (z[:, 3:6], z[:, 9:])):
+        want = re + 1j * im
+        assert np.array_equal(v, want / np.linalg.norm(want, axis=1, keepdims=True))
 
 
 def test_import_does_not_load_numpy_random():
