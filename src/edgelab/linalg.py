@@ -54,10 +54,13 @@ SPLIT_MIN = 10
 CUBIC_FLOOR = 1e-8
 
 _TINY = np.finfo(float).tiny
-# Flat indices of a 3 x 3 matrix: its diagonal, then g_i = h[i+1, i+2] (mod 3).
+# Flat indices of a 3 x 3 matrix: its diagonal d_i, then g_i = h[i+1, i+2]
+# (mod 3).  _cubic takes rows _ROLLED of them, d_0 d_1 d_2 d_0 d_1 g_0 g_1 g_2
+# g_0 g_1, so that rows [1:4] and [2:5] of d and g are the entries i+1, i+2.
 _ENTRIES = np.array([0, 4, 8, 5, 6, 1])
-_NEXT = np.array([1, 2, 0])
-_PREV = np.array([2, 0, 1])
+_ROLLED = np.array([0, 1, 2, 0, 1, 3, 4, 5, 3, 4])
+# Constants as 0-d arrays, which numpy takes without a conversion per call
+_TWO, _THREE, _FOUR, _TWO_THIRDS = (np.array(c) for c in (2.0, 3.0, 4.0, 2 / 3))
 
 
 @dataclass(frozen=True)
@@ -188,18 +191,21 @@ def _pair_spectra(h: np.ndarray, idx: np.ndarray) -> np.ndarray:
 def _cubic(d: np.ndarray, g: np.ndarray) -> tuple:
     """Kopp's trigonometric solution (Int. J. Mod. Phys. C 19, 523 (2008),
     arXiv:physics/0610206) of the characteristic cubic of 3 x 3 Hermitian
-    blocks with real diagonals ``d`` and ``g_i = h[i+1, i+2]`` (mod 3), both of
-    shape (3, ...), scaled so that no power of them under- or overflows: ``q``,
-    ``2p`` and ``r``, the eigenvalues being ``q + 2p cos(arccos(r)/3 + 2 pi j/3)``
-    (j = 1 the smallest), then ``d - q``, ``|g_i|^2`` and ``g_{i+1} g_{i+2}``
-    for the search's adjugates.  A non-finite entry gives a NaN ``r``."""
-    g2 = np.abs(g) ** 2
-    gg = g[_NEXT] * g[_PREV]
-    q = d.sum(axis=0) / 3
+    blocks with real diagonals ``d`` and ``g_i = h[i+1, i+2]`` (mod 3), both
+    rolled by :data:`_ROLLED` to shape (5, ...), and scaled so that no power
+    of them under- or overflows: ``q``, ``2p`` and ``r``, the eigenvalues
+    being ``q + 2p cos(arccos(r)/3 + 2 pi j/3)`` (j = 1 the smallest), then
+    ``d - q`` (rolled), ``|g_i|^2`` and ``g_{i+1} g_{i+2}`` for the search's
+    adjugates.  A non-finite entry gives a NaN ``r``.  The sums and product
+    over the rows are the ufunc reductions of ``sum`` and ``prod``, bit for
+    bit, without their Python wrappers."""
+    g2 = np.abs(g[:3]) ** 2
+    gg = g[1:4] * g[2:5]
+    q = np.add.reduce(d[:3], 0) / _THREE
     d0 = d - q
-    two_p = np.sqrt(((d0 * d0).sum(axis=0) + 2 * g2.sum(axis=0)) * (2 / 3))
-    det = d0.prod(axis=0) + 2 * (g[0] * gg[0]).real - (d0 * g2).sum(axis=0)
-    r = np.minimum(np.maximum(4 * det / np.maximum(two_p**3, _TINY), -1.0), 1.0)
+    two_p = np.sqrt((np.add.reduce(d0[:3] * d0[:3], 0) + _TWO * np.add.reduce(g2, 0)) * _TWO_THIRDS)
+    det = np.multiply.reduce(d0[:3], 0) + _TWO * (g[0] * gg[0]).real - np.add.reduce(d0[:3] * g2, 0)
+    r = np.minimum(np.maximum(_FOUR * det / np.maximum(two_p**3, _TINY), -1.0), 1.0)
     return q, two_p, r, d0, g2, gg
 
 
@@ -230,8 +236,8 @@ def _spectra(*stacks: np.ndarray) -> np.ndarray:
                 # the six entries, shape (6, blocks, k), each block scaled as a pair is
                 e = h.reshape(k, -1).T[(idx[:, _ENTRIES // 3] * n + idx[:, _ENTRIES % 3]).T]
                 ex = np.frexp(np.maximum(abs(e.real), abs(e.imag)).max(axis=0))[1]
-                e = np.ldexp(e.view(float), np.repeat(-ex, 2, axis=-1)).view(complex)
-                q, two_p, r = _cubic(e[:3].real, e[3:])[:3]
+                e = np.ldexp(e.view(float), np.repeat(-ex, 2, axis=-1)).view(complex).take(_ROLLED, axis=0)
+                q, two_p, r = _cubic(e[:5].real, e[5:])[:3]
                 t = np.arccos(r) / 3 + (2 * np.pi / 3) * np.arange(3)[:, None, None]
                 with np.errstate(over="ignore"):  # to inf, as from eigvalsh; see _rank_psd
                     vals = np.ldexp(q + two_p * np.cos(t), ex)

@@ -63,7 +63,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidParamError
-from .linalg import _ENTRIES, _NEXT, _PREV, _TINY, BipartiteOperator, _check_hermitian, _cubic, _kernel
+from .linalg import _ENTRIES, _ROLLED, _THREE, _TINY, BipartiteOperator, _check_hermitian, _cubic, _kernel
 from .linalg import _partial_transpose
 
 FOUND_THRESHOLD = 1e-9
@@ -125,6 +125,7 @@ _ZERO, _CONVERGED, _RELATIVE, _CAPPED, _POLISHED = range(len(STOP_REASONS))
 # Row k: where the entries of column k of an adjugate sit in its diagonal,
 # its entries a_i at (i+1, i+2) and their conjugates, stacked in that order.
 _ADJ_COLUMNS = np.array([[0, 8, 4], [5, 1, 6], [7, 3, 2]])
+_TWO_PI_THIRDS = np.array(2 * np.pi / 3)
 
 
 class SearchVerdict(Enum):
@@ -186,19 +187,27 @@ def _smallest_eigvecs(h: np.ndarray) -> np.ndarray:
     """
     b = len(h)
     # the six distinct entries, scaled to a largest modulus of 1 so that no
-    # power in the cubic under- or overflows; the eigenvectors do not change
-    e = h.reshape(b, 9).T[_ENTRIES]
-    e /= np.maximum(np.abs(e).max(axis=0), _TINY)
-    _, two_p, r, d0, g2, gg = _cubic(e[:3].real, e[3:])
-    dl = d0 - two_p * np.cos(np.arccos(r) / 3 + 2 * np.pi / 3)
-    # adj(h - lambda I): its diagonal ad and its entries a_i at (i+1, i+2)
-    ad = dl[_NEXT] * dl[_PREV] - g2
-    a = gg.conj() - dl * e[3:]
-    adj = np.concatenate([ad, a, a.conj()])
-    v = adj[_ADJ_COLUMNS[ad.argmax(axis=0)], np.arange(b)[:, None]]
+    # power in the cubic under- or overflows (the eigenvectors do not
+    # change), then rolled as _cubic takes them
+    e = h.reshape(b, 9).T.take(_ENTRIES, axis=0)
+    e /= np.maximum(np.maximum.reduce(np.abs(e), 0), _TINY)
+    e = e.take(_ROLLED, axis=0)
+    _, two_p, r, d0, g2, gg = _cubic(e[:5].real, e[5:])
+    dl = d0 - two_p * np.cos(np.arccos(r) / _THREE + _TWO_PI_THIRDS)
+    # adj(h - lambda I), rows of one buffer: its diagonal ad, its entries a_i
+    # at (i+1, i+2), then their conjugates
+    adj = np.empty((9, b), dtype=complex)
+    np.subtract(dl[1:4] * dl[2:5], g2, out=adj[:3])
+    np.subtract(np.conjugate(gg, out=gg), dl[:3] * e[5:8], out=adj[3:6])
+    np.conjugate(adj[3:6], out=adj[6:])
+    ad = adj[:3].real
+    # each row's column, by flat index into the buffer
+    v = adj.take(_ADJ_COLUMNS.take(ad.argmax(axis=0), axis=0) * b + np.arange(b)[:, None])
+    # the squared moduli added by columns: a sum along rows of three loops per row
     n = np.abs(v)
-    v /= np.maximum(np.sqrt((n * n).sum(axis=1)), _TINY)[:, None]
-    t = ad.sum(axis=0)
+    n *= n
+    v /= np.maximum(np.sqrt(n[:, 0] + n[:, 1] + n[:, 2]), _TINY)[:, None]
+    t = np.add.reduce(ad, 0)
     if not t.min() > GAP_FLOOR:
         rows = ~(t > GAP_FLOOR)
         v[rows] = np.linalg.eigh(h[rows])[1][:, :, 0]
@@ -275,21 +284,24 @@ class _Objective:
         self.ka = [v.conj().reshape(3, 3, -1) for v in kernels[:n]]
         self.kt = [v.conj().reshape(3, 3, -1) for v in kernels[n:]]
         self.splits = [(a.shape[2], t.shape[2]) for a, t in zip(self.ka, self.kt)]
-        # y @ k[j].T, reshaped to (rows, k, 3), stacks the rows of d from ka, then kt
-        self.k = np.zeros((n, 3 * max(map(sum, self.splits)), 3), dtype=complex)
-        self.m_y = np.empty((n, 9, 9), dtype=complex)
-        for j, (ka, kt) in enumerate(zip(self.ka, self.kt)):
-            k = np.concatenate([ka, kt], axis=2)
-            self.k[j, : 3 * k.shape[2]] = k.transpose(2, 0, 1).reshape(-1, 3)
-            # f(x, y) = sum conj(x_i) x_j conj(y_l) y_o form[i, j, l, o]; the kt
-            # term sees conj(x), so its coefficient of conj(x_i) x_j is t[j, i, l, o]
-            a = np.einsum("ila,joa->ijlo", ka.conj(), ka)
-            t = np.einsum("ila,joa->ijlo", kt.conj(), kt)
-            self.m_y[j] = (a + t.transpose(1, 0, 2, 3)).reshape(9, 9)
-        self.m_rows, self.k_rows = _Gathered(self.m_y), _Gathered(self.k)
         # each state's split, as an index into the distinct splits of the call
         self.kinds = sorted(set(self.splits))
         self.kind = np.array([self.kinds.index(split) for split in self.splits])
+        # y @ k[j].T, reshaped to (rows, k, 3), stacks the rows of d from ka, then kt
+        self.k = np.zeros((n, 3 * max(map(sum, self.splits)), 3), dtype=complex)
+        self.m_y = np.empty((n, 9, 9), dtype=complex)
+        # the states of one split at a time, from one stacked product
+        for i, (k1, k2) in enumerate(self.kinds):
+            of = np.flatnonzero(self.kind == i)
+            ka, kt = np.array([self.ka[j] for j in of]), np.array([self.kt[j] for j in of])
+            k = np.concatenate([ka, kt], axis=3)
+            self.k[of, : 3 * (k1 + k2)] = k.transpose(0, 3, 1, 2).reshape(len(of), -1, 3)
+            # f(x, y) = sum conj(x_i) x_j conj(y_l) y_o form[i, j, l, o]; the kt
+            # term sees conj(x), so its coefficient of conj(x_i) x_j is t[j, i, l, o]
+            a = np.einsum("nila,njoa->nijlo", ka.conj(), ka)
+            t = np.einsum("nila,njoa->nijlo", kt.conj(), kt)
+            self.m_y[of] = (a + t.transpose(0, 2, 1, 3, 4)).reshape(-1, 9, 9)
+        self.m_rows, self.k_rows = _Gathered(self.m_y), _Gathered(self.k)
 
     def value(self, at: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """``||d x||^2`` of each row: one product per kernel split.
@@ -323,7 +335,7 @@ def _conjugated_from(d: np.ndarray, k1: int) -> np.ndarray:
 def _sum_squares(d: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``||d x||^2`` of each row."""
     d = (d @ x[:, :, None])[:, :, 0]
-    return (d.real**2 + d.imag**2).sum(axis=1)
+    return np.add.reduce(np.square(d.real) + np.square(d.imag), 1)
 
 
 def _forms(o: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -367,7 +379,7 @@ def _descend(
     for k in range(1, MAX_ITERS + 1):
         if not live.size:
             break
-        x[live], y[live], f_new = _step(obj, at[live], x[live])
+        x[live], y[live], f_new = _step(obj, at[live], x.take(live, axis=0))
         drop = f[live] - f_new
         moving[live] = going = drop >= CONVERGENCE_TOL
         steps[live] = k
@@ -381,7 +393,7 @@ def _descend(
     for _ in range(POLISH_STEPS):
         if not live.size:
             break
-        x_p, y_p, f_p = _step(obj, at[live], x[live])
+        x_p, y_p, f_p = _step(obj, at[live], x.take(live, axis=0))
         better = f_p < f[live]
         live = live[better]
         x[live], y[live], f[live] = x_p[better], y_p[better], f_p[better]

@@ -464,8 +464,9 @@ def reference_rank_psd(vals: np.ndarray, rel_tol: float, abs_tol: float) -> tupl
     return (mag > rel_tol * smax).sum(axis=-1), vals.min(axis=-1) >= -abs_tol * scale
 
 
-# the search's eigh fallback floor, restated
+# the search's eigh fallback floor, and the split spectra's eigvalsh floor, restated
 GAP_FLOOR = 1e-5
+CUBIC_FLOOR = 1e-8
 
 
 def reference_smallest_eigvecs(h: np.ndarray) -> np.ndarray:
@@ -496,6 +497,36 @@ def reference_smallest_eigvecs(h: np.ndarray) -> np.ndarray:
         rows = ~(t > GAP_FLOOR)
         v[rows] = np.linalg.eigh(h[rows])[1][:, :, 0]
     return v
+
+
+def reference_triple_spectra(h: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The eigenvalues of the 3 x 3 blocks on the index triples ``idx[b]`` of
+    each matrix of the stack ``h``, of shape ``(k, 3 * blocks)``, unsorted, as
+    the split path of ``linalg._spectra`` computed them before its cubic
+    took rolled entries, whole in one function: the closed form of each
+    block scaled by a power of two, and ``eigvalsh`` within the cubic floor
+    of a double root."""
+    k, n, tiny = len(h), h.shape[-1], np.finfo(float).tiny
+    entries, nxt, prv = np.array([0, 4, 8, 5, 6, 1]), np.array([1, 2, 0]), np.array([2, 0, 1])
+    e = h.reshape(k, -1).T[(idx[:, entries // 3] * n + idx[:, entries % 3]).T]
+    ex = np.frexp(np.maximum(abs(e.real), abs(e.imag)).max(axis=0))[1]
+    e = np.ldexp(e.view(float), np.repeat(-ex, 2, axis=-1)).view(complex)
+    d, g = e[:3].real, e[3:]
+    g2 = np.abs(g) ** 2
+    gg = g[nxt] * g[prv]
+    q = d.sum(axis=0) / 3
+    d0 = d - q
+    two_p = np.sqrt(((d0 * d0).sum(axis=0) + 2 * g2.sum(axis=0)) * (2 / 3))
+    det = d0.prod(axis=0) + 2 * (g[0] * gg[0]).real - (d0 * g2).sum(axis=0)
+    r = np.minimum(np.maximum(4 * det / np.maximum(two_p**3, tiny), -1.0), 1.0)
+    t = np.arccos(r) / 3 + (2 * np.pi / 3) * np.arange(3)[:, None, None]
+    with np.errstate(over="ignore"):
+        vals = np.ldexp(q + two_p * np.cos(t), ex)
+    near = ~(1 - r * r > CUBIC_FLOOR)
+    if near.any():
+        b, i = np.nonzero(near)
+        vals[:, b, i] = np.linalg.eigvalsh(h[i[:, None, None], idx[b, :, None], idx[b, None, :]]).T
+    return vals.reshape(-1, k).T
 
 
 def _reference_require_finite(**values) -> None:

@@ -36,6 +36,7 @@ from helpers import (
     range_basis,
     reference_check_hermitian,
     reference_rank_psd,
+    reference_triple_spectra,
     tensor,
 )
 
@@ -278,6 +279,51 @@ TRIPLE_BLOCKS = {
 }
 
 
+def _blocks_at(g: np.random.Generator, sin2s) -> np.ndarray:
+    """3 x 3 blocks of eigenvalues 2 cos(phi/3 + 2 pi j / 3) in random
+    eigenbases, so that r = cos(phi) and 1 - r**2 = sin(phi)**2, one block for each value."""
+    out = []
+    for sin2 in sin2s:
+        u = random_unitary(g, 3)
+        h = (u * 2 * np.cos(math.asin(math.sqrt(sin2)) / 3 + 2 * np.pi / 3 * np.arange(3))) @ u.conj().T
+        out.append((h + h.conj().T) / 2)
+    return np.array(out)
+
+
+def _random_blocks(g: np.random.Generator, count: int) -> np.ndarray:
+    return np.array([random_hermitian(g, 3) for _ in range(count)])
+
+
+def _signed_zeros(g: np.random.Generator, count: int) -> np.ndarray:
+    """Blocks of entries 0, -0, 1 and -1; every tenth is zero, its diagonal -0."""
+    vals = np.array([0.0, -0.0, 1.0, -1.0])
+    out = np.empty((count, 3, 3), complex)
+    for h in out:
+        for i in range(3):
+            h[i, i] = complex(vals[g.integers(4)], vals[g.integers(2)])
+            for j in range(i + 1, 3):
+                h[i, j] = complex(vals[g.integers(4)], vals[g.integers(4)])
+                h[j, i] = h[i, j].conjugate()
+    out[::10] = 0.0
+    out[::10, [0, 1, 2], [0, 1, 2]] = complex(-0.0, 0.0)
+    return out
+
+
+# Stacks of 3 x 3 blocks for the bit pin of the split path's closed form
+TRIPLE_BIT_CASES = {
+    "random": _random_blocks,
+    "times 2**500": lambda g, count: _random_blocks(g, count) * 2.0**500,
+    "times 2**-500": lambda g, count: _random_blocks(g, count) * 2.0**-500,
+    "real symmetric": lambda g, count: _random_blocks(g, count).real.astype(complex),
+    # 1 - r**2 from a tenth to ten times the floor
+    "near the double-root floor": lambda g, count: _blocks_at(g, np.geomspace(0.1, 10.0, count) * CUBIC_FLOOR),
+    "double root at r = 1": lambda g, count: np.array(
+        [TRIPLE_BLOCKS[kind](g) for kind in g.choice(sorted(TRIPLE_BLOCKS), count)], dtype=complex
+    ),
+    "signed zeros": _signed_zeros,
+}
+
+
 class TestSplitSpectra:
     """Stacks of at least SPLIT_MIN matrices take their spectra from the
     connected blocks of the stack's nonzero pattern."""
@@ -364,16 +410,10 @@ class TestSplitSpectra:
         assert psd.tolist() == want_psd.tolist()
 
     def test_triple_blocks_near_a_double_root_take_eigvalsh(self, monkeypatch):
-        # eigenvalues 2 cos(phi/3 + 2 pi j / 3) in a random eigenbasis, so that
-        # r = cos(phi) and 1 - r**2 = sin(phi)**2: block 0 just inside the
-        # floor takes eigvalsh, block 1 just outside it the closed form
+        # block 0 just inside the floor takes eigvalsh, block 1 just outside
+        # it the closed form
         g = np.random.default_rng(12)
-        blocks = []
-        for sin2 in [0.9 * CUBIC_FLOOR, 1.1 * CUBIC_FLOOR] + [0.5] * (SPLIT_MIN - 2):
-            u = random_unitary(g, 3)
-            h = (u * 2 * np.cos(math.asin(math.sqrt(sin2)) / 3 + 2 * np.pi / 3 * np.arange(3))) @ u.conj().T
-            blocks.append((h + h.conj().T) / 2)
-        stack = np.array(blocks)
+        stack = _blocks_at(g, [0.9 * CUBIC_FLOOR, 1.1 * CUBIC_FLOOR] + [0.5] * (SPLIT_MIN - 2))
         want = np.linalg.eigvalsh(stack)
         calls, eigvalsh = [], np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
@@ -382,6 +422,26 @@ class TestSplitSpectra:
         assert np.array_equal(got[0], want[0])
         # about eps / sqrt(1 - r**2) = 2e-12 near the double root
         assert_allclose(got[1:], want[1:], rtol=0, atol=1e-11)
+
+    @pytest.mark.parametrize("case", sorted(TRIPLE_BIT_CASES))
+    def test_triple_blocks_keep_their_bits(self, case, monkeypatch):
+        # 2 * SPLIT_MIN matrices of three 3 x 3 blocks each, on one permutation:
+        # every bit of their spectra, the sign of every zero included, stays
+        # that of the split path's own closed form
+        g = np.random.default_rng(31)
+        blocks, k = TRIPLE_BIT_CASES[case](g, 6 * SPLIT_MIN), 2 * SPLIT_MIN
+        stack = np.zeros((k, 9, 9), complex)
+        for j, triple in enumerate(np.split(g.permutation(9), 3)):
+            stack[:, triple[:, None], triple[None, :]] = blocks[j::3]
+        ((size, idx),) = _blocks(stack.any(axis=0).tobytes(), 9)
+        assert size == 3
+        want = np.sort(reference_triple_spectra(stack, idx), axis=-1)
+        rows, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: rows.append(len(a)) or eigvalsh(a))
+        got = _spectra(stack)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        # the floor's two sides: some blocks take eigvalsh and some the closed form
+        assert (0 < sum(rows) < 3 * k) == (case in ("near the double-root floor", "double root at r = 1"))
 
     @pytest.mark.parametrize("k", [1, SPLIT_MIN])
     def test_zero_stack_has_rank_zero_and_is_psd(self, k):

@@ -636,6 +636,22 @@ def test_forms_match_gram_construction(rng):
             assert np.abs(got - form.reshape(20, -1)).max() <= 1e-13 * np.abs(form).max()
 
 
+def test_stacked_objective_keeps_the_bits_of_each_state():
+    # the forms and factors of all states of one kernel split come from one
+    # stacked product, bit for bit those built one state at a time
+    obj = _Objective(STACK_POOL)
+    assert len(obj.kinds) > 1
+    for j, (ka, kt) in enumerate(zip(obj.ka, obj.kt)):
+        a = np.einsum("ila,joa->ijlo", ka.conj(), ka)
+        t = np.einsum("ila,joa->ijlo", kt.conj(), kt)
+        m_y = (a + t.transpose(1, 0, 2, 3)).reshape(9, 9)
+        k = np.zeros_like(obj.k[j])
+        both = np.concatenate([ka, kt], axis=2)
+        k[: 3 * both.shape[2]] = both.transpose(2, 0, 1).reshape(-1, 3)
+        assert np.array_equal(obj.m_y[j].view(np.uint64), m_y.view(np.uint64)), j
+        assert np.array_equal(obj.k[j].view(np.uint64), k.view(np.uint64)), j
+
+
 def _forms(rng, spectra):
     """Stacked Hermitian 3 x 3 forms with the given spectra in random eigenbases."""
     out = []
@@ -699,21 +715,32 @@ def test_smallest_eigvecs_falls_back_row_by_row(eigh_rows):
 
 def test_smallest_eigvecs_keep_their_bits(eigh_rows):
     # the cubic now comes from linalg, and every bit of the eigenvectors, and
-    # so of every search, stays that of the search's own closed form
+    # so of every search, stays that of the search's own closed form, the
+    # sign of every zero included: real forms give zero imaginary parts
     g = np.random.default_rng(9)
     random = _forms(g, g.uniform(-2.0, 3.0, (40, 3)))
+    real = []
+    for lam in g.uniform(-2.0, 3.0, (40, 3)):
+        u = np.linalg.qr(g.standard_normal((3, 3)))[0]
+        real.append((u * lam) @ u.T)
     stacks = {
         "random": random,
         "under-gap-floor": _forms(g, [[0.0, 1e-12 if i % 3 else 1e-7, 1.0] for i in range(12)]),
         "zero": np.zeros((5, 3, 3), dtype=complex),
         "times-2**500": random * 2.0**500,
         "times-2**-500": random * 2.0**-500,
+        "real-symmetric": np.array(real, dtype=complex),
+        "diagonal": np.array([np.diag(g.permutation(lam)) for lam in g.uniform(-2.0, 3.0, (40, 3))], dtype=complex),
     }
     stacks["all"] = np.concatenate(list(stacks.values()))[g.permutation(sum(map(len, stacks.values())))]
     for name, h in stacks.items():
         del eigh_rows[:]
-        assert np.array_equal(search._smallest_eigvecs(h), reference_smallest_eigvecs(h)), name
+        got = search._smallest_eigvecs(h)
+        assert np.array_equal(got.view(np.uint64), reference_smallest_eigvecs(h).view(np.uint64)), name
         assert bool(eigh_rows) == (name in ("under-gap-floor", "zero", "all")), name
+        if name in ("real-symmetric", "diagonal"):
+            parts = got.view(float)
+            assert np.signbit(parts[parts == 0]).any(), name
 
 
 def _realified_form(c, e):
