@@ -5,8 +5,8 @@ analytic edge certificate for the phase-parameterized family.
 over a stack of states and ``linalg._spectra`` of the states and their
 partial transposes give every rank and PSD flag; a matrix whose rank reads 0
 is read again from a sixteenth of it, as ``linalg._rank_psd`` says.
-:func:`classify_many` wraps its results in :class:`Classification`;
-``edgelab sweep`` reads them as they are.
+:func:`classify` of one state and :func:`classify_many` wrap its results in
+:class:`Classification`; ``edgelab sweep`` reads them as they are.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from math import comb
 import numpy as np
 
 from .errors import ConditionViolatedError, DimensionMismatchError, InvalidParamError
-from .linalg import BipartiteOperator, _check_hermitian, _partial_transpose, _rank_psd, _spectra
+from .linalg import BipartiteOperator, _check_hermitian, _rank_psd, _spectra, _with_partial_transposes
 from .states import edge_condition_holds
 
 # Units of rounding, eps * max(b**3, 1), the product margin of a certificate must exceed.
@@ -84,14 +84,28 @@ def _classify_stack(h: np.ndarray, m: int, n: int):
     # Partial transposition permutes entries and commutes with the adjoint, so
     # the partial transposes of the checked states, exactly Hermitian as given
     # or symmetrized, are Hermitian as they stand.
-    both = (h, _partial_transpose(h, m, n))
-    ranks, psd = (flags.tolist() for flags in _rank_psd(_spectra(*both)))
+    ranks, psd = (flags.tolist() for flags in _rank_psd(_spectra(h, (m, n))))
     if 0 in ranks:  # zero, or a spectrum past the float range: see _rank_psd
         zero = [i for i, r in enumerate(ranks) if r == 0]
-        again = _rank_psd(np.linalg.eigvalsh(np.concatenate(both)[zero] / 16))
+        again = _rank_psd(np.linalg.eigvalsh(_with_partial_transposes(h, m, n)[zero] / 16))
         for i, r, p in zip(zero, *(flags.tolist() for flags in again)):
             ranks[i], psd[i] = r, p
     return ranks[:k], ranks[k:], psd[:k], psd[k:]
+
+
+def _classifications(m: int, n: int, lists: tuple) -> list[Classification]:
+    """A :class:`Classification` for each state of ``_classify_stack``'s lists."""
+    d = m * n
+    return [
+        Classification(
+            is_psd=p_psd,
+            is_ppt=p_psd and q_psd,
+            type=(p, q),
+            kernel_dims=(d - p, d - q),
+            admissibility=rank_bounds(m, n, p, q) if p and q else Admissibility.BELOW_LOWER_BOUND,
+        )
+        for p, q, p_psd, q_psd in zip(*lists)
+    ]
 
 
 def classify_many(ops: Iterable[BipartiteOperator]) -> list[Classification]:
@@ -108,30 +122,21 @@ def classify_many(ops: Iterable[BipartiteOperator]) -> list[Classification]:
     m, n = ops[0].m, ops[0].n
     if any(s.m != m or s.n != n for s in ops):
         raise DimensionMismatchError("classify_many needs operators of one shape (m, n)")
-    d, mats = m * n, np.array([s.mat for s in ops])
-    return [
-        Classification(
-            is_psd=p_psd,
-            is_ppt=p_psd and q_psd,
-            type=(p, q),
-            kernel_dims=(d - p, d - q),
-            admissibility=rank_bounds(m, n, p, q) if p and q else Admissibility.BELOW_LOWER_BOUND,
-        )
-        for p, q, p_psd, q_psd in zip(*_classify_stack(mats, m, n))
-    ]
+    return _classifications(m, n, _classify_stack(np.array([s.mat for s in ops]), m, n))
 
 
 def classify(s: BipartiteOperator) -> Classification:
     """PSD/PPT flags, (rank, partial-transpose rank) type, and admissibility.
 
-    :func:`classify_many` of the one operator: its spectrum and that of its
-    partial transpose come from ``linalg._spectra``.  The ranks apply
+    :func:`classify_many` of the one operator, from ``_classify_stack`` of a
+    stack of one that is a view of ``s.mat``, not a copy: one ``eigvalsh``
+    gives its spectrum and that of its partial transpose.  The ranks apply
     ``linalg.RANK_RTOL`` and the PSD flags ``linalg.PSD_ATOL``; a rank that
     reads 0 is read again from a sixteenth of the matrix, whose spectrum
     does not overflow.  ``classify(BipartiteOperator(1, d, m)).is_psd`` is
     the PSD flag of any d x d matrix ``m``.
     """
-    return classify_many([s])[0]
+    return _classifications(s.m, s.n, _classify_stack(s.mat[None], s.m, s.n))[0]
 
 
 class EdgeCertificate(Enum):

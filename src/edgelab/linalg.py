@@ -85,7 +85,7 @@ class BipartiteOperator:
             raise DimensionMismatchError(
                 f"matrix shape {self.mat.shape} does not match local dims ({self.m}, {self.n})"
             )
-        if not np.isfinite(self.mat).all():
+        if not np.logical_and.reduce(np.isfinite(self.mat), None):
             raise InvalidParamError("matrix entries must be finite")
 
 
@@ -94,6 +94,13 @@ def _partial_transpose(mats: np.ndarray, m: int, n: int) -> np.ndarray:
     lead = mats.shape[:-2]
     t = mats.reshape(*lead, m, n, m, n).swapaxes(-4, -2)
     return t.reshape(*lead, m * n, m * n)
+
+
+def _with_partial_transposes(h: np.ndarray, m: int, n: int) -> np.ndarray:
+    """The (k, mn, mn) stack ``h`` followed by the partial transposes of its
+    matrices, as one (2k, mn, mn) stack written in one copy."""
+    t = h.reshape(len(h), m, n, m, n)
+    return np.concatenate((t, t.swapaxes(1, 3))).reshape(-1, m * n, m * n)
 
 
 def _squared_norm(x: np.ndarray) -> np.ndarray:
@@ -116,7 +123,7 @@ def _check_hermitian(m: np.ndarray) -> np.ndarray:
     holds more than one matrix.  Callers must not write into the result.
     """
     mh = m.conj().swapaxes(-2, -1)
-    if (m == mh).all():
+    if np.logical_and.reduce(m == mh, None):
         return m
     scale2, asym2 = np.maximum(_squared_norm(m), 1.0), _squared_norm(m - mh)
     # a sum of squares past the float limit would pass any asymmetry
@@ -154,8 +161,8 @@ def _rank_psd(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     modulus, so for d <= 16 the sixteenth's spectrum is within the range.
     """
     mag = np.abs(vals)
-    top = np.maximum(mag[..., :1], mag[..., -1:])
-    return (mag > RANK_RTOL * top).sum(axis=-1), vals[..., 0] >= -PSD_ATOL * np.maximum(top[..., 0], 1.0)
+    top = np.maximum(mag[..., 0], mag[..., -1])
+    return np.add.reduce(mag > RANK_RTOL * top[..., None], -1), vals[..., 0] >= -PSD_ATOL * np.maximum(top, 1.0)
 
 
 @functools.lru_cache(maxsize=256)
@@ -209,21 +216,25 @@ def _cubic(d: np.ndarray, g: np.ndarray) -> tuple:
     return q, two_p, r, d0, g2, gg
 
 
-def _spectra(*stacks: np.ndarray) -> np.ndarray:
-    """Ascending spectra of the matrices of (k, d, d) Hermitian stacks, in order.
+def _spectra(stack: np.ndarray, dims: tuple[int, int] | None = None) -> np.ndarray:
+    """Ascending spectra of the matrices of a (k, d, d) Hermitian stack, in
+    order, then, given their local dimensions ``dims = (m, n)``, those of
+    their partial transposes.
 
-    Under :data:`SPLIT_MIN` matrices, one ``eigvalsh`` of their concatenation.
-    Else each stack splits by the connected blocks of its joint nonzero
-    pattern: a 1 x 1 block gives its real diagonal entry, a 2 x 2 block its
-    two eigenvalues in closed form (:func:`_pair_spectra`), a 3 x 3 block,
-    scaled as a pair is, its three from :func:`_cubic`, and each larger size,
-    and the 3 x 3 blocks near a double root (:data:`CUBIC_FLOOR`), one
-    ``eigvalsh`` of its gathered blocks.
+    Under :data:`SPLIT_MIN` matrices, one ``eigvalsh`` of the stack, or of
+    the one copy of it and its partial transposes that
+    :func:`_with_partial_transposes` writes.  Else the stack, and then that
+    of its partial transposes, splits by the connected blocks of its joint
+    nonzero pattern: a 1 x 1 block gives its real diagonal entry, a 2 x 2
+    block its two eigenvalues in closed form (:func:`_pair_spectra`), a 3 x 3
+    block, scaled as a pair is, its three from :func:`_cubic`, and each
+    larger size, and the 3 x 3 blocks near a double root
+    (:data:`CUBIC_FLOOR`), one ``eigvalsh`` of its gathered blocks.
     """
-    if len(stacks[0]) < SPLIT_MIN:
-        return np.linalg.eigvalsh(np.concatenate(stacks))
+    if len(stack) < SPLIT_MIN:
+        return np.linalg.eigvalsh(stack if dims is None else _with_partial_transposes(stack, *dims))
     spectra = []
-    for h in stacks:
+    for h in (stack,) if dims is None else (stack, _partial_transpose(stack, *dims)):
         k, n, parts = len(h), h.shape[-1], []
         for s, idx in _blocks(h.any(axis=0).tobytes(), n):
             if s == 1:

@@ -64,7 +64,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InvalidParamError
 from .linalg import _ENTRIES, _ROLLED, _THREE, _TINY, BipartiteOperator, _check_hermitian, _cubic, _kernel
-from .linalg import _partial_transpose
+from .linalg import _with_partial_transposes
 
 FOUND_THRESHOLD = 1e-9
 
@@ -278,7 +278,7 @@ class _Objective:
         # Partial transposition commutes with the adjoint, so the partial
         # transposes of the checked states, exactly Hermitian as given or
         # symmetrized, are Hermitian as they stand.
-        kernels = _kernel(np.concatenate([h, _partial_transpose(h, 3, 3)]))
+        kernels = _kernel(_with_partial_transposes(h, 3, 3))
         n = len(states)
         # shape (3, 3, k): first axis contracts with x, second with y
         self.ka = [v.conj().reshape(3, 3, -1) for v in kernels[:n]]

@@ -192,13 +192,8 @@ def offdiag_gram(theta: float, rho: complex, sigma: complex, tau: complex) -> np
     _require_finite(theta=theta, rho=rho, sigma=sigma, tau=tau)
     d = 2 * math.cos(theta)
     rho, sigma, tau = complex(rho), complex(sigma), complex(tau)
-    return np.array(
-        [
-            [d, rho, tau.conjugate()],
-            [rho.conjugate(), d, sigma],
-            [tau, sigma.conjugate(), d],
-        ]
-    )
+    row_major = [d, rho, tau.conjugate(), rho.conjugate(), d, sigma, tau, sigma.conjugate(), d]
+    return np.array(row_major, dtype=complex).reshape(3, 3)
 
 
 @dataclass(frozen=True)
@@ -230,7 +225,7 @@ def _face_entries(b: float, g: GramSpec) -> tuple:
         if abs(val) > 1 + OFFDIAG_SLACK:
             raise OffdiagTooLargeError(f"|{val}| > 1")
     # finite couplings give a finite, exactly Hermitian Gram matrix, whose spectrum eigvalsh reads as it is
-    if not _rank_psd(np.linalg.eigvalsh(g.gram()))[1]:
+    if not _rank_psd(np.linalg.eigvalsh(offdiag_gram(g.theta, *offdiags)))[1]:
         raise GramNotPSDError("implied Gram matrix is not PSD")
     return _edge_entries(b, g.theta) + tuple(v for val in offdiags for v in (val, val.conjugate()))
 

@@ -41,7 +41,7 @@ from edgelab import (
     singular_gram_offdiags,
 )
 from edgelab import cli
-from edgelab.states import FAMILIES
+from edgelab.states import FAMILIES, build_family
 
 
 class NotPSDError(EdgeLabError):
@@ -395,6 +395,30 @@ def random_gram_spec(rng: np.random.Generator, allow_singular: bool = True) -> G
             return spec
 
 
+# Points of each family of states.FAMILIES, keyed as its parameters: inside
+# and on the boundaries of the PPT and edge regions
+FAMILY_POINTS = {
+    "p-theta": [{"theta": 0.5}, {"theta": math.pi / 3}, {"theta": 2.0}],
+    "edge": [{"b": 1.0, "theta": math.pi / 6}, {"b": 0.4, "theta": -1.0}, {"b": 1.0, "theta": 1.2},
+             {"b": 2.0, "theta": math.pi / 3}, {"b": 1.3, "theta": 0.0}],
+    "edge-general": [{"b": 0.7, "theta": 1.5}, {"b": 1.0, "theta": -math.pi / 3}],
+    "state-7-6": [{"b": 1.0}, {"b": 2.0}],
+    "choi": [{"a": 1.0, "b": 1.0, "c": 1.0}, {"a": 2.0, "b": 2.0, "c": 0.5}, {"a": 3.0, "b": 1.5, "c": 0.8}],
+    "face": [{"b": 1.0, "theta": 0.3, "xi_eta": 0.3 + 0j, "eta_zeta": -0.5j, "zeta_xi": 0j},
+             {"b": 0.6, "theta": -0.7, "xi_eta": cmath.exp(0.4j), "eta_zeta": 0.2 + 0j, "zeta_xi": 0.1j}],
+    "p5": [{"b": 1.0, "theta": 0.5, "target_p": p} for p in (5, 6, 7, 8)],
+}
+
+
+def family_states() -> list[tuple[str, BipartiteOperator]]:
+    """Each point of :data:`FAMILY_POINTS`, labelled, as the operator ``build_family`` gives."""
+    return [
+        (f"{family}{list(params.values())}", build_family(family, params))
+        for family, points in FAMILY_POINTS.items()
+        for params in points
+    ]
+
+
 def assert_same_entries(got: np.ndarray, want: np.ndarray) -> None:
     """Equal shapes and entries, with the signs of zero real and imaginary parts."""
     assert got.shape == want.shape
@@ -456,12 +480,20 @@ def reference_check_hermitian(m) -> np.ndarray:
     raise NotHermitianError(f"not Hermitian{where}: relative asymmetry {rel:.3e} exceeds {HERM_RTOL:.1e}")
 
 
-def reference_rank_psd(vals: np.ndarray, rel_tol: float, abs_tol: float) -> tuple[np.ndarray, np.ndarray]:
+def full_reduction_rank_psd(vals: np.ndarray, rel_tol: float, abs_tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Ranks and PSD flags from eigenvalues in any order, by full reductions."""
     mag = np.abs(vals)
     scale = np.maximum(1.0, mag.max(axis=-1))
     smax = mag.max(axis=-1, keepdims=True, initial=0.0)
     return (mag > rel_tol * smax).sum(axis=-1), vals.min(axis=-1) >= -abs_tol * scale
+
+
+def reference_rank_psd(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``linalg._rank_psd`` as it was written, with keep-dims slices of the two
+    ends of each ascending spectrum and ``.sum``, at the package's tolerances."""
+    mag = np.abs(vals)
+    top = np.maximum(mag[..., :1], mag[..., -1:])
+    return (mag > RANK_RTOL * top).sum(axis=-1), vals[..., 0] >= -PSD_ATOL * np.maximum(top[..., 0], 1.0)
 
 
 # the search's eigh fallback floor, and the split spectra's eigvalsh floor, restated
@@ -608,7 +640,7 @@ def reference_face_matrix(b: float, g: GramSpec) -> np.ndarray:
         if abs(val) > 1 + 1e-12:
             raise OffdiagTooLargeError(f"|{val}| > 1")
     vals = np.linalg.eigvalsh(reference_check_hermitian(g.gram()))
-    if not reference_rank_psd(vals, RANK_RTOL, PSD_ATOL)[1]:
+    if not full_reduction_rank_psd(vals, RANK_RTOL, PSD_ATOL)[1]:
         raise GramNotPSDError("implied Gram matrix is not PSD")
     x = reference_edge_matrix(b, g.theta)
     for (row, col), val in zip(((3, 1), (7, 5), (2, 6)), offdiags):

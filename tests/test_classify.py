@@ -26,9 +26,11 @@ from edgelab import (
     verify_edge_analytic,
 )
 from edgelab.classify import alternating_binomial_sum
+from edgelab.linalg import _check_hermitian, _rank_psd
 from helpers import (
     check_range_criterion,
     choi_ppt_region,
+    family_states,
     partial_transpose,
     product_vector,
     proj,
@@ -165,6 +167,49 @@ class TestClassifyMany:
 
     def test_empty(self):
         assert classify_many([]) == []
+
+
+def _near_hermitian() -> BipartiteOperator:
+    mat = edge_state(1.0, THETA).mat.copy()
+    mat[0, 4] += 1e-13
+    return BipartiteOperator(3, 3, mat)
+
+
+# Each family of states.FAMILIES, the 1 x 3 p-theta shape among them, then the
+# other branches of _classify_stack: the zero matrix; 1e308 times the all-ones
+# matrix, whose spectrum overflows and is read again from a sixteenth of it; a
+# near-Hermitian matrix, which is symmetrized; and a mat in Fortran order.
+ONE_STATE_CASES = [pytest.param(op, id=label) for label, op in family_states()] + [
+    pytest.param(BipartiteOperator(3, 3, np.zeros((9, 9))), id="zero"),
+    pytest.param(BipartiteOperator(3, 3, 1e308 * np.ones((9, 9))), id="1e308-ones"),
+    pytest.param(_near_hermitian(), id="near-hermitian"),
+    pytest.param(BipartiteOperator(3, 3, edge_state(0.7, -0.4).mat.T), id="fortran-order"),
+]
+
+
+class TestOneStateClassify:
+    def test_the_cases_take_their_branches(self):
+        near, fortran = _near_hermitian().mat[None], ONE_STATE_CASES[-1].values[0].mat
+        assert _check_hermitian(near) is not near  # symmetrized, not passed on as it is
+        assert fortran.flags.f_contiguous and not fortran.flags.c_contiguous
+        with np.errstate(over="ignore"):
+            assert _rank_psd(np.linalg.eigvalsh(1e308 * np.ones((9, 9))))[0] == 0
+
+    @pytest.mark.parametrize("op", ONE_STATE_CASES)
+    def test_equals_classify_many_of_one_and_leaves_the_matrix_as_it_was(self, op):
+        before = op.mat.tobytes()
+        assert classify(op) == classify_many([op])[0]
+        assert op.mat.tobytes() == before
+
+    def test_non_hermitian_raises_the_same_message_on_both_paths(self):
+        mat = edge_state(1.0, THETA).mat.copy()
+        mat[0, 4] += 1e-3
+        op = BipartiteOperator(3, 3, mat)
+        with pytest.raises(NotHermitianError) as one:
+            classify(op)
+        with pytest.raises(NotHermitianError) as many:
+            classify_many([op])
+        assert str(one.value) == str(many.value)
 
 
 class TestRankBounds:

@@ -8,7 +8,8 @@ under test:
 
 * the families' exact types follow from their block structure (below);
 * scaling by a power of two is exact in float64, so ``2**k rho`` has the PSD
-  and PPT flags of ``rho``, which the families' closed-form regions give;
+  and PPT flags of ``rho``, which the families' closed-form regions give,
+  and, over family states, every answer ``classify`` gives ``rho``;
 * the search must not find a product vector where the analytic certificate,
   which shares no code with it, proves there is none.
 """
@@ -16,6 +17,8 @@ under test:
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from edgelab import (
     BipartiteOperator,
@@ -28,7 +31,7 @@ from edgelab import (
     product_vector_search,
     verify_edge_analytic,
 )
-from helpers import choi_ppt_region
+from helpers import choi_ppt_region, family_states
 
 PI3, PI6 = math.pi / 3, math.pi / 6
 
@@ -95,6 +98,16 @@ def test_a_scaled_choi_matrix_keeps_its_ppt_flag():
 def test_a_scaled_edge_state_keeps_its_psd_flag():
     # edge is PSD exactly for |theta| <= pi/3, where its circulant is
     assert classify(scaled(edge_state(1.0, 1.2), -37)).is_psd == (1.2 <= PI3)
+
+
+@known_wrong("15")
+@given(op=st.sampled_from([op for _, op in family_states()]), k=st.integers(-60, 60))
+# the two cases above; choi_matrix(1, 1, 1) reads wrong for every k <= -34, edge_state(1, 1.2) for every k <= -33
+@example(op=choi_matrix(1.0, 1.0, 1.0), k=-34)
+@example(op=edge_state(1.0, 1.2), k=-37)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_a_power_of_two_scale_keeps_every_answer(op, k):
+    assert classify(scaled(op, k)) == classify(op)
 
 
 @pytest.mark.parametrize(

@@ -7,11 +7,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from edgelab import BipartiteOperator, NotHermitianError, classify, phase_circulant
+from edgelab import BipartiteOperator, NotHermitianError, classify, offdiag_gram, phase_circulant, singular_gram_offdiags
 from edgelab import linalg
 from edgelab.errors import DimensionMismatchError, InvalidParamError
 from edgelab.classify import _classify_stack
 from edgelab.linalg import CUBIC_FLOOR, SPLIT_MIN, _blocks, _check_hermitian, _kernel, _partial_transpose, _rank_psd, _spectra
+from edgelab.linalg import _with_partial_transposes
 from helpers import (
     HERM_RTOL,
     PSD_ATOL,
@@ -20,6 +21,8 @@ from helpers import (
     Subspace,
     assert_same_entries,
     assert_same_outcome,
+    family_states,
+    full_reduction_rank_psd,
     gram_realization,
     kernel_basis,
     numerical_rank,
@@ -117,6 +120,14 @@ class TestPartialTranspose:
         x = np.array([1, 1j, 0]) / math.sqrt(2)
         y = np.array([1.0, 0, 0])
         assert_allclose(_partial_transpose(proj(tensor(x, y)), 3, 3), proj(tensor(np.conj(x), y)), atol=1e-15)
+
+    @pytest.mark.parametrize("m, n", [(1, 3), (2, 3), (3, 3)])
+    def test_with_partial_transposes_is_the_stack_then_its_partial_transposes(self, rng, m, n):
+        h = rng.standard_normal((4, m * n, m * n)) + 1j * rng.standard_normal((4, m * n, m * n))
+        # a C-ordered stack, a transposed view of one and a stack of one
+        for stack in (h, h.transpose(0, 2, 1), h[2][None]):
+            want = np.concatenate((stack, _partial_transpose(stack, m, n)))
+            assert_same_entries(_with_partial_transposes(stack, m, n), want)
 
 
 def spectrum_verdict(m: np.ndarray) -> tuple[int, bool]:
@@ -532,8 +543,47 @@ def test_helpers_match_their_references_bit_for_bit(mats, dim, seed, flat):
             rank_rtol = mock.patch.object(linalg, "RANK_RTOL", rel_tol)
             with rank_rtol, mock.patch.object(linalg, "PSD_ATOL", abs_tol):
                 got = _rank_psd(vals)
-            for new, ref in zip(got, reference_rank_psd(vals, rel_tol, abs_tol)):
+            for new, ref in zip(got, full_reduction_rank_psd(vals, rel_tol, abs_tol)):
                 assert np.array_equal(new, ref)
+
+
+def _threshold_rows(top: float) -> list[np.ndarray]:
+    """Ascending spectra of largest modulus ``top`` that hold -PSD_ATOL * max(1, top)
+    and RANK_RTOL * top or its negative, as _rank_psd computes them, each
+    exactly or one ulp either side."""
+    psd_edge, rank_edge = -PSD_ATOL * max(top, 1.0), RANK_RTOL * top
+    around = lambda x: (np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf))
+    rows = []
+    for first in around(psd_edge):
+        for middle in around(rank_edge) + around(-rank_edge):
+            rows.append(np.sort([first, middle, -0.0, 0.0, 0.0, top / 2, top / 2, top, top]))
+    return rows
+
+
+def test_rank_psd_keeps_the_outputs_of_its_earlier_formulation():
+    """_rank_psd gives reference_rank_psd's values and dtypes, scalars for a
+    1-D spectrum, on the spectra of its callers and at its edges."""
+    states = [op for _, op in family_states() if op.m == 3]
+    mats = np.array([s.mat for s in states])
+    stacked = np.linalg.eigvalsh(np.concatenate([mats, _partial_transpose(mats, 3, 3)]))
+    grams = [offdiag_gram(t, *singular_gram_offdiags(t, p)) for t in (0.5, -1.0) for p in (5, 6, 7, 8)]
+    grams += [offdiag_gram(0.3, 0.3, -0.5j, 0.0), offdiag_gram(1.2, -0.1, 0.2, 0.3j)]
+    with np.errstate(all="ignore"):
+        overflowed = np.linalg.eigvalsh(1e308 * np.ones((2, 9, 9)))
+    edges = [
+        np.zeros(9), np.full(9, -0.0), np.array([-0.0, 0.0] * 4 + [-0.0]),
+        np.array([-np.inf] + [0.0] * 7 + [np.inf]), np.array([0.0] * 8 + [np.inf]), np.array([-np.inf] + [1.0] * 8),
+        np.full(9, np.nan), np.array([np.nan] + [1.0] * 8), np.array([1.0] * 8 + [np.nan]), *overflowed,
+    ] + [row for top in (0.25, 1.0, 3.7, 1e5, 1e300) for row in _threshold_rows(top)]
+    edges = np.array(edges)
+    spectra = [np.linalg.eigvalsh(g) for g in grams] + list(edges) + [
+        stacked, stacked.reshape(len(states), 2, 9), edges, edges[: len(edges) // 2 * 2].reshape(-1, 2, 9),
+        np.linalg.eigvalsh(np.array(grams)),
+    ]
+    for vals in spectra:
+        for got, want in zip(_rank_psd(vals), reference_rank_psd(vals)):
+            assert type(got) is type(want) and got.dtype == want.dtype
+            assert np.array_equal(got, want)
 
 
 class TestNumericalRank:
