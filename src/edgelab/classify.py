@@ -5,8 +5,9 @@ analytic edge certificate for the phase-parameterized family.
 over a stack of states and ``linalg._spectra`` of the states and their
 partial transposes give every rank and PSD flag; a matrix whose rank reads 0
 is read again from a sixteenth of it, as ``linalg._rank_psd`` says.
-:func:`classify` of one state and :func:`classify_many` wrap its results in
-:class:`Classification`; ``edgelab sweep`` reads them as they are.
+:func:`classify` of one state and :func:`classify_many` give each verdict's
+:class:`Classification`, built once and shared; ``edgelab sweep`` reads the
+lists as they are.
 """
 
 from __future__ import annotations
@@ -93,19 +94,23 @@ def _classify_stack(h: np.ndarray, m: int, n: int):
     return ranks[:k], ranks[k:], psd[:k], psd[k:]
 
 
+@functools.lru_cache(maxsize=4096, typed=True)
+def _classification(m: int, n: int, p: int, q: int, p_psd: bool, q_psd: bool) -> Classification:
+    """The :class:`Classification` of ranks ``p``, ``q`` and PSD flags on an m x n space;
+    cached, as a shape has few verdicts, so equal verdicts share one frozen object."""
+    d = m * n
+    return Classification(
+        is_psd=p_psd,
+        is_ppt=p_psd and q_psd,
+        type=(p, q),
+        kernel_dims=(d - p, d - q),
+        admissibility=rank_bounds(m, n, p, q) if p and q else Admissibility.BELOW_LOWER_BOUND,
+    )
+
+
 def _classifications(m: int, n: int, lists: tuple) -> list[Classification]:
     """A :class:`Classification` for each state of ``_classify_stack``'s lists."""
-    d = m * n
-    return [
-        Classification(
-            is_psd=p_psd,
-            is_ppt=p_psd and q_psd,
-            type=(p, q),
-            kernel_dims=(d - p, d - q),
-            admissibility=rank_bounds(m, n, p, q) if p and q else Admissibility.BELOW_LOWER_BOUND,
-        )
-        for p, q, p_psd, q_psd in zip(*lists)
-    ]
+    return [_classification(m, n, *row) for row in zip(*lists)]
 
 
 def classify_many(ops: Iterable[BipartiteOperator]) -> list[Classification]:
@@ -134,7 +139,10 @@ def classify(s: BipartiteOperator) -> Classification:
     ``linalg.RANK_RTOL`` and the PSD flags ``linalg.PSD_ATOL``; a rank that
     reads 0 is read again from a sixteenth of the matrix, whose spectrum
     does not overflow.  ``classify(BipartiteOperator(1, d, m)).is_psd`` is
-    the PSD flag of any d x d matrix ``m``.
+    the PSD flag of any d x d matrix ``m``.  Results are shared immutable
+    objects: each verdict's :class:`Classification` is built once, and
+    equal verdicts, from this function or :func:`classify_many`, are one
+    object.
     """
     return _classifications(s.m, s.n, _classify_stack(s.mat[None], s.m, s.n))[0]
 

@@ -35,7 +35,7 @@ from .classify import EdgeCertificate, classify, classify_many, verify_edge_anal
 from .classify import _classify_stack
 from .errors import EdgeLabError, InvalidParamError
 from .linalg import PSD_ATOL, RANK_RTOL, BipartiteOperator
-from .search import SearchVerdict, product_vector_search, product_vector_search_many
+from .search import STOP_REASONS, SearchVerdict, product_vector_search, product_vector_search_many
 from .states import FAMILIES, build_family
 
 # Achievable bi-qutrit edge types (p >= q convention); (4, 4) is known but not
@@ -197,6 +197,8 @@ def cmd_edge_check(args) -> int:
     if result.verdict is SearchVerdict.PRODUCT_VECTOR_FOUND:
         report["bestX"] = _vector_json(result.best_x)
         report["bestY"] = _vector_json(result.best_y)
+    report["steps"] = {"mean": float(result.steps.mean()), "max": int(result.steps.max())}
+    report["stopReasons"] = {r: int(np.count_nonzero(result.stop_reasons == r)) for r in STOP_REASONS}
     print(json.dumps(report))
     return 0
 

@@ -190,8 +190,12 @@ def offdiag_gram(theta: float, rho: complex, sigma: complex, tau: complex) -> np
     With all three equal to ``-e^{i theta}`` this is :func:`phase_circulant`.
     """
     _require_finite(theta=theta, rho=rho, sigma=sigma, tau=tau)
-    d = 2 * math.cos(theta)
-    rho, sigma, tau = complex(rho), complex(sigma), complex(tau)
+    return _gram(2 * math.cos(theta), complex(rho), complex(sigma), complex(tau))
+
+
+def _gram(d: float, rho: complex, sigma: complex, tau: complex) -> np.ndarray:
+    """The layout of :func:`offdiag_gram`: ``d`` on the diagonal, ``rho``, ``sigma``,
+    ``tau`` at (0,1), (1,2), (2,0) and their conjugates opposite, for checked values."""
     row_major = [d, rho, tau.conjugate(), rho.conjugate(), d, sigma, tau, sigma.conjugate(), d]
     return np.array(row_major, dtype=complex).reshape(3, 3)
 
@@ -218,16 +222,24 @@ class GramSpec:
 
 
 def _face_entries(b: float, g: GramSpec) -> tuple:
-    """The edge family's core entries, then each coupling and its conjugate, at :data:`_FACE_FLAT`."""
-    _require_finite(theta=g.theta, xi_eta=g.xi_eta, eta_zeta=g.eta_zeta, zeta_xi=g.zeta_xi)
-    offdiags = g.offdiagonals()
-    for val in offdiags:
+    """The edge family's core entries, then each coupling and its conjugate, at :data:`_FACE_FLAT`.
+
+    Checks each input once, in this order: theta and the couplings finite,
+    each coupling at most ``1 + OFFDIAG_SLACK`` in modulus, the Gram matrix
+    PSD, then ``b``.
+    """
+    theta = g.theta
+    _require_finite(theta=theta, xi_eta=g.xi_eta, eta_zeta=g.eta_zeta, zeta_xi=g.zeta_xi)
+    rho, sigma, tau = g.offdiagonals()
+    for val in (rho, sigma, tau):
         if abs(val) > 1 + OFFDIAG_SLACK:
             raise OffdiagTooLargeError(f"|{val}| > 1")
+    d = 2 * math.cos(theta)
     # finite couplings give a finite, exactly Hermitian Gram matrix, whose spectrum eigvalsh reads as it is
-    if not _rank_psd(np.linalg.eigvalsh(offdiag_gram(g.theta, *offdiags)))[1]:
+    if not _rank_psd(np.linalg.eigvalsh(_gram(d, rho, sigma, tau)))[1]:
         raise GramNotPSDError("implied Gram matrix is not PSD")
-    return _edge_entries(b, g.theta) + tuple(v for val in offdiags for v in (val, val.conjugate()))
+    couplings = (rho, rho.conjugate(), sigma, sigma.conjugate(), tau, tau.conjugate())
+    return _core_entries(b, d, *_phases(theta)[:2]) + couplings
 
 
 def face_state(b: float, g: GramSpec) -> BipartiteOperator:

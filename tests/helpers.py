@@ -36,12 +36,13 @@ from edgelab import (
     face_state,
     generalized_edge_state,
     min_psd_diagonal,
+    offdiag_gram,
     phase_circulant,
     product_vector_search_many,
     singular_gram_offdiags,
 )
 from edgelab import cli
-from edgelab.states import FAMILIES, build_family
+from edgelab.states import FAMILIES, _edge_entries, build_family
 
 
 class NotPSDError(EdgeLabError):
@@ -52,6 +53,7 @@ class NotPSDError(EdgeLabError):
 RANK_RTOL = 1e-9
 PSD_ATOL = 1e-10
 HERM_RTOL = 1e-10
+OFFDIAG_SLACK = 1e-12
 
 
 def golden_edge_matrix(b: float, theta: float) -> np.ndarray:
@@ -647,6 +649,21 @@ def reference_face_matrix(b: float, g: GramSpec) -> np.ndarray:
         x[row, col] = val
         x[col, row] = val.conjugate()
     return _reference_operator(x)
+
+
+def reference_face_entries(b: float, g: GramSpec) -> tuple:
+    """``states._face_entries`` as written before it checked each input once:
+    the Gram matrix from ``offdiag_gram``, which checks theta and the
+    couplings again, and the core entries from ``_edge_entries``, which
+    checks theta a third time."""
+    _reference_require_finite(theta=g.theta, xi_eta=g.xi_eta, eta_zeta=g.eta_zeta, zeta_xi=g.zeta_xi)
+    offdiags = g.offdiagonals()
+    for val in offdiags:
+        if abs(val) > 1 + OFFDIAG_SLACK:
+            raise OffdiagTooLargeError(f"|{val}| > 1")
+    if not reference_rank_psd(np.linalg.eigvalsh(offdiag_gram(g.theta, *offdiags)))[1]:
+        raise GramNotPSDError("implied Gram matrix is not PSD")
+    return _edge_entries(b, g.theta) + tuple(v for val in offdiags for v in (val, val.conjugate()))
 
 
 # Each family's member at one point, from the one-point constructors (face couplings

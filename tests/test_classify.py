@@ -25,7 +25,7 @@ from edgelab import (
     singular_gram_offdiags,
     verify_edge_analytic,
 )
-from edgelab.classify import alternating_binomial_sum
+from edgelab.classify import Classification, _classification, _classify_stack, alternating_binomial_sum
 from edgelab.linalg import _check_hermitian, _rank_psd
 from helpers import (
     check_range_criterion,
@@ -210,6 +210,49 @@ class TestOneStateClassify:
         with pytest.raises(NotHermitianError) as many:
             classify_many([op])
         assert str(one.value) == str(many.value)
+
+
+class TestSharedClassifications:
+    """Each verdict's Classification is built once, by ``_classification``, and shared."""
+
+    @staticmethod
+    def fresh(op: BipartiteOperator) -> Classification:
+        """The Classification of ``op`` built anew from ``_classify_stack``'s lists."""
+        (p,), (q,), (p_psd,), (q_psd,) = _classify_stack(op.mat[None], op.m, op.n)
+        d = op.m * op.n
+        return Classification(
+            is_psd=p_psd,
+            is_ppt=p_psd and q_psd,
+            type=(p, q),
+            kernel_dims=(d - p, d - q),
+            admissibility=rank_bounds(op.m, op.n, p, q) if p and q else Admissibility.BELOW_LOWER_BOUND,
+        )
+
+    def test_equal_to_a_fresh_one_field_by_field_and_shared(self):
+        ops = [case.values[0] for case in ONE_STATE_CASES]
+        ones = [classify(op) for op in ops]
+        many = classify_many([op for op in ops if op.m == 3]) + classify_many([op for op in ops if op.m == 1])
+        for c, op in zip(ones, ops):
+            want = self.fresh(op)
+            assert c == want
+            for name in ("is_psd", "is_ppt", "type", "kernel_dims", "admissibility"):
+                got, ref = getattr(c, name), getattr(want, name)
+                assert got == ref and type(got) is type(ref)
+            assert type(c.is_psd) is bool and type(c.is_ppt) is bool
+            assert all(type(v) is int for v in (*c.type, *c.kernel_dims))
+            assert type(c.type) is tuple and type(c.kernel_dims) is tuple
+            assert type(c.admissibility) is Admissibility
+        # the same verdicts from either function, and each verdict one object
+        assert sorted(map(repr, many)) == sorted(map(repr, ones))
+        for a in ones + many:
+            for b in ones + many:
+                assert (a is b) == (a == b)
+        assert len({id(c) for c in ones}) < len(ones)  # some verdicts repeat
+
+    def test_cache_is_bounded(self):
+        info = _classification.cache_info()
+        assert info.maxsize is not None and 0 < info.maxsize <= 4096
+        assert info.currsize <= info.maxsize
 
 
 class TestRankBounds:

@@ -755,6 +755,33 @@ class TestEdgeCheck:
         assert code == 0
         assert strict_json(out)["starts"] == 1
 
+    @pytest.mark.parametrize(
+        "params, op, starts",
+        [
+            (["--family", "edge", "--b", "1", "--theta", "0.5"], edge_state(1, 0.5), 30),  # stops relative to the floor
+            (["--family", "edge", "--b", "1", "--theta", "0"], edge_state(1, 0), 20),  # polished to a product vector
+            (["--family", "choi", "--a", "3", "--b", "2", "--c", "1"], choi_matrix(3, 2, 1), 7),  # full rank: all at 0
+            (["--family", "state-7-6", "--b", "2"], edgelab.corner_state(2), 1),
+        ],
+        ids=["edge", "separable", "full-rank", "one-start"],
+    )
+    def test_report_summarizes_steps_and_stop_reasons(self, capsys, params, op, starts):
+        """``steps`` and ``stopReasons`` follow the earlier keys, whose values
+        are those of the search, and summarize its per-start arrays."""
+        code, out, _ = run_cli(capsys, "edge-check", *params, "--starts", str(starts), "--seed", "3")
+        report = strict_json(out)
+        result = product_vector_search(op, starts=starts, seed=3)
+        steps = result.steps.tolist()
+        assert code == 0 and list(report)[-2:] == ["steps", "stopReasons"]
+        assert (report["verdict"], report["bestObjective"], report["starts"]) == (
+            result.verdict.value, result.best_objective, starts
+        )
+        assert report["steps"] == {"mean": sum(steps) / len(steps), "max": max(steps)}
+        reasons = result.stop_reasons.tolist()
+        assert report["stopReasons"] == {r: reasons.count(r) for r in edgelab.search.STOP_REASONS}
+        assert list(report["stopReasons"]) == list(edgelab.search.STOP_REASONS)
+        assert all(type(n) is int for n in report["stopReasons"].values())
+
 
 class TestSweep:
     def test_theta_sweep_matches_ppt_window(self, capsys):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from edgelab import (
+    BipartiteOperator,
     DimensionMismatchError,
     GramNotPSDError,
     GramSpec,
@@ -25,9 +26,12 @@ from edgelab import (
     phase_circulant,
     singular_gram_offdiags,
 )
+from edgelab import states
+from edgelab.errors import EdgeLabError
 from edgelab.linalg import _partial_transpose
-from edgelab.states import build_family
+from edgelab.states import _face_entries, build_family
 from helpers import (
+    OFFDIAG_SLACK,
     assert_same_outcome,
     cyclic_map_apply,
     edge_kernel_vector,
@@ -50,6 +54,7 @@ from helpers import (
     reference_choi_matrix,
     reference_corner_matrix,
     reference_edge_matrix,
+    reference_face_entries,
     reference_face_matrix,
     reference_generalized_edge_matrix,
     separable_decomposition,
@@ -168,6 +173,30 @@ class TestGeneralizedEdgeState:
         tau_kernel = kernel_basis(partial_transpose(generalized_edge_state(b, theta).mat, 3, 3))
         for v in edge_tau_kernel_vectors(b, theta):
             assert tau_kernel.residual(v) <= 1e-10
+
+
+def rotated_edge_matrix(b: float, phi: float) -> np.ndarray:
+    """``(I (x) D_k) edge_state(b, theta) (I (x) D_k)^H`` with k the integer nearest
+    ``phi / (2 pi/3)``, ``theta = phi - 2 pi k/3`` and ``D_k = diag(1, w^-k, w^-2k)``,
+    ``w = e^{2 pi i/3}``: the generalized family's member at phi in another basis."""
+    k = round(phi / (2 * math.pi / 3))
+    d = np.tile([cmath.exp(-2j * math.pi * (j * k % 3) / 3) for j in range(3)], 3)
+    return d[:, None] * edge_state(b, phi - 2 * math.pi * k / 3).mat * d.conj()
+
+
+class TestGeneralizedIsRotatedEdge:
+    @given(phi=st.floats(-4 * math.pi, 4 * math.pi, exclude_min=True, exclude_max=True), log_b=st.floats(-3.0, 3.0))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_local_unitary_maps_the_edge_state_onto_it(self, phi, log_b):
+        b = 10.0**log_b
+        got, want = generalized_edge_state(b, phi).mat, rotated_edge_matrix(b, phi)
+        # theta = phi - 2 pi k/3 and the angles inside min_psd_diagonal(phi) round by up to eps |phi|
+        eps = np.finfo(float).eps
+        assert np.abs(got - want).max() <= eps * (4 + 2 * abs(phi)) * np.abs(got).max()
+        # off the odd multiples of pi/3, where a rank changes; within 10^+-3 every kept
+        # eigenvalue is far above the rank threshold (ROADMAP item 15 covers larger scales)
+        if abs(math.remainder(phi - math.pi / 3, 2 * math.pi / 3)) >= 1e-3:
+            assert classify(BipartiteOperator(3, 3, want)).type == classify(generalized_edge_state(b, phi)).type
 
 
 class TestCornerState:
@@ -519,3 +548,63 @@ class TestBuildsMatchTheirReferences:
             return
         spec = GramSpec(sign * theta, *offdiags)
         assert_same_outcome(outcome(lambda: face_state(b, spec).mat), outcome(reference_face_matrix, b, spec))
+
+
+OMEGA = cmath.exp(2j * math.pi / 3)
+# Real and imaginary parts with both signed zeros
+PARTS = st.one_of(st.floats(-1.0, 1.0), st.sampled_from([0.0, -0.0]))
+# Moduli on either side of the coupling bound, exact on an axis
+BOUND_RADII = st.sampled_from(
+    [1 + OFFDIAG_SLACK, math.nextafter(1 + OFFDIAG_SLACK, 2.0), math.nextafter(1 + OFFDIAG_SLACK, 0.0), 1 + 2 * OFFDIAG_SLACK]
+)
+
+
+@st.composite
+def face_inputs(draw):
+    """(b, GramSpec) of every kind the face build checks: b of either sign or
+    not finite, angles and couplings not finite, couplings with signed-zero
+    parts, just inside or just past the bound, unimodular (whose Gram matrices
+    are mostly not PSD), and those of the singular Gram matrices of p5."""
+    b = draw(st.floats(1e-3, 1e3) if draw(st.booleans()) else st.one_of(B_VALUES, st.sampled_from([0.0, -0.0])))
+    kind = draw(st.sampled_from(["any", "bound", "unimodular", "singular"]))
+    if kind == "singular":
+        theta = draw(st.sampled_from([1.0, -1.0])) * draw(st.floats(1e-3, math.pi / 3 - 1e-3))
+        return b, GramSpec(theta, *singular_gram_offdiags(theta, draw(st.integers(5, 8))))
+    # mostly inside the edge region, so that many draws reach the Gram check and b
+    theta = draw(ANGLES if draw(st.integers(0, 5)) == 0 else st.floats(-math.pi / 3, math.pi / 3))
+    couplings = [draw(COUPLINGS if draw(st.integers(0, 5)) == 0 else st.builds(complex, PARTS, PARTS)) for _ in range(3)]
+    if kind == "bound":
+        r, sign = draw(BOUND_RADII), draw(st.sampled_from([1.0, -1.0]))
+        on_axis = complex(sign * r, draw(st.sampled_from([0.0, -0.0])))
+        couplings[draw(st.integers(0, 2))] = on_axis if draw(st.booleans()) else on_axis * 1j
+    elif kind == "unimodular":
+        couplings = [cmath.exp(1j * draw(st.floats(-math.pi, math.pi))) for _ in range(3)]
+    return b, GramSpec(theta, *couplings)
+
+
+class TestFaceEntriesInOnePass:
+    """``_face_entries`` checks each input once and gives the entries, bit for
+    bit, or the error, with its message, of the earlier build that checked
+    theta three times and the couplings twice."""
+
+    @given(case=face_inputs())
+    # theta = pi/3 with every coupling e^{2 pi i/3}: a rank-1 Gram matrix, a double root at 0
+    @example(case=(1.0, GramSpec(math.pi / 3, OMEGA, OMEGA, OMEGA)))
+    @example(case=(-1.0, GramSpec(0.5, 1 + 0j, -1 + 0j, 1 + 0j)))  # b and the Gram both fail: the Gram first
+    @example(case=(math.nan, GramSpec(0.5, 2 + 0j, 0j, 0j)))  # b and a coupling's modulus fail: the coupling first
+    @example(case=(1.0, GramSpec(math.inf, 2 + 0j, 0j, 0j)))  # theta and a modulus fail: theta first
+    @example(case=(1.0, GramSpec(-math.pi / 3, complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.0))))
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    def test_entries_and_errors_match_the_earlier_build(self, case):
+        got, want = outcome(_face_entries, *case), outcome(reference_face_entries, *case)
+        if isinstance(want, EdgeLabError):
+            assert type(got) is type(want) and str(got) == str(want)
+        else:
+            assert not isinstance(got, EdgeLabError), got
+            assert [type(v) for v in got] == [type(v) for v in want]
+            bits = [np.array(entries, dtype=complex).view(np.uint64) for entries in (got, want)]
+            assert np.array_equal(*bits)
+
+    def test_rank_one_gram_on_the_boundary_passes_and_classifies_4_4(self):
+        assert states.OFFDIAG_SLACK == OFFDIAG_SLACK
+        assert classify(face_state(1.0, GramSpec(math.pi / 3, OMEGA, OMEGA, OMEGA))).type == (4, 4)
