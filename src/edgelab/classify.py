@@ -6,8 +6,8 @@ over a stack of states and ``linalg._spectra`` of the states and their
 partial transposes give every rank and PSD flag; a matrix whose rank reads 0
 is read again from a sixteenth of it, as ``linalg._rank_psd`` says.
 :func:`classify` of one state and :func:`classify_many` give each verdict's
-:class:`Classification`, built once and shared; ``edgelab sweep`` reads the
-lists as they are.
+immutable :class:`Classification`; ``edgelab sweep`` reads the lists as they
+are.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ def _classify_stack(h: np.ndarray, m: int, n: int):
 @functools.lru_cache(maxsize=4096, typed=True)
 def _classification(m: int, n: int, p: int, q: int, p_psd: bool, q_psd: bool) -> Classification:
     """The :class:`Classification` of ranks ``p``, ``q`` and PSD flags on an m x n space;
-    cached, as a shape has few verdicts, so equal verdicts share one frozen object."""
+    cached, as a shape has few verdicts."""
     d = m * n
     return Classification(
         is_psd=p_psd,
@@ -139,10 +139,7 @@ def classify(s: BipartiteOperator) -> Classification:
     ``linalg.RANK_RTOL`` and the PSD flags ``linalg.PSD_ATOL``; a rank that
     reads 0 is read again from a sixteenth of the matrix, whose spectrum
     does not overflow.  ``classify(BipartiteOperator(1, d, m)).is_psd`` is
-    the PSD flag of any d x d matrix ``m``.  Results are shared immutable
-    objects: each verdict's :class:`Classification` is built once, and
-    equal verdicts, from this function or :func:`classify_many`, are one
-    object.
+    the PSD flag of any d x d matrix ``m``.  Results are immutable.
     """
     return _classifications(s.m, s.n, _classify_stack(s.mat[None], s.m, s.n))[0]
 

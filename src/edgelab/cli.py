@@ -197,7 +197,7 @@ def cmd_edge_check(args) -> int:
     if result.verdict is SearchVerdict.PRODUCT_VECTOR_FOUND:
         report["bestX"] = _vector_json(result.best_x)
         report["bestY"] = _vector_json(result.best_y)
-    report["steps"] = {"mean": float(result.steps.mean()), "max": int(result.steps.max())}
+    report["stepsPerStart"] = {"mean": float(result.steps.mean()), "max": int(result.steps.max())}
     report["stopReasons"] = {r: int(np.count_nonzero(result.stop_reasons == r)) for r in STOP_REASONS}
     print(json.dumps(report))
     return 0

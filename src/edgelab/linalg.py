@@ -61,7 +61,6 @@ _ENTRIES = np.array([0, 4, 8, 5, 6, 1])
 _ROLLED = np.array([0, 1, 2, 0, 1, 3, 4, 5, 3, 4])
 # Constants as 0-d arrays, which numpy takes without a conversion per call
 _TWO, _THREE, _FOUR, _TWO_THIRDS = (np.array(c) for c in (2.0, 3.0, 4.0, 2 / 3))
-_ONE, _RANK_RTOL, _PSD_FLOOR = np.array(1.0), np.array(RANK_RTOL), np.array(-PSD_ATOL)
 
 
 @dataclass(frozen=True)
@@ -152,9 +151,7 @@ def _rank_psd(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     eigenvalues (the singular values of a Hermitian matrix) above
     :data:`RANK_RTOL` times the largest, ``||m||_2``, which is that of the
     first or the last; the zero matrix has rank 0.  PSD means a smallest
-    eigenvalue, the first, ``>= -PSD_ATOL * max(1, ||m||_2)``.  The two
-    tolerances and the 1 enter as the 0-d arrays ``_RANK_RTOL``,
-    ``_PSD_FLOOR`` and ``_ONE``, made once at import.
+    eigenvalue, the first, ``>= -PSD_ATOL * max(1, ||m||_2)``.
 
     A finite matrix whose spectrum overflows reads rank 0 too, as its largest
     eigenvalue is inf.  So where a rank reads 0, callers take the spectrum
@@ -165,7 +162,7 @@ def _rank_psd(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     mag = np.abs(vals)
     top = np.maximum(mag[..., 0], mag[..., -1])
-    return np.add.reduce(mag > _RANK_RTOL * top[..., None], -1), vals[..., 0] >= _PSD_FLOOR * np.maximum(top, _ONE)
+    return np.add.reduce(mag > RANK_RTOL * top[..., None], -1), vals[..., 0] >= -PSD_ATOL * np.maximum(top, 1.0)
 
 
 @functools.lru_cache(maxsize=256)

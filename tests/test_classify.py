@@ -213,7 +213,7 @@ class TestOneStateClassify:
 
 
 class TestSharedClassifications:
-    """Each verdict's Classification is built once, by ``_classification``, and shared."""
+    """Each verdict's Classification is built by ``_classification``, a bounded cache."""
 
     @staticmethod
     def fresh(op: BipartiteOperator) -> Classification:
@@ -242,7 +242,8 @@ class TestSharedClassifications:
             assert all(type(v) is int for v in (*c.type, *c.kernel_dims))
             assert type(c.type) is tuple and type(c.kernel_dims) is tuple
             assert type(c.admissibility) is Admissibility
-        # the same verdicts from either function, and each verdict one object
+        # the same verdicts from either function; the cache, which holds them all
+        # here, hands out one object per verdict
         assert sorted(map(repr, many)) == sorted(map(repr, ones))
         for a in ones + many:
             for b in ones + many:

@@ -766,17 +766,17 @@ class TestEdgeCheck:
         ids=["edge", "separable", "full-rank", "one-start"],
     )
     def test_report_summarizes_steps_and_stop_reasons(self, capsys, params, op, starts):
-        """``steps`` and ``stopReasons`` follow the earlier keys, whose values
+        """``stepsPerStart`` and ``stopReasons`` follow the earlier keys, whose values
         are those of the search, and summarize its per-start arrays."""
         code, out, _ = run_cli(capsys, "edge-check", *params, "--starts", str(starts), "--seed", "3")
         report = strict_json(out)
         result = product_vector_search(op, starts=starts, seed=3)
         steps = result.steps.tolist()
-        assert code == 0 and list(report)[-2:] == ["steps", "stopReasons"]
+        assert code == 0 and list(report)[-2:] == ["stepsPerStart", "stopReasons"]
         assert (report["verdict"], report["bestObjective"], report["starts"]) == (
             result.verdict.value, result.best_objective, starts
         )
-        assert report["steps"] == {"mean": sum(steps) / len(steps), "max": max(steps)}
+        assert report["stepsPerStart"] == {"mean": sum(steps) / len(steps), "max": max(steps)}
         reasons = result.stop_reasons.tolist()
         assert report["stopReasons"] == {r: reasons.count(r) for r in edgelab.search.STOP_REASONS}
         assert list(report["stopReasons"]) == list(edgelab.search.STOP_REASONS)

@@ -539,9 +539,9 @@ def test_helpers_match_their_references_bit_for_bit(mats, dim, seed, flat):
             # on the two thresholds, which only the true largest magnitude puts there
             tols.append((mag[-2] / mag[-1], max(-first[0], 0.0) / max(mag[-1], 1.0)))
         for rel_tol, abs_tol in tols:
-            # _rank_psd reads both thresholds from the module's 0-d arrays when called
-            rank_rtol = mock.patch.object(linalg, "_RANK_RTOL", np.array(rel_tol))
-            with rank_rtol, mock.patch.object(linalg, "_PSD_FLOOR", np.array(-abs_tol)):
+            # _rank_psd reads both thresholds from the module when called
+            rank_rtol = mock.patch.object(linalg, "RANK_RTOL", rel_tol)
+            with rank_rtol, mock.patch.object(linalg, "PSD_ATOL", abs_tol):
                 got = _rank_psd(vals)
             for new, ref in zip(got, full_reduction_rank_psd(vals, rel_tol, abs_tol)):
                 assert np.array_equal(new, ref)
@@ -562,10 +562,7 @@ def _threshold_rows(top: float) -> list[np.ndarray]:
 
 def test_rank_psd_keeps_the_outputs_of_its_earlier_formulation():
     """_rank_psd gives reference_rank_psd's values and dtypes, scalars for a
-    1-D spectrum, on the spectra of its callers and at its edges, with its
-    0-d thresholds made from the module's public tolerances."""
-    for const, value in ((linalg._RANK_RTOL, linalg.RANK_RTOL), (linalg._PSD_FLOOR, -linalg.PSD_ATOL), (linalg._ONE, 1.0)):
-        assert const.shape == () and const.dtype == np.float64 and const == value
+    1-D spectrum, on the spectra of its callers and at its edges."""
     states = [op for _, op in family_states() if op.m == 3]
     mats = np.array([s.mat for s in states])
     stacked = np.linalg.eigvalsh(np.concatenate([mats, _partial_transpose(mats, 3, 3)]))
