@@ -1,13 +1,12 @@
 """Verdicts: PSD/PPT checks, (p, q) types, rank-bound admissibility, and the
 analytic edge certificate for the phase-parameterized family.
 
-``_classify_stack`` is the one classification path: one Hermiticity check
-over a stack of states and ``linalg._spectra`` of the states and their
-partial transposes give every rank and PSD flag; a matrix whose rank reads 0
-is read again from a sixteenth of it, as ``linalg._rank_psd`` says.
-:func:`classify` of one state and :func:`classify_many` give each verdict's
-immutable :class:`Classification`; ``edgelab sweep`` reads the lists as they
-are.
+Every rank and PSD flag comes from ``linalg._classify_stack``, the one
+classification path, which holds the spectral rules: the Hermiticity check,
+the spectra, the threshold rule and the re-read of a rank that reads 0.
+This module turns its lists into verdicts: :func:`classify` of one state and
+:func:`classify_many` give each verdict's immutable :class:`Classification`;
+``edgelab sweep`` reads the lists as they are.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from math import comb
 import numpy as np
 
 from .errors import ConditionViolatedError, DimensionMismatchError, InvalidParamError
-from .linalg import BipartiteOperator, _check_hermitian, _rank_psd, _spectra, _with_partial_transposes
+from .linalg import BipartiteOperator, _classify_stack
 from .states import edge_condition_holds
 
 # Units of rounding, eps * max(b**3, 1), the product margin of a certificate must exceed.
@@ -77,23 +76,6 @@ def rank_bounds(m: int, n: int, p: int, q: int) -> Admissibility:
     return Admissibility.ADMISSIBLE
 
 
-def _classify_stack(h: np.ndarray, m: int, n: int):
-    """The lists of ranks ``p`` of a (k, mn, mn) stack of states on an m x n space,
-    ranks ``q`` of their partial transposes, and the PSD flags of each, from
-    ``linalg._spectra``; raises :class:`NotHermitianError` for the first non-Hermitian state."""
-    k, h = len(h), _check_hermitian(h)
-    # Partial transposition permutes entries and commutes with the adjoint, so
-    # the partial transposes of the checked states, exactly Hermitian as given
-    # or symmetrized, are Hermitian as they stand.
-    ranks, psd = (flags.tolist() for flags in _rank_psd(_spectra(h, (m, n))))
-    if 0 in ranks:  # zero, or a spectrum past the float range: see _rank_psd
-        zero = [i for i, r in enumerate(ranks) if r == 0]
-        again = _rank_psd(np.linalg.eigvalsh(_with_partial_transposes(h, m, n)[zero] / 16))
-        for i, r, p in zip(zero, *(flags.tolist() for flags in again)):
-            ranks[i], psd[i] = r, p
-    return ranks[:k], ranks[k:], psd[:k], psd[k:]
-
-
 @functools.lru_cache(maxsize=4096, typed=True)
 def _classification(m: int, n: int, p: int, q: int, p_psd: bool, q_psd: bool) -> Classification:
     """The :class:`Classification` of ranks ``p``, ``q`` and PSD flags on an m x n space;
@@ -115,7 +97,7 @@ def _classifications(m: int, n: int, lists: tuple) -> list[Classification]:
 
 def classify_many(ops: Iterable[BipartiteOperator]) -> list[Classification]:
     """:func:`classify` of every operator in ``ops``, all of one shape ``(m, n)``,
-    from one ``linalg._spectra`` call for the states and their partial transposes.
+    from one ``linalg._classify_stack`` call for the states and their partial transposes.
 
     Raises :class:`NotHermitianError` for the first operator that is not
     Hermitian and :class:`DimensionMismatchError` when the shapes differ; an
@@ -135,11 +117,10 @@ def classify(s: BipartiteOperator) -> Classification:
 
     :func:`classify_many` of the one operator, from ``_classify_stack`` of a
     stack of one that is a view of ``s.mat``, not a copy: one ``eigvalsh``
-    gives its spectrum and that of its partial transpose.  The ranks apply
-    ``linalg.RANK_RTOL`` and the PSD flags ``linalg.PSD_ATOL``; a rank that
-    reads 0 is read again from a sixteenth of the matrix, whose spectrum
-    does not overflow.  ``classify(BipartiteOperator(1, d, m)).is_psd`` is
-    the PSD flag of any d x d matrix ``m``.  Results are immutable.
+    gives its spectrum and that of its partial transpose.  The ranks and PSD
+    flags follow ``linalg``'s rules: ``RANK_RTOL``, ``PSD_ATOL`` and the
+    re-read of a rank that reads 0.  ``classify(BipartiteOperator(1, d,
+    m)).is_psd`` is the PSD flag of any d x d matrix ``m``.  Results are immutable.
     """
     return _classifications(s.m, s.n, _classify_stack(s.mat[None], s.m, s.n))[0]
 

@@ -32,9 +32,8 @@ import numpy as np
 
 from . import io as mio
 from .classify import EdgeCertificate, classify, classify_many, verify_edge_analytic
-from .classify import _classify_stack
 from .errors import EdgeLabError, InvalidParamError
-from .linalg import PSD_ATOL, RANK_RTOL, BipartiteOperator
+from .linalg import PSD_ATOL, RANK_RTOL, BipartiteOperator, _classify_stack
 from .search import STOP_REASONS, SearchVerdict, product_vector_search, product_vector_search_many
 from .states import FAMILIES, build_family
 

@@ -1,4 +1,4 @@
-"""Complex dense linear algebra primitives.
+"""Complex dense linear algebra primitives, and every spectral rule of the package.
 
 Everything operates on plain ``numpy`` complex arrays.  Block operators on a
 tensor product of two factors are carried by :class:`BipartiteOperator`, which
@@ -12,15 +12,18 @@ Ranks of Hermitian matrices come from their spectrum, since the singular
 values of a Hermitian matrix are its absolute eigenvalues.
 :func:`_check_hermitian` passes an exactly Hermitian stack, as every
 constructor builds, on as it is after one comparison, and symmetrizes only a
-near-Hermitian one.  :func:`_spectra` gives the spectra of stacks of
-matrices, and its docstring is the one description of how.  Every rank and
-PSD flag applies the one threshold rule of :func:`_rank_psd`: ``classify``'s,
-those of the face family's Gram check in ``states``, and those of
-:func:`_kernel`, the one subspace routine, which gives the kernels of a
-stack of Hermitian matrices from one ``eigh``.  Where a rank reads 0 the
-caller reads the spectrum again from a sixteenth of the matrix, so that a
-spectrum past the float range is not read as the zero matrix's.  The ``_``
-names here are shared within the package only.
+near-Hermitian one.  :func:`_spectra` gives the spectra of stacks of states
+and their partial transposes, and its docstring is the one description of
+how.  Every rank and PSD flag applies the one threshold rule of
+:func:`_rank_psd`: those of :func:`_classify_stack`, the one classification
+path, those of the face family's Gram check in ``states``, and those of
+:func:`_kernel`, the search's one subspace routine.  Where a rank reads 0,
+both read the spectrum again from a sixteenth of the matrix, so that a
+spectrum past the float range is not read as the zero matrix's.  Both 3 x 3
+closed forms solve :func:`_cubic`: the split path of :func:`_spectra`, above
+:data:`CUBIC_FLOOR`, and :func:`_smallest_eigvecs`, the search's
+eigenvectors, above :data:`GAP_FLOOR`.  The ``_`` names here are shared
+within the package only.
 """
 
 from __future__ import annotations
@@ -53,14 +56,26 @@ SPLIT_MIN = 10
 # sit at r = 1 and need it.
 CUBIC_FLOOR = 1e-8
 
+# A 3 x 3 form takes eigh in _smallest_eigvecs when (lambda_2 - lambda_1)
+# (lambda_3 - lambda_1), in units of its largest entry squared, is at most
+# this.  Near a double root the closed-form lambda_1 errs by about eps / gap,
+# and the Rayleigh excess of its eigenvector grows like eps^2 / gap^3: on
+# forms of scale 1 it is 3e-16 down to a gap of 1e-5, as from eigh, but
+# 4e-15 at 1e-6 and 4e-12 at 1e-7.
+GAP_FLOOR = 1e-5
+
 _TINY = np.finfo(float).tiny
 # Flat indices of a 3 x 3 matrix: its diagonal d_i, then g_i = h[i+1, i+2]
 # (mod 3).  _cubic takes rows _ROLLED of them, d_0 d_1 d_2 d_0 d_1 g_0 g_1 g_2
 # g_0 g_1, so that rows [1:4] and [2:5] of d and g are the entries i+1, i+2.
 _ENTRIES = np.array([0, 4, 8, 5, 6, 1])
 _ROLLED = np.array([0, 1, 2, 0, 1, 3, 4, 5, 3, 4])
+# Row k: where the entries of column k of an adjugate sit in its diagonal,
+# its entries a_i at (i+1, i+2) and their conjugates, stacked in that order.
+_ADJ_COLUMNS = np.array([[0, 8, 4], [5, 1, 6], [7, 3, 2]])
 # Constants as 0-d arrays, which numpy takes without a conversion per call
 _TWO, _THREE, _FOUR, _TWO_THIRDS = (np.array(c) for c in (2.0, 3.0, 4.0, 2 / 3))
+_TWO_PI_THIRDS = np.array(2 * np.pi / 3)
 
 
 @dataclass(frozen=True)
@@ -202,10 +217,10 @@ def _cubic(d: np.ndarray, g: np.ndarray) -> tuple:
     rolled by :data:`_ROLLED` to shape (5, ...), and scaled so that no power
     of them under- or overflows: ``q``, ``2p`` and ``r``, the eigenvalues
     being ``q + 2p cos(arccos(r)/3 + 2 pi j/3)`` (j = 1 the smallest), then
-    ``d - q`` (rolled), ``|g_i|^2`` and ``g_{i+1} g_{i+2}`` for the search's
-    adjugates.  A non-finite entry gives a NaN ``r``.  The sums and product
-    over the rows are the ufunc reductions of ``sum`` and ``prod``, bit for
-    bit, without their Python wrappers."""
+    ``d - q`` (rolled), ``|g_i|^2`` and ``g_{i+1} g_{i+2}`` for the adjugates
+    of :func:`_smallest_eigvecs`.  A non-finite entry gives a NaN ``r``.  The
+    sums and product over the rows are the ufunc reductions of ``sum`` and
+    ``prod``, bit for bit, without their Python wrappers."""
     g2 = np.abs(g[:3]) ** 2
     gg = g[1:4] * g[2:5]
     q = np.add.reduce(d[:3], 0) / _THREE
@@ -216,25 +231,65 @@ def _cubic(d: np.ndarray, g: np.ndarray) -> tuple:
     return q, two_p, r, d0, g2, gg
 
 
-def _spectra(stack: np.ndarray, dims: tuple[int, int] | None = None) -> np.ndarray:
-    """Ascending spectra of the matrices of a (k, d, d) Hermitian stack, in
-    order, then, given their local dimensions ``dims = (m, n)``, those of
-    their partial transposes.
+def _smallest_eigvecs(h: np.ndarray) -> np.ndarray:
+    """Stacked unit eigenvectors of the smallest eigenvalues of Hermitian 3 x 3 ``h[b]``.
 
-    Under :data:`SPLIT_MIN` matrices, one ``eigvalsh`` of the stack, or of
-    the one copy of it and its partial transposes that
-    :func:`_with_partial_transposes` writes.  Else the stack, and then that
-    of its partial transposes, splits by the connected blocks of its joint
-    nonzero pattern: a 1 x 1 block gives its real diagonal entry, a 2 x 2
-    block its two eigenvalues in closed form (:func:`_pair_spectra`), a 3 x 3
-    block, scaled as a pair is, its three from :func:`_cubic`, and each
-    larger size, and the 3 x 3 blocks near a double root
-    (:data:`CUBIC_FLOOR`), one ``eigvalsh`` of its gathered blocks.
+    Each row takes Kopp's closed form: the smallest eigenvalue lambda from
+    the trigonometric solution of the characteristic cubic, :func:`_cubic`
+    of the row divided by its largest entry modulus, then the column of
+    ``adj(h - lambda I) = (lambda_2 - lambda) (lambda_3 - lambda) v v^H`` with
+    the largest diagonal entry.  Rows whose adjugate trace is at most
+    :data:`GAP_FLOOR`, or not finite, take ``eigh`` instead, and only those
+    rows.  Every operation acts row by row, so a row's vector does not depend
+    on the rows stacked with it.
+    """
+    b = len(h)
+    # the six distinct entries, scaled to a largest modulus of 1 so that no
+    # power in the cubic under- or overflows (the eigenvectors do not
+    # change), then rolled as _cubic takes them
+    e = h.reshape(b, 9).T.take(_ENTRIES, axis=0)
+    e /= np.maximum(np.maximum.reduce(np.abs(e), 0), _TINY)
+    e = e.take(_ROLLED, axis=0)
+    _, two_p, r, d0, g2, gg = _cubic(e[:5].real, e[5:])
+    dl = d0 - two_p * np.cos(np.arccos(r) / _THREE + _TWO_PI_THIRDS)
+    # adj(h - lambda I), rows of one buffer: its diagonal ad, its entries a_i
+    # at (i+1, i+2), then their conjugates
+    adj = np.empty((9, b), dtype=complex)
+    np.subtract(dl[1:4] * dl[2:5], g2, out=adj[:3])
+    np.subtract(np.conjugate(gg, out=gg), dl[:3] * e[5:8], out=adj[3:6])
+    np.conjugate(adj[3:6], out=adj[6:])
+    ad = adj[:3].real
+    # each row's column, by flat index into the buffer
+    v = adj.take(_ADJ_COLUMNS.take(ad.argmax(axis=0), axis=0) * b + np.arange(b)[:, None])
+    # the squared moduli added by columns: a sum along rows of three loops per row
+    n = np.abs(v)
+    n *= n
+    v /= np.maximum(np.sqrt(n[:, 0] + n[:, 1] + n[:, 2]), _TINY)[:, None]
+    t = np.add.reduce(ad, 0)
+    if not t.min() > GAP_FLOOR:
+        rows = ~(t > GAP_FLOOR)
+        v[rows] = np.linalg.eigh(h[rows])[1][:, :, 0]
+    return v
+
+
+def _spectra(stack: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
+    """Ascending spectra of the matrices of a (k, mn, mn) Hermitian stack on
+    an m x n space, ``dims = (m, n)``, in order, then those of their partial
+    transposes.
+
+    Under :data:`SPLIT_MIN` matrices, one ``eigvalsh`` of the one copy of the
+    stack and its partial transposes that :func:`_with_partial_transposes`
+    writes.  Else the stack, and then that of its partial transposes, splits
+    by the connected blocks of its joint nonzero pattern: a 1 x 1 block gives
+    its real diagonal entry, a 2 x 2 block its two eigenvalues in closed form
+    (:func:`_pair_spectra`), a 3 x 3 block, scaled as a pair is, its three
+    from :func:`_cubic`, and each larger size, and the 3 x 3 blocks near a
+    double root (:data:`CUBIC_FLOOR`), one ``eigvalsh`` of its gathered blocks.
     """
     if len(stack) < SPLIT_MIN:
-        return np.linalg.eigvalsh(stack if dims is None else _with_partial_transposes(stack, *dims))
+        return np.linalg.eigvalsh(_with_partial_transposes(stack, *dims))
     spectra = []
-    for h in (stack,) if dims is None else (stack, _partial_transpose(stack, *dims)):
+    for h in (stack, _partial_transpose(stack, *dims)):
         k, n, parts = len(h), h.shape[-1], []
         for s, idx in _blocks(h.any(axis=0).tobytes(), n):
             if s == 1:
@@ -280,3 +335,20 @@ def _kernel(h: np.ndarray) -> list[np.ndarray]:
     order = np.argsort(np.abs(vals), axis=-1, kind="stable")
     d = h.shape[-1]
     return [v[:, o[: d - r]] for v, o, r in zip(vecs, order, rank.tolist())]
+
+
+def _classify_stack(h: np.ndarray, m: int, n: int):
+    """The lists of ranks ``p`` of a (k, mn, mn) stack of states on an m x n space,
+    ranks ``q`` of their partial transposes, and the PSD flags of each, from
+    :func:`_spectra`; raises :class:`NotHermitianError` for the first non-Hermitian state."""
+    k, h = len(h), _check_hermitian(h)
+    # Partial transposition permutes entries and commutes with the adjoint, so
+    # the partial transposes of the checked states, exactly Hermitian as given
+    # or symmetrized, are Hermitian as they stand.
+    ranks, psd = (flags.tolist() for flags in _rank_psd(_spectra(h, (m, n))))
+    if 0 in ranks:  # zero, or a spectrum past the float range: see _rank_psd
+        zero = [i for i, r in enumerate(ranks) if r == 0]
+        again = _rank_psd(np.linalg.eigvalsh(_with_partial_transposes(h, m, n)[zero] / 16))
+        for i, r, p in zip(zero, *(flags.tolist() for flags in again)):
+            ranks[i], psd[i] = r, p
+    return ranks[:k], ranks[k:], psd[:k], psd[k:]

@@ -11,10 +11,8 @@ x the objective is a Hermitian quadratic form in y, and for fixed y it is one
 in x too, since the conjugated term is ``conj(x)^H E conj(x) = x^H conj(E) x``.
 The search takes bi-qutrit states only, so each step is the smallest
 eigenvector of a 3 x 3 complex Hermitian matrix, unique up to a global phase.
-It comes in closed form (Kopp, Int. J. Mod. Phys. C 19, 523 (2008),
-arXiv:physics/0610206), from the characteristic cubic that ``linalg._cubic``
-solves, the solver that ``linalg._spectra`` shares; only rows whose two
-smallest eigenvalues nearly coincide take ``eigh``.
+It comes in closed form from ``linalg._smallest_eigvecs``; rows whose two
+smallest eigenvalues nearly coincide (``linalg.GAP_FLOOR``) take ``eigh``.
 
 Both forms are linear in the outer product of the fixed factor: the form in
 y has entries ``sum conj(x_i) x_j M[(i, j), (l, o)]``, and the form in x is
@@ -63,8 +61,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidParamError
-from .linalg import _ENTRIES, _ROLLED, _THREE, _TINY, BipartiteOperator, _check_hermitian, _cubic, _kernel
-from .linalg import _with_partial_transposes
+from .linalg import BipartiteOperator, _check_hermitian, _kernel, _smallest_eigvecs, _with_partial_transposes
 
 FOUND_THRESHOLD = 1e-9
 
@@ -109,23 +106,11 @@ BLOCK = 1024
 # strictly improving, for at most this many further steps.
 POLISH_STEPS = 60
 
-# A 3 x 3 form takes eigh when (lambda_2 - lambda_1) (lambda_3 - lambda_1), in
-# units of its largest entry squared, is at most this.  Near a double root the
-# closed-form lambda_1 errs by about eps / gap, and the Rayleigh excess of its
-# eigenvector grows like eps^2 / gap^3: on forms of scale 1 it is 3e-16 down
-# to a gap of 1e-5, as from eigh, but 4e-15 at 1e-6 and 4e-12 at 1e-7.
-GAP_FLOOR = 1e-5
-
 # Why a start stopped, by the code _descend gives it: it was at exactly 0 and
 # took no step, its last decrease fell under CONVERGENCE_TOL, or under
 # RELATIVE_TOL of its objective, it took MAX_ITERS steps, or it then polished.
 STOP_REASONS = ("zero", "converged", "relative", "max-iters", "polished")
 _ZERO, _CONVERGED, _RELATIVE, _CAPPED, _POLISHED = range(len(STOP_REASONS))
-
-# Row k: where the entries of column k of an adjugate sit in its diagonal,
-# its entries a_i at (i+1, i+2) and their conjugates, stacked in that order.
-_ADJ_COLUMNS = np.array([[0, 8, 4], [5, 1, 6], [7, 3, 2]])
-_TWO_PI_THIRDS = np.array(2 * np.pi / 3)
 
 
 class SearchVerdict(Enum):
@@ -173,47 +158,6 @@ def _random_starts(rng: np.random.Generator, count: int) -> tuple[np.ndarray, np
     return x, y
 
 
-def _smallest_eigvecs(h: np.ndarray) -> np.ndarray:
-    """Stacked unit eigenvectors of the smallest eigenvalues of Hermitian 3 x 3 ``h[b]``.
-
-    Each row takes Kopp's closed form: the smallest eigenvalue lambda from
-    the trigonometric solution of the characteristic cubic, ``linalg._cubic``
-    of the row divided by its largest entry modulus, then the column of
-    ``adj(h - lambda I) = (lambda_2 - lambda) (lambda_3 - lambda) v v^H`` with
-    the largest diagonal entry.  Rows whose adjugate trace is at most
-    :data:`GAP_FLOOR`, or not finite, take ``eigh`` instead, and only those
-    rows.  Every operation acts row by row, so a row's vector does not depend
-    on the rows stacked with it.
-    """
-    b = len(h)
-    # the six distinct entries, scaled to a largest modulus of 1 so that no
-    # power in the cubic under- or overflows (the eigenvectors do not
-    # change), then rolled as _cubic takes them
-    e = h.reshape(b, 9).T.take(_ENTRIES, axis=0)
-    e /= np.maximum(np.maximum.reduce(np.abs(e), 0), _TINY)
-    e = e.take(_ROLLED, axis=0)
-    _, two_p, r, d0, g2, gg = _cubic(e[:5].real, e[5:])
-    dl = d0 - two_p * np.cos(np.arccos(r) / _THREE + _TWO_PI_THIRDS)
-    # adj(h - lambda I), rows of one buffer: its diagonal ad, its entries a_i
-    # at (i+1, i+2), then their conjugates
-    adj = np.empty((9, b), dtype=complex)
-    np.subtract(dl[1:4] * dl[2:5], g2, out=adj[:3])
-    np.subtract(np.conjugate(gg, out=gg), dl[:3] * e[5:8], out=adj[3:6])
-    np.conjugate(adj[3:6], out=adj[6:])
-    ad = adj[:3].real
-    # each row's column, by flat index into the buffer
-    v = adj.take(_ADJ_COLUMNS.take(ad.argmax(axis=0), axis=0) * b + np.arange(b)[:, None])
-    # the squared moduli added by columns: a sum along rows of three loops per row
-    n = np.abs(v)
-    n *= n
-    v /= np.maximum(np.sqrt(n[:, 0] + n[:, 1] + n[:, 2]), _TINY)[:, None]
-    t = np.add.reduce(ad, 0)
-    if not t.min() > GAP_FLOOR:
-        rows = ~(t > GAP_FLOOR)
-        v[rows] = np.linalg.eigh(h[rows])[1][:, :, 0]
-    return v
-
-
 def _outer(v: np.ndarray) -> np.ndarray:
     """Stacked ``conj(v[b]) v[b]^T``, flattened to rows."""
     return (v.conj()[:, :, None] * v[:, None, :]).reshape(len(v), -1)
@@ -235,9 +179,11 @@ class _Gathered:
     A block of several states copies the matrices of its running rows each
     step, about 2 KB a row.  Copied into fresh arrays each step, the
     1,000-row block of the benchmark's search sweep took 1,500-2,600 page
-    faults a sweep in the benchmark's process and about 7% more time than
-    with the copies in one buffer, grown as needed, which took about 400,
-    most of them its first touch (2 CPUs).
+    faults a sweep in the benchmark's process against about 400 with the
+    copies in one buffer, grown as needed, most of them its first touch.
+    Its time did not tell them apart: ``cli_sweep`` ``batch_s`` read 0.0308
+    s with the buffer and 0.0311 s without it, medians of ten alternating
+    pairs of 30-s runs whose quartiles lay 5% apart (2 CPUs).
     """
 
     def __init__(self, stack: np.ndarray):

@@ -25,8 +25,8 @@ from edgelab import (
     singular_gram_offdiags,
     verify_edge_analytic,
 )
-from edgelab.classify import Classification, _classification, _classify_stack, alternating_binomial_sum
-from edgelab.linalg import _check_hermitian, _rank_psd
+from edgelab.classify import Classification, _classification, alternating_binomial_sum
+from edgelab.linalg import _check_hermitian, _classify_stack, _rank_psd
 from helpers import (
     check_range_criterion,
     choi_ppt_region,

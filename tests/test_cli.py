@@ -21,8 +21,8 @@ from hypothesis import strategies as st
 import edgelab
 from edgelab import BipartiteOperator, choi_matrix, classify, classify_many, edge_state, linalg
 from edgelab import cli, product_vector_search
-from edgelab.classify import _classify_stack
 from edgelab.cli import COMMANDS, SWEEP_CHUNK, _grid_indices, _parse_range, _table_families, main, make_parser
+from edgelab.linalg import _classify_stack
 from edgelab.io import matrix_from_dict, matrix_to_dict, read_matrix, write_matrix
 from edgelab.errors import EdgeLabError
 from edgelab.states import FAMILIES

@@ -10,9 +10,8 @@ from numpy.testing import assert_allclose
 from edgelab import BipartiteOperator, NotHermitianError, classify, offdiag_gram, phase_circulant, singular_gram_offdiags
 from edgelab import linalg
 from edgelab.errors import DimensionMismatchError, InvalidParamError
-from edgelab.classify import _classify_stack
 from edgelab.linalg import CUBIC_FLOOR, SPLIT_MIN, _blocks, _check_hermitian, _kernel, _partial_transpose, _rank_psd, _spectra
-from edgelab.linalg import _with_partial_transposes
+from edgelab.linalg import _classify_stack, _with_partial_transposes
 from helpers import (
     HERM_RTOL,
     PSD_ATOL,
@@ -361,7 +360,7 @@ class TestSplitSpectra:
                 h[np.ix_(b, b)] = (planted_rank_hermitian, planted_rank_psd)[g.integers(2)](g, len(b), r)
             h *= 10.0 ** g.uniform(-100.0, 100.0)
             planted.append(sum(ranks))
-        ranks, psd = _rank_psd(_spectra(stack))
+        ranks, psd = _rank_psd(_spectra(stack, (3, 3))[:k])
         singles = [_rank_psd(np.linalg.eigvalsh(h)) for h in stack]
         assert list(zip(ranks.tolist(), psd.tolist())) == [(int(r), bool(p)) for r, p in singles]
         assert ranks.tolist() == planted
@@ -376,14 +375,14 @@ class TestSplitSpectra:
         stack[1, 1, 2] = stack[1, 2, 1] = 0.5j
         blocks = _blocks((stack != 0).any(axis=0).tobytes(), 9)
         assert [(s, idx.tolist()) for s, idx in blocks] == [(1, [[3], [4], [5], [6], [7], [8]]), (3, [[0, 1, 2]])]
-        assert_allclose(_spectra(stack), np.linalg.eigvalsh(stack), rtol=1e-14)
+        assert_allclose(_spectra(stack, (3, 3)), np.linalg.eigvalsh(_with_partial_transposes(stack, 3, 3)), rtol=1e-14)
 
     def test_negative_zeros_are_zeros(self, monkeypatch):
         # nine 1 x 1 blocks, read off the diagonal without an eigvalsh call
         stack = np.tile(np.eye(9, dtype=complex), (SPLIT_MIN, 1, 1))
         stack[:, 0, 8] = stack[:, 8, 0] = complex(-0.0, -0.0)
         monkeypatch.setattr(np.linalg, "eigvalsh", None)
-        assert np.array_equal(_spectra(stack), np.ones((SPLIT_MIN, 9)))
+        assert np.array_equal(_spectra(stack, (3, 3)), np.ones((2 * SPLIT_MIN, 9)))
 
     @pytest.mark.parametrize("case", sorted(PAIR_BLOCKS))
     def test_pair_blocks_in_closed_form_read_as_the_whole_matrix(self, case, monkeypatch):
@@ -399,9 +398,10 @@ class TestSplitSpectra:
                 planted[-1] += rank
         want = [_rank_psd(np.linalg.eigvalsh(h)) for h in stack]
         monkeypatch.setattr(np.linalg, "eigvalsh", None)
-        ranks, psd = _rank_psd(_spectra(stack))
-        assert list(zip(ranks.tolist(), psd.tolist())) == [(int(r), bool(p)) for r, p in want]
-        assert ranks.tolist() == planted
+        # on a 1 x 9 space the partial transposes are the matrices themselves
+        ranks, psd = _rank_psd(_spectra(stack, (1, 9)))
+        assert list(zip(ranks.tolist(), psd.tolist())) == [(int(r), bool(p)) for r, p in want] * 2
+        assert ranks.tolist() == planted * 2
 
     @given(
         kinds=st.lists(st.sampled_from(sorted(TRIPLE_BLOCKS)), min_size=SPLIT_MIN, max_size=2 * SPLIT_MIN),
@@ -415,8 +415,8 @@ class TestSplitSpectra:
         g = np.random.default_rng(seed)
         stack = np.array([np.ones((3, 3))] + [TRIPLE_BLOCKS[kind](g) for kind in kinds], dtype=complex) * scale
         assert [s for s, _ in _blocks((stack != 0).any(axis=0).tobytes(), 3)] == [3]
-        ranks, psd = _rank_psd(_spectra(stack))
-        want_ranks, want_psd = _rank_psd(np.linalg.eigvalsh(stack))
+        ranks, psd = _rank_psd(_spectra(stack, (1, 3)))
+        want_ranks, want_psd = _rank_psd(np.linalg.eigvalsh(np.concatenate([stack, stack])))
         assert ranks.tolist() == want_ranks.tolist()
         assert psd.tolist() == want_psd.tolist()
 
@@ -428,11 +428,13 @@ class TestSplitSpectra:
         want = np.linalg.eigvalsh(stack)
         calls, eigvalsh = [], np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
-        got = _spectra(stack)
-        assert len(calls) == 1 and np.array_equal(calls[0], stack[:1])
-        assert np.array_equal(got[0], want[0])
+        # on a 1 x 3 space the partial transposes are the matrices themselves:
+        # one eigvalsh of block 0 for the stack and one for its partial transposes
+        got = _spectra(stack, (1, 3)).reshape(2, *stack.shape[:2])
+        assert len(calls) == 2 and all(np.array_equal(c, stack[:1]) for c in calls)
+        assert np.array_equal(got[:, 0], want[[0, 0]])
         # about eps / sqrt(1 - r**2) = 2e-12 near the double root
-        assert_allclose(got[1:], want[1:], rtol=0, atol=1e-11)
+        assert_allclose(got[:, 1:], want[None, 1:].repeat(2, axis=0), rtol=0, atol=1e-11)
 
     @pytest.mark.parametrize("case", sorted(TRIPLE_BIT_CASES))
     def test_triple_blocks_keep_their_bits(self, case, monkeypatch):
@@ -449,10 +451,12 @@ class TestSplitSpectra:
         want = np.sort(reference_triple_spectra(stack, idx), axis=-1)
         rows, eigvalsh = [], np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: rows.append(len(a)) or eigvalsh(a))
-        got = _spectra(stack)
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-        # the floor's two sides: some blocks take eigvalsh and some the closed form
-        assert (0 < sum(rows) < 3 * k) == (case in ("near the double-root floor", "double root at r = 1"))
+        # on a 1 x 9 space the partial transposes are the matrices themselves
+        got = _spectra(stack, (1, 9))
+        assert np.array_equal(got.view(np.uint64), np.concatenate([want, want]).view(np.uint64))
+        # the floor's two sides: some blocks take eigvalsh and some the closed
+        # form, for the stack and again for its partial transposes
+        assert (0 < sum(rows) < 2 * 3 * k) == (case in ("near the double-root floor", "double root at r = 1"))
 
     @pytest.mark.parametrize("k", [1, SPLIT_MIN])
     def test_zero_stack_has_rank_zero_and_is_psd(self, k):

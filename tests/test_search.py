@@ -25,6 +25,7 @@ from edgelab import (
 )
 from edgelab import search
 from edgelab.errors import DimensionMismatchError, InvalidParamError
+from edgelab.linalg import _smallest_eigvecs
 from edgelab.search import BLOCK, FOUND_THRESHOLD, MAX_ITERS, MAX_STARTS, RELATIVE_FLOOR, STOP_REASONS, _Objective
 from edgelab.states import build_family
 from helpers import (
@@ -434,6 +435,24 @@ def test_starts_under_the_relative_floor_keep_their_bits():
             assert np.array_equal(res.best_x, absolute.best_x) and np.array_equal(res.best_y, absolute.best_y)
 
 
+def test_relative_stops_end_within_half_a_percent_of_the_absolute_rule():
+    # RELATIVE_TOL's promise: a start the relative rule stops would lower its
+    # objective by a factor of about 0.995 at most in MAX_ITERS more steps.
+    # edge_state(1, -0.675) is the slowest state of the benchmark's search
+    # sweep, at up to 64 steps a start; the worst excess is 4e-5 at
+    # RELATIVE_TOL = 1e-5, and 0.11 at 1e-4
+    stopped = 0
+    for state in RELATIVE_POOL + [edge_state(1.0, -0.675)]:
+        res = product_vector_search(state, starts=40, seed=6)
+        with mock.patch.object(search, "RELATIVE_TOL", 0.0):
+            absolute = product_vector_search(state, starts=40, seed=6)
+        rel = res.stop_reasons == "relative"
+        stopped += rel.sum()
+        excess = res.per_start_objectives[rel] / absolute.per_start_objectives[rel] - 1
+        assert (excess <= 5e-3).all(), (state, excess.max())
+    assert stopped >= 100
+
+
 @given(
     seed=st.integers(0, 2**32 - 1),
     separable=st.booleans(),
@@ -694,10 +713,10 @@ def test_smallest_eigvecs_closed_form(case, eigh_rows):
     spectra = np.linalg.eigvalsh(h)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        v = search._smallest_eigvecs(h)
+        v = _smallest_eigvecs(h)
         assert sum(eigh_rows) == fallback_rows
         # each row alone gives the same bits as in the stack
-        rows = np.concatenate([search._smallest_eigvecs(h[i : i + 1]) for i in range(len(h))])
+        rows = np.concatenate([_smallest_eigvecs(h[i : i + 1]) for i in range(len(h))])
     assert np.array_equal(rows, v)
     assert np.all(np.abs(np.linalg.norm(v, axis=1) - 1.0) <= 1e-15)
     rayleigh = np.einsum("bi,bij,bj->b", v.conj(), h, v).real
@@ -707,7 +726,7 @@ def test_smallest_eigvecs_closed_form(case, eigh_rows):
 def test_smallest_eigvecs_falls_back_row_by_row(eigh_rows):
     # only the rows with a nearly degenerate smallest pair go to eigh
     h = _forms(np.random.default_rng(8), [[0.0, 1e-12 if i % 5 == 0 else 0.3, 1.0] for i in range(23)])
-    v = search._smallest_eigvecs(h)
+    v = _smallest_eigvecs(h)
     assert eigh_rows == [5]
     rayleigh = np.einsum("bi,bij,bj->b", v.conj(), h, v).real
     assert np.all(np.abs(rayleigh) <= 1e-14)
@@ -735,7 +754,7 @@ def test_smallest_eigvecs_keep_their_bits(eigh_rows):
     stacks["all"] = np.concatenate(list(stacks.values()))[g.permutation(sum(map(len, stacks.values())))]
     for name, h in stacks.items():
         del eigh_rows[:]
-        got = search._smallest_eigvecs(h)
+        got = _smallest_eigvecs(h)
         assert np.array_equal(got.view(np.uint64), reference_smallest_eigvecs(h).view(np.uint64)), name
         assert bool(eigh_rows) == (name in ("under-gap-floor", "zero", "all")), name
         if name in ("real-symmetric", "diagonal"):
