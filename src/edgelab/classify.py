@@ -52,9 +52,8 @@ def alternating_binomial_sum(k: int, ell: int, m: int) -> int:
     return sum((-1) ** r * comb(k, r) * comb(ell, m - 1 - r) for r in range(m))
 
 
-@functools.lru_cache(maxsize=4096, typed=True)
 def rank_bounds(m: int, n: int, p: int, q: int) -> Admissibility:
-    """Admissibility of a type (p, q) for an m x n edge state; cached, as a shape has few types.
+    """Admissibility of a type (p, q) for an m x n edge state.
 
     Ranks at or below max(m, n) force separability; a pair of range/partial
     range dimensions that is too large forces the existence of a product

@@ -43,9 +43,12 @@ PSD_ATOL = 1e-10
 HERM_RTOL = 1e-10
 
 # Stacks of at least this many matrices take their spectra block by block.  A
-# _classify_stack call of k edge (face) states took, split over unsplit, 1.7
-# (1.9) times as long at k = 1, 1.00-1.05 (1.03-1.09) at 8, 0.88-0.91 (0.92-1.01)
-# at 10, 0.79 (0.85) at 16 and 0.52 (0.63) at 64: CPU time, 15-31 runs, 2 CPUs.
+# _classify_stack call of k = 10, 16, 24 and 32 states took, split over
+# unsplit, 1.29, 0.89, 0.66 and 0.53 times as long for edge states, 1.66, 1.17,
+# 0.81 and 0.68 for face, 1.99, 1.42, 1.15 and 1.02 for corner and 2.26, 1.58,
+# 1.16 and 0.96 for Choi states (CPU time, medians of 6 alternating rounds, 2
+# CPUs), so the split pays from 14 to 32 states on.  It stays at 10: another
+# value moves the last bits of some spectra, and at large b those decide ranks.
 SPLIT_MIN = 10
 
 # A 3 x 3 block of the split path takes eigvalsh when 1 - r**2 is at most

@@ -173,36 +173,15 @@ def _rowwise(a: np.ndarray, mat: np.ndarray) -> np.ndarray:
     return (a[:, None] @ mat)[:, 0]
 
 
-class _Gathered:
-    """Rows of a stack of matrices: one matrix as it stands, or copies in memory kept from call to call.
+def _rows(stack: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """The matrices of ``stack`` for the rows of states ``at``, in state order.
 
-    A block of several states copies the matrices of its running rows each
-    step, about 2 KB a row.  Copied into fresh arrays each step, the
-    1,000-row block of the benchmark's search sweep took 1,500-2,600 page
-    faults a sweep in the benchmark's process against about 400 with the
-    copies in one buffer, grown as needed, most of them its first touch.
-    Its time did not tell them apart: ``cli_sweep`` ``batch_s`` read 0.0308
-    s with the buffer and 0.0311 s without it, medians of ten alternating
-    pairs of 30-s runs whose quartiles lay 5% apart (2 CPUs).
+    Rows of one state take its matrix as it stands, one 2-D view that every
+    row broadcasts against: a copy made a 200-start search of
+    ``edge_state(1, pi/6)`` about 5% slower (process CPU time, 2 CPUs).
+    Rows of several take ``stack.take(at, axis=0)``, in the layout of ``stack``.
     """
-
-    def __init__(self, stack: np.ndarray):
-        self.stack, self.buffer = stack, stack[:0].copy()
-
-    def take(self, at: np.ndarray) -> np.ndarray:
-        """The matrices of the rows of states ``at``, in state order, until the next call.
-
-        Rows of one state take its matrix as it stands, one 2-D view that
-        every row broadcasts against: a copy made a 200-start search of
-        ``edge_state(1, pi/6)`` about 5% slower (process CPU time, 2 CPUs).
-        Rows of several take ``stack[at]``, in the layout of ``stack``.
-        """
-        if at[0] == at[-1]:
-            return self.stack[at[0]]
-        if len(self.buffer) < len(at):
-            self.buffer = np.empty((len(at), *self.stack.shape[1:]), dtype=self.stack.dtype)
-        # the indices are in range; "clip" writes into out without a buffer of its own
-        return np.take(self.stack, at, axis=0, out=self.buffer[: len(at)], mode="clip")
+    return stack[at[0]] if at[0] == at[-1] else stack.take(at, axis=0)
 
 
 class _Objective:
@@ -214,8 +193,8 @@ class _Objective:
     is that of its forms in x, and the factor ``k[j]`` from which y gives
     ``d`` (see :meth:`value`), zero past its split.  The methods take the
     rows of a block, one row per start, and their states ``at``, one index
-    per row in state order; ``m_rows`` and ``k_rows`` give the rows'
-    matrices.  A copy keeps the layout of the matrix it copies: one in
+    per row in state order, and take the rows' matrices through
+    :func:`_rows`.  A copy keeps the layout of the matrix it copies: one in
     another layout takes another matmul loop of numpy, and other last bits.
     """
 
@@ -247,7 +226,6 @@ class _Objective:
             a = np.einsum("nila,njoa->nijlo", ka.conj(), ka)
             t = np.einsum("nila,njoa->nijlo", kt.conj(), kt)
             self.m_y[of] = (a + t.transpose(0, 2, 1, 3, 4)).reshape(-1, 9, 9)
-        self.m_rows, self.k_rows = _Gathered(self.m_y), _Gathered(self.k)
 
     def value(self, at: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """``||d x||^2`` of each row: one product per kernel split.
@@ -259,7 +237,7 @@ class _Objective:
         over the rows alone, so the rows of each split take a product of
         their own.
         """
-        d = _rowwise(y, self.k_rows.take(at).swapaxes(-2, -1)).reshape(len(y), -1, 3)
+        d = _rowwise(y, _rows(self.k, at).swapaxes(-2, -1)).reshape(len(y), -1, 3)
         if len(self.kinds) == 1:
             return _sum_squares(_conjugated_from(d, self.kinds[0][0]), x)
         f = np.empty(len(x))
@@ -295,7 +273,7 @@ def _step(obj: _Objective, at: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, n
     Each half-step is one product and one closed-form solve for the rows of
     every state.
     """
-    m_y = obj.m_rows.take(at)
+    m_y = _rows(obj.m_y, at)
     y = _smallest_eigvecs(_forms(_outer(x), m_y))
     x = _smallest_eigvecs(_forms(_outer(y), m_y.swapaxes(-2, -1)))
     return x, y, obj.value(at, x, y)

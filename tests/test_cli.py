@@ -24,9 +24,9 @@ from edgelab import cli, product_vector_search
 from edgelab.cli import COMMANDS, SWEEP_CHUNK, _grid_indices, _parse_range, _table_families, main, make_parser
 from edgelab.linalg import _classify_stack
 from edgelab.io import matrix_from_dict, matrix_to_dict, read_matrix, write_matrix
-from edgelab.errors import EdgeLabError
+from edgelab.errors import EdgeLabError, NotHermitianError
 from edgelab.states import FAMILIES
-from helpers import REFERENCE_FAMILIES, assert_same_entries, assert_same_outcome, cli_command, outcome, reference_sweep
+from helpers import HERM_RTOL, REFERENCE_FAMILIES, assert_same_entries, assert_same_outcome, cli_command, outcome, reference_sweep
 
 THETA = math.pi / 6
 # the module, which the package's ``classify`` function shadows as an attribute
@@ -455,6 +455,33 @@ class TestClassifyCommand:
         assert code == 2
         assert "not Hermitian" in err
         assert "stack" not in err
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3], ids=["norm-under-1", "norm-over-1"])
+    def test_asymmetry_either_side_of_the_hermitian_tolerance(self, capsys, tmp_path, scale):
+        # ||m - m^H||_F / max(||m||_F, 1) at half the tolerance classifies as
+        # the state itself; at twice it, classify raises and the CLI exits 2
+        state = scale * edge_state(1.0, THETA).mat
+        g = np.random.default_rng(30)
+        skew = g.standard_normal((9, 9)) + 1j * g.standard_normal((9, 9))
+        skew -= skew.conj().T
+        for ratio in (0.5, 2.0):
+            target = ratio * HERM_RTOL * max(np.linalg.norm(state), 1.0)
+            m = state + target / np.linalg.norm(skew) / 2 * skew
+            rel = np.linalg.norm(m - m.conj().T) / max(np.linalg.norm(m), 1.0)
+            assert abs(rel / (ratio * HERM_RTOL) - 1) < 1e-3
+            path = tmp_path / f"m-{ratio}.json"
+            write_matrix(BipartiteOperator(3, 3, m), path)
+            code, out, err = run_cli(capsys, "classify", "--in", str(path))
+            if ratio < 1:
+                want = classify(BipartiteOperator(3, 3, state))
+                assert classify(BipartiteOperator(3, 3, m)) == want
+                assert (code, err) == (0, "")
+                assert strict_json(out)["type"] == list(want.type) == [8, 6]
+            else:
+                with pytest.raises(NotHermitianError):
+                    classify(BipartiteOperator(3, 3, m))
+                assert (code, out) == (2, "")
+                assert "not Hermitian" in err
 
     @pytest.mark.parametrize("weights", sorted(set(itertools.permutations(["nan", "-1", "1"])))
                              + sorted(set(itertools.permutations(["inf", "-1", "1"]))))

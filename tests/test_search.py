@@ -762,6 +762,21 @@ def test_smallest_eigvecs_keep_their_bits(eigh_rows):
             assert np.signbit(parts[parts == 0]).any(), name
 
 
+def test_smallest_eigvecs_are_exact_on_either_side_of_the_gap_floor():
+    # forms U diag(0, delta, 1) U^H, delta from 1e-7 to 1e-4: the closed form
+    # above the gap floor, eigh under it; a vector's Rayleigh quotient stays
+    # within 2e-15 of the largest entry above eigvalsh's smallest eigenvalue,
+    # which a floor of 1e-6 breaks by up to 2e-13 near delta = 1.6e-7
+    g = np.random.default_rng(30)
+    deltas = np.repeat(np.geomspace(1e-7, 1e-4, 31), 100)
+    lam = np.zeros((len(deltas), 3))
+    lam[:, 1], lam[:, 2] = deltas, 1.0
+    h = _forms(g, lam)
+    v = _smallest_eigvecs(h)
+    excess = np.einsum("bi,bij,bj->b", v.conj(), h, v).real - np.linalg.eigvalsh(h)[:, 0]
+    assert np.all(excess <= 2e-15 * np.abs(h).max(axis=(1, 2)))
+
+
 def _realified_form(c, e):
     """The objective for fixed y in the 2m real coordinates (Re x, Im x)."""
     r, q = c.real + e.real, c.imag - e.imag
